@@ -14,6 +14,13 @@
 //!   and the O(n) scan is nearly free);
 //! * the 2048-flow Myrinet group pinning the mixed-delta/patch shares
 //!   (>90% of settles must carry positional deltas and actually patch);
+//! * the kernel-scaling group: one full GigE model query on a 512-sender
+//!   and on a 4096-sender incast. The §V.A kernel is linear in the
+//!   population, so 8x the senders must cost under 16x the time (a
+//!   kernel that rescans each degree group per member is quadratic and
+//!   takes ~64x). A ratio of two single-threaded timings holds on every
+//!   core count; the group runs before the sharded groups so it reports
+//!   even where those fail.
 //! * the 100k-flow GigE group, where every flow is added up front so the
 //!   slab holds 100k slots while only a few hundred contend — the regime
 //!   the finish-time heap exists for. Both engines drain the same
@@ -172,9 +179,47 @@ fn share(count: u64, stats: &CacheStats) -> f64 {
     count as f64 / stats.model_queries.max(1) as f64
 }
 
+/// The kernel-scaling group: median wall-clock of one full
+/// `GigabitEthernetModel::penalties` query on a 512-sender and on a
+/// 4096-sender incast. Returns the JSON fields for `BENCH_timeline.json`.
+fn check_kernel_scaling(reps: usize) -> String {
+    let model = GigabitEthernetModel::default();
+    let incast = |senders: u32| -> Vec<Communication> {
+        (1..=senders)
+            .map(|s| Communication::new(s, 0u32, 1 << 20))
+            .collect()
+    };
+    let (small, large) = (incast(512), incast(4096));
+    let (t_small, p_small) = median_time(reps, || model.penalties(&small));
+    let (t_large, p_large) = median_time(reps, || model.penalties(&large));
+    // Every sender of an N-incast is in Cmi and alone on its NIC: N·β.
+    for (pens, senders) in [(&p_small, 512.0), (&p_large, 4096.0)] {
+        assert!(
+            pens.iter().all(|p| p.value() == senders * model.beta),
+            "incast-{senders}: wrong penalties"
+        );
+    }
+    let scaling = t_large.as_secs_f64() / t_small.as_secs_f64();
+    println!(
+        "gige kernel: full query on a 512-sender incast {t_small:?}, \
+         4096-sender {t_large:?} ({scaling:.1}x for 8x the flows)"
+    );
+    assert!(
+        scaling < 16.0,
+        "gige kernel: 8x the incast senders cost {scaling:.1}x the time \
+         ({t_small:?} vs {t_large:?}); a linear kernel gives about 8x"
+    );
+    format!(
+        "\"incast_512_query_us\": {:.3}, \"incast_4096_query_us\": {:.3}, \
+         \"incast_query_scaling\": {scaling:.3}",
+        t_small.as_secs_f64() * 1e6,
+        t_large.as_secs_f64() * 1e6,
+    )
+}
+
 /// The 100k-flow group: both engines drain the same `prefix`-completion
 /// prefix (median of `reps`), then the heap engine alone drains the full
-/// workload. Returns the JSON line for `BENCH_timeline.json`.
+/// workload. Returns its JSON fields for `BENCH_timeline.json`.
 fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
     let kind = ModelKind::GigabitEthernet;
     let transfers = churn_transfers(flows, churn_stagger(kind));
@@ -214,10 +259,10 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
     );
 
     format!(
-        "{{\"flows\": {flows}, \"prefix\": {prefix}, \"heap_prefix_ms\": {:.3}, \
+        "\"flows\": {flows}, \"prefix\": {prefix}, \"heap_prefix_ms\": {:.3}, \
          \"linear_prefix_ms\": {:.3}, \"prefix_speedup\": {speedup:.3}, \
          \"heap_full_drain_ms\": {:.3}, \"heap_pushes\": {}, \"lazy_pops\": {}, \
-         \"gate_heap_hits\": {}, \"rescans\": {}}}\n",
+         \"gate_heap_hits\": {}, \"rescans\": {}",
         t_heap.as_secs_f64() * 1e3,
         t_lin.as_secs_f64() * 1e3,
         t_full.as_secs_f64() * 1e3,
@@ -511,8 +556,10 @@ fn main() {
         "myrinet-2048: patch share regressed to {patch_share:.3}: {s:?}"
     );
 
-    // The deep-slab group the event timeline exists for.
-    let json = check_big(big, prefix, 3);
+    // The model kernel's scaling, then the deep-slab group the event
+    // timeline exists for; both land in the timeline record.
+    let kernel = check_kernel_scaling(21);
+    let json = format!("{{{}, {kernel}}}\n", check_big(big, prefix, 3));
     std::fs::write("BENCH_timeline.json", &json).expect("write BENCH_timeline.json");
     print!("churn_smoke: BENCH_timeline.json = {json}");
 

@@ -25,8 +25,8 @@
 //! splits — splitting is a performance refinement, never a correctness
 //! requirement — but the tracker itself always reports the true partition.
 
+use crate::intern::SlotInterner;
 use netbw_graph::NodeId;
-use std::collections::HashMap;
 
 /// Dense index of an interned endpoint inside a [`ComponentTracker`].
 ///
@@ -130,8 +130,8 @@ impl ComponentRemoval {
 /// footprint proportional to the *live* graph.
 #[derive(Debug, Default, Clone)]
 pub struct ComponentTracker {
-    index: HashMap<NodeId, u32>,
-    nodes: Vec<NodeId>,
+    /// Node id → slot; released slots are recycled for later endpoints.
+    slots: SlotInterner,
     parent: Vec<u32>,
     rank: Vec<u8>,
     /// Per node: `(neighbor, live-flow count)` for every edge with at
@@ -139,8 +139,6 @@ pub struct ComponentTracker {
     adj: Vec<Vec<(u32, u32)>>,
     /// Per node: how many live flows touch it (a self-loop counts once).
     incident: Vec<u32>,
-    /// Retired node slots available for re-interning.
-    free: Vec<u32>,
     components: usize,
     // Sweep scratch: generation marks avoid clearing a visited bitmap.
     mark: Vec<u32>,
@@ -162,18 +160,16 @@ impl ComponentTracker {
 
     /// Number of live interned endpoints.
     pub fn node_count(&self) -> usize {
-        self.parent.len() - self.free.len()
+        self.slots.live()
     }
 
     /// Forgets everything while keeping allocations warm.
     pub fn clear(&mut self) {
-        self.index.clear();
-        self.nodes.clear();
+        self.slots.clear();
         self.parent.clear();
         self.rank.clear();
         self.adj.clear();
         self.incident.clear();
-        self.free.clear();
         self.components = 0;
         self.mark.clear();
         self.mark_gen = 0;
@@ -184,13 +180,11 @@ impl ComponentTracker {
     /// Sweep scratch is copied too, so a forked tracker is bitwise
     /// indistinguishable from a cloned one.
     pub fn fork_into(&self, target: &mut Self) {
-        target.index.clone_from(&self.index);
-        target.nodes.clone_from(&self.nodes);
+        target.slots.clone_from(&self.slots);
         target.parent.clone_from(&self.parent);
         target.rank.clone_from(&self.rank);
         target.adj.clone_from(&self.adj);
         target.incident.clone_from(&self.incident);
-        target.free.clone_from(&self.free);
         target.components = self.components;
         target.mark.clone_from(&self.mark);
         target.mark_gen = self.mark_gen;
@@ -201,7 +195,7 @@ impl ComponentTracker {
     /// The root of the component containing `node`, or `None` if the node
     /// is not in the live population.
     pub fn find(&mut self, node: NodeId) -> Option<ComponentRoot> {
-        let idx = *self.index.get(&node)?;
+        let idx = self.slots.get(node)?;
         Some(self.find_idx(idx))
     }
 
@@ -271,13 +265,13 @@ impl ComponentTracker {
     /// matching flow is live — every `remove` must pair with an earlier
     /// `insert`.
     pub fn remove(&mut self, a: NodeId, b: NodeId) -> ComponentRemoval {
-        let ia = *self
-            .index
-            .get(&a)
+        let ia = self
+            .slots
+            .get(a)
             .expect("removing a flow whose endpoint was never inserted");
-        let ib = *self
-            .index
-            .get(&b)
+        let ib = self
+            .slots
+            .get(b)
             .expect("removing a flow whose endpoint was never inserted");
         let old_root = self.find_idx(ia);
         debug_assert_eq!(
@@ -368,29 +362,21 @@ impl ComponentTracker {
     }
 
     fn intern(&mut self, node: NodeId) -> (u32, bool) {
-        if let Some(&idx) = self.index.get(&node) {
-            return (idx, false);
-        }
-        let idx = if let Some(idx) = self.free.pop() {
-            let i = idx as usize;
-            self.nodes[i] = node;
-            self.parent[i] = idx;
-            self.rank[i] = 0;
-            debug_assert!(self.adj[i].is_empty());
-            debug_assert_eq!(self.incident[i], 0);
-            idx
-        } else {
-            let idx = u32::try_from(self.parent.len()).expect("tracker capacity exceeds u32");
-            self.nodes.push(node);
+        let (idx, fresh) = self.slots.intern(node);
+        let i = idx as usize;
+        if fresh && i == self.parent.len() {
             self.parent.push(idx);
             self.rank.push(0);
             self.adj.push(Vec::new());
             self.incident.push(0);
             self.mark.push(0);
-            idx
-        };
-        self.index.insert(node, idx);
-        (idx, true)
+        } else if fresh {
+            self.parent[i] = idx;
+            self.rank[i] = 0;
+            debug_assert!(self.adj[i].is_empty());
+            debug_assert_eq!(self.incident[i], 0);
+        }
+        (idx, fresh)
     }
 
     /// Retires a drained node's slot for re-interning. Callers must have
@@ -399,11 +385,10 @@ impl ComponentTracker {
     fn retire(&mut self, idx: u32) {
         let i = idx as usize;
         debug_assert_eq!(self.incident[i], 0);
-        self.index.remove(&self.nodes[i]);
+        self.slots.release(idx);
         self.adj[i].clear();
         self.parent[i] = idx;
         self.rank[i] = 0;
-        self.free.push(idx);
     }
 
     fn add_edge(&mut self, ia: u32, ib: u32) {

@@ -28,8 +28,10 @@
 //! predicted column of Fig. 4 — see `calibrate` for re-estimating them
 //! from measurements.
 
-use crate::incremental::{endpoint_scratch_query, EndpointIndex, EndpointScratch};
-use crate::model::{scatter_penalties, split_intra_node, PenaltyModel, PopulationDelta};
+use crate::incremental::{
+    endpoint_scratch_query, evaluate_full, EndpointIndex, EndpointScratch, EndpointSlots,
+};
+use crate::model::{PenaltyModel, PopulationDelta};
 use crate::penalty::Penalty;
 use crate::scratch::{ModelScratch, QueryOutcome};
 use netbw_graph::Communication;
@@ -82,71 +84,67 @@ impl GigabitEthernetModel {
     }
 
     /// The emission-side penalty `po` of communication `i` in `comms`.
-    /// `comms` must be the network (inter-node) subset of a population;
-    /// intra-node entries never contribute to NIC degrees.
+    /// Intra-node entries of `comms` never contribute to NIC degrees (as in
+    /// [`PenaltyModel::penalties`]), and an intra-node communication itself
+    /// has `po = 1`.
     pub fn po(&self, comms: &[Communication], i: usize) -> f64 {
-        self.po_indexed(&comms[i], &EndpointIndex::build(comms))
+        let mut index = EndpointIndex::build(comms);
+        match index.slots_of(&comms[i]) {
+            Some(e) => self.po_indexed(e, &mut index),
+            None => 1.0,
+        }
     }
 
     /// The reception-side penalty `pi` of communication `i` in `comms`
-    /// (network subset, as for [`Self::po`]).
+    /// (intra-node entries handled as for [`Self::po`]).
     pub fn pi(&self, comms: &[Communication], i: usize) -> f64 {
-        self.pi_indexed(&comms[i], &EndpointIndex::build(comms))
+        let mut index = EndpointIndex::build(comms);
+        match index.slots_of(&comms[i]) {
+            Some(e) => self.pi_indexed(e, &mut index),
+            None => 1.0,
+        }
     }
 
-    /// `po` over an endpoint index — the O(group) hot path shared by the
-    /// batch evaluation and the incremental patch (and by the InfiniBand
-    /// extension, which reuses the closed form with `γ = 0`). The index
-    /// hands out counterpart multisets, so no slice positions are needed —
-    /// which is what lets the scratch keep one index alive across settles.
-    pub(crate) fn po_indexed(&self, ci: &Communication, index: &EndpointIndex) -> f64 {
-        let group = index.outgoing(ci.src);
-        let delta_o = group.len();
+    /// `po` over an endpoint index — O(1) once the source group's `Cmo`
+    /// aggregate is memoised, and shared by the batch evaluation and the
+    /// incremental patch (and by the InfiniBand extension, which reuses
+    /// the closed form with `γ = 0`). The index hands out degrees and
+    /// aggregates by slot, so no population positions are needed — which
+    /// is what lets the scratch keep one index alive across settles.
+    pub(crate) fn po_indexed(&self, ci: EndpointSlots, index: &mut EndpointIndex) -> f64 {
+        let delta_o = index.out_degree(ci.src);
         if delta_o == 1 {
             return 1.0;
         }
-        // Δi of each comm leaving vs; the max defines Cmo.
-        let max_di = group.iter().map(|&d| index.in_degree(d)).max().unwrap_or(1);
-        let card_cmo = group
-            .iter()
-            .filter(|&&d| index.in_degree(d) == max_di)
-            .count();
-        let in_cmo = index.in_degree(ci.dst) == max_di;
+        // The largest Δi among the comms leaving vs defines Cmo.
+        let cmo = index.out_aggregate(ci.src);
+        let in_cmo = index.in_degree(ci.dst) == cmo.max;
         let base = delta_o as f64 * self.beta;
         if in_cmo {
-            base * (1.0 + self.gamma_o * (delta_o as f64 - card_cmo as f64))
+            base * (1.0 + self.gamma_o * (delta_o as f64 - cmo.count as f64))
         } else {
-            base * (1.0 - self.gamma_o / card_cmo as f64)
+            base * (1.0 - self.gamma_o / cmo.count as f64)
         }
     }
 
     /// `pi` over an endpoint index; see [`Self::po_indexed`].
-    pub(crate) fn pi_indexed(&self, ci: &Communication, index: &EndpointIndex) -> f64 {
-        let group = index.incoming(ci.dst);
-        let delta_i = group.len();
+    pub(crate) fn pi_indexed(&self, ci: EndpointSlots, index: &mut EndpointIndex) -> f64 {
+        let delta_i = index.in_degree(ci.dst);
         if delta_i == 1 {
             return 1.0;
         }
-        let max_do = group
-            .iter()
-            .map(|&s| index.out_degree(s))
-            .max()
-            .unwrap_or(1);
-        let card_cmi = group
-            .iter()
-            .filter(|&&s| index.out_degree(s) == max_do)
-            .count();
-        let in_cmi = index.out_degree(ci.src) == max_do;
+        let cmi = index.in_aggregate(ci.dst);
+        let in_cmi = index.out_degree(ci.src) == cmi.max;
         let base = delta_i as f64 * self.beta;
         if in_cmi {
-            base * (1.0 + self.gamma_i * (delta_i as f64 - card_cmi as f64))
+            base * (1.0 + self.gamma_i * (delta_i as f64 - cmi.count as f64))
         } else {
-            base * (1.0 - self.gamma_i / card_cmi as f64)
+            base * (1.0 - self.gamma_i / cmi.count as f64)
         }
     }
 
     /// `max(po, pi)` of one network communication via the index.
-    fn penalty_indexed(&self, c: &Communication, index: &EndpointIndex) -> Penalty {
+    fn penalty_indexed(&self, c: EndpointSlots, index: &mut EndpointIndex) -> Penalty {
         Penalty::new(self.po_indexed(c, index).max(self.pi_indexed(c, index)))
     }
 }
@@ -156,14 +154,10 @@ impl PenaltyModel for GigabitEthernetModel {
         "gige"
     }
 
+    /// O(n): one index build, then each degree group's `Cmo`/`Cmi`
+    /// aggregate is computed once and every penalty read in O(1).
     fn penalties(&self, comms: &[Communication]) -> Vec<Penalty> {
-        let (indices, network) = split_intra_node(comms);
-        let index = EndpointIndex::build(&network);
-        let net: Vec<Penalty> = network
-            .iter()
-            .map(|c| self.penalty_indexed(c, &index))
-            .collect();
-        scatter_penalties(comms.len(), &indices, &net)
+        evaluate_full(comms, |c, index| self.penalty_indexed(c, index))
     }
 
     fn new_scratch(&self) -> Box<dyn ModelScratch> {
@@ -174,7 +168,7 @@ impl PenaltyModel for GigabitEthernetModel {
     /// endpoint index survives between settles, and only communications
     /// whose source group or destination group was reached by the change
     /// (the two-hop endpoint neighbourhood — see
-    /// [`crate::incremental::affected_endpoints`]) are re-evaluated; every
+    /// [`crate::incremental::AffectedEndpoints`]) are re-evaluated; every
     /// other survivor keeps its previous penalty bit-for-bit.
     fn penalties_with_scratch(
         &self,
@@ -190,7 +184,6 @@ impl PenaltyModel for GigabitEthernetModel {
             scratch,
             |aff, c| aff.touches(c),
             |c, index| self.penalty_indexed(c, index),
-            || self.penalties(comms),
         )
     }
 }
@@ -358,6 +351,27 @@ mod tests {
         assert_eq!(patched[0], full[0]);
         assert_eq!(patched[1], full[1]);
         assert_eq!(patched[4], full[4]);
+    }
+
+    #[test]
+    fn po_pi_ignore_intra_node_entries() {
+        // A 2→2 flow never reaches the NIC: it must neither trip the
+        // index's network-only assertion nor count towards node 2's
+        // degrees, so max(po, pi) is exactly the batch penalty.
+        let m = GigabitEthernetModel::default();
+        let comms = [
+            Communication::new(0u32, 2u32, MB),
+            Communication::new(1u32, 2u32, MB),
+            Communication::new(2u32, 2u32, MB),
+            Communication::new(2u32, 3u32, MB),
+        ];
+        let p = m.penalties(&comms);
+        for (i, &want) in p.iter().enumerate() {
+            assert_eq!(Penalty::new(m.po(&comms, i).max(m.pi(&comms, i))), want);
+        }
+        assert_eq!(m.po(&comms, 3), 1.0, "Δo(2) = 1 without the 2→2 flow");
+        assert_eq!((m.po(&comms, 2), m.pi(&comms, 2)), (1.0, 1.0));
+        assert!((m.pi(&comms, 0) - 1.5).abs() < TOL, "Δi(2) = 2");
     }
 
     #[test]

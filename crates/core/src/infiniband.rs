@@ -37,9 +37,10 @@
 
 use crate::gige::GigabitEthernetModel;
 use crate::incremental::{
-    endpoint_scratch_query, AffectedEndpoints, EndpointIndex, EndpointScratch,
+    endpoint_scratch_query, evaluate_full, AffectedEndpoints, EndpointIndex, EndpointScratch,
+    EndpointSlots,
 };
-use crate::model::{scatter_penalties, split_intra_node, PenaltyModel, PopulationDelta};
+use crate::model::{PenaltyModel, PopulationDelta};
 use crate::penalty::Penalty;
 use crate::scratch::{ModelScratch, QueryOutcome};
 use netbw_graph::Communication;
@@ -88,8 +89,8 @@ impl InfinibandModel {
     /// shared by the batch evaluation and the incremental patch.
     fn penalty_indexed(
         &self,
-        c: &Communication,
-        index: &EndpointIndex,
+        c: EndpointSlots,
+        index: &mut EndpointIndex,
         fair: &GigabitEthernetModel,
     ) -> Penalty {
         let po = fair.po_indexed(c, index);
@@ -106,10 +107,8 @@ impl InfinibandModel {
     /// in-degree of the *source* node and `rx_dx` the out-degree of the
     /// *destination* node, so a changed flow also reaches every flow whose
     /// source it enters or whose destination it leaves.
-    fn touches(aff: &AffectedEndpoints, comm: &Communication) -> bool {
-        aff.touches(comm)
-            || aff.changed_dests.contains(&comm.src)
-            || aff.changed_sources.contains(&comm.dst)
+    fn touches(aff: &AffectedEndpoints, comm: EndpointSlots) -> bool {
+        aff.touches(comm) || aff.is_changed_dest(comm.src) || aff.is_changed_source(comm.dst)
     }
 }
 
@@ -119,15 +118,9 @@ impl PenaltyModel for InfinibandModel {
     }
 
     fn penalties(&self, comms: &[Communication]) -> Vec<Penalty> {
-        let (indices, network) = split_intra_node(comms);
         // Reuse the GigE po/pi machinery with γ = 0.
         let fair = GigabitEthernetModel::new(self.beta, 0.0, 0.0);
-        let index = EndpointIndex::build(&network);
-        let net: Vec<Penalty> = network
-            .iter()
-            .map(|c| self.penalty_indexed(c, &index, &fair))
-            .collect();
-        scatter_penalties(comms.len(), &indices, &net)
+        evaluate_full(comms, |c, index| self.penalty_indexed(c, index, &fair))
     }
 
     fn new_scratch(&self) -> Box<dyn ModelScratch> {
@@ -153,7 +146,6 @@ impl PenaltyModel for InfinibandModel {
             scratch,
             Self::touches,
             |c, index| self.penalty_indexed(c, index, &fair),
-            || self.penalties(comms),
         )
     }
 }

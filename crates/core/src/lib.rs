@@ -58,6 +58,7 @@ pub mod components;
 pub mod gige;
 pub mod incremental;
 pub mod infiniband;
+mod intern;
 pub mod model;
 pub mod myrinet;
 pub mod penalty;

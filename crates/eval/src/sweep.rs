@@ -286,27 +286,38 @@ mod tests {
 
     #[test]
     fn skewed_items_get_stolen() {
-        // Worker 0's block is one long sleep; the other workers drain
-        // their blocks instantly and must steal the rest of block 0.
+        // Worker 0's first item blocks until another worker has run an
+        // item of block 0, which only a steal can hand it; a timeout
+        // would mean the stuck worker was never relieved.
+        use std::sync::Condvar;
+        use std::time::Duration;
         let items: Vec<u64> = (0..64).collect();
         let exec = SweepExecutor::new(4);
+        let relieved = (Mutex::new(false), Condvar::new());
         let (out, stats) = exec.map_init(
             &items,
-            |_| (),
-            |(), &x, _| {
+            |w| w,
+            |&mut w, &x, _| {
+                let (done, wake) = &relieved;
                 if x == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(60));
+                    let guard = done.lock().expect("relief flag");
+                    let (_relief, waited) = wake
+                        .wait_timeout_while(guard, Duration::from_secs(30), |done| !*done)
+                        .expect("relief flag");
+                    assert!(!waited.timed_out(), "nobody stole from the stuck worker");
+                } else if x < 16 && w != 0 {
+                    *done.lock().expect("relief flag") = true;
+                    wake.notify_all();
                 }
-                x + 1
+                (x + 1, w)
             },
         );
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
+        let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, (1..=64).collect::<Vec<_>>());
         assert!(stats.steals > 0, "expected steals: {stats:?}");
-        // worker 0 spent its time asleep: it cannot have run its whole block
-        assert!(
-            stats.per_worker_items[0] < 16,
-            "steals must relieve the stuck worker: {stats:?}"
-        );
+        // worker 0 was stuck on item 0: it cannot have run its whole block
+        let own = out[..16].iter().filter(|&&(_, w)| w == 0).count();
+        assert!(own < 16, "steals must relieve the stuck worker: {stats:?}");
     }
 
     #[test]

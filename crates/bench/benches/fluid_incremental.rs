@@ -21,12 +21,13 @@
 //! *performed* to prove it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use netbw::fluid::EngineMode;
 use netbw::prelude::*;
-use netbw_bench::{churn_stagger, churn_transfers, drain_churn_mode, EngineMode};
+use netbw_bench::{churn_stagger, churn_transfers, drain_churn_mode};
 use std::hint::black_box;
 
 const MODES: [(&str, EngineMode); 3] = [
-    ("incremental", EngineMode::Heap),
+    ("incremental", EngineMode::Event),
     ("linear-timeline", EngineMode::LinearTimeline),
     ("full-recompute", EngineMode::FullRecompute),
 ];

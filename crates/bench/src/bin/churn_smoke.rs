@@ -52,12 +52,12 @@
 //! them measure the same scenario.
 
 use netbw::eval::SweepExecutor;
-use netbw::fluid::{CacheStats, TimelineStats};
+use netbw::fluid::{CacheStats, EngineMode, TimelineStats};
 use netbw::graph::Communication;
 use netbw::prelude::*;
 use netbw_bench::{
     bridge_wave_churn, churn_stagger, churn_transfers, drain_churn_mode, drain_churn_prefix,
-    drain_prefix_into, multi_component_churn, EngineMode, CHURN_SEED,
+    drain_prefix_into, multi_component_churn, CHURN_SEED,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,7 +104,7 @@ fn median_time<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
 /// cache stats for group-specific guards.
 fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
     let transfers = churn_transfers(flows, churn_stagger(kind));
-    let (t_inc, s_inc, tl_inc) = timed_drain(kind, &transfers, EngineMode::Heap);
+    let (t_inc, s_inc, tl_inc) = timed_drain(kind, &transfers, EngineMode::Event);
     let (t_lin, s_lin, _) = timed_drain(kind, &transfers, EngineMode::LinearTimeline);
     let (t_full, s_full, _) = timed_drain(kind, &transfers, EngineMode::FullRecompute);
     println!(
@@ -153,7 +153,7 @@ fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
     );
     // A full-population rescan is only legitimate where the model could
     // not scope the change: the first settle plus every scratch rebuild
-    // (Myrinet's Moon–Moser budget refusals rebuild and report "all").
+    // (which reports "all").
     assert!(
         tl_inc.rescans <= s_inc.scratch_rebuilds + 1,
         "{name}: heap engine rescanned beyond its rebuild budget: {tl_inc:?} vs {s_inc:?}"
@@ -225,7 +225,7 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
     let transfers = churn_transfers(flows, churn_stagger(kind));
 
     let (t_heap, (done_h, _, _)) = median_time(reps, || {
-        drain_churn_prefix(kind.build(), &transfers, EngineMode::Heap, prefix)
+        drain_churn_prefix(kind.build(), &transfers, EngineMode::Event, prefix)
     });
     let (t_lin, (done_l, _, _)) = median_time(reps, || {
         drain_churn_prefix(kind.build(), &transfers, EngineMode::LinearTimeline, prefix)
@@ -234,7 +234,7 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
     assert!(done_h >= prefix, "workload too small for the prefix");
 
     let (t_full, (done, _, tl)) = median_time(1, || {
-        drain_churn_mode(kind.build(), &transfers, EngineMode::Heap)
+        drain_churn_mode(kind.build(), &transfers, EngineMode::Event)
     });
     assert_eq!(done, flows, "heap engine lost flows at {flows}");
 
@@ -308,12 +308,10 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
         budget_fallbacks = net.cache_stats().budget_fallbacks;
         done
     });
-    // The speedup story rests on the partition surviving: a Myrinet
-    // budget fallback would collapse it into one global shard (bitwise
-    // equality demands it — see the fluid crate's shard docs) and the
-    // "sharded" timings would silently measure the heap path. The
-    // workload keeps components small enough to stay Moon–Moser
-    // certified, and this guard pins that.
+    // The workload keeps components small enough that no Myrinet
+    // component reaches the state-set budget, so every settle stays
+    // exact; this guard pins that, and the shard count pins that the
+    // partition survived.
     assert_eq!(
         budget_fallbacks, 0,
         "shard smoke: workload must stay under the state-set budget"
@@ -376,10 +374,9 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
 /// per-wave settle cost and partition shape are observed at every wave
 /// boundary, where that wave's bridges are gone and the next wave's have
 /// not arrived), then through the never-splitting
-/// `with_sharded_merge_only` ablation on the same feed. GigE keeps the
-/// mega-shard Moon–Moser-free, so the comparison isolates partition
-/// *shape* — no budget collapse muddies either side. Returns the JSON
-/// line for `BENCH_split.json`.
+/// `with_sharded_merge_only` ablation on the same feed. GigE has no
+/// state-set budget, so the comparison isolates partition *shape*.
+/// Returns the JSON line for `BENCH_split.json`.
 fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -> String {
     let stagger = churn_stagger(ModelKind::GigabitEthernet);
     let wave_len = stagger * flows_per_comp as f64;
@@ -417,6 +414,7 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     let mut split_times = Vec::with_capacity(reps);
     let mut boundary_min_shards = usize::MAX;
     let mut stats = netbw::fluid::ShardStats::default();
+    let mut cache = CacheStats::default();
     for _ in 0..reps {
         let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
             .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
@@ -425,6 +423,7 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
         split_times.push(t0.elapsed());
         assert_eq!(done, transfers.len(), "splitting engine lost flows");
         stats = net.shard_stats();
+        cache = net.cache_stats();
     }
     split_times.sort_unstable();
     let t_split = split_times[split_times.len() / 2];
@@ -461,7 +460,10 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
         fused_stats.splits, 0,
         "split smoke: merge-only ablation must never split: {fused_stats:?}"
     );
-    assert!(!stats.collapsed, "split smoke: no budget collapse on GigE");
+    assert_eq!(
+        cache.budget_fallbacks, 0,
+        "split smoke: no budget fallback on GigE: {cache:?}"
+    );
 
     // Settle cost must stay flat across waves: steady churn with a
     // refining partition has no mechanism to get slower. Wave 1 is cold

@@ -11,13 +11,14 @@
 //! `cargo run --release -p netbw-bench --bin report_all`
 
 use netbw::core::MyrinetModel;
+use netbw::fluid::EngineMode;
 use netbw::graph::schemes;
 use netbw::graph::units::MB;
 use netbw::prelude::*;
 use netbw::sim::NetworkBackend;
 use netbw_bench::{
     bridge_wave_churn, churn_stagger, churn_transfers, drain_churn_mode, fabric_model_pairs,
-    section, show, EngineMode, CHURN_SEED,
+    section, show, CHURN_SEED,
 };
 
 fn main() {
@@ -116,7 +117,7 @@ fn main() {
     section("Event-timeline stats (heap engine, 512-flow GigE churn drain)");
     let kind = ModelKind::GigabitEthernet;
     let transfers = churn_transfers(512, churn_stagger(kind));
-    let (done, cache, tl) = drain_churn_mode(kind.build(), &transfers, EngineMode::Heap);
+    let (done, cache, tl) = drain_churn_mode(kind.build(), &transfers, EngineMode::Event);
     println!(
         "{done} completions | {} model queries ({} reuses) | {} heap pushes, \
          {} lazy pops, {} gate pushes, {} gate heap hits, {} rescans",
@@ -203,7 +204,7 @@ fn main() {
     let shape = backend.shard_stats().expect("sharded backend");
     println!(
         "{done} completions | live shards at wave boundaries {boundary_shards:?} | \
-         {} splits, {} merges, {} drains, {} budget collapses, {} un-collapses",
-        shape.splits, shape.merges, shape.drains, shape.budget_collapses, shape.uncollapses,
+         {} splits, {} merges, {} drains",
+        shape.splits, shape.merges, shape.drains,
     );
 }

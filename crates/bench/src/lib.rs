@@ -11,6 +11,7 @@
 //! (see `ARCHITECTURE.md`); the Criterion benches in `benches/` measure
 //! the machinery underneath.
 
+use netbw::fluid::EngineMode;
 use netbw::graph::Communication;
 use netbw::prelude::*;
 use rand::rngs::StdRng;
@@ -187,38 +188,9 @@ pub fn churn_stagger(kind: ModelKind) -> f64 {
     }
 }
 
-/// Which event-timeline flavor a churn drain runs through — the three
-/// `FluidNetwork` constructors, named for benches and smoke guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// The default engine: lazy finish-time heap + incremental cache.
-    Heap,
-    /// Incremental cache, but linear slab scans for the next event —
-    /// the pre-heap engine, kept as the wall-clock baseline.
-    LinearTimeline,
-    /// Full model requery every settle plus linear scans — the oracle.
-    FullRecompute,
-    /// The heap engine partitioned by conflict component: one cache,
-    /// scratch and timeline per component, settles independent per shard
-    /// (serial dispatch here; benches plug in the sweep executor).
-    Sharded,
-    /// The sharded engine with splitting disabled: bridging arrivals
-    /// still merge shards, but component break-up never carves them back
-    /// apart. The never-refining ablation baseline the `shard_split_smoke`
-    /// guard compares against.
-    ShardedMergeOnly,
-}
-
 /// Builds a fresh unit-parameter engine in the requested mode.
 pub fn churn_engine<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
-    let net = FluidNetwork::new(model, NetworkParams::unit());
-    match mode {
-        EngineMode::Heap => net,
-        EngineMode::LinearTimeline => net.with_linear_timeline(),
-        EngineMode::FullRecompute => net.with_full_recompute(),
-        EngineMode::Sharded => net.with_sharded(),
-        EngineMode::ShardedMergeOnly => net.with_sharded_merge_only(),
-    }
+    mode.apply(FluidNetwork::new(model, NetworkParams::unit()))
 }
 
 /// A churn workload of `comps` disjoint conflict components: the
@@ -322,7 +294,7 @@ pub fn drain_churn<M: PenaltyModel>(
     let mode = if full_recompute {
         EngineMode::FullRecompute
     } else {
-        EngineMode::Heap
+        EngineMode::Event
     };
     let (done, stats, _) = drain_churn_mode(model, transfers, mode);
     (done, stats)
@@ -456,7 +428,7 @@ mod tests {
         let heap = drain_churn_mode(
             GigabitEthernetModel::default(),
             &transfers,
-            EngineMode::Heap,
+            EngineMode::Event,
         );
         let lin = drain_churn_mode(
             GigabitEthernetModel::default(),
@@ -482,7 +454,7 @@ mod tests {
         let (done, _, _) = drain_churn_prefix(
             GigabitEthernetModel::default(),
             &transfers,
-            EngineMode::Heap,
+            EngineMode::Event,
             10,
         );
         assert!((10..48).contains(&done), "prefix drain got {done}");

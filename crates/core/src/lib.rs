@@ -29,12 +29,11 @@
 //! the stateful batch-delta entry point
 //! [`PenaltyModel::penalties_with_scratch`]: each model keeps an opaque
 //! per-cache [`scratch`] alive between settles (endpoint indices for the
-//! closed-form models, union–find conflict components plus a cached
-//! Moon–Moser budget certification for Myrinet) and patches only the
-//! endpoints ([`incremental`]) or conflict components the change reaches —
-//! simultaneous arrival+departure batches included, as chained
-//! [`PopulationDelta::Mixed`] deltas — instead of recomputing the whole
-//! fabric.
+//! closed-form models, union–find conflict components for Myrinet) and
+//! patches only the endpoints ([`incremental`]) or conflict components the
+//! change reaches — simultaneous arrival+departure batches included, as
+//! chained [`PopulationDelta::Mixed`] deltas — instead of recomputing the
+//! whole fabric.
 //!
 //! # Example
 //!

@@ -40,9 +40,8 @@ pub trait PenaltyModel: Send + Sync {
     /// engine: penalties for a population that evolved from the previously
     /// queried one as described by `delta`, with `scratch` carrying the
     /// model's own state between settles (endpoint indices for the
-    /// closed-form models, union–find conflict components plus a cached
-    /// budget certification for Myrinet — see [`crate::incremental`] and
-    /// the per-model docs).
+    /// closed-form models, union–find conflict components for Myrinet —
+    /// see [`crate::incremental`] and the per-model docs).
     ///
     /// `previous` carries the last-queried population and its penalties
     /// (`None` on the first query); a cold scratch is *seeded* from it, so

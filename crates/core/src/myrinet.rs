@@ -19,13 +19,23 @@
 //!
 //! On the paper's Fig. 5 example this yields exactly the Fig. 6 table:
 //! sums `1,2,2,2,2,3`, minima `1,1,1,2,2,2`, penalties `5,5,5,2.5,2.5,2.5`.
+//!
+//! Everything above is defined per conflict component, and so is the
+//! state-set budget: a component with more than `budget` state sets gets
+//! the max-conflict approximation `p = max(Δo, Δi)` for its own flows,
+//! while every other component stays exact. Δo, Δi and κ count only
+//! same-source and same-destination flows, which share a component under
+//! both conflict rules, so no penalty ever depends on a flow outside its
+//! own component — which is what lets the scratch-backed patch reuse an
+//! untouched component's previous penalties verbatim.
 
 use crate::incremental::align;
 use crate::model::{scatter_penalties, split_intra_node, PenaltyModel, PopulationDelta};
 use crate::penalty::Penalty;
 use crate::scratch::{ModelScratch, QueryOutcome};
 use crate::states::{
-    count_components, enumerate_components, StateSetEnumeration, DEFAULT_STATE_SET_BUDGET,
+    count_components, enumerate_component, StateSetCounts, StateSetEnumeration,
+    DEFAULT_STATE_SET_BUDGET,
 };
 use netbw_graph::conflict::{ConflictGraph, ConflictRule};
 use netbw_graph::{Communication, NodeId};
@@ -40,9 +50,9 @@ pub struct MyrinetModel {
     /// [`ConflictRule::Strict`]; [`ConflictRule::SharedNode`] is kept for
     /// the `ABL-1` ablation.
     pub rule: ConflictRule,
-    /// Cap on enumerated state sets per component. Beyond it the model
-    /// falls back to the max-conflict approximation (`p = max(Δo, Δi)`),
-    /// counted in [`MyrinetModel::fallback_count`].
+    /// Cap on enumerated state sets per component. A component beyond it
+    /// falls back to the max-conflict approximation (`p = max(Δo, Δi)`)
+    /// for its own flows, counted in [`MyrinetModel::fallback_count`].
     pub budget: usize,
     fallbacks: AtomicU64,
 }
@@ -85,9 +95,9 @@ impl MyrinetModel {
         }
     }
 
-    /// How many times the exponential enumeration hit its budget and the
-    /// model fell back to the max-conflict approximation. Zero on every
-    /// graph in the paper.
+    /// How many queries had at least one component hit the enumeration
+    /// budget and fall back to the max-conflict approximation. Zero on
+    /// every graph in the paper.
     pub fn fallback_count(&self) -> u64 {
         self.fallbacks.load(Ordering::Relaxed)
     }
@@ -102,23 +112,24 @@ impl MyrinetModel {
         let mut state_count = vec![1u64; network.len()];
         let mut emission = vec![1u64; network.len()];
         let mut components = Vec::new();
-
-        match enumerate_components(&graph, self.budget) {
-            Ok(comps) => {
-                for e in &comps {
+        let mut blown = false;
+        for vertices in graph.components() {
+            match enumerate_component(&graph, &vertices, self.budget) {
+                Ok(e) => {
                     for &v in &e.vertices {
                         state_count[v] = e.count() as u64;
                         emission[v] = e.emission(v) as u64;
                     }
+                    components.push(e);
                 }
-                components = comps;
+                Err(_) => {
+                    blown = true;
+                    max_conflict_rows(&network, &vertices, &mut state_count, &mut emission);
+                }
             }
-            Err(_) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                // Approximation: S/κ ≈ max(Δo, Δi), expressed by setting
-                // state_count = that maximum and emission = 1.
-                (state_count, emission) = Self::fallback_tables(&network);
-            }
+        }
+        if blown {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
 
         // κ: minimum emission coefficient among each node's outgoing comms.
@@ -169,28 +180,58 @@ impl MyrinetModel {
             .collect();
         scatter_penalties(comms_len, indices, &net)
     }
+}
 
-    /// Max-conflict fallback tables when the enumeration budget blows up.
-    fn fallback_tables(network: &[Communication]) -> (Vec<u64>, Vec<u64>) {
-        let mut state_count = vec![1u64; network.len()];
-        let emission = vec![1u64; network.len()];
-        for (v, c) in network.iter().enumerate() {
-            let dout = network.iter().filter(|o| o.src == c.src).count();
-            let din = network.iter().filter(|o| o.dst == c.dst).count();
-            state_count[v] = dout.max(din) as u64;
+/// Writes one counted component's rows into the (S, σ) tables: its exact
+/// counts, or the max-conflict rows when it blew the budget. Returns
+/// whether it blew.
+fn fill_component(
+    comms: &[Communication],
+    comp: &StateSetCounts,
+    state_count: &mut [u64],
+    emission: &mut [u64],
+) -> bool {
+    match &comp.counts {
+        Ok((count, sigma)) => {
+            for (&v, &e) in comp.vertices.iter().zip(sigma) {
+                state_count[v] = *count;
+                emission[v] = e;
+            }
+            false
         }
-        (state_count, emission)
+        Err(_) => {
+            max_conflict_rows(comms, &comp.vertices, state_count, emission);
+            true
+        }
+    }
+}
+
+/// The max-conflict approximation for one component that blew the
+/// budget: `S/κ ≈ max(Δo, Δi)`, expressed as `S = max(Δo, Δi)` and
+/// `σ = 1`. Δo and Δi count the flows sharing a member's source or
+/// destination, all of which lie inside the component, so counting over
+/// `members` alone is exact.
+fn max_conflict_rows(
+    comms: &[Communication],
+    members: &[usize],
+    state_count: &mut [u64],
+    emission: &mut [u64],
+) {
+    let mut out_degree: HashMap<NodeId, u64> = HashMap::new();
+    let mut in_degree: HashMap<NodeId, u64> = HashMap::new();
+    for &v in members {
+        *out_degree.entry(comms[v].src).or_insert(0) += 1;
+        *in_degree.entry(comms[v].dst).or_insert(0) += 1;
+    }
+    for &v in members {
+        state_count[v] = out_degree[&comms[v].src].max(in_degree[&comms[v].dst]);
+        emission[v] = 1;
     }
 }
 
 /// The Myrinet model's per-cache scratch: the previously settled
 /// population, its penalties, and the union–find conflict-component
-/// structure kept alive across settles — component membership, per-
-/// component sizes, and a *cached Moon–Moser budget certification*
-/// (`over_budget` counts the components whose worst-case state-set count
-/// exceeds the enumeration budget, so headroom is re-certified only when a
-/// touched component changes, never by an O(n) pass over the previous
-/// population).
+/// structure kept alive across settles.
 ///
 /// Component ids are never reused (`next_comp` is monotonic), so a stale
 /// `src_comp`/`dst_comp` entry — left behind when a node's last flow
@@ -205,12 +246,6 @@ struct MyrinetScratch {
     net_pos: Vec<usize>,
     /// Conflict-component id per previous network position.
     comp_of: Vec<usize>,
-    /// Live components and their sizes (the Moon–Moser certification
-    /// input).
-    comp_sizes: HashMap<usize, usize>,
-    /// How many live components fail the Moon–Moser certification; zero
-    /// means the previous penalties are provably exact and reusable.
-    over_budget: usize,
     /// Component containing the flows leaving / entering each node.
     src_comp: HashMap<NodeId, usize>,
     dst_comp: HashMap<NodeId, usize>,
@@ -220,7 +255,7 @@ struct MyrinetScratch {
 impl MyrinetScratch {
     /// Rebuilds every piece of scratch state from a full
     /// population/penalty pair: one O(n·α) union–find pass.
-    fn rebuild(&mut self, comms: &[Communication], pens: &[Penalty], model: &MyrinetModel) {
+    fn rebuild(&mut self, comms: &[Communication], pens: &[Penalty], rule: ConflictRule) {
         debug_assert_eq!(comms.len(), pens.len());
         self.settled = true;
         self.prev = comms.to_vec();
@@ -233,20 +268,13 @@ impl MyrinetScratch {
                 network.push(*c);
             }
         }
-        let (comp_of, comp_count) = conflict_component_ids(&network, model.rule);
-        self.comp_sizes.clear();
+        let (comp_of, comp_count) = conflict_component_ids(&network, rule);
         self.src_comp.clear();
         self.dst_comp.clear();
         for (k, c) in network.iter().enumerate() {
-            *self.comp_sizes.entry(comp_of[k]).or_insert(0) += 1;
             self.src_comp.insert(c.src, comp_of[k]);
             self.dst_comp.insert(c.dst, comp_of[k]);
         }
-        self.over_budget = self
-            .comp_sizes
-            .values()
-            .filter(|&&n| mis_upper_bound(n) > model.budget as u128)
-            .count();
         self.comp_of = comp_of;
         self.next_comp = comp_count;
     }
@@ -320,26 +348,6 @@ fn conflict_component_ids(network: &[Communication], rule: ConflictRule) -> (Vec
     (comp_of, ids.len())
 }
 
-/// The Moon–Moser bound: the largest possible number of maximal
-/// independent sets of an `n`-vertex graph (saturating at `u128::MAX`).
-fn mis_upper_bound(n: usize) -> u128 {
-    fn pow3(e: usize) -> u128 {
-        u32::try_from(e)
-            .ok()
-            .and_then(|e| 3u128.checked_pow(e))
-            .unwrap_or(u128::MAX)
-    }
-    match n {
-        0 | 1 => 1,
-        2 => 2,
-        _ => match n % 3 {
-            0 => pow3(n / 3),
-            1 => pow3((n - 4) / 3).saturating_mul(4),
-            _ => pow3((n - 2) / 3).saturating_mul(2),
-        },
-    }
-}
-
 impl PenaltyModel for MyrinetModel {
     fn name(&self) -> &'static str {
         "myrinet"
@@ -361,15 +369,12 @@ impl PenaltyModel for MyrinetModel {
     /// conflict components reached by the changed flows are re-enumerated,
     /// and every other component keeps its previous penalties bit-for-bit.
     ///
-    /// Reuse is gated on the scratch's *cached* Moon–Moser budget
-    /// certification (every component of the previous population provably
-    /// small enough that its enumeration fit the budget): a budget hit
-    /// anywhere degrades the whole answer to the max-conflict
-    /// approximation, so previous penalties can only be trusted when no
-    /// component could have hit it. When certification or any consistency
-    /// check fails, the model falls back to the full evaluation — with the
-    /// refusal reported in [`QueryOutcome::budget_fallback`] — keeping the
-    /// [`PenaltyModel::penalties`] contract exact in every regime.
+    /// Reuse is exact in every regime because the budget fallback is
+    /// decided per component: an untouched component's previous penalties
+    /// — exact or max-conflict alike — are what a full query would return
+    /// for it. When the hints are unusable (no scratch and no `previous`,
+    /// or a delta that does not align), the model falls back to the full
+    /// evaluation and rebuilds the scratch from it.
     fn penalties_with_scratch(
         &self,
         comms: &[Communication],
@@ -382,97 +387,68 @@ impl PenaltyModel for MyrinetModel {
             .as_any_mut()
             .downcast_mut::<MyrinetScratch>()
             .unwrap_or(&mut local);
-        match self.patch_scratch(comms, delta, previous, scratch) {
-            Ok((pens, seeded, affected)) => (
-                pens,
-                QueryOutcome {
-                    patched: true,
-                    scratch_rebuilt: seeded,
-                    budget_fallback: false,
-                    affected: crate::scratch::AffectedSet::Positions(affected),
-                },
-            ),
-            Err(budget_refusal) => {
-                let (pens, fell_back) = self.penalties_flagged(comms);
-                scratch.rebuild(comms, &pens, self);
-                (
-                    pens,
-                    QueryOutcome {
-                        patched: false,
-                        scratch_rebuilt: true,
-                        budget_fallback: budget_refusal || fell_back,
-                        affected: crate::scratch::AffectedSet::All,
-                    },
-                )
-            }
+        if let Some(answer) = self.patch_scratch(comms, delta, previous, scratch) {
+            return answer;
         }
+        let (pens, blown) = self.penalties_flagged(comms);
+        scratch.rebuild(comms, &pens, self.rule);
+        (
+            pens,
+            QueryOutcome {
+                budget_fallback: blown,
+                ..QueryOutcome::rebuild()
+            },
+        )
     }
 }
 
 impl MyrinetModel {
     /// The [`PenaltyModel::penalties`] evaluation, also reporting whether
-    /// the enumeration hit its budget and degraded to the max-conflict
-    /// approximation — a local flag, so callers attributing fallbacks to
-    /// *this* query never race with other users of a shared model
-    /// instance (the `fallbacks` atomic is a cumulative model-wide
+    /// some component hit the enumeration budget and degraded to the
+    /// max-conflict approximation — a local flag, so callers attributing
+    /// fallbacks to *this* query never race with other users of a shared
+    /// model instance (the `fallbacks` atomic is a cumulative model-wide
     /// counter, not a per-query signal).
     fn penalties_flagged(&self, comms: &[Communication]) -> (Vec<Penalty>, bool) {
         let (indices, network) = split_intra_node(comms);
         let graph = ConflictGraph::build(&network, self.rule);
         let mut state_count = vec![1u64; network.len()];
         let mut emission = vec![1u64; network.len()];
-        let mut fell_back = false;
-        match count_components(&graph, self.budget) {
-            Ok(comps) => {
-                for c in &comps {
-                    for (i, &v) in c.vertices.iter().enumerate() {
-                        state_count[v] = c.count;
-                        emission[v] = c.emission[i];
-                    }
-                }
-            }
-            Err(_) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                fell_back = true;
-                (state_count, emission) = Self::fallback_tables(&network);
-            }
+        let mut blown = false;
+        for comp in count_components(&graph, self.budget) {
+            blown |= fill_component(&network, &comp, &mut state_count, &mut emission);
+        }
+        if blown {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         let pens =
             Self::penalties_from_tables(comms.len(), &indices, &network, &state_count, &emission);
-        (pens, fell_back)
+        (pens, blown)
     }
 
-    /// The component patch proper. `Ok((penalties, seeded, affected))` on
-    /// success (`seeded` when the scratch had to be built from the
-    /// `previous` hint first, `affected` the strictly increasing input
-    /// positions re-enumerated this settle); `Err(budget_refusal)` when
-    /// the caller must recompute in full and rebuild the scratch — with
-    /// `budget_refusal` true when the refusal was the budget certification
-    /// or an enumeration blowing its budget, rather than unusable hints.
+    /// The component patch proper: `Some((penalties, outcome))` on
+    /// success (`outcome.scratch_rebuilt` when the scratch had to be
+    /// seeded from the `previous` hint first, `outcome.affected` the
+    /// strictly increasing input positions re-enumerated this settle);
+    /// `None` when the hints are unusable and the caller must recompute in
+    /// full and rebuild the scratch.
     fn patch_scratch(
         &self,
         comms: &[Communication],
         delta: &PopulationDelta,
         previous: Option<(&[Communication], &[Penalty])>,
         s: &mut MyrinetScratch,
-    ) -> Result<(Vec<Penalty>, bool, Vec<usize>), bool> {
+    ) -> Option<(Vec<Penalty>, QueryOutcome)> {
         let mut seeded = false;
         if !s.settled {
-            let (prev_comms, prev_pens) = previous.ok_or(false)?;
+            let (prev_comms, prev_pens) = previous?;
             if prev_pens.len() != prev_comms.len() {
-                return Err(false);
+                return None;
             }
-            s.rebuild(prev_comms, prev_pens, self);
+            s.rebuild(prev_comms, prev_pens, self.rule);
             seeded = true;
         }
-        let al = align(comms, delta, &s.prev).ok_or(false)?;
-        // Cached certification: with any previous component over the
-        // Moon–Moser budget bound, the previous penalties may be the
-        // max-conflict approximation and must not be mixed with exact
-        // re-enumerations.
-        if s.over_budget > 0 {
-            return Err(true);
-        }
+        let al = align(comms, delta, &s.prev)?;
 
         // Mark the components the change reaches. Departures mark their
         // own component (any component split off by a departure still
@@ -526,28 +502,25 @@ impl MyrinetModel {
             }
         }
 
+        // Each sub component decides the budget on its own, exactly as in
+        // a full query.
         let mut sub_state = vec![1u64; sub.len()];
         let mut sub_emission = vec![1u64; sub.len()];
         let mut sub_comp_of = vec![0usize; sub.len()];
-        let mut sub_comp_sizes: Vec<usize> = Vec::new();
+        let mut sub_comps = 0usize;
+        let mut blown = false;
         if !sub.is_empty() {
             let graph = ConflictGraph::build(&sub, self.rule);
-            match count_components(&graph, self.budget) {
-                Ok(comps) => {
-                    for comp in &comps {
-                        let id = sub_comp_sizes.len();
-                        sub_comp_sizes.push(comp.vertices.len());
-                        for (j, &v) in comp.vertices.iter().enumerate() {
-                            sub_state[v] = comp.count;
-                            sub_emission[v] = comp.emission[j];
-                            sub_comp_of[v] = id;
-                        }
-                    }
+            for comp in count_components(&graph, self.budget) {
+                blown |= fill_component(&sub, &comp, &mut sub_state, &mut sub_emission);
+                for &v in &comp.vertices {
+                    sub_comp_of[v] = sub_comps;
                 }
-                // An affected component blew the budget: the full
-                // evaluation degrades globally, so produce exactly that.
-                Err(_) => return Err(true),
+                sub_comps += 1;
             }
+        }
+        if blown {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
 
         // κ over the sub-population is exact: a source group always lives
@@ -575,25 +548,11 @@ impl MyrinetModel {
 
         // Commit the new population to the scratch: marked components die,
         // the sub enumeration's components join under fresh (never reused)
-        // ids, untouched components carry their ids, sizes — and
-        // certification — over.
-        for id in &marked {
-            if let Some(size) = s.comp_sizes.remove(id) {
-                if mis_upper_bound(size) > self.budget as u128 {
-                    s.over_budget -= 1;
-                }
-            }
-        }
+        // ids, untouched components carry their ids over.
         let base = s.next_comp;
-        s.next_comp += sub_comp_sizes.len();
-        for (j, &size) in sub_comp_sizes.iter().enumerate() {
-            s.comp_sizes.insert(base + j, size);
-            if mis_upper_bound(size) > self.budget as u128 {
-                s.over_budget += 1;
-            }
-        }
+        s.next_comp += sub_comps;
         let mut net_pos = vec![usize::MAX; comms.len()];
-        let mut comp_of = Vec::with_capacity(sub.len() + comms.len());
+        let mut comp_of = Vec::with_capacity(comms.len());
         let mut sub_v = 0usize;
         for (i, c) in comms.iter().enumerate() {
             if c.is_intra_node() {
@@ -622,7 +581,12 @@ impl MyrinetModel {
         let affected: Vec<usize> = (0..comms.len())
             .filter(|&i| in_sub[i] || al.prev_of[i].is_none())
             .collect();
-        Ok((out, seeded, affected))
+        let outcome = QueryOutcome {
+            scratch_rebuilt: seeded,
+            budget_fallback: blown,
+            ..QueryOutcome::patch(affected)
+        };
+        Some((out, outcome))
     }
 }
 
@@ -641,7 +605,8 @@ pub struct MyrinetAnalysis {
     /// `κ`: minimum σ among the source node's outgoing communications
     /// (the Fig. 6 "Minimum" row).
     pub coefficient: Vec<u64>,
-    /// Per-component enumerations (for printing Fig. 5's state diagrams).
+    /// Per-component enumerations (for printing Fig. 5's state diagrams);
+    /// a component that blew the budget has none.
     pub components: Vec<StateSetEnumeration>,
     /// Final penalties, aligned with the *input* slice (intra-node slots
     /// hold penalty 1).
@@ -816,24 +781,51 @@ mod tests {
     }
 
     #[test]
-    fn patch_refuses_reuse_when_budget_cannot_be_certified() {
-        // With a tiny budget the previous population cannot be certified
-        // (its fallback values must not be mixed with exact ones), so the
-        // patch recomputes everything — and matches the full evaluation.
+    fn patch_reuses_an_untouched_blown_component() {
+        // Fig. 5 (one component, 5 state sets) blows a budget of 2 and gets
+        // the max-conflict rows; an arrival on disjoint nodes must leave it
+        // untouched. Unpoisoned, the patch equals the full evaluation...
         let model = MyrinetModel::with_budget(2);
         let prev: Vec<Communication> = schemes::fig5().comms().to_vec();
-        let mut prev_pens = model.penalties(&prev);
-        // poison: if the patch (wrongly) reused, this would leak through
-        prev_pens[0] = Penalty::new(99.0);
+        let prev_pens = model.penalties(&prev);
+        assert_eq!(prev_pens[0].value(), 3.0, "max(Δo, Δi) row");
         let mut comms = prev.clone();
         comms.push(Communication::new(20u32, 21u32, 10));
-        let patched = model.penalties_after_change(
-            &comms,
-            crate::model::PopulationDelta::Arrived(vec![prev.len()]),
-            Some((&prev, &prev_pens)),
-        );
+        let delta = crate::model::PopulationDelta::Arrived(vec![prev.len()]);
+        let patched =
+            model.penalties_after_change(&comms, delta.clone(), Some((&prev, &prev_pens)));
         assert_eq!(patched, model.penalties(&comms));
-        assert!(patched.iter().all(|p| p.value() < 99.0));
+        // ...and poisoning proves the blown component's previous rows are
+        // reused verbatim rather than recomputed.
+        let mut poisoned = prev_pens.clone();
+        poisoned[0] = Penalty::new(99.0);
+        let patched = model.penalties_after_change(&comms, delta, Some((&prev, &poisoned)));
+        assert_eq!(patched[0].value(), 99.0, "the blown component is reused");
+        assert_eq!(&patched[1..], &model.penalties(&comms)[1..]);
+    }
+
+    #[test]
+    fn a_blown_component_degrades_only_itself() {
+        // Fig. 5 (5 state sets) blows a budget of 4 and takes the
+        // max-conflict rows; MK1 on disjoint nodes (components of 3, 2 and
+        // 1 sets) keeps its exact penalties next to it — d and f at 1.5,
+        // where max(Δo, Δi) would give 2.
+        let model = MyrinetModel::with_budget(4);
+        let fig5 = schemes::fig5().comms().to_vec();
+        let mk1: Vec<Communication> = schemes::mk1()
+            .comms()
+            .iter()
+            .map(|c| Communication::new(c.src.0 + 100, c.dst.0 + 100, c.size))
+            .collect();
+        let both: Vec<Communication> = fig5.iter().chain(&mk1).copied().collect();
+        let p = model.penalties(&both);
+        assert_eq!(&p[..6], model.penalties(&fig5).as_slice());
+        assert_eq!(p[0].value(), 3.0, "fig. 5 takes the max-conflict rows");
+        assert_eq!(&p[6..], MyrinetModel::default().penalties(&mk1).as_slice());
+        let a = model.analyse(&both);
+        assert_eq!(a.penalties, p);
+        assert_eq!(a.components.len(), 3, "only MK1's components enumerate");
+        assert_eq!(model.fallback_count(), 3, "one per query that blew");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Send + Sync`), so they cannot accumulate per-population state — but the
 //! incremental patch machinery wants exactly that: GigE and InfiniBand keep
 //! an endpoint index alive across settles, Myrinet its union–find conflict
-//! components plus a cached Moon–Moser budget certification. The solution
+//! components. The solution
 //! is to move the state *out* of the model and into whoever issues the
 //! queries: a [`ModelScratch`] is created once per penalty cache by
 //! [`PenaltyModel::new_scratch`](crate::PenaltyModel::new_scratch), handed
@@ -116,9 +116,9 @@ pub struct QueryOutcome {
     /// The model rebuilt (or first built, or re-seeded from the `previous`
     /// hint) its scratch state with a full O(n) pass this query.
     pub scratch_rebuilt: bool,
-    /// A budget certification refused penalty reuse, or the state-set
-    /// enumeration hit its budget (Myrinet only; always `false` for the
-    /// closed-form models).
+    /// Some conflict component's state-set enumeration hit its budget
+    /// this query and got the max-conflict approximation (Myrinet only;
+    /// always `false` for the closed-form models).
     pub budget_fallback: bool,
     /// The positions whose penalty may differ from the previous settle;
     /// everything else was copied bitwise. Drives the fluid engine's

@@ -77,6 +77,8 @@ pub fn enumerate_global(
 }
 
 /// Enumerates state sets per connected component of the conflict graph.
+/// Fails as a whole when any component exceeds `budget`; the Myrinet model
+/// decides per component through [`enumerate_component`] instead.
 pub fn enumerate_components(
     graph: &ConflictGraph,
     budget: usize,
@@ -84,62 +86,78 @@ pub fn enumerate_components(
     graph
         .components()
         .into_iter()
-        .map(|vertices| {
-            let sets = bron_kerbosch(graph, &vertices, budget, true)?;
-            Ok(StateSetEnumeration { vertices, sets })
-        })
+        .map(|vertices| enumerate_component(graph, &vertices, budget))
         .collect()
 }
 
-/// Counting-only enumeration result for one component: the state-set count
-/// and per-vertex emission coefficients, without materialising the sets.
+/// Enumerates the state sets of one connected component (`vertices`, as
+/// returned by [`ConflictGraph::components`]), with the sets in
+/// conflict-graph indexing.
+pub fn enumerate_component(
+    graph: &ConflictGraph,
+    vertices: &[usize],
+    budget: usize,
+) -> Result<StateSetEnumeration, BudgetExceeded> {
+    let sets = bron_kerbosch(graph, vertices, budget, true)?;
+    Ok(StateSetEnumeration {
+        vertices: vertices.to_vec(),
+        sets,
+    })
+}
+
+/// Counting-only enumeration result for one component: its members, and
+/// either the state-set count and per-member emission coefficients or the
+/// budget error when this component alone has more than `budget` sets.
 #[derive(Debug, Clone)]
 pub struct StateSetCounts {
     /// The member vertices, in conflict-graph indexing.
     pub vertices: Vec<usize>,
-    /// Number of state sets `S` in this component.
-    pub count: u64,
-    /// Emission coefficient σ per member, aligned with `vertices`.
-    pub emission: Vec<u64>,
+    /// `Ok((S, σ))`: the number of state sets `S` in this component and
+    /// the emission coefficient σ per member, aligned with `vertices`.
+    pub counts: Result<(u64, Vec<u64>), BudgetExceeded>,
 }
 
 /// Counts state sets and emission coefficients per component without
 /// storing the sets — the memory-lean path used by the Myrinet model when
 /// only penalties are needed (set *contents* are only required to print
-/// Fig. 5).
-pub fn count_components(
-    graph: &ConflictGraph,
-    budget: usize,
-) -> Result<Vec<StateSetCounts>, BudgetExceeded> {
+/// Fig. 5). Each component gets its own outcome, so one component blowing
+/// the budget leaves every other component's counts intact.
+///
+/// The Bron–Kerbosch bitsets of a component are indexed over its own `k`
+/// members (O(k²) bits), never over the whole graph.
+pub fn count_components(graph: &ConflictGraph, budget: usize) -> Vec<StateSetCounts> {
+    // Position of each vertex inside its own component. A vertex's
+    // conflict neighbours all share its component, so one table serves
+    // every component without resetting.
+    let mut local = vec![0usize; graph.len()];
     graph
         .components()
         .into_iter()
         .map(|vertices| {
-            let cap = graph.len();
-            let member: BitSet = vertices.iter().copied().collect();
-            let compat: Vec<BitSet> = (0..cap)
-                .map(|v| {
-                    if !member.contains(v) {
-                        return BitSet::with_capacity(cap);
+            let k = vertices.len();
+            for (j, &v) in vertices.iter().enumerate() {
+                local[v] = j;
+            }
+            let compat: Vec<BitSet> = vertices
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| {
+                    let mut c = BitSet::full(k);
+                    c.remove(j);
+                    for u in graph.neighbours(v).iter() {
+                        c.remove(local[u]);
                     }
-                    let mut c = member.clone();
-                    c.remove(v);
-                    c.difference_with(graph.neighbours(v));
                     c
                 })
                 .collect();
             let mut count = 0u64;
-            let mut emission = vec![0u64; cap];
-            let r = BitSet::with_capacity(cap);
-            let p = member.clone();
-            let x = BitSet::with_capacity(cap);
-            bk_count(&compat, r, p, x, &mut count, &mut emission, budget)?;
-            let emission = vertices.iter().map(|&v| emission[v]).collect();
-            Ok(StateSetCounts {
-                vertices,
-                count,
-                emission,
-            })
+            let mut emission = vec![0u64; k];
+            let r = BitSet::with_capacity(k);
+            let p = BitSet::full(k);
+            let x = BitSet::with_capacity(k);
+            let counts = bk_count(&compat, r, p, x, &mut count, &mut emission, budget)
+                .map(|()| (count, emission));
+            StateSetCounts { vertices, counts }
         })
         .collect()
 }
@@ -446,13 +464,14 @@ mod tests {
             let g = schemes::random(6, 8, 100, seed);
             let cg = ConflictGraph::build(g.comms(), ConflictRule::Strict);
             let full = enumerate_components(&cg, DEFAULT_STATE_SET_BUDGET).unwrap();
-            let counted = count_components(&cg, DEFAULT_STATE_SET_BUDGET).unwrap();
+            let counted = count_components(&cg, DEFAULT_STATE_SET_BUDGET);
             assert_eq!(full.len(), counted.len());
             for (e, c) in full.iter().zip(&counted) {
                 assert_eq!(e.vertices, c.vertices, "seed {seed}");
-                assert_eq!(e.count() as u64, c.count, "seed {seed}");
+                let (count, emission) = c.counts.as_ref().expect("within budget");
+                assert_eq!(e.count() as u64, *count, "seed {seed}");
                 for (i, &v) in c.vertices.iter().enumerate() {
-                    assert_eq!(e.emission(v) as u64, c.emission[i], "seed {seed} v{v}");
+                    assert_eq!(e.emission(v) as u64, emission[i], "seed {seed} v{v}");
                 }
             }
         }
@@ -462,8 +481,28 @@ mod tests {
     fn counting_respects_budget() {
         let g = schemes::fig5();
         let cg = ConflictGraph::build(g.comms(), ConflictRule::Strict);
-        assert!(count_components(&cg, 3).is_err());
-        assert!(count_components(&cg, 5).is_ok());
+        assert!(count_components(&cg, 3)[0].counts.is_err());
+        assert!(count_components(&cg, 5)[0].counts.is_ok());
+    }
+
+    #[test]
+    fn counting_decides_the_budget_per_component() {
+        // Fig. 5 (one 5-set component) next to a disjoint 2-flow fan-out
+        // (2 sets): a budget of 3 blows only the Fig. 5 component.
+        let mut comms = schemes::fig5().comms().to_vec();
+        comms.push(Communication::new(40u32, 41u32, 1));
+        comms.push(Communication::new(40u32, 42u32, 1));
+        let cg = ConflictGraph::build(&comms, ConflictRule::Strict);
+        let counted = count_components(&cg, 3);
+        assert_eq!(counted.len(), 2);
+        for c in &counted {
+            if c.vertices.len() == 6 {
+                assert_eq!(c.counts, Err(BudgetExceeded { budget: 3 }));
+            } else {
+                assert_eq!(c.vertices, vec![6, 7]);
+                assert_eq!(c.counts, Ok((2, vec![1, 1])));
+            }
+        }
     }
 
     #[test]

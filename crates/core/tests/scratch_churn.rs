@@ -17,7 +17,8 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Drives a whole scenario through one scratch, checking every settle
 /// against the stateless full evaluation. Returns how many settles the
-/// model answered with a patch and how many it refused on budget grounds.
+/// model answered with a patch and how many had some component hit the
+/// state-set budget.
 fn check_scenario<M: PenaltyModel>(
     model: &M,
     scenario: &ChurnScenario,
@@ -75,13 +76,12 @@ proptest! {
         for kind in [ModelKind::GigabitEthernet, ModelKind::Infiniband, ModelKind::Myrinet] {
             let model = kind.build();
             let (patched, budget) = check_scenario(&model, &scenario)?;
-            // Every warm settle must be answered by a patch — except
-            // Myrinet settles whose population legitimately fails the
-            // Moon-Moser certification (dense drifting populations can
-            // outgrow the budget); nothing may fail silently.
+            // Every warm settle must be answered by a patch, and no
+            // component of these small populations comes near the
+            // default state-set budget.
             prop_assert!(
                 patched + budget == 40,
-                "{kind}: {patched} patched + {budget} budget refusals != 40"
+                "{kind}: {patched} patched + {budget} budget blow-ups != 40"
             );
             if kind != ModelKind::Myrinet {
                 prop_assert!(budget == 0, "{kind}: closed forms have no budget");
@@ -92,8 +92,8 @@ proptest! {
     /// The `SharedNode` ablation rule drives a different arrival-marking
     /// table in the Myrinet component patch (flows conflict through *any*
     /// shared endpoint, in any role): same bit-for-bit pin, and every
-    /// non-patched settle must be a visible budget refusal — SharedNode
-    /// merges components aggressively, so refusals are legitimate.
+    /// warm settle must patch even though SharedNode merges components
+    /// aggressively.
     #[test]
     fn shared_node_rule_scratch_matches_full_recompute(
         seed in 0u64..1_000_000_000,
@@ -105,13 +105,15 @@ proptest! {
         let (patched, budget) = check_scenario(&model, &scenario)?;
         prop_assert!(
             patched + budget == 30,
-            "shared-node: {patched} patched + {budget} budget refusals != 30"
+            "shared-node: {patched} patched + {budget} budget blow-ups != 30"
         );
     }
 
-    /// Same sequences through a budget-starved Myrinet: the certification
-    /// must refuse every reuse (nothing patches), and the answers must
-    /// still match the (fallback-regime) full evaluation exactly.
+    /// Same sequences through a budget-starved Myrinet: with a budget of
+    /// 2 most components blow it and take the max-conflict rows, yet the
+    /// budget is decided per component, so every warm settle still patches
+    /// (untouched components keep their previous rows, blown or not) and
+    /// matches the full evaluation exactly.
     #[test]
     fn budget_starved_myrinet_stays_exact_without_patching(
         seed in 0u64..1_000_000_000,
@@ -120,11 +122,7 @@ proptest! {
         let scenario = ChurnScenario::generate(seed, nodes, 8, 15);
         let model = MyrinetModel::with_budget(2);
         let (patched, budget) = check_scenario(&model, &scenario)?;
-        // With an 8-flow initial population over ≤9 nodes some component
-        // exceeds the Moon-Moser budget of 2 almost always; settles whose
-        // population certifies may legitimately patch, but every refusal
-        // must be visible as a budget fallback.
-        prop_assert!(patched + budget == 15, "{patched} + {budget} != 15");
+        prop_assert!(patched == 15, "{patched} of 15 warm settles patched ({budget} blew)");
     }
 }
 
@@ -158,10 +156,10 @@ impl MirrorShard {
 struct ShardedTally {
     /// Positional shard settles the model answered with a patch.
     patched: u64,
-    /// Positional shard settles the model refused on budget grounds.
+    /// Positional shard settles in which some component hit the state-set
+    /// budget.
     budget: u64,
-    /// Positional shard settles offered to the model (`patched + budget`
-    /// must equal this: nothing may silently degrade to a recompute).
+    /// Positional shard settles offered to the model.
     warm: u64,
     /// Shard settles served as `Rebuilt` (first settle of a fresh shard,
     /// or the surviving shard of a bridge merge).
@@ -336,7 +334,7 @@ proptest! {
     /// The sharded mirror == the stateless full recompute, bit-for-bit,
     /// across 40-settle sequences for all three specialized models, with
     /// per-shard scratch state carried between settles and every warm
-    /// shard settle visibly patched or visibly budget-refused.
+    /// shard settle patched.
     #[test]
     fn sharded_scratches_match_full_recompute_across_settle_sequences(
         seed in 0u64..1_000_000_000,
@@ -349,7 +347,7 @@ proptest! {
             let tally = check_scenario_sharded(&model, &scenario)?;
             prop_assert_eq!(
                 tally.patched + tally.budget, tally.warm,
-                "{}: every warm shard settle must patch or visibly refuse: {:?}",
+                "{}: every warm shard settle must patch: {:?}",
                 kind, tally
             );
             if kind != ModelKind::Myrinet {
@@ -358,11 +356,10 @@ proptest! {
         }
     }
 
-    /// The sharded mirror through a budget-starved Myrinet: per-shard
-    /// populations are smaller than the global one, so *more* settles
-    /// certify under the budget than in the unsharded run — but every
-    /// refusal must still be visible and every answer bit-for-bit equal
-    /// to the (fallback-regime) full evaluation.
+    /// The sharded mirror through a budget-starved Myrinet: blown
+    /// components take the max-conflict rows inside their own shard, so
+    /// every warm shard settle still patches and every scatter is
+    /// bit-for-bit equal to the full evaluation.
     #[test]
     fn budget_starved_myrinet_sharded_mirror_stays_exact(
         seed in 0u64..1_000_000_000,
@@ -372,8 +369,8 @@ proptest! {
         let model = MyrinetModel::with_budget(2);
         let tally = check_scenario_sharded(&model, &scenario)?;
         prop_assert_eq!(
-            tally.patched + tally.budget, tally.warm,
-            "starved shards must patch or visibly refuse: {:?}", tally
+            tally.patched, tally.warm,
+            "starved shards must still patch: {:?}", tally
         );
     }
 }

@@ -227,8 +227,8 @@ fn poisoned_shard_panic_propagates_through_settle_barrier() {
     let _ = net.run_to_completion();
 }
 
-/// Myrinet through the session: the state-heavy model (union-find scratch,
-/// budget certification) also survives solver reuse bit-for-bit.
+/// Myrinet through the session: the state-heavy model (union-find
+/// component scratch) also survives solver reuse bit-for-bit.
 #[test]
 fn myrinet_session_equals_per_call() {
     let model = MyrinetModel::default();

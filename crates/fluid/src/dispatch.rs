@@ -1,9 +1,11 @@
 //! How the sharded engine hands per-shard settles to an executor.
 //!
-//! [`crate::FluidNetwork::with_sharded`] splits one settle into
-//! independent per-shard penalty refreshes. This crate cannot depend on
-//! `netbw-eval` (the dependency runs the other way), so the engine talks
-//! to whatever executor the caller supplies through the tiny
+//! [`crate::FluidNetwork::with_sharded`] splits one settle barrier into
+//! independent per-shard jobs — one per dirty shard, each staging its
+//! population, refreshing its penalty cache and re-anchoring its affected
+//! flows — handed to the executor in a single round. This crate cannot
+//! depend on `netbw-eval` (the dependency runs the other way), so the
+//! engine talks to whatever executor the caller supplies through the tiny
 //! [`SettleDispatch`] trait: `netbw-eval` implements it for its
 //! work-stealing `SweepExecutor`, and the built-in [`SerialDispatch`] runs
 //! the jobs in order on the calling thread (the default, and the honest
@@ -17,13 +19,13 @@
 //! swallowing one would leave a shard half-refreshed behind a barrier that
 //! claims it settled.
 
-/// One shard's settle work: a one-shot closure, boxed so dispatchers can
+/// One shard's settle job: a one-shot closure, boxed so dispatchers can
 /// move it between threads. The borrow it captures lives only as long as
 /// the enclosing [`SettleDispatch::run_settles`] call.
 pub struct SettleJob<'scope>(Option<Box<dyn FnOnce() + Send + 'scope>>);
 
 impl<'scope> SettleJob<'scope> {
-    /// Wraps a shard refresh into a dispatchable job.
+    /// Wraps a shard's settle into a dispatchable job.
     pub fn new(f: impl FnOnce() + Send + 'scope) -> Self {
         SettleJob(Some(Box::new(f)))
     }

@@ -38,8 +38,7 @@
 //!   [`penalties_with_scratch`](netbw_core::PenaltyModel::penalties_with_scratch)
 //!   — the models consume that delta over state they keep alive between
 //!   settles (endpoint indices for GigE/InfiniBand, union–find conflict
-//!   components plus a cached budget certification for Myrinet) and patch
-//!   only the affected endpoints or conflict components, in O(affected)
+//!   components for Myrinet) and patch only the affected endpoints or conflict components, in O(affected)
 //!   model work per event instead of a full-fabric recompute — and report
 //!   back *which* positions they re-evaluated
 //!   ([`netbw_core::AffectedSet`]);
@@ -58,16 +57,13 @@
 //! population into conflict-component [`shard`]s — each with its own cache,
 //! scratch and heaps — whose settles are independent and can be dispatched
 //! onto a parallel executor ([`dispatch`]), still bit-for-bit equal to the
-//! other modes because the penalty models are component-local. The
+//! other modes because the penalty models are component-local (the
+//! Myrinet state-set budget is decided per conflict component too). The
 //! partition refines in both directions: bridging arrivals merge shards
 //! and component-splitting departures carve them back apart, so a
 //! long-lived churning population keeps its fine partition instead of
-//! degrading toward one mega-shard. The one non-local model behaviour — a
-//! Myrinet budget refusal degrades the whole query population — collapses
-//! the partition into a single global shard the first time a shard reports
-//! it, pinned to the offending component so the collapse lifts as soon as
-//! that component departs; equality survives that regime too (see
-//! [`shard`]).
+//! degrading toward one mega-shard. [`EngineMode`] names the five
+//! variants for callers that choose one at run time.
 
 pub mod cache;
 pub mod dispatch;
@@ -82,7 +78,7 @@ pub mod timeline;
 pub use cache::{CacheStats, PenaltyCache};
 pub use dispatch::{SerialDispatch, SettleDispatch, SettleJob};
 pub use event_heap::TimelineStats;
-pub use network::{AddError, CompletedTransfer, FluidNetwork, TransferKey};
+pub use network::{AddError, CompletedTransfer, EngineMode, FluidNetwork, TransferKey};
 pub use params::NetworkParams;
 pub use shard::ShardStats;
 pub use slab::{FlowKey, Slab};

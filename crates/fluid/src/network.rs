@@ -30,8 +30,10 @@
 //! re-queries the model on every settle (the pre-refactor engine). A
 //! fourth mode, [`FluidNetwork::with_sharded`], partitions the population
 //! into conflict-component shards (see [`crate::shard`]) whose settles are
-//! independent and can run in parallel through a
-//! [`crate::dispatch::SettleDispatch`]. All modes share the same
+//! independent: each settle barrier hands one stage/refresh/re-anchor job
+//! per dirty shard to a [`crate::dispatch::SettleDispatch`] in a single
+//! round, so they can run in parallel. [`EngineMode`] names the modes for
+//! callers that pick one at run time. All modes share the same
 //! anchored-finish arithmetic, so their results are bit-for-bit identical
 //! — the equivalence proptests pin the fast paths against the
 //! full-recompute oracle exactly.
@@ -40,7 +42,7 @@ use crate::cache::{CacheStats, PenaltyCache};
 use crate::dispatch::{SerialDispatch, SettleDispatch, SettleJob};
 use crate::event_heap::{EventHeaps, TimelineStats};
 use crate::params::NetworkParams;
-use crate::shard::{ShardSet, ShardStats, SlotView};
+use crate::shard::{Shard, ShardSet, ShardStats, SlotView};
 use crate::slab::{FlowKey, RawSlots, Slab};
 use crate::solver::Phase;
 use netbw_core::{AffectedSet, Penalty, PenaltyModel};
@@ -204,6 +206,43 @@ pub struct FluidNetwork<M> {
     // lazily settle after a population change — and the network must stay
     // `Sync` for thread-scoped sweeps.
     state: Mutex<EngineState>,
+}
+
+/// Which engine variant a [`FluidNetwork`] runs: one name per `with_*`
+/// builder, for callers (benches, the what-if service, the equivalence
+/// batteries) that pick the variant at run time. All five settle
+/// bit-for-bit identically; they differ only in how much work a settle
+/// costs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum EngineMode {
+    /// Lazy event heaps over the incremental cache (the default engine).
+    #[default]
+    Event,
+    /// Incremental cache, linear slab scans for the next event
+    /// ([`FluidNetwork::with_linear_timeline`]).
+    LinearTimeline,
+    /// Full model requery every settle plus linear scans — the oracle
+    /// ([`FluidNetwork::with_full_recompute`]).
+    FullRecompute,
+    /// Conflict-component shards over the event engine, serial dispatch
+    /// ([`FluidNetwork::with_sharded`]).
+    Sharded,
+    /// Sharding with departure refinement disabled — the merge-only
+    /// ablation ([`FluidNetwork::with_sharded_merge_only`]).
+    ShardedMergeOnly,
+}
+
+impl EngineMode {
+    /// Applies the mode to a freshly built network.
+    pub fn apply<M: PenaltyModel>(self, net: FluidNetwork<M>) -> FluidNetwork<M> {
+        match self {
+            EngineMode::Event => net,
+            EngineMode::LinearTimeline => net.with_linear_timeline(),
+            EngineMode::FullRecompute => net.with_full_recompute(),
+            EngineMode::Sharded => net.with_sharded(),
+            EngineMode::ShardedMergeOnly => net.with_sharded_merge_only(),
+        }
+    }
 }
 
 /// A flow's cached absolute finish time, clamped so it can never point
@@ -411,36 +450,28 @@ fn settle<M: PenaltyModel>(
     }
 }
 
-/// The sharded settle barrier, in two parallel rounds over the dirty
-/// shards with the cross-shard splice points serialized between them:
+/// The sharded settle barrier: one dispatch round with one job per dirty
+/// shard. Each job, on its own shard:
 ///
-/// 1. **Stage + refresh** (parallel): each dirty shard derives its
-///    post-change contending population — from the shard cache's pending
-///    change sets when possible, falling back to a slot-ordered gather
-///    over the shard's (lazily compacted) member list — and runs its
-///    penalty query. The jobs own disjoint shards and read the slab
-///    immutably, so any schedule yields the same bits;
-/// 2. **Re-anchor** (parallel): resync the kinetics of each shard's
-///    affected flows through a [`RawSlots`] view — dirty shards' settled
-///    populations are disjoint slot sets (asserted in debug builds) and
-///    the slab is structurally frozen for the whole barrier, so the jobs
-///    never touch the same entry. The next-event republish stays serial:
-///    it feeds the shared cross-shard heap.
+/// 1. **stages** the shard's post-change contending population — from the
+///    shard cache's pending change sets when possible, falling back to a
+///    slot-ordered gather over the shard's (lazily compacted) member list;
+/// 2. **refreshes** its penalty cache with that population;
+/// 3. **re-anchors** the kinetics of the flows the model reports as
+///    affected, pushing their new finish times into the shard's heaps.
+///
+/// The jobs reach the slab through one [`RawSlots`] view: the dirty
+/// shards' live members are pairwise-disjoint slot sets (asserted in debug
+/// builds before the dispatch) and the slab is structurally frozen for
+/// the whole barrier, so no two jobs ever touch the same live entry. A
+/// stale member key whose slot another shard's flow now occupies is only
+/// ever probed, by generation, while compacting. The next-event republish
+/// stays serial: it feeds the shared cross-shard heap.
 ///
 /// Clean shards are never touched, so a settle costs the dirty shards'
-/// O(affected) work — not O(components) — plus the dispatch overhead.
-///
-/// One guard sits between the rounds: if any refresh reported a model
-/// budget fallback while more than one shard is live, the barrier
-/// collapses the partition into a single global shard — pinned to the
-/// first offending shard's component root, whose departure un-collapses
-/// it — and restarts at the same instant. A budget-degraded answer
-/// depends on the *whole* query population (see [`crate::shard`]), so
-/// only a global query reproduces the unsharded engine's bits from that
-/// settle on. Keeping the rounds separate is what makes the restart
-/// exact: no flow is re-anchored before the fallback check, so the
-/// global redo starts from the same pre-settle kinetics the unsharded
-/// engine would.
+/// O(affected) work — not O(components) — plus the dispatch overhead. No
+/// model answer depends on a flow outside its own component, so the shards
+/// never need to consult each other mid-barrier.
 fn settle_sharded<M: PenaltyModel>(
     model: &M,
     params: &NetworkParams,
@@ -454,25 +485,6 @@ fn settle_sharded<M: PenaltyModel>(
         }
         return;
     }
-    loop {
-        if settle_sharded_barrier(model, params, record_phases, dispatch, st) {
-            return;
-        }
-        // A budget fallback escaped a shard: the partition is gone and
-        // exactly the merged shard is dirty — redo at the same instant.
-    }
-}
-
-/// One attempt at the two-round barrier. Returns `false` when a budget
-/// fallback forced a [`crate::shard::ShardSet::collapse_all`] — the caller
-/// must rerun the barrier over the merged shard.
-fn settle_sharded_barrier<M: PenaltyModel>(
-    model: &M,
-    params: &NetworkParams,
-    record_phases: bool,
-    dispatch: &dyn SettleDispatch,
-    st: &mut EngineState,
-) -> bool {
     let EngineState {
         time,
         slots,
@@ -482,143 +494,105 @@ fn settle_sharded_barrier<M: PenaltyModel>(
     let now = *time;
     let mut dirty = std::mem::take(&mut shards.dirty);
     dirty.sort_unstable();
-    // Per-shard fallback counts before the queries, so the splice point
-    // can identify which shard's refusal forced a collapse (its component
-    // root becomes the collapse pin).
-    let fallbacks_before: Vec<u64> = dirty
-        .iter()
-        .map(|&id| shards.shard_mut(id).cache.stats().budget_fallbacks)
-        .collect();
-    {
-        // Round 1: stage + refresh. Jobs share the slab read-only.
-        let slots = &*slots;
-        let mut jobs: Vec<SettleJob<'_>> =
-            shards
-                .disjoint_mut(&dirty)
-                .into_iter()
-                .map(|sh| {
-                    SettleJob::new(move || {
-                        if !sh.cache.staged_active(&mut sh.staged) {
-                            // Rebuild gather: compact the member list, then
-                            // stage the shard's contending flows in slot order
-                            // — exactly the slab scan the unsharded engine
-                            // would do, restricted to this shard.
-                            sh.members.retain(|&k| slots.contains(k));
-                            sh.staged.clear();
-                            sh.staged.extend(sh.members.iter().copied().filter(|&k| {
-                                slots.get(k).expect("member lives in slab").contending
-                            }));
-                            sh.staged.sort_unstable_by_key(|k| k.slot_index());
-                        }
-                        sh.comms_buf.clear();
-                        sh.comms_buf.extend(
-                            sh.staged
-                                .iter()
-                                .map(|&k| slots.get(k).expect("staged flow lives in slab").comm),
-                        );
-                        let active = std::mem::take(&mut sh.staged);
-                        let comms = std::mem::take(&mut sh.comms_buf);
-                        let (mut recycled_active, mut recycled_comms) =
-                            sh.cache.refresh(model, active, comms);
-                        recycled_active.clear();
-                        recycled_comms.clear();
-                        sh.staged = recycled_active;
-                        sh.comms_buf = recycled_comms;
-                    })
-                })
-                .collect();
-        dispatch.run_settles(&mut jobs);
-    }
-    if shards.live_count() > 1 {
-        let offender = dirty
-            .iter()
-            .zip(&fallbacks_before)
-            .find(|&(&id, &before)| shards.shard_mut(id).cache.stats().budget_fallbacks > before)
-            .map(|(&id, _)| id);
-        if let Some(offender) = offender {
-            // Round 2 is skipped: the merged rebuild re-queries and
-            // re-anchors everything from the same pre-settle kinetics,
-            // exactly as the unsharded engine's single global settle
-            // would.
-            let pin = shards.shard_mut(offender).root;
-            shards.collapse_all(Some(pin));
-            return false;
-        }
-    }
     #[cfg(debug_assertions)]
     {
-        // The RawSlots round below is sound only if the dirty shards'
-        // settled populations name pairwise-disjoint slots.
+        // The RawSlots jobs below are sound only if the dirty shards' live
+        // members name pairwise-disjoint slots.
         let mut seen = std::collections::HashSet::new();
         for &id in &dirty {
-            for &k in shards.shard_mut(id).cache.active() {
-                assert!(seen.insert(k), "shard populations overlap on a slot");
+            for &k in &shards.shard_mut(id).members {
+                if slots.contains(k) {
+                    assert!(seen.insert(k), "shard members overlap on a slot");
+                }
             }
         }
     }
-    {
-        // Round 2: re-anchor the affected flows of each dirty shard.
-        let raw = slots.raw();
-        let mut jobs: Vec<SettleJob<'_>> = shards
-            .disjoint_mut(&dirty)
-            .into_iter()
-            .map(|sh| {
-                SettleJob::new(move || {
-                    match sh.cache.take_affected() {
-                        AffectedSet::Positions(positions) => {
-                            for &i in &positions {
-                                let key = sh.cache.active()[i];
-                                let penalty = sh.cache.penalties()[i];
-                                // SAFETY: `key` sits in this shard's
-                                // settled population, disjoint from every
-                                // other job's; the slab is frozen for the
-                                // whole barrier.
-                                unsafe {
-                                    resync_raw(
-                                        params,
-                                        record_phases,
-                                        now,
-                                        raw,
-                                        &mut sh.events,
-                                        key,
-                                        penalty,
-                                    );
-                                }
-                            }
-                        }
-                        AffectedSet::All => {
-                            sh.events.stats.rescans += 1;
-                            for i in 0..sh.cache.active().len() {
-                                let key = sh.cache.active()[i];
-                                let penalty = sh.cache.penalties()[i];
-                                // SAFETY: as above.
-                                unsafe {
-                                    resync_raw(
-                                        params,
-                                        record_phases,
-                                        now,
-                                        raw,
-                                        &mut sh.events,
-                                        key,
-                                        penalty,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    sh.dirty = false;
-                })
+    let raw = slots.raw();
+    let mut jobs: Vec<SettleJob<'_>> = shards
+        .disjoint_mut(&dirty)
+        .into_iter()
+        .map(|sh| {
+            SettleJob::new(move || {
+                // SAFETY: the job reads and writes only its own shard's
+                // live members, disjoint from every other job's; the slab
+                // is frozen for the whole barrier.
+                unsafe { settle_shard(model, params, record_phases, now, raw, sh) }
             })
-            .collect();
-        dispatch.run_settles(&mut jobs);
-    }
+        })
+        .collect();
+    dispatch.run_settles(&mut jobs);
+    drop(jobs);
     for &id in &dirty {
         shards.refresh_next(id, slots);
     }
     debug_assert!(shards.dirty.is_empty(), "no shard dirtied mid-settle");
     dirty.clear();
     shards.dirty = dirty;
-    true
+}
+
+/// One dirty shard's settle job: stage, refresh and re-anchor (see
+/// [`settle_sharded`]).
+///
+/// # Safety
+/// Every live key among `sh`'s members must be held by no other
+/// concurrent user of `slots`, and the slab must be structurally frozen
+/// for the view's lifetime.
+unsafe fn settle_shard<M: PenaltyModel>(
+    model: &M,
+    params: &NetworkParams,
+    record_phases: bool,
+    now: f64,
+    slots: RawSlots<Slot>,
+    sh: &mut Shard,
+) {
+    // SAFETY: only ever called with live members of this shard (compacted
+    // or staged keys), which no other job touches.
+    let slot = |k: FlowKey| unsafe { slots.get_mut(k) }.expect("member lives in slab");
+    if !sh.cache.staged_active(&mut sh.staged) {
+        // Rebuild gather: compact the member list, then stage the shard's
+        // contending flows in slot order — exactly the slab scan the
+        // unsharded engine would do, restricted to this shard.
+        // SAFETY: `contains` reads only the generation stamp, which no job
+        // writes, so probing a stale key whose slot another job's flow now
+        // occupies is sound.
+        sh.members.retain(|&k| unsafe { slots.contains(k) });
+        sh.staged.clear();
+        sh.staged
+            .extend(sh.members.iter().copied().filter(|&k| slot(k).contending));
+        sh.staged.sort_unstable_by_key(|k| k.slot_index());
+    }
+    sh.comms_buf.clear();
+    sh.comms_buf.extend(sh.staged.iter().map(|&k| slot(k).comm));
+    let active = std::mem::take(&mut sh.staged);
+    let comms = std::mem::take(&mut sh.comms_buf);
+    let (mut recycled_active, mut recycled_comms) = sh.cache.refresh(model, active, comms);
+    recycled_active.clear();
+    recycled_comms.clear();
+    sh.staged = recycled_active;
+    sh.comms_buf = recycled_comms;
+    let positions = match sh.cache.take_affected() {
+        AffectedSet::Positions(positions) => positions,
+        AffectedSet::All => {
+            sh.events.stats.rescans += 1;
+            (0..sh.cache.active().len()).collect()
+        }
+    };
+    for i in positions {
+        let (key, penalty) = (sh.cache.active()[i], sh.cache.penalties()[i]);
+        // SAFETY: `key` sits in this shard's settled population.
+        unsafe {
+            resync_raw(
+                params,
+                record_phases,
+                now,
+                slots,
+                &mut sh.events,
+                key,
+                penalty,
+            )
+        };
+    }
+    sh.dirty = false;
 }
 
 /// The earliest cached finish among contending flows, by scanning the
@@ -785,8 +759,8 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     }
 
     /// Partition-shape counters: live shard count plus cumulative splits,
-    /// merges, drains and budget collapses/un-collapses (all zero unless
-    /// built with [`Self::with_sharded`]).
+    /// merges and drains (all zero unless built with
+    /// [`Self::with_sharded`]).
     pub fn shard_stats(&self) -> ShardStats {
         self.state
             .lock()
@@ -1201,19 +1175,17 @@ impl<M: PenaltyModel> FluidNetwork<M> {
             done[batch_start..].sort_by_key(|c| c.key);
             if slots.is_empty() {
                 // Quiescent barrier: the population drained to empty, so
-                // every shard is memberless and the partition — including
-                // a collapse pin left by a Myrinet budget fallback — can
-                // be forgotten. The next churn phase re-partitions from
-                // scratch instead of inheriting a degraded single-shard
+                // every shard is memberless and the partition can be
+                // forgotten. The next churn phase re-partitions from
+                // scratch instead of inheriting a merge-only mega-shard
                 // (or stale-member) structure forever.
                 departed.clear();
-                shards.quiesce();
+                shards.reset();
             } else {
                 // Departure refinement: drop each completed flow's edge
                 // from the component tracker and re-partition to match —
                 // re-seating roots, retiring drained shards, splitting
-                // disconnected ones, or un-collapsing a budget-collapsed
-                // partition whose pinned component departed.
+                // disconnected ones.
                 for comm in departed.drain(..) {
                     shards.depart(&comm, slots);
                 }

@@ -3,7 +3,9 @@
 //!
 //! The penalty models are component-local (see
 //! [`netbw_core::components`]): flows in disjoint connected components of
-//! the shared-endpoint graph never influence each other's penalty. The
+//! the shared-endpoint graph never influence each other's penalty — the
+//! Myrinet state-set budget included, which is decided per conflict
+//! component, so a blown component degrades only itself. The
 //! sharded engine exploits that by partitioning the slab-backed flow
 //! population into such components ("shards") and giving each its own
 //! [`crate::event_heap`] timeline and [`PenaltyCache`] (with its own model
@@ -31,23 +33,6 @@
 //! entries go stale lazily. A union of true components is still a safe
 //! partition cell, so splitting is purely a performance refinement —
 //! without it any long-lived population degrades toward one mega-shard.
-//!
-//! One model behaviour is *not* component-local: a Myrinet state-set
-//! budget refusal degrades the whole query population to the max-conflict
-//! approximation, so an over-budget component in the unsharded engine
-//! changes the penalties of every other component in the same query. The
-//! first time any shard's refresh reports such a fallback, the settle
-//! barrier `ShardSet::collapse_all`s the partition into a single global
-//! shard — *pinned* to the offending component's root — and redoes the
-//! settle globally, keeping the modes bit-for-bit equal in every regime.
-//! The collapse is no longer permanent until drain: the tracker keeps
-//! running underneath it, and the moment the pinned component drains or
-//! splits, `ShardSet::explode` rebuilds the true partition from the
-//! live slab and per-component settling resumes. (If some component is
-//! *still* over budget, its fresh cache's first refresh reports a new
-//! fallback and the barrier re-collapses at the same instant — exactly
-//! matching the unsharded engine's global degradation, so equality holds
-//! through the thrash.)
 //!
 //! Cross-shard event ordering goes through one lazy min-heap of
 //! `(next event time, shard, version)` entries: every change to a shard's
@@ -84,8 +69,8 @@ pub(crate) trait SlotView {
 
 /// Partition-shape counters for the sharded engine: how many shards are
 /// live right now and how often the partition has refined (split),
-/// coarsened (merged), drained, budget-collapsed or un-collapsed since
-/// the engine was built. Cumulative across resets.
+/// coarsened (merged) or drained since the engine was built. Cumulative
+/// across resets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Live shards in the current partition.
@@ -96,20 +81,14 @@ pub struct ShardStats {
     pub merges: u64,
     /// Shards retired because their last member departed.
     pub drains: u64,
-    /// Partition collapses forced by a Myrinet budget fallback.
+    /// Always 0: the partition never collapses, because every model —
+    /// the Myrinet budget fallback included — is component-local. Kept
+    /// only so existing readers of the counter still compile.
     pub budget_collapses: u64,
-    /// Collapses undone early because the pinned component departed.
-    pub uncollapses: u64,
-    /// Whether the partition is currently collapsed into one shard.
-    pub collapsed: bool,
 }
 
 /// One conflict component's private engine state.
 pub(crate) struct Shard {
-    /// The tracker root of the component this shard holds. Kept in sync
-    /// through root re-seats and splits; meaningless while the partition
-    /// is collapsed.
-    pub(crate) root: ComponentRoot,
     /// The shard's penalty cache (and model scratch).
     pub(crate) cache: PenaltyCache,
     /// The shard's completion/gate heaps.
@@ -133,9 +112,8 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(root: ComponentRoot) -> Self {
+    fn new() -> Self {
         Shard {
-            root,
             cache: PenaltyCache::new(),
             events: EventHeaps::default(),
             members: Vec::new(),
@@ -150,7 +128,6 @@ impl Shard {
     /// entry-for-entry) that settles bit-for-bit like the original.
     fn fork(&self) -> Shard {
         Shard {
-            root: self.root,
             cache: self.cache.fork(),
             events: self.events.clone(),
             members: self.members.clone(),
@@ -165,7 +142,6 @@ impl Shard {
     /// (cache via [`PenaltyCache::fork_into`], heaps via
     /// [`EventHeaps::fork_into`]). Bitwise identical outcome to `fork`.
     fn fork_into(&self, target: &mut Shard) {
-        target.root = self.root;
         self.cache.fork_into(&mut target.cache);
         self.events.fork_into(&mut target.events);
         target.members.clone_from(&self.members);
@@ -214,9 +190,7 @@ impl Ord for ShardNext {
 pub(crate) struct ShardSet {
     tracker: ComponentTracker,
     /// Shard index per tracker root index. Entries go stale when a root
-    /// is absorbed, re-seated or drained; lookups that may hit a stale
-    /// entry (only [`Self::explode`]'s) validate against the shard's own
-    /// `root` field before trusting it.
+    /// is absorbed, re-seated or drained; only live roots are looked up.
     shard_of_root: Vec<usize>,
     /// Live shards; a retired slot goes to `None` and onto `free_slots`
     /// for reuse.
@@ -234,18 +208,9 @@ pub(crate) struct ShardSet {
     /// Cache counters of retired shards (merged away, drained, or cleared
     /// by a reset).
     retired_cache: CacheStats,
-    /// Timeline counters of drained/exploded/reset shards (merges fold
-    /// the loser's counters into the winner's heaps directly).
+    /// Timeline counters of drained/reset shards (merges fold the loser's
+    /// counters into the winner's heaps directly).
     retired_timeline: TimelineStats,
-    /// Set while the partition is collapsed into a single global shard
-    /// (see [`Self::collapse_all`]); every assignment routes here until
-    /// the pinned component departs or the population drains.
-    collapsed_into: Option<usize>,
-    /// The root of the component whose budget fallback forced the
-    /// collapse. The tracker keeps running while collapsed so this pin
-    /// follows bridges and root re-seats; the moment the pinned component
-    /// drains or splits, [`Self::explode`] rebuilds the partition.
-    collapsed_pin: Option<ComponentRoot>,
     /// Ablation switch: when set, departures are ignored entirely (the
     /// tracker keeps every edge forever) and the partition only coarsens
     /// — the pre-refinement behaviour, kept as the baseline the split
@@ -259,8 +224,6 @@ pub(crate) struct ShardSet {
     splits: u64,
     merges: u64,
     drains: u64,
-    collapses: u64,
-    uncollapses: u64,
 }
 
 impl ShardSet {
@@ -276,9 +239,7 @@ impl ShardSet {
             splits: self.splits,
             merges: self.merges,
             drains: self.drains,
-            budget_collapses: self.collapses,
-            uncollapses: self.uncollapses,
-            collapsed: self.collapsed_into.is_some(),
+            budget_collapses: 0,
         }
     }
 
@@ -286,22 +247,6 @@ impl ShardSet {
     /// or merging shards as needed, and returns the index of the shard
     /// the flow belongs to.
     pub(crate) fn assign(&mut self, comm: &Communication) -> usize {
-        if let Some(id) = self.collapsed_into {
-            // The partition is pinned flat, but the tracker keeps running
-            // so departures can still un-collapse it: if the new flow
-            // bridges the pinned component into a union, the pin follows
-            // the union's root.
-            if !self.merge_only {
-                if let ComponentChange::Bridged { root, absorbed } =
-                    self.tracker.insert(comm.src, comm.dst)
-                {
-                    if self.collapsed_pin == Some(absorbed) {
-                        self.collapsed_pin = Some(root);
-                    }
-                }
-            }
-            return id;
-        }
         match self.tracker.insert(comm.src, comm.dst) {
             ComponentChange::Created { root } => self.alloc(root),
             ComponentChange::Joined { root } => self.shard_of_root[root as usize],
@@ -316,38 +261,16 @@ impl ShardSet {
 
     /// Handles a completed flow's departure: removes its edge from the
     /// tracker and refines the partition to match — re-seating a root,
-    /// retiring a drained shard, splitting a disconnected one, or
-    /// un-collapsing a budget-collapsed partition whose pinned component
-    /// just departed. Call after the flow's slot has left the slab.
+    /// retiring a drained shard, or splitting a disconnected one. Call
+    /// after the flow's slot has left the slab.
     pub(crate) fn depart<S: SlotView>(&mut self, comm: &Communication, slots: &mut Slab<S>) {
         if self.merge_only {
             return;
         }
-        let removal = self.tracker.remove(comm.src, comm.dst);
-        if self.collapsed_into.is_some() {
-            // Only the global shard exists: no per-shard bookkeeping, but
-            // keep the pin pointing at the offending component — and the
-            // moment that component drains or breaks apart, the reason
-            // for the collapse is gone, so rebuild the true partition.
-            match removal {
-                ComponentRemoval::Shrunk { old_root, root } => {
-                    if self.collapsed_pin == Some(old_root) {
-                        self.collapsed_pin = Some(root);
-                    }
-                }
-                ComponentRemoval::Drained { root } | ComponentRemoval::Split { root, .. } => {
-                    if self.collapsed_pin == Some(root) {
-                        self.explode(slots);
-                    }
-                }
-            }
-            return;
-        }
-        match removal {
+        match self.tracker.remove(comm.src, comm.dst) {
             ComponentRemoval::Shrunk { old_root, root } => {
                 if old_root != root {
                     let id = self.shard_of_root[old_root as usize];
-                    self.shards[id].as_mut().expect("shrunk shard is live").root = root;
                     self.map_root(root, id);
                 }
             }
@@ -427,83 +350,19 @@ impl ShardSet {
         self.refresh_next(sid, slots);
     }
 
-    /// Undoes a budget collapse early: retires the global shard and
-    /// rebuilds the true partition from the live slab, one shard per
-    /// tracker component, with every flow's due event pushed at its
-    /// current epoch. Each reborn cache is fresh, so every shard's first
-    /// settle is a full component-local rebuild — identical to the global
-    /// non-refused query restricted to that component. If some component
-    /// is still over budget, its first refresh reports a new fallback and
-    /// the barrier re-collapses at the same instant.
-    fn explode<S: SlotView>(&mut self, slots: &Slab<S>) {
-        self.uncollapses += 1;
-        let gid = self
-            .collapsed_into
-            .take()
-            .expect("explode undoes a collapse");
-        self.collapsed_pin = None;
-        self.retire(gid);
-        debug_assert!(
-            self.dirty.is_empty(),
-            "retiring the global shard leaves nothing dirty"
-        );
-        let mut created: Vec<usize> = Vec::new();
-        for k in slots.keys() {
-            let slot = slots.get(k).expect("iterated key is live");
-            let root = self
-                .tracker
-                .find(slot.comm().src)
-                .expect("live flow endpoints are tracked");
-            let id = self.root_shard_or_alloc(root, &mut created);
-            let epoch = slots.epoch(k).expect("iterated key is live");
-            let sh = self.shards[id].as_mut().expect("reborn shard is live");
-            sh.members.push(k);
-            if slot.contending() {
-                sh.events.push_completion(slot.finish(), k, epoch);
-            } else {
-                sh.events.push_gate(slot.gate(), k, epoch);
-            }
-        }
-        for id in created {
-            self.mark_dirty(id);
-            self.refresh_next(id, slots);
-        }
-    }
-
-    /// A validated root→shard lookup for [`Self::explode`]: mappings left
-    /// over from before the collapse (or from roots re-seated while
-    /// collapsed) are garbage, so only trust an entry whose shard is live
-    /// and agrees it holds `root`; otherwise allocate.
-    fn root_shard_or_alloc(&mut self, root: ComponentRoot, created: &mut Vec<usize>) -> usize {
-        if let Some(&id) = self.shard_of_root.get(root as usize) {
-            if id != usize::MAX
-                && self
-                    .shards
-                    .get(id)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|sh| sh.root == root)
-            {
-                return id;
-            }
-        }
-        let id = self.alloc(root);
-        created.push(id);
-        id
-    }
-
     /// Creates a live shard for `root`, reusing a retired slot when one
     /// is free (continuing its version) and mapping the root to it.
     fn alloc(&mut self, root: ComponentRoot) -> usize {
         let id = match self.free_slots.pop() {
             Some((slot, version)) => {
                 debug_assert!(self.shards[slot].is_none(), "free slot is vacant");
-                let mut sh = Shard::new(root);
+                let mut sh = Shard::new();
                 sh.version = version + 1;
                 self.shards[slot] = Some(sh);
                 slot
             }
             None => {
-                self.shards.push(Some(Shard::new(root)));
+                self.shards.push(Some(Shard::new()));
                 self.shards.len() - 1
             }
         };
@@ -561,53 +420,6 @@ impl ShardSet {
             self.dirty.retain(|&d| d != loser);
         }
         self.free_slots.push((loser, loser_shard.version));
-    }
-
-    /// Whether the partition has been collapsed into one global shard.
-    #[cfg(test)]
-    pub(crate) fn is_collapsed(&self) -> bool {
-        self.collapsed_into.is_some()
-    }
-
-    /// Merges every live shard into the lowest-indexed one and routes all
-    /// future assignments there, leaving exactly the merged shard dirty
-    /// (queued for a full rebuild). `pin` names the root of the component
-    /// whose refusal forced the collapse; its departure (drain or split)
-    /// triggers [`Self::explode`], un-collapsing early. `None` keeps the
-    /// collapse pinned until the population drains.
-    ///
-    /// This is the bitwise-equality escape hatch for models whose answers
-    /// have cross-component reach: a Myrinet budget refusal degrades the
-    /// *whole* query population to the max-conflict approximation, so the
-    /// moment any shard's refresh reports [`QueryOutcome::budget_fallback`]
-    /// the per-component factoring stops being safe. A single global shard
-    /// runs the exact same queries as the unsharded engine, restoring
-    /// bit-for-bit equality at the cost of the partition.
-    ///
-    /// [`QueryOutcome::budget_fallback`]: netbw_core::QueryOutcome
-    pub(crate) fn collapse_all(&mut self, pin: Option<ComponentRoot>) -> usize {
-        self.collapses += 1;
-        let survivor = self
-            .shards
-            .iter()
-            .position(Option::is_some)
-            .expect("collapse needs a live shard");
-        let losers: Vec<usize> = (survivor + 1..self.shards.len())
-            .filter(|&id| self.shards[id].is_some())
-            .collect();
-        for id in losers {
-            self.merge(survivor, id);
-        }
-        // Re-derive the dirty list from scratch: every loser is gone and
-        // the survivor needs a full rebuild regardless of its prior state.
-        self.dirty.clear();
-        self.dirty.push(survivor);
-        let sh = self.shards[survivor].as_mut().expect("survivor is live");
-        sh.dirty = true;
-        sh.cache.invalidate_rebuild();
-        self.collapsed_into = Some(survivor);
-        self.collapsed_pin = pin;
-        survivor
     }
 
     /// Marks a shard's population as changed, queueing it for the next
@@ -754,16 +566,12 @@ impl ShardSet {
             next_events: self.next_events.clone(),
             retired_cache: self.retired_cache,
             retired_timeline: self.retired_timeline,
-            collapsed_into: self.collapsed_into,
-            collapsed_pin: self.collapsed_pin,
             merge_only: self.merge_only,
             reused_settles: self.reused_settles,
             candidates: Vec::new(),
             splits: self.splits,
             merges: self.merges,
             drains: self.drains,
-            collapses: self.collapses,
-            uncollapses: self.uncollapses,
         }
     }
 
@@ -792,32 +600,19 @@ impl ShardSet {
         target.next_events.clone_from(&self.next_events);
         target.retired_cache = self.retired_cache;
         target.retired_timeline = self.retired_timeline;
-        target.collapsed_into = self.collapsed_into;
-        target.collapsed_pin = self.collapsed_pin;
         target.merge_only = self.merge_only;
         target.reused_settles = self.reused_settles;
         target.candidates.clear();
         target.splits = self.splits;
         target.merges = self.merges;
         target.drains = self.drains;
-        target.collapses = self.collapses;
-        target.uncollapses = self.uncollapses;
-    }
-
-    /// Quiescent-barrier reset, called by the engine when the flow
-    /// population drains to empty: every shard is provably memberless, so
-    /// the partition (and a [`Self::collapse_all`] pin left by a Myrinet
-    /// budget fallback) can be forgotten wholesale. Counters fold into
-    /// the retired accumulators exactly like [`Self::reset`], so stats
-    /// stay cumulative across the barrier.
-    pub(crate) fn quiesce(&mut self) {
-        self.reset();
     }
 
     /// Drops every shard and the component structure while folding their
     /// counters into the retired accumulators — stats (including the
     /// partition-shape counters) stay cumulative across resets, exactly
-    /// like the unsharded engine's.
+    /// like the unsharded engine's. The engine also calls this as the
+    /// quiescent barrier when the flow population drains to empty.
     pub(crate) fn reset(&mut self) {
         for sh in self.shards.iter().flatten() {
             self.retired_cache.absorb(sh.cache.stats());
@@ -830,8 +625,6 @@ impl ShardSet {
         self.free_slots.clear();
         self.dirty.clear();
         self.next_events.clear();
-        self.collapsed_into = None;
-        self.collapsed_pin = None;
     }
 }
 
@@ -963,30 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn collapse_merges_everything_and_pins_future_assignments() {
-        let mut set = ShardSet::default();
-        let a = set.assign(&comm(0, 1));
-        let _b = set.assign(&comm(2, 3));
-        let _c = set.assign(&comm(4, 5));
-        assert_eq!(set.live_count(), 3);
-        let survivor = set.collapse_all(None);
-        assert_eq!(survivor, a, "lowest live shard survives");
-        assert!(set.is_collapsed());
-        assert_eq!(set.live_count(), 1);
-        assert_eq!(set.dirty, vec![survivor], "exactly the survivor is queued");
-        assert_eq!(set.shard_stats().budget_collapses, 1);
-        assert!(set.shard_stats().collapsed);
-        // A brand-new component would have created a shard before the
-        // collapse; now it routes straight to the survivor.
-        assert_eq!(set.assign(&comm(6, 7)), survivor);
-        assert_eq!(set.live_count(), 1);
-        // ...and a reset lifts the collapse along with the partition.
-        set.reset();
-        assert!(!set.is_collapsed());
-        assert_ne!(set.assign(&comm(0, 1)), set.assign(&comm(2, 3)));
-    }
-
-    #[test]
     fn reset_folds_counters_and_forgets_structure() {
         let mut set = ShardSet::default();
         let mut slab: Slab<()> = Slab::new();
@@ -1053,51 +822,5 @@ mod tests {
         // against the new one: versions continued past the retiree's.
         set.refresh_next(a, &slab);
         assert_eq!(set.peek_next(), Some(30.0), "splinter's completion leads");
-    }
-
-    #[test]
-    fn pinned_component_departure_uncollapses() {
-        let mut set = ShardSet::default();
-        let mut slab: Slab<TSlot> = Slab::new();
-        let a = set.assign(&comm(0, 1));
-        let b = set.assign(&comm(2, 3));
-        let k01 = slab.insert(TSlot::running(0, 1, 5.0));
-        let k23 = slab.insert(TSlot::running(2, 3, 7.0));
-        set.shard_mut(a).members.push(k01);
-        set.shard_mut(a).events.push_completion(5.0, k01, 0);
-        set.shard_mut(b).members.push(k23);
-        set.shard_mut(b).events.push_completion(7.0, k23, 0);
-        let pin = set
-            .tracker
-            .find(comm(0, 1).src)
-            .expect("component 0-1 is tracked");
-        let gid = set.collapse_all(Some(pin));
-        assert!(set.is_collapsed());
-        assert_eq!(set.live_count(), 1);
-        // A departure in the non-pinned component keeps the collapse.
-        slab.remove(k23);
-        set.depart(&comm(2, 3), &mut slab);
-        assert!(set.is_collapsed(), "non-pinned departure keeps the pin");
-        // Re-admit the 2-3 flow (routes to the global shard while
-        // collapsed), then drain the pinned component: the collapse lifts
-        // and the true partition is rebuilt from the live slab.
-        assert_eq!(set.assign(&comm(2, 3)), gid);
-        let k23b = slab.insert(TSlot::running(2, 3, 7.0));
-        set.shard_mut(gid).members.push(k23b);
-        set.shard_mut(gid)
-            .events
-            .push_completion(7.0, k23b, slab.epoch(k23b).unwrap());
-        slab.remove(k01);
-        set.depart(&comm(0, 1), &mut slab);
-        assert!(!set.is_collapsed(), "pinned drain un-collapses");
-        assert_eq!(set.live_count(), 1);
-        assert_eq!(set.shard_stats().uncollapses, 1);
-        // The reborn shard holds the surviving flow, is queued for a full
-        // rebuild, and republished its next event.
-        assert_eq!(set.dirty.len(), 1);
-        let reborn = set.dirty[0];
-        assert_eq!(set.shard_mut(reborn).members, vec![k23b]);
-        assert!(set.shard_mut(reborn).dirty);
-        assert_eq!(set.peek_next(), Some(7.0));
     }
 }

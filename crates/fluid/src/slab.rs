@@ -310,13 +310,14 @@ impl<T> RawSlots<T> {
         Some(e)
     }
 
-    /// True when `key` names a live occupancy.
+    /// True when `key` names a live occupancy. Safe to call with a stale
+    /// key whose slot another job's flow now occupies: liveness is read
+    /// from the generation stamp alone.
     ///
     /// # Safety
     ///
     /// The slab must be structurally frozen (no concurrent generation
     /// writes); concurrent *value* writes by the key's owner are fine.
-    #[cfg(test)]
     pub(crate) unsafe fn contains(&self, key: FlowKey) -> bool {
         unsafe { self.entry(key) }.is_some()
     }

@@ -8,34 +8,28 @@
 
 use netbw_bench::{bridge_wave_churn, churn_transfers_seeded, multi_component_churn};
 use netbw_core::{GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel};
-use netbw_fluid::{FluidNetwork, NetworkParams, TimelineStats};
+use netbw_eval::SweepExecutor;
+use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams, TimelineStats};
 use netbw_graph::Communication;
 use proptest::prelude::*;
+use std::sync::Arc;
 
-/// The four engine configurations under test: the event-heap timeline
+/// Every engine configuration under test: the event-heap timeline
 /// (default), the pre-heap linear scans over the incremental cache, the
-/// pre-refactor full-recompute oracle, and the component-sharded engine
-/// (one cache + scratch + timeline per conflict component). `MergeOnly`
-/// is the sharded engine with departure-driven splitting disabled — the
-/// refinement ablation, equally bound by bitwise equality.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Heap,
-    Linear,
-    Oracle,
-    Sharded,
-    MergeOnly,
-}
+/// pre-refactor full-recompute oracle, the component-sharded engine (one
+/// cache + scratch + timeline per conflict component), and the sharded
+/// engine with departure-driven splitting disabled — the refinement
+/// ablation, equally bound by bitwise equality.
+const MODES: [EngineMode; 5] = [
+    EngineMode::Event,
+    EngineMode::LinearTimeline,
+    EngineMode::FullRecompute,
+    EngineMode::Sharded,
+    EngineMode::ShardedMergeOnly,
+];
 
-fn build<M: PenaltyModel>(model: M, mode: Mode) -> FluidNetwork<M> {
-    let net = FluidNetwork::new(model, NetworkParams::new(2.0, 0.25));
-    match mode {
-        Mode::Heap => net,
-        Mode::Linear => net.with_linear_timeline(),
-        Mode::Oracle => net.with_full_recompute(),
-        Mode::Sharded => net.with_sharded(),
-        Mode::MergeOnly => net.with_sharded_merge_only(),
-    }
+fn build<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
+    mode.apply(FluidNetwork::new(model, NetworkParams::new(2.0, 0.25)))
 }
 
 /// Adds `transfers` (sorted by start) and drains the network, returning
@@ -63,7 +57,7 @@ fn drain_into<M: PenaltyModel>(
 fn drain<M: PenaltyModel>(
     model: M,
     transfers: &[(u64, Communication, f64)],
-    mode: Mode,
+    mode: EngineMode,
 ) -> (Vec<(u64, f64)>, netbw_fluid::CacheStats, TimelineStats) {
     let mut net = build(model, mode);
     let done = drain_into(&mut net, transfers);
@@ -97,11 +91,11 @@ proptest! {
     ) {
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, fast_stats, fast_timeline) = drain($model, &transfers, Mode::Heap);
-                let (lin, _, lin_timeline) = drain($model, &transfers, Mode::Linear);
-                let (slow, slow_stats, _) = drain($model, &transfers, Mode::Oracle);
+                let (fast, fast_stats, fast_timeline) = drain($model, &transfers, EngineMode::Event);
+                let (lin, _, lin_timeline) = drain($model, &transfers, EngineMode::LinearTimeline);
+                let (slow, slow_stats, _) = drain($model, &transfers, EngineMode::FullRecompute);
                 let (shard, shard_stats, shard_timeline) =
-                    drain($model, &transfers, Mode::Sharded);
+                    drain($model, &transfers, EngineMode::Sharded);
                 prop_assert_eq!(fast.len(), slow.len());
                 prop_assert_eq!(fast.len(), lin.len());
                 prop_assert_eq!(fast.len(), shard.len());
@@ -156,9 +150,9 @@ proptest! {
         step_denom in 3u32..17,
     ) {
         let (event_driven, _, event_timeline) =
-            drain(MyrinetModel::default(), &transfers, Mode::Heap);
+            drain(MyrinetModel::default(), &transfers, EngineMode::Event);
         let horizon = event_driven.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-        let mut net = build(MyrinetModel::default(), Mode::Heap);
+        let mut net = build(MyrinetModel::default(), EngineMode::Event);
         let mut sorted = transfers.clone();
         sorted.sort_by(|a, b| a.2.total_cmp(&b.2));
         for &(key, comm, start) in &sorted {
@@ -207,10 +201,10 @@ proptest! {
         transfers.push((key, bridge, bridge_start));
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, Mode::Heap);
-                let (lin, _, _) = drain($model, &transfers, Mode::Linear);
-                let (slow, _, _) = drain($model, &transfers, Mode::Oracle);
-                let (shard, _, _) = drain($model, &transfers, Mode::Sharded);
+                let (fast, _, _) = drain($model, &transfers, EngineMode::Event);
+                let (lin, _, _) = drain($model, &transfers, EngineMode::LinearTimeline);
+                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
+                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
                 prop_assert_eq!(fast.len(), transfers.len());
                 prop_assert_eq!(fast.len(), lin.len());
                 prop_assert_eq!(fast.len(), slow.len());
@@ -251,11 +245,11 @@ proptest! {
         let transfers = bridge_wave_churn(comps, flows_per_comp, waves, stagger, seed);
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, Mode::Heap);
-                let (lin, _, _) = drain($model, &transfers, Mode::Linear);
-                let (slow, _, _) = drain($model, &transfers, Mode::Oracle);
-                let (shard, _, _) = drain($model, &transfers, Mode::Sharded);
-                let (fused, _, _) = drain($model, &transfers, Mode::MergeOnly);
+                let (fast, _, _) = drain($model, &transfers, EngineMode::Event);
+                let (lin, _, _) = drain($model, &transfers, EngineMode::LinearTimeline);
+                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
+                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
+                let (fused, _, _) = drain($model, &transfers, EngineMode::ShardedMergeOnly);
                 prop_assert_eq!(fast.len(), transfers.len());
                 for modeled in [&lin, &slow, &shard, &fused] {
                     prop_assert_eq!(fast.len(), modeled.len());
@@ -274,7 +268,7 @@ proptest! {
         // The refining engine must have actually exercised the partition:
         // every wave's bridge chain coarsens it, and (stagger permitting)
         // its completion refines it back.
-        let mut net = build(GigabitEthernetModel::default(), Mode::Sharded);
+        let mut net = build(GigabitEthernetModel::default(), EngineMode::Sharded);
         drain_into(&mut net, &transfers);
         let stats = net.shard_stats();
         prop_assert!(
@@ -308,10 +302,10 @@ proptest! {
         }
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, Mode::Heap);
-                let (slow, _, _) = drain($model, &transfers, Mode::Oracle);
-                let (shard, _, _) = drain($model, &transfers, Mode::Sharded);
-                let (fused, _, _) = drain($model, &transfers, Mode::MergeOnly);
+                let (fast, _, _) = drain($model, &transfers, EngineMode::Event);
+                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
+                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
+                let (fused, _, _) = drain($model, &transfers, EngineMode::ShardedMergeOnly);
                 prop_assert_eq!(fast.len(), transfers.len());
                 for modeled in [&slow, &shard, &fused] {
                     prop_assert_eq!(fast.len(), modeled.len());
@@ -336,21 +330,11 @@ fn zero_size_transfers_complete_at_their_gate_in_all_modes() {
     // including one landing exactly on another flow's completion instant.
     // All three timelines must agree bitwise.
     let mut results = Vec::new();
-    for mode in [
-        Mode::Heap,
-        Mode::Linear,
-        Mode::Oracle,
-        Mode::Sharded,
-        Mode::MergeOnly,
-    ] {
-        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(1.0, 0.0));
-        net = match mode {
-            Mode::Heap => net,
-            Mode::Linear => net.with_linear_timeline(),
-            Mode::Oracle => net.with_full_recompute(),
-            Mode::Sharded => net.with_sharded(),
-            Mode::MergeOnly => net.with_sharded_merge_only(),
-        };
+    for mode in MODES {
+        let mut net = mode.apply(FluidNetwork::new(
+            MyrinetModel::default(),
+            NetworkParams::new(1.0, 0.0),
+        ));
         net.add(0, Communication::new(0u32, 1u32, 100), 0.0);
         net.add(1, Communication::new(0u32, 2u32, 0), 0.0); // flashes at t=0
         let mut done: Vec<(u64, f64)> = net
@@ -375,11 +359,7 @@ fn zero_size_transfers_complete_at_their_gate_in_all_modes() {
         results.push(done);
     }
     let heap = &results[0];
-    for (done, mode) in
-        results[1..]
-            .iter()
-            .zip([Mode::Linear, Mode::Oracle, Mode::Sharded, Mode::MergeOnly])
-    {
+    for (done, mode) in results[1..].iter().zip(&MODES[1..]) {
         for (&(ka, ta), &(kb, tb)) in heap.iter().zip(done) {
             assert_eq!(ka, kb, "{mode:?}");
             assert_eq!(ta.to_bits(), tb.to_bits(), "heap vs {mode:?}, key {ka}");
@@ -398,10 +378,10 @@ fn reset_network_replays_the_heap_timeline_bit_for_bit() {
         churn_transfers_seeded(12, 0.0, 12),
         churn_transfers_seeded(20, 0.5, 13),
     ];
-    let mut reused = build(MyrinetModel::default(), Mode::Heap);
+    let mut reused = build(MyrinetModel::default(), EngineMode::Event);
     for transfers in &battery {
         let again = drain_into(&mut reused, transfers);
-        let (fresh, _, _) = drain(MyrinetModel::default(), transfers, Mode::Heap);
+        let (fresh, _, _) = drain(MyrinetModel::default(), transfers, EngineMode::Event);
         assert_eq!(again.len(), fresh.len());
         for (&(ka, ta), &(kb, tb)) in again.iter().zip(&fresh) {
             assert_eq!(ka, kb);
@@ -488,16 +468,22 @@ fn components_collapsing_to_singletons_agree_in_all_modes() {
         (4, Communication::new(10u32, 12u32, 7_000), 1.0), // B's singleton
     ];
     let mut results = Vec::new();
-    for mode in [Mode::Heap, Mode::Linear, Mode::Oracle, Mode::Sharded] {
+    for mode in [
+        EngineMode::Event,
+        EngineMode::LinearTimeline,
+        EngineMode::FullRecompute,
+        EngineMode::Sharded,
+    ] {
         let (done, _, _) = drain(MyrinetModel::default(), &transfers, mode);
         assert_eq!(done.len(), transfers.len(), "{mode:?}");
         results.push(done);
     }
     let heap = &results[0];
-    for (done, mode) in results[1..]
-        .iter()
-        .zip([Mode::Linear, Mode::Oracle, Mode::Sharded])
-    {
+    for (done, mode) in results[1..].iter().zip([
+        EngineMode::LinearTimeline,
+        EngineMode::FullRecompute,
+        EngineMode::Sharded,
+    ]) {
         for (&(ka, ta), &(kb, tb)) in heap.iter().zip(done) {
             assert_eq!(ka, kb, "{mode:?}");
             assert_eq!(
@@ -507,7 +493,7 @@ fn components_collapsing_to_singletons_agree_in_all_modes() {
             );
         }
     }
-    let mut net = build(MyrinetModel::default(), Mode::Sharded);
+    let mut net = build(MyrinetModel::default(), EngineMode::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
@@ -558,148 +544,114 @@ fn completion_batches_report_keys_in_order_and_patch_survivors() {
     );
 }
 
-/// A budget-starved Myrinet run where the degradation is *asymmetric*:
-/// component A (an 8-flow conflict cycle, 10 maximal states) blows the
-/// state-set budget of 9, component B (a 6-flow conflict cycle, 5 states,
-/// exact penalty 5/2 vs max-conflict approximation 2) fits it. The
-/// unsharded engines degrade the whole population the moment A blows,
-/// B included; a per-shard query would keep B exact and diverge. The
-/// sharded engine must detect the fallback, collapse its partition into
-/// one global shard mid-settle, and stay bit-for-bit with the heap.
-#[test]
-fn budget_fallback_collapses_the_partition_and_stays_bitwise() {
-    // Conflict cycles alternate shared-source and shared-destination
-    // pairs (an out-link conflict, then an in-link conflict, ...): C8 on
-    // nodes 0..8, C6 on nodes 8..14.
-    let c8 = [
-        (0u32, 1u32),
-        (2, 1),
-        (2, 3),
-        (4, 3),
-        (4, 5),
-        (6, 5),
-        (6, 7),
-        (0, 7),
-    ];
-    let c6 = [(8u32, 9u32), (10, 9), (10, 11), (12, 11), (12, 13), (8, 13)];
-    let transfers: Vec<(u64, Communication, f64)> = c8
-        .iter()
-        .chain(&c6)
-        .enumerate()
-        .map(|(i, &(s, d))| (i as u64, Communication::new(s, d, 4_000), 0.0))
-        .collect();
+/// An 8-flow conflict cycle (10 maximal state sets) next to a 6-flow one
+/// (5 sets, exact penalty 5/2 where the max-conflict approximation gives
+/// 2), each cycle alternating shared-source and shared-destination pairs:
+/// C8 on nodes 0..8, C6 on nodes 8..14. Under a state-set budget of 9
+/// only C8 blows it.
+const C8: [(u32, u32); 8] = [
+    (0, 1),
+    (2, 1),
+    (2, 3),
+    (4, 3),
+    (4, 5),
+    (6, 5),
+    (6, 7),
+    (0, 7),
+];
+const C6: [(u32, u32); 6] = [(8, 9), (10, 9), (10, 11), (12, 11), (12, 13), (8, 13)];
 
-    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Heap);
-    let (oracle, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Oracle);
-    let mut net = build(MyrinetModel::with_budget(9), Mode::Sharded);
-    for &(key, comm, start) in &transfers {
-        net.add(key, comm, start);
-    }
-    assert_eq!(
-        net.shard_count(),
-        2,
-        "two components before the first settle"
-    );
-    // Open the latency gates: the first populated settle hits the budget
-    // and must collapse the partition.
-    net.advance_to(0.3);
-    assert_eq!(
-        net.shard_count(),
-        1,
-        "the budget fallback must collapse both shards into one"
-    );
-    let mut sharded: Vec<(u64, f64)> = net
-        .run_to_completion()
-        .into_iter()
-        .map(|c| (c.key, c.completion))
-        .collect();
-    sharded.sort_by_key(|&(k, _)| k);
-    assert_eq!(
-        net.shard_count(),
-        0,
-        "the full drain quiesces the collapse pin"
-    );
-    assert!(
-        net.cache_stats().budget_fallbacks >= 1,
-        "the workload must actually hit the budget: {:?}",
-        net.cache_stats()
-    );
-    for ((hk, ht), (sk, st)) in heap.iter().zip(&sharded) {
-        assert_eq!(hk, sk);
+/// `pairs` as transfers of `size` bytes starting at t = 0, keyed from
+/// `first_key` on.
+fn cycle(pairs: &[(u32, u32)], size: u64, first_key: u64) -> Vec<(u64, Communication, f64)> {
+    pairs
+        .iter()
+        .enumerate()
+        .map(|(i, &(s, d))| (first_key + i as u64, Communication::new(s, d, size), 0.0))
+        .collect()
+}
+
+/// Asserts two `(key, completion)` lists are bitwise equal.
+fn assert_bitwise(a: &[(u64, f64)], b: &[(u64, f64)], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}");
+    for (&(ka, ta), &(kb, tb)) in a.iter().zip(b) {
+        assert_eq!(ka, kb, "{context}");
         assert_eq!(
-            ht.to_bits(),
-            st.to_bits(),
-            "key {hk}: heap {ht} vs sharded {st}"
+            ta.to_bits(),
+            tb.to_bits(),
+            "{context}, key {ka}: {ta} vs {tb}"
         );
-    }
-    for ((hk, ht), (ok, ot)) in heap.iter().zip(&oracle) {
-        assert_eq!(hk, ok);
-        assert_eq!(ht.to_bits(), ot.to_bits(), "key {hk}: heap vs oracle");
     }
 }
 
-/// Split after a budget collapse: the C8 cycle blows the state-set budget
-/// and collapses the partition, pinned to its component. When C8 drains,
-/// the collapse must lift *mid-run* — the partition is rebuilt from the
-/// live slab (the surviving C6 component and a still-gated future flow
-/// each get a shard back), C6's penalties return to exact, and every mode
-/// still agrees bitwise. The merge-only ablation never un-collapses and
-/// must agree all the same.
+/// A budget blow-up degrades only its own conflict component: C8 takes
+/// the max-conflict rows while C6 keeps its exact 5/2, so each cycle
+/// completes exactly as it would alone — in every engine mode, bitwise.
 #[test]
-fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
-    let c8 = [
-        (0u32, 1u32),
-        (2, 1),
-        (2, 3),
-        (4, 3),
-        (4, 5),
-        (6, 5),
-        (6, 7),
-        (0, 7),
-    ];
-    let c6 = [(8u32, 9u32), (10, 9), (10, 11), (12, 11), (12, 13), (8, 13)];
-    let mut transfers: Vec<(u64, Communication, f64)> = c8
-        .iter()
-        .map(|&(s, d)| Communication::new(s, d, 2_000))
-        .chain(c6.iter().map(|&(s, d)| Communication::new(s, d, 8_000)))
-        .enumerate()
-        .map(|(i, comm)| (i as u64, comm, 0.0))
-        .collect();
-    // A latecomer, gated until long after the collapse lifts: the rebuild
-    // must re-seat still-gated flows too.
+fn budget_blowup_degrades_only_its_own_component() {
+    let c8 = cycle(&C8, 4_000, 0);
+    let c6 = cycle(&C6, 4_000, 8);
+    let both: Vec<_> = c8.iter().chain(&c6).copied().collect();
+    let model = || MyrinetModel::with_budget(9);
+
+    let (c8_alone, c8_stats, _) = drain(model(), &c8, EngineMode::Event);
+    let (c6_alone, c6_stats, _) = drain(model(), &c6, EngineMode::Event);
+    assert!(
+        c8_stats.budget_fallbacks >= 1,
+        "C8 blows the budget: {c8_stats:?}"
+    );
+    assert_eq!(c6_stats.budget_fallbacks, 0, "C6 fits it: {c6_stats:?}");
+    // C6 drains at its exact penalty: 4000 bytes at 2 B/s ÷ 5/2, after
+    // the 0.25 s latency gate.
+    for &(_, t) in &c6_alone {
+        assert_eq!(t, 0.25 + 4_000.0 * 2.5 / 2.0, "exact 5/2 penalty");
+    }
+
+    for mode in MODES {
+        let (done, ..) = drain(model(), &both, mode);
+        assert_bitwise(&done[..8], &c8_alone, &format!("{mode:?}: C8 vs C8 alone"));
+        assert_bitwise(&done[8..], &c6_alone, &format!("{mode:?}: C6 vs C6 alone"));
+    }
+}
+
+/// The blown component never collapses the partition: C8 (short) and C6
+/// (long) keep their own shards while C8 is over budget, C8's drain
+/// retires only its shard, and a latecomer gated past that drain gets a
+/// shard of its own — with every mode bitwise equal throughout.
+#[test]
+fn blown_component_keeps_the_partition_until_it_drains() {
+    let mut transfers = cycle(&C8, 2_000, 0);
+    transfers.extend(cycle(&C6, 8_000, 8));
     transfers.push((14, Communication::new(20u32, 21u32, 1_000), 6_500.0));
+    let model = || MyrinetModel::with_budget(9);
 
-    let (heap, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Heap);
-    let (oracle, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::Oracle);
-    let (fused, ..) = drain(MyrinetModel::with_budget(9), &transfers, Mode::MergeOnly);
+    let (heap, ..) = drain(model(), &transfers, EngineMode::Event);
+    let (c6_alone, ..) = drain(model(), &cycle(&C6, 8_000, 8), EngineMode::Event);
+    assert_bitwise(&heap[8..14], &c6_alone, "C6 vs C6 alone");
+    for mode in &MODES[1..] {
+        let (done, ..) = drain(model(), &transfers, *mode);
+        assert_bitwise(&done, &heap, &format!("{mode:?} vs heap"));
+    }
 
-    let mut net = build(MyrinetModel::with_budget(9), Mode::Sharded);
+    let mut net = build(model(), EngineMode::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
     assert_eq!(net.shard_count(), 3, "C8, C6 and the gated latecomer");
-    net.advance_to(0.3); // first populated settle: C8 blows the budget
-    let stats = net.shard_stats();
-    assert!(stats.collapsed, "{stats:?}");
-    assert_eq!(stats.budget_collapses, 1, "{stats:?}");
-    assert_eq!(net.shard_count(), 1, "collapsed into the global shard");
-
-    // Past C8's drain, before C6 finishes or the latecomer arrives.
+    net.advance_to(0.3); // the gates open: C8 blows the budget
+    assert!(
+        net.cache_stats().budget_fallbacks >= 1,
+        "{:?}",
+        net.cache_stats()
+    );
+    assert_eq!(net.shard_count(), 3, "the blow-up keeps every shard");
     let mut sharded: Vec<(u64, f64)> = net
         .advance_to(6_000.0)
         .into_iter()
         .map(|c| (c.key, c.completion))
         .collect();
     assert_eq!(sharded.len(), 8, "all of C8 drains by t=6000");
-    let stats = net.shard_stats();
-    assert!(!stats.collapsed, "the pinned component left: {stats:?}");
-    assert_eq!(stats.uncollapses, 1, "{stats:?}");
-    assert_eq!(
-        net.shard_count(),
-        2,
-        "C6 and the still-gated latecomer get their shards back"
-    );
-
+    assert_eq!(net.shard_count(), 2, "C8's drain retires only its shard");
     sharded.extend(
         net.run_to_completion()
             .into_iter()
@@ -707,25 +659,72 @@ fn pinned_collapse_lifts_when_the_offender_departs_and_stays_bitwise() {
     );
     sharded.sort_by_key(|&(k, _)| k);
     assert_eq!(net.shard_count(), 0, "full drain quiesces");
-    for (modeled, name) in [(&heap, "heap"), (&oracle, "oracle"), (&fused, "merge-only")] {
-        assert_eq!(sharded.len(), modeled.len(), "{name}");
-        for (&(ka, ta), &(kb, tb)) in sharded.iter().zip(modeled.iter()) {
-            assert_eq!(ka, kb, "{name}");
-            assert_eq!(
-                ta.to_bits(),
-                tb.to_bits(),
-                "sharded vs {name}, key {ka}: {ta} vs {tb}"
-            );
+    assert_bitwise(&sharded, &heap, "stepped sharded vs heap");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random churn through a budget-starved Myrinet: with budgets this
+    /// small most components blow and take the max-conflict rows, and
+    /// every engine mode must still agree bitwise.
+    #[test]
+    fn starved_budget_churn_agrees_across_all_modes(
+        transfers in arb_transfers(),
+        budget in 1usize..6,
+    ) {
+        let (heap, ..) = drain(MyrinetModel::with_budget(budget), &transfers, EngineMode::Event);
+        prop_assert_eq!(heap.len(), transfers.len());
+        for mode in &MODES[1..] {
+            let (done, ..) = drain(MyrinetModel::with_budget(budget), &transfers, *mode);
+            prop_assert_eq!(done.len(), heap.len());
+            for (&(ka, ta), &(kb, tb)) in heap.iter().zip(&done) {
+                prop_assert_eq!(ka, kb);
+                prop_assert_eq!(ta.to_bits(), tb.to_bits(),
+                    "{:?} vs heap, budget {}, key {}: {} vs {}", mode, budget, ka, tb, ta);
+            }
         }
     }
+}
 
-    // The ablation keeps the collapse for good.
-    let mut fused_net = build(MyrinetModel::with_budget(9), Mode::MergeOnly);
-    for &(key, comm, start) in &transfers {
-        fused_net.add(key, comm, start);
-    }
-    fused_net.advance_to(6_000.0);
-    let stats = fused_net.shard_stats();
-    assert!(stats.collapsed, "merge-only never un-collapses: {stats:?}");
-    assert_eq!(stats.uncollapses, 0, "{stats:?}");
+/// The parallel settle barrier at a realistic size: bridge waves fed
+/// online (each transfer added at its start time, so completed flows'
+/// slots are reused by later arrivals while stale member keys still name
+/// them) through the sharded engine on a 4-worker executor. Splits,
+/// merges and stale-member probes all happen inside the parallel round;
+/// the answers must equal the serial sharded engine's and the heap
+/// engine's bit for bit.
+#[test]
+fn online_bridge_waves_on_the_executor_match_serial_and_heap() {
+    let transfers = bridge_wave_churn(64, 16, 4, 5.0, 7);
+    let feed = |mut net: FluidNetwork<GigabitEthernetModel>| {
+        let mut done: Vec<(u64, f64)> = Vec::new();
+        for &(key, comm, start) in &transfers {
+            done.extend(
+                net.advance_to(start)
+                    .into_iter()
+                    .map(|c| (c.key, c.completion)),
+            );
+            net.add(key, comm, start);
+        }
+        done.extend(
+            net.run_to_completion()
+                .into_iter()
+                .map(|c| (c.key, c.completion)),
+        );
+        done.sort_by_key(|&(k, _)| k);
+        (done, net.shard_stats())
+    };
+    let params = NetworkParams::new(2.0, 0.25);
+    let (par, shape) = feed(
+        FluidNetwork::new(GigabitEthernetModel::default(), params)
+            .with_sharded_dispatch(Arc::new(SweepExecutor::new(4))),
+    );
+    let (serial, _) =
+        feed(FluidNetwork::new(GigabitEthernetModel::default(), params).with_sharded());
+    let (heap, _) = feed(FluidNetwork::new(GigabitEthernetModel::default(), params));
+    assert_eq!(heap.len(), transfers.len());
+    assert!(shape.splits >= 63 && shape.merges >= 63, "{shape:?}");
+    assert_bitwise(&par, &serial, "executor vs serial sharded");
+    assert_bitwise(&par, &heap, "executor vs heap");
 }

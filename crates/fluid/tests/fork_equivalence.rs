@@ -8,30 +8,21 @@
 
 use netbw_bench::churn_transfers_seeded;
 use netbw_core::{GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel};
-use netbw_fluid::{FluidNetwork, NetworkParams};
+use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams};
 use netbw_graph::Communication;
 use proptest::prelude::*;
 
-/// The four engine configurations under test (same set as the churn
-/// equivalence suite).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Heap,
-    Linear,
-    Oracle,
-    Sharded,
-}
+/// The four engine configurations under test (the churn equivalence
+/// suite's set, minus the merge-only ablation).
+const MODES: [EngineMode; 4] = [
+    EngineMode::Event,
+    EngineMode::LinearTimeline,
+    EngineMode::FullRecompute,
+    EngineMode::Sharded,
+];
 
-const MODES: [Mode; 4] = [Mode::Heap, Mode::Linear, Mode::Oracle, Mode::Sharded];
-
-fn build<M: PenaltyModel>(model: M, mode: Mode) -> FluidNetwork<M> {
-    let net = FluidNetwork::new(model, NetworkParams::new(2.0, 0.25));
-    match mode {
-        Mode::Heap => net,
-        Mode::Linear => net.with_linear_timeline(),
-        Mode::Oracle => net.with_full_recompute(),
-        Mode::Sharded => net.with_sharded(),
-    }
+fn build<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
+    mode.apply(FluidNetwork::new(model, NetworkParams::new(2.0, 0.25)))
 }
 
 fn add_all<M: PenaltyModel>(net: &mut FluidNetwork<M>, transfers: &[(u64, Communication, f64)]) {
@@ -55,7 +46,7 @@ fn completions<M: PenaltyModel>(net: &mut FluidNetwork<M>) -> Vec<(u64, u64)> {
 /// afterwards to prove the fork did not perturb it.
 fn check_fork_equivalence<M: PenaltyModel + Clone>(
     model: M,
-    mode: Mode,
+    mode: EngineMode,
     transfers: &[(u64, Communication, f64)],
     split: usize,
 ) {
@@ -140,14 +131,14 @@ proptest! {
     }
 }
 
-/// Forking a sharded engine whose partition was collapsed by a Myrinet
-/// budget fallback: the fork must carry the collapse pin and stay bitwise
-/// with the rebuild (which re-collapses on its own first settle).
+/// Forking a sharded engine while one Myrinet component is over the
+/// state-set budget: the fork must carry that component's max-conflict
+/// penalties next to the exact ones and stay bitwise with the rebuild.
 #[test]
 fn fork_carries_a_collapsed_partition() {
     // An 8-flow conflict cycle that blows a state-set budget of 9 (same
-    // workload as the churn-equivalence collapse test) plus a second
-    // small component, staggered so there is a meaningful mid-point.
+    // cycle as the churn-equivalence locality tests) plus a second small
+    // component, staggered so there is a meaningful mid-point.
     let c8 = [
         (0u32, 1u32),
         (2, 1),
@@ -165,8 +156,18 @@ fn fork_carries_a_collapsed_partition() {
         .collect();
     transfers.push((8, Communication::new(10u32, 11u32, 2_000), 8.0));
     transfers.push((9, Communication::new(12u32, 13u32, 2_000), 9.0));
-    check_fork_equivalence(MyrinetModel::with_budget(9), Mode::Sharded, &transfers, 8);
-    check_fork_equivalence(MyrinetModel::with_budget(9), Mode::Heap, &transfers, 8);
+    check_fork_equivalence(
+        MyrinetModel::with_budget(9),
+        EngineMode::Sharded,
+        &transfers,
+        8,
+    );
+    check_fork_equivalence(
+        MyrinetModel::with_budget(9),
+        EngineMode::Event,
+        &transfers,
+        8,
+    );
 }
 
 /// A fork taken while *every* prefix flow is still latency-gated (advance

@@ -49,7 +49,7 @@ mod frontend;
 mod service;
 
 pub use frontend::{ServeHandle, ServeRequest};
+pub use netbw_fluid::EngineMode;
 pub use service::{
-    EngineMode, FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery,
-    WhatIfService,
+    FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery, WhatIfService,
 };

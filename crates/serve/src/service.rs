@@ -3,7 +3,9 @@
 
 use netbw_core::{GigabitEthernetModel, PenaltyModel};
 use netbw_eval::{EvalSession, SweepStats, SweepWorker};
-use netbw_fluid::{AddError, CompletedTransfer, FluidNetwork, NetworkParams, TransferKey};
+use netbw_fluid::{
+    AddError, CompletedTransfer, EngineMode, FluidNetwork, NetworkParams, TransferKey,
+};
 use netbw_graph::Communication;
 use netbw_packet::FabricConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,39 +25,6 @@ type ModelHandle = Arc<dyn PenaltyModel>;
 /// per worker.
 const FORK_ARENA_KEY: u64 = 0;
 
-/// Which fluid-engine variant the service runs — authoritative engine,
-/// snapshot and rebuild ablation alike, so the bitwise-equality guards
-/// (fork == rebuild, re-base == fresh fork) can be pinned per mode. All
-/// five settle bit-for-bit identically; they differ only in how much work
-/// a settle costs (see `netbw-fluid`'s crate docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Lazy event heaps (the default production engine).
-    #[default]
-    Event,
-    /// Linear scan timeline (no heaps).
-    LinearTimeline,
-    /// Full-recompute oracle (every settle recomputes everything).
-    FullRecompute,
-    /// Conflict-component sharding over the event engine.
-    Sharded,
-    /// Sharding with departure refinement disabled (merge-only ablation).
-    ShardedMergeOnly,
-}
-
-impl EngineMode {
-    /// Applies the mode to a freshly built network.
-    fn apply(self, net: FluidNetwork<ModelHandle>) -> FluidNetwork<ModelHandle> {
-        match self {
-            EngineMode::Event => net,
-            EngineMode::LinearTimeline => net.with_linear_timeline(),
-            EngineMode::FullRecompute => net.with_full_recompute(),
-            EngineMode::Sharded => net.with_sharded(),
-            EngineMode::ShardedMergeOnly => net.with_sharded_merge_only(),
-        }
-    }
-}
-
 /// Configuration of a [`WhatIfService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -66,7 +35,10 @@ pub struct ServeConfig {
     pub fabric: FabricConfig,
     /// Worker ceiling for query batches (0 = available parallelism).
     pub threads: usize,
-    /// Fluid-engine variant (event heaps by default).
+    /// Fluid-engine variant, used for the authoritative engine, the
+    /// snapshot and the rebuild ablation alike, so the bitwise-equality
+    /// guards (fork == rebuild, re-base == fresh fork) can be pinned per
+    /// mode (event heaps by default).
     pub mode: EngineMode,
 }
 

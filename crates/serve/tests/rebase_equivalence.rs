@@ -2,8 +2,8 @@
 //! authoritative engine through admissions and clock advances by O(delta)
 //! re-bases must answer what-if queries bit-for-bit like a fresh fork
 //! would — across all five engine modes and all three fabric models,
-//! including a re-base applied over a budget-collapsed Myrinet partition
-//! and a re-base racing an in-flight batch that still aliases the cached
+//! including a re-base applied over a Myrinet component that blew its
+//! state-set budget and a re-base racing an in-flight batch that still aliases the cached
 //! snapshot (which must publish a private successor, never mutate the
 //! shared one).
 //!
@@ -155,11 +155,10 @@ proptest! {
     }
 }
 
-/// Re-basing over a partition collapsed by a Myrinet budget fallback: the
-/// 8-flow conflict cycle blows a state-set budget of 9 (the same workload
-/// as the fluid crate's collapse tests), the sharded engine collapses the
-/// partition, and the admissions that follow re-base the snapshot across
-/// the collapsed state.
+/// Re-basing over a Myrinet component that blew its state-set budget: the
+/// 8-flow conflict cycle blows a budget of 9 (the same cycle as the fluid
+/// crate's locality tests) and takes the max-conflict rows, and the
+/// admissions that follow re-base the snapshot across that state.
 #[test]
 fn rebase_over_a_budget_collapsed_partition() {
     let c8 = [
@@ -178,7 +177,7 @@ fn rebase_over_a_budget_collapsed_partition() {
         .map(|(i, &(s, d))| (i as u64, Communication::new(s, d, 4_000), i as f64))
         .collect();
     // Two extra flows admitted after the cycle is in flight: in sharded
-    // mode these re-base onto an already-collapsed partition.
+    // mode these get shards of their own next to the blown cycle's.
     transfers.push((8, Communication::new(10u32, 11u32, 2_000), 8.0));
     transfers.push((9, Communication::new(12u32, 13u32, 2_000), 9.0));
     let queries = vec![

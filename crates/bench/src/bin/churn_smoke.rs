@@ -32,7 +32,10 @@
 //!   across components and every settle barrier carries many dirty
 //!   shards). On ≥4 cores the executor-dispatched sharded engine must be
 //!   ≥1.5x faster than the heap engine on the median; on fewer cores it
-//!   must merely never fall behind the heap beyond a noise slack.
+//!   must merely never fall behind the heap beyond a noise slack. At
+//!   every core count it must also never fall behind the same engine on
+//!   serial dispatch beyond that slack: the executor never loses to
+//!   running the barrier's jobs in order on the caller.
 //! * the `shard_split_smoke` group: steady arrive/depart bridge waves
 //!   (`netbw_bench::bridge_wave_churn`) that merge the partition every
 //!   wave and break it apart again when the bridges complete. The
@@ -40,7 +43,10 @@
 //!   boundary and its per-wave settle cost flat over time; on ≥4 cores
 //!   it must additionally drain ≥2x faster than the never-splitting
 //!   `with_sharded_merge_only` ablation, which degrades to one
-//!   mega-shard on the first wave and stays there.
+//!   mega-shard on the first wave and stays there (on fewer cores, it
+//!   must not fall behind it beyond a noise slack). At every core count
+//!   the executor-dispatched feed must also keep up with the same feed on
+//!   serial dispatch (`with_sharded`), within the same slack.
 //!
 //! The medians land in `BENCH_timeline.json`, `BENCH_shard.json` and
 //! `BENCH_split.json` (uploaded as CI artifacts next to
@@ -355,6 +361,14 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
              ({t_par:?} vs {t_heap:?} + {slack:?} slack)"
         );
     }
+    // Whatever the core count, dispatching the barriers on the executor
+    // must never lose to running them serially on the caller.
+    let slack = (t_serial / 5).max(Duration::from_millis(2));
+    assert!(
+        t_par <= t_serial + slack,
+        "shard smoke: executor dispatch fell behind serial dispatch on {cores} \
+         core(s) ({t_par:?} vs {t_serial:?} + {slack:?} slack)"
+    );
 
     format!(
         "{{\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \
@@ -373,10 +387,10 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
 /// as it opens — is what lets the partition refine between waves;
 /// per-wave settle cost and partition shape are observed at every wave
 /// boundary, where that wave's bridges are gone and the next wave's have
-/// not arrived), then through the never-splitting
-/// `with_sharded_merge_only` ablation on the same feed. GigE has no
-/// state-set budget, so the comparison isolates partition *shape*.
-/// Returns the JSON line for `BENCH_split.json`.
+/// not arrived), then through the same engine on serial dispatch, then
+/// through the never-splitting `with_sharded_merge_only` ablation on the
+/// same feed. GigE has no state-set budget, so the comparison isolates
+/// partition *shape*. Returns the JSON line for `BENCH_split.json`.
 fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -> String {
     let stagger = churn_stagger(ModelKind::GigabitEthernet);
     let wave_len = stagger * flows_per_comp as f64;
@@ -428,6 +442,18 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     split_times.sort_unstable();
     let t_split = split_times[split_times.len() / 2];
 
+    let t_split_serial = median_time(reps, || {
+        let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
+            .with_sharded();
+        let done = feed(&mut net, None);
+        assert_eq!(
+            done,
+            transfers.len(),
+            "serially dispatched engine lost flows"
+        );
+    })
+    .0;
+
     let (t_fused, fused_stats) = median_time(reps, || {
         let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
             .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)))
@@ -440,8 +466,8 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     let speedup = t_fused.as_secs_f64() / t_split.as_secs_f64();
     println!(
         "split-{comps}x{flows_per_comp}x{waves} ({cores} cores): split drain {t_split:?} \
-         ({} splits, {} merges) | merge-only drain {t_fused:?} ({} merges, 0 splits) \
-         | refinement speedup {speedup:.2}x | waves {:?}",
+         ({} splits, {} merges) | serial dispatch {t_split_serial:?} | merge-only drain \
+         {t_fused:?} ({} merges, 0 splits) | refinement speedup {speedup:.2}x | waves {:?}",
         stats.splits, stats.merges, fused_stats.merges, wave_best,
     );
 
@@ -491,13 +517,20 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
              {cores} core(s) ({t_split:?} vs {t_fused:?} + {slack:?} slack)"
         );
     }
+    let slack = (t_split_serial / 5).max(Duration::from_millis(2));
+    assert!(
+        t_split <= t_split_serial + slack,
+        "split smoke: executor dispatch fell behind serial dispatch on {cores} \
+         core(s) ({t_split:?} vs {t_split_serial:?} + {slack:?} slack)"
+    );
 
     format!(
         "{{\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \"waves\": {waves}, \
-         \"cores\": {cores}, \"split_drain_ms\": {:.3}, \"merge_only_drain_ms\": {:.3}, \
-         \"refinement_speedup\": {speedup:.3}, \"wave2_ms\": {:.3}, \"last_wave_ms\": {:.3}, \
-         \"splits\": {}, \"merges\": {}}}\n",
+         \"cores\": {cores}, \"split_drain_ms\": {:.3}, \"split_serial_ms\": {:.3}, \
+         \"merge_only_drain_ms\": {:.3}, \"refinement_speedup\": {speedup:.3}, \
+         \"wave2_ms\": {:.3}, \"last_wave_ms\": {:.3}, \"splits\": {}, \"merges\": {}}}\n",
         t_split.as_secs_f64() * 1e3,
+        t_split_serial.as_secs_f64() * 1e3,
         t_fused.as_secs_f64() * 1e3,
         t_early.as_secs_f64() * 1e3,
         t_late.as_secs_f64() * 1e3,

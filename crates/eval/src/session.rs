@@ -20,7 +20,8 @@
 //!   solver resets (rather than rebuilds) its fluid network between
 //!   schemes, keeping the slab and the model scratch allocations warm.
 //!
-//! Work is scheduled by the work-stealing [`SweepExecutor`]; results keep
+//! Work is scheduled by the session's one work-stealing [`SweepExecutor`],
+//! whose worker pool every sweep of the session reuses; results keep
 //! input order, and sequential/parallel runs are bit-for-bit identical
 //! (pinned by the equivalence tests in `tests/sweep_properties.rs`).
 //! Everything is observable through [`SweepStats`], which the bench
@@ -448,7 +449,7 @@ impl Drop for SweepWorker<'_> {
 /// per battery campaign and drive every battery through it; read
 /// [`EvalSession::stats`] at the end.
 pub struct EvalSession {
-    threads: usize,
+    exec: SweepExecutor,
     shared: SessionShared,
 }
 
@@ -468,7 +469,7 @@ impl EvalSession {
     /// parallelism).
     pub fn with_threads(threads: usize) -> Self {
         EvalSession {
-            threads: SweepExecutor::new(threads).threads(),
+            exec: SweepExecutor::new(threads),
             shared: SessionShared::default(),
         }
     }
@@ -481,20 +482,20 @@ impl EvalSession {
 
     /// The worker ceiling in use.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.exec.threads()
     }
 
     /// Runs `f` over every item on the session's executor, handing each
     /// worker its own reusable [`SweepWorker`]. Results keep input order;
-    /// counters accumulate into [`EvalSession::stats`].
+    /// counters accumulate into [`EvalSession::stats`]. Every sweep of a
+    /// session reuses the executor's parked worker threads.
     pub fn sweep<'s, T, R, F>(&'s self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&mut SweepWorker<'s>, &T) -> R + Sync,
     {
-        let exec = SweepExecutor::new(self.threads);
-        let (out, exec_stats) = exec.map_init(
+        let (out, exec_stats) = self.exec.map_init(
             items,
             |w| SweepWorker::attached(&self.shared, w),
             |worker, item, _| f(worker, item),

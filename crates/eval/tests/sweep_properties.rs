@@ -102,9 +102,10 @@ fn session_equals_per_call_for_any_worker_count() {
 }
 
 /// A panic in one item propagates to the caller even when other workers
-/// are mid-steal, and the executor does not deadlock on the way out.
-/// (`std::thread::scope` re-raises worker panics as "a scoped thread
-/// panicked", so no payload message to match on.)
+/// are mid-steal, and the executor does not deadlock on the way out. (The
+/// pool catches the panic on whichever thread ran the item, lets the
+/// round finish, and re-raises the original payload on the caller;
+/// `tests/pool.rs` checks the payload and that the pool survives.)
 #[test]
 #[should_panic]
 fn panic_propagates_under_stealing() {
@@ -210,10 +211,10 @@ impl PenaltyModel for PoisonModel {
 }
 
 /// A model panic inside one shard's settle job must propagate out of the
-/// settle barrier (scoped threads re-raise on join) instead of
-/// deadlocking the other workers — the shard-worker sibling of
-/// [`panic_propagates_under_stealing`]. The test *finishing* (with the
-/// expected panic) is the non-deadlock proof.
+/// settle barrier (the pool re-raises it on the caller once the barrier's
+/// other jobs have run) instead of deadlocking the other workers — the
+/// shard-worker sibling of [`panic_propagates_under_stealing`]. The test
+/// *finishing* (with the expected panic) is the non-deadlock proof.
 #[test]
 #[should_panic]
 fn poisoned_shard_panic_propagates_through_settle_barrier() {

@@ -184,6 +184,13 @@ impl PenaltyCache {
         }
     }
 
+    /// Zeroes the usage counters: a cache forked off another to carry on
+    /// part of its work (a shard split) starts its own history, so an
+    /// aggregate over both does not count the shared past twice.
+    pub(crate) fn clear_stats(&mut self) {
+        self.stats = CacheStats::default();
+    }
+
     /// [`Self::fork`] into an existing cache, reusing its allocations.
     /// Identical outcome to `*target = self.fork()` — bitwise, scratch
     /// included — but steady-state re-forks into a warm target allocate

@@ -15,9 +15,10 @@
 //! for the duration of one settle barrier — which is why the dispatch
 //! contract is "run every job exactly once, then return": the engine's
 //! borrows end when `run_settles` does. Implementations must propagate a
-//! panicking job to the caller (scoped-thread joins do this for free);
-//! swallowing one would leave a shard half-refreshed behind a barrier that
-//! claims it settled.
+//! panicking job to the caller (the `SweepExecutor` pool catches it on
+//! whichever thread ran the job and re-raises it on the caller once every
+//! job has run); swallowing one would leave a shard half-refreshed behind
+//! a barrier that claims it settled.
 
 /// One shard's settle job: a one-shot closure, boxed so dispatchers can
 /// move it between threads. The borrow it captures lives only as long as

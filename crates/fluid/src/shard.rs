@@ -25,14 +25,16 @@
 //! [`ComponentRemoval::Split`] — in which case `ShardSet::split` carves
 //! the splinter component out of its shard: member keys are partitioned
 //! by a tracker lookup, the splinter gets a [`PenaltyCache::fork`] of the
-//! kept cache with each side noting the other's members as departures
-//! (penalties are component-local, so both sides' next delta refresh
-//! reproduces identical values and the engine's resync skips — the split
-//! is bitwise invisible), and the splinter's event heaps are rebuilt from
-//! its members under freshly bumped slot epochs so the kept shard's old
-//! entries go stale lazily. A union of true components is still a safe
-//! partition cell, so splitting is purely a performance refinement —
-//! without it any long-lived population degrades toward one mega-shard.
+//! kept cache (its counters zeroed, so the set-wide aggregate counts the
+//! shared history once) with each side noting the other's members as
+//! departures (penalties are component-local, so both sides' next delta
+//! refresh reproduces identical values and the engine's resync skips —
+//! the split is bitwise invisible), and the splinter's event heaps are
+//! rebuilt from its members under freshly bumped slot epochs so the kept
+//! shard's old entries go stale lazily. A union of true components is
+//! still a safe partition cell, so splitting is purely a performance
+//! refinement — without it any long-lived population degrades toward one
+//! mega-shard.
 //!
 //! Cross-shard event ordering goes through one lazy min-heap of
 //! `(next event time, shard, version)` entries: every change to a shard's
@@ -319,6 +321,8 @@ impl ShardSet {
         }
         let kept = self.shards[id].as_mut().expect("split shard is live");
         let mut sp_cache = kept.cache.fork();
+        // The kept cache keeps the history; the splinter's starts now.
+        sp_cache.clear_stats();
         let mut sp_events = EventHeaps::default();
         for &k in &kept.members {
             if slots.get(k).expect("retained member is live").contending() {
@@ -774,6 +778,46 @@ mod tests {
         let b = set.assign(&comm(0, 1));
         assert_eq!(set.live_count(), 1);
         let _ = b;
+    }
+
+    #[test]
+    fn split_does_not_double_count_cache_stats() {
+        let mut set = ShardSet::default();
+        let mut slab: Slab<TSlot> = Slab::new();
+        // One chain component 0-1-2-3 whose cache has answered a query.
+        let a = set.assign(&comm(0, 1));
+        set.assign(&comm(1, 2));
+        set.assign(&comm(2, 3));
+        let flows = [(0, 1), (1, 2), (2, 3)];
+        let keys: Vec<FlowKey> = flows
+            .iter()
+            .map(|&(s, d)| slab.insert(TSlot::running(s, d, 10.0)))
+            .collect();
+        let comms = flows.iter().map(|&(s, d)| comm(s, d)).collect();
+        let sh = set.shard_mut(a);
+        sh.members.extend(&keys);
+        sh.cache.refresh(
+            &netbw_core::GigabitEthernetModel::default(),
+            keys.clone(),
+            comms,
+        );
+        // The middle flow completes and is noted as a departure.
+        slab.remove(keys[1]);
+        set.shard_mut(a).cache.note_departure(keys[1]);
+        let before = set.cache_stats();
+        assert_eq!(before.model_queries, 1);
+        set.depart(&comm(1, 2), &mut slab);
+        assert_eq!(set.shard_stats().splits, 1);
+        // The split notes each side's members as departures on the other
+        // (one flow each way); no other counter moves.
+        let after = set.cache_stats();
+        assert_eq!(
+            after,
+            CacheStats {
+                invalidations: before.invalidations + 2,
+                ..before
+            }
+        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! CI smoke check: the incremental penalty engine must stay ahead of the
-//! `with_full_recompute` oracle on the shared churn workloads, and the
-//! event-driven heap timeline must stay ahead of the linear-scan engine
-//! it replaced.
+//! standalone §IV.B `ReferenceNetwork` on the shared churn workloads —
+//! in model queries and in wall-clock time — and the sharded engine must
+//! keep up with the single-shard one where partitioning pays.
 //!
 //! Run with `cargo run --release -p netbw-bench --bin churn_smoke`.
 //! Exits non-zero (panics) when an engine loses its lead in model
 //! queries, delta share, or wall-clock time — the regressions the bench
-//! baselines exist to catch. Groups:
+//! baselines exist to catch. Every group interleaves the repetitions of
+//! the engines it compares (A, B, A, B, …), so a host slow-down lands on
+//! both sides alike. Groups:
 //!
 //! * the 512-flow workload benched since PR 1 (GigE + Myrinet), where
-//!   the heap engine must additionally never lose to the linear-scan
-//!   engine (within a small noise slack — at 512 flows the slab is tiny
-//!   and the O(n) scan is nearly free);
+//!   the default engine must ask the model less than the reference and
+//!   never fall behind it (also stated within a 20 % / 2 ms noise slack);
 //! * the 2048-flow Myrinet group pinning the mixed-delta/patch shares
 //!   (>90% of settles must carry positional deltas and actually patch);
 //! * the kernel-scaling group: one full GigE model query on a 512-sender
@@ -23,30 +24,29 @@
 //!   even where those fail.
 //! * the 100k-flow GigE group, where every flow is added up front so the
 //!   slab holds 100k slots while only a few hundred contend — the regime
-//!   the finish-time heap exists for. Both engines drain the same
-//!   fixed completion prefix (a full linear drain is O(events x slots)
-//!   and takes minutes); the heap must be ≥5x faster on the median and
-//!   then also drain the full workload in bounded time.
+//!   the finish-time heap exists for. The default engine and the
+//!   reference drain the same fixed completion prefix (a full reference
+//!   drain is O(events x flows) and takes minutes); the default engine
+//!   must be ≥5x faster on the median and then also drain the full
+//!   workload in bounded time.
 //! * the `shard_smoke` group: a multi-component 65k-endpoint Myrinet
 //!   churn (node-offset copies of the shared schedule, so events coincide
 //!   across components and every settle barrier carries many dirty
 //!   shards). On ≥4 cores the executor-dispatched sharded engine must be
-//!   ≥1.5x faster than the heap engine on the median; on fewer cores it
-//!   must merely never fall behind the heap beyond a noise slack. At
-//!   every core count it must also never fall behind the same engine on
-//!   serial dispatch beyond that slack: the executor never loses to
-//!   running the barrier's jobs in order on the caller.
+//!   ≥1.5x faster than the single-shard ("heap") engine on the median; on
+//!   fewer cores it must merely never fall behind it beyond a noise
+//!   slack. At every core count it must also never fall behind the same
+//!   engine on serial dispatch beyond that slack: the executor never
+//!   loses to running the barrier's jobs in order on the caller.
 //! * the `shard_split_smoke` group: steady arrive/depart bridge waves
 //!   (`netbw_bench::bridge_wave_churn`) that merge the partition every
 //!   wave and break it apart again when the bridges complete. The
 //!   splitting engine must keep the partition multi-shard at every wave
-//!   boundary and its per-wave settle cost flat over time; on ≥4 cores
-//!   it must additionally drain ≥2x faster than the never-splitting
-//!   `with_sharded_merge_only` ablation, which degrades to one
-//!   mega-shard on the first wave and stays there (on fewer cores, it
-//!   must not fall behind it beyond a noise slack). At every core count
-//!   the executor-dispatched feed must also keep up with the same feed on
-//!   serial dispatch (`with_sharded`), within the same slack.
+//!   boundary and its per-wave settle cost flat over time, and must not
+//!   fall behind the single-shard engine on the same feed beyond a noise
+//!   slack. At every core count the executor-dispatched feed must also
+//!   keep up with the same feed on serial dispatch (`with_sharded`),
+//!   within the same slack.
 //!
 //! The medians land in `BENCH_timeline.json`, `BENCH_shard.json` and
 //! `BENCH_split.json` (uploaded as CI artifacts next to
@@ -58,73 +58,70 @@
 //! them measure the same scenario.
 
 use netbw::eval::SweepExecutor;
-use netbw::fluid::{CacheStats, EngineMode, TimelineStats};
+use netbw::fluid::CacheStats;
 use netbw::graph::Communication;
 use netbw::prelude::*;
 use netbw_bench::{
     bridge_wave_churn, churn_stagger, churn_transfers, drain_churn_mode, drain_churn_prefix,
-    drain_prefix_into, multi_component_churn, CHURN_SEED,
+    drain_prefix_into, drain_reference, multi_component_churn, Engine, CHURN_SEED,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Drains twice and keeps the faster run, so a single scheduler stall on
-/// a noisy CI runner cannot flip a wall-clock comparison.
-fn timed_drain(
-    kind: ModelKind,
-    transfers: &[(u64, Communication, f64)],
-    mode: EngineMode,
-) -> (Duration, CacheStats, TimelineStats) {
-    let mut best: Option<(Duration, CacheStats, TimelineStats)> = None;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        let (done, stats, timeline) = drain_churn_mode(kind.build(), transfers, mode);
-        let elapsed = t0.elapsed();
-        assert_eq!(done, transfers.len(), "engine lost flows");
-        if best.as_ref().is_none_or(|&(t, _, _)| elapsed < t) {
-            best = Some((elapsed, stats, timeline));
+/// Times `reps` rounds of `runs`, alternating between them within each
+/// round (A, B, A, B, …) so a host slow-down lands on every side alike.
+/// Returns each run's timings, sorted.
+fn interleaved<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [Vec<Duration>; N] {
+    let mut times: [Vec<Duration>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        for (run, t) in runs.iter_mut().zip(&mut times) {
+            let t0 = Instant::now();
+            run();
+            t.push(t0.elapsed());
         }
     }
-    best.expect("two runs happened")
-}
-
-/// Median of `reps` timed runs of `f` (keeps the last run's value).
-fn median_time<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed());
+    for t in &mut times {
+        t.sort_unstable();
     }
-    times.sort_unstable();
-    (times[times.len() / 2], last.expect("reps >= 1"))
+    times
 }
 
-/// Drains one workload through the heap engine, the linear-scan engine
-/// and the full-recompute oracle, printing the counter sets, and
-/// enforces the generic invariants: fewer model queries than the oracle,
-/// a healthy positional-delta share, patches ≤ deltas, no wall-clock
-/// regression against the oracle, and the heap never losing to the
-/// linear scan by more than a noise slack. Returns the heap-engine
-/// cache stats for group-specific guards.
+/// The median of sorted timings.
+fn median(times: &[Duration]) -> Duration {
+    times[times.len() / 2]
+}
+
+/// Drains one workload through the default engine and the reference,
+/// best of two interleaved runs each, printing the counter sets, and
+/// enforces the generic invariants: fewer model queries than the
+/// reference, a healthy positional-delta share, patches ≤ deltas, and no
+/// wall-clock regression against the reference. Returns the default
+/// engine's cache stats for group-specific guards.
 fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
     let transfers = churn_transfers(flows, churn_stagger(kind));
-    let (t_inc, s_inc, tl_inc) = timed_drain(kind, &transfers, EngineMode::Event);
-    let (t_lin, s_lin, _) = timed_drain(kind, &transfers, EngineMode::LinearTimeline);
-    let (t_full, s_full, _) = timed_drain(kind, &transfers, EngineMode::FullRecompute);
+    let (mut inc, mut oracle) = (None, None);
+    let [t_inc, t_ref] = interleaved(
+        2,
+        [
+            &mut || inc = Some(drain_churn_mode(kind.build(), &transfers, Engine::Single)),
+            &mut || oracle = Some(drain_reference(kind.build(), &transfers, usize::MAX)),
+        ],
+    )
+    .map(|t| t[0]);
+    let (done, s_inc, tl_inc) = inc.expect("default engine ran");
+    let (done_ref, q_ref) = oracle.expect("reference ran");
+    assert_eq!(done, transfers.len(), "{name}: engine lost flows");
+    assert_eq!(done_ref, transfers.len(), "{name}: reference lost flows");
     println!(
         "{name}: {flows} flows | heap {t_inc:?} ({} queries: {} carrying deltas, \
          {} patched, {} scratch rebuilds, {} budget fallbacks; {} reuses) \
-         | linear {t_lin:?} ({} queries) | full-recompute {t_full:?} ({} queries)",
+         | reference {t_ref:?} ({q_ref} queries)",
         s_inc.model_queries,
         s_inc.delta_queries,
         s_inc.patched_queries,
         s_inc.scratch_rebuilds,
         s_inc.budget_fallbacks,
         s_inc.reuses,
-        s_lin.model_queries,
-        s_full.model_queries,
     );
     println!(
         "{name}: timeline {} heap pushes, {} lazy pops, {} gate pushes, \
@@ -136,15 +133,10 @@ fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
         tl_inc.rescans,
     );
     assert!(
-        s_inc.model_queries < s_full.model_queries,
-        "{name}: incremental must issue fewer model queries \
-         ({} vs {})",
+        s_inc.model_queries < q_ref,
+        "{name}: incremental must issue fewer model queries than the reference \
+         ({} vs {q_ref})",
         s_inc.model_queries,
-        s_full.model_queries
-    );
-    assert_eq!(
-        s_inc.model_queries, s_lin.model_queries,
-        "{name}: the heap timeline must not change what the model is asked"
     );
     // Most settles should reach the model as positional deltas — since
     // mixed-delta chaining, rebuilds are essentially just the first
@@ -165,17 +157,15 @@ fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
         "{name}: heap engine rescanned beyond its rebuild budget: {tl_inc:?} vs {s_inc:?}"
     );
     assert!(
-        t_inc <= t_full,
-        "{name}: incremental engine fell behind the full-recompute oracle \
-         ({t_inc:?} vs {t_full:?})"
+        t_inc <= t_ref,
+        "{name}: incremental engine fell behind the reference ({t_inc:?} vs {t_ref:?})"
     );
-    // At this scale the linear scan is nearly free, so "never loses"
-    // means within noise: 20% or 2ms, whichever is larger.
-    let slack = (t_lin / 5).max(Duration::from_millis(2));
+    // "Never behind" within noise: 20% or 2ms, whichever is larger.
+    let slack = (t_ref / 5).max(Duration::from_millis(2));
     assert!(
-        t_inc <= t_lin + slack,
-        "{name}: heap timeline lost to the linear scan it replaced \
-         ({t_inc:?} vs {t_lin:?} + {slack:?} slack)"
+        t_inc <= t_ref + slack,
+        "{name}: incremental engine fell behind the reference \
+         ({t_inc:?} vs {t_ref:?} + {slack:?} slack)"
     );
     s_inc
 }
@@ -196,8 +186,14 @@ fn check_kernel_scaling(reps: usize) -> String {
             .collect()
     };
     let (small, large) = (incast(512), incast(4096));
-    let (t_small, p_small) = median_time(reps, || model.penalties(&small));
-    let (t_large, p_large) = median_time(reps, || model.penalties(&large));
+    let (mut p_small, mut p_large) = (Vec::new(), Vec::new());
+    let [t_small, t_large] = interleaved(
+        reps,
+        [&mut || p_small = model.penalties(&small), &mut || {
+            p_large = model.penalties(&large)
+        }],
+    )
+    .map(|t| median(&t));
     // Every sender of an N-incast is in Cmi and alone on its NIC: N·β.
     for (pens, senders) in [(&p_small, 512.0), (&p_large, 4096.0)] {
         assert!(
@@ -223,30 +219,34 @@ fn check_kernel_scaling(reps: usize) -> String {
     )
 }
 
-/// The 100k-flow group: both engines drain the same `prefix`-completion
-/// prefix (median of `reps`), then the heap engine alone drains the full
-/// workload. Returns its JSON fields for `BENCH_timeline.json`.
+/// The 100k-flow group: the default engine and the reference drain the
+/// same `prefix`-completion prefix (median of `reps` interleaved runs),
+/// then the default engine alone drains the full workload. Returns its
+/// JSON fields for `BENCH_timeline.json`.
 fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
     let kind = ModelKind::GigabitEthernet;
     let transfers = churn_transfers(flows, churn_stagger(kind));
 
-    let (t_heap, (done_h, _, _)) = median_time(reps, || {
-        drain_churn_prefix(kind.build(), &transfers, EngineMode::Event, prefix)
-    });
-    let (t_lin, (done_l, _, _)) = median_time(reps, || {
-        drain_churn_prefix(kind.build(), &transfers, EngineMode::LinearTimeline, prefix)
-    });
-    assert_eq!(done_h, done_l, "engines completed different prefixes");
+    let (mut done_h, mut done_r) = (0, 0);
+    let [t_heap, t_ref] = interleaved(
+        reps,
+        [
+            &mut || done_h = drain_churn_prefix(kind.build(), &transfers, Engine::Single, prefix).0,
+            &mut || done_r = drain_reference(kind.build(), &transfers, prefix).0,
+        ],
+    )
+    .map(|t| median(&t));
+    assert_eq!(done_h, done_r, "engines completed different prefixes");
     assert!(done_h >= prefix, "workload too small for the prefix");
 
-    let (t_full, (done, _, tl)) = median_time(1, || {
-        drain_churn_mode(kind.build(), &transfers, EngineMode::Event)
-    });
+    let t0 = Instant::now();
+    let (done, _, tl) = drain_churn_mode(kind.build(), &transfers, Engine::Single);
+    let t_full = t0.elapsed();
     assert_eq!(done, flows, "heap engine lost flows at {flows}");
 
-    let speedup = t_lin.as_secs_f64() / t_heap.as_secs_f64();
+    let speedup = t_ref.as_secs_f64() / t_heap.as_secs_f64();
     println!(
-        "gige-{flows}: first {prefix} completions | heap {t_heap:?} | linear {t_lin:?} \
+        "gige-{flows}: first {prefix} completions | heap {t_heap:?} | reference {t_ref:?} \
          ({speedup:.1}x) | full heap drain {t_full:?}"
     );
     println!(
@@ -256,8 +256,8 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
     );
     assert!(
         speedup >= 5.0,
-        "gige-{flows}: heap timeline must be ≥5x faster than the linear scan \
-         on the {prefix}-completion prefix, got {speedup:.2}x ({t_heap:?} vs {t_lin:?})"
+        "gige-{flows}: the default engine must be ≥5x faster than the reference \
+         on the {prefix}-completion prefix, got {speedup:.2}x ({t_heap:?} vs {t_ref:?})"
     );
     assert!(
         tl.lazy_pops <= tl.heap_pushes,
@@ -266,11 +266,11 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
 
     format!(
         "\"flows\": {flows}, \"prefix\": {prefix}, \"heap_prefix_ms\": {:.3}, \
-         \"linear_prefix_ms\": {:.3}, \"prefix_speedup\": {speedup:.3}, \
+         \"reference_prefix_ms\": {:.3}, \"prefix_speedup\": {speedup:.3}, \
          \"heap_full_drain_ms\": {:.3}, \"heap_pushes\": {}, \"lazy_pops\": {}, \
          \"gate_heap_hits\": {}, \"rescans\": {}",
         t_heap.as_secs_f64() * 1e3,
-        t_lin.as_secs_f64() * 1e3,
+        t_ref.as_secs_f64() * 1e3,
         t_full.as_secs_f64() * 1e3,
         tl.heap_pushes,
         tl.lazy_pops,
@@ -282,8 +282,9 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
 /// The `shard_smoke` group: a multi-component Myrinet churn (identical
 /// node-offset schedule copies, so completions and gate openings coincide
 /// across components and every settle barrier is wide) drained to a fixed
-/// completion prefix through the heap engine, the serially-dispatched
-/// sharded engine, and the sharded engine on the work-stealing executor.
+/// completion prefix through the single-shard ("heap") engine, the
+/// serially-dispatched sharded engine, and the sharded engine on the
+/// work-stealing executor, interleaved.
 /// Returns the JSON line for `BENCH_shard.json`.
 fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) -> String {
     // A wider stagger than the other churn groups: it bounds the
@@ -300,20 +301,31 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
         .map(|p| p.get())
         .unwrap_or(1);
 
-    let (t_heap, done_heap) = median_time(reps, || {
-        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit());
-        drain_prefix_into(&mut net, &transfers, prefix)
-    });
+    let (mut done_heap, mut done_serial, mut done_par) = (0, 0, 0);
     let mut live_shards = 0;
     let mut budget_fallbacks = 0;
-    let (t_serial, done_serial) = median_time(reps, || {
-        let mut net =
-            FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit()).with_sharded();
-        let done = drain_prefix_into(&mut net, &transfers, prefix);
-        live_shards = net.shard_count();
-        budget_fallbacks = net.cache_stats().budget_fallbacks;
-        done
-    });
+    let [t_heap, t_serial, t_par] = interleaved(
+        reps,
+        [
+            &mut || {
+                let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit());
+                done_heap = drain_prefix_into(&mut net, &transfers, prefix);
+            },
+            &mut || {
+                let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
+                    .with_sharded();
+                done_serial = drain_prefix_into(&mut net, &transfers, prefix);
+                live_shards = net.shard_count();
+                budget_fallbacks = net.cache_stats().budget_fallbacks;
+            },
+            &mut || {
+                let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
+                    .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
+                done_par = drain_prefix_into(&mut net, &transfers, prefix);
+            },
+        ],
+    )
+    .map(|t| median(&t));
     // The workload keeps components small enough that no Myrinet
     // component reaches the state-set budget, so every settle stays
     // exact; this guard pins that, and the shard count pins that the
@@ -326,11 +338,6 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
         live_shards >= comps,
         "shard smoke: partition collapsed ({live_shards} shards left of ≥{comps})"
     );
-    let (t_par, done_par) = median_time(reps, || {
-        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
-        drain_prefix_into(&mut net, &transfers, prefix)
-    });
     assert_eq!(
         done_heap, done_serial,
         "engines completed different prefixes"
@@ -387,10 +394,10 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
 /// as it opens — is what lets the partition refine between waves;
 /// per-wave settle cost and partition shape are observed at every wave
 /// boundary, where that wave's bridges are gone and the next wave's have
-/// not arrived), then through the same engine on serial dispatch, then
-/// through the never-splitting `with_sharded_merge_only` ablation on the
-/// same feed. GigE has no state-set budget, so the comparison isolates
-/// partition *shape*. Returns the JSON line for `BENCH_split.json`.
+/// not arrived), interleaved with the same engine on serial dispatch and
+/// with the default single-shard engine on the same feed. GigE has no
+/// state-set budget, so the comparison isolates partition *shape*.
+/// Returns the JSON line for `BENCH_split.json`.
 fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -> String {
     let stagger = churn_stagger(ModelKind::GigabitEthernet);
     let wave_len = stagger * flows_per_comp as f64;
@@ -425,50 +432,48 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     };
 
     let mut wave_best = vec![Duration::MAX; waves];
-    let mut split_times = Vec::with_capacity(reps);
     let mut boundary_min_shards = usize::MAX;
     let mut stats = netbw::fluid::ShardStats::default();
     let mut cache = CacheStats::default();
-    for _ in 0..reps {
-        let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
-        let t0 = Instant::now();
-        let done = feed(&mut net, Some((&mut wave_best, &mut boundary_min_shards)));
-        split_times.push(t0.elapsed());
-        assert_eq!(done, transfers.len(), "splitting engine lost flows");
-        stats = net.shard_stats();
-        cache = net.cache_stats();
-    }
-    split_times.sort_unstable();
-    let t_split = split_times[split_times.len() / 2];
+    let [t_split, t_split_serial, t_single] = interleaved(
+        reps,
+        [
+            &mut || {
+                let mut net =
+                    FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
+                        .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
+                let done = feed(&mut net, Some((&mut wave_best, &mut boundary_min_shards)));
+                assert_eq!(done, transfers.len(), "splitting engine lost flows");
+                stats = net.shard_stats();
+                cache = net.cache_stats();
+            },
+            &mut || {
+                let mut net =
+                    FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
+                        .with_sharded();
+                let done = feed(&mut net, None);
+                assert_eq!(
+                    done,
+                    transfers.len(),
+                    "serially dispatched engine lost flows"
+                );
+            },
+            &mut || {
+                let mut net =
+                    FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit());
+                let done = feed(&mut net, None);
+                assert_eq!(done, transfers.len(), "single-shard engine lost flows");
+            },
+        ],
+    )
+    .map(|t| median(&t));
 
-    let t_split_serial = median_time(reps, || {
-        let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
-            .with_sharded();
-        let done = feed(&mut net, None);
-        assert_eq!(
-            done,
-            transfers.len(),
-            "serially dispatched engine lost flows"
-        );
-    })
-    .0;
-
-    let (t_fused, fused_stats) = median_time(reps, || {
-        let mut net = FluidNetwork::new(GigabitEthernetModel::default(), NetworkParams::unit())
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)))
-            .with_sharded_merge_only();
-        let done = feed(&mut net, None);
-        assert_eq!(done, transfers.len(), "merge-only engine lost flows");
-        net.shard_stats()
-    });
-
-    let speedup = t_fused.as_secs_f64() / t_split.as_secs_f64();
+    let speedup = t_single.as_secs_f64() / t_split.as_secs_f64();
     println!(
         "split-{comps}x{flows_per_comp}x{waves} ({cores} cores): split drain {t_split:?} \
-         ({} splits, {} merges) | serial dispatch {t_split_serial:?} | merge-only drain \
-         {t_fused:?} ({} merges, 0 splits) | refinement speedup {speedup:.2}x | waves {:?}",
-        stats.splits, stats.merges, fused_stats.merges, wave_best,
+         ({} splits, {} merges) | serial dispatch {t_split_serial:?} | single-shard drain \
+         {t_single:?} | refinement speedup {speedup:.2}x | waves {:?}",
+        stats.splits, stats.merges, wave_best,
     );
 
     // Partition shape: every wave re-merges and re-splits, and every
@@ -481,10 +486,6 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     assert!(
         stats.splits >= ((waves - 1) * (comps - 1)) as u64,
         "split smoke: too few splits for {waves} bridge waves: {stats:?}"
-    );
-    assert_eq!(
-        fused_stats.splits, 0,
-        "split smoke: merge-only ablation must never split: {fused_stats:?}"
     );
     assert_eq!(
         cache.budget_fallbacks, 0,
@@ -502,21 +503,12 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
          ({t_early:?} at wave 2 vs {t_late:?} at wave {waves})"
     );
 
-    if cores >= 4 {
-        assert!(
-            speedup >= 2.0,
-            "split smoke: the refining partition must drain ≥2x faster than \
-             the merge-only mega-shard on {cores} cores, got {speedup:.2}x \
-             ({t_split:?} vs {t_fused:?})"
-        );
-    } else {
-        let slack = (t_fused / 5).max(Duration::from_millis(2));
-        assert!(
-            t_split <= t_fused + slack,
-            "split smoke: refining partition fell behind merge-only on \
-             {cores} core(s) ({t_split:?} vs {t_fused:?} + {slack:?} slack)"
-        );
-    }
+    let slack = (t_single / 5).max(Duration::from_millis(2));
+    assert!(
+        t_split <= t_single + slack,
+        "split smoke: refining partition fell behind the single-shard engine on \
+         {cores} core(s) ({t_split:?} vs {t_single:?} + {slack:?} slack)"
+    );
     let slack = (t_split_serial / 5).max(Duration::from_millis(2));
     assert!(
         t_split <= t_split_serial + slack,
@@ -527,11 +519,11 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     format!(
         "{{\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \"waves\": {waves}, \
          \"cores\": {cores}, \"split_drain_ms\": {:.3}, \"split_serial_ms\": {:.3}, \
-         \"merge_only_drain_ms\": {:.3}, \"refinement_speedup\": {speedup:.3}, \
+         \"single_shard_drain_ms\": {:.3}, \"refinement_speedup\": {speedup:.3}, \
          \"wave2_ms\": {:.3}, \"last_wave_ms\": {:.3}, \"splits\": {}, \"merges\": {}}}\n",
         t_split.as_secs_f64() * 1e3,
         t_split_serial.as_secs_f64() * 1e3,
-        t_fused.as_secs_f64() * 1e3,
+        t_single.as_secs_f64() * 1e3,
         t_early.as_secs_f64() * 1e3,
         t_late.as_secs_f64() * 1e3,
         stats.splits,
@@ -608,5 +600,5 @@ fn main() {
     std::fs::write("BENCH_split.json", &json).expect("write BENCH_split.json");
     print!("churn_smoke: BENCH_split.json = {json}");
 
-    println!("churn smoke: heap timeline ahead on all groups");
+    println!("churn smoke: every guard held");
 }

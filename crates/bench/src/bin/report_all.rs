@@ -11,14 +11,13 @@
 //! `cargo run --release -p netbw-bench --bin report_all`
 
 use netbw::core::MyrinetModel;
-use netbw::fluid::EngineMode;
 use netbw::graph::schemes;
 use netbw::graph::units::MB;
 use netbw::prelude::*;
 use netbw::sim::NetworkBackend;
 use netbw_bench::{
     bridge_wave_churn, churn_stagger, churn_transfers, drain_churn_mode, fabric_model_pairs,
-    section, show, CHURN_SEED,
+    section, show, Engine, CHURN_SEED,
 };
 
 fn main() {
@@ -117,7 +116,7 @@ fn main() {
     section("Event-timeline stats (heap engine, 512-flow GigE churn drain)");
     let kind = ModelKind::GigabitEthernet;
     let transfers = churn_transfers(512, churn_stagger(kind));
-    let (done, cache, tl) = drain_churn_mode(kind.build(), &transfers, EngineMode::Event);
+    let (done, cache, tl) = drain_churn_mode(kind.build(), &transfers, Engine::Single);
     println!(
         "{done} completions | {} model queries ({} reuses) | {} heap pushes, \
          {} lazy pops, {} gate pushes, {} gate heap hits, {} rescans",

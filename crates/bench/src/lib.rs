@@ -11,11 +11,13 @@
 //! (see `ARCHITECTURE.md`); the Criterion benches in `benches/` measure
 //! the machinery underneath.
 
-use netbw::fluid::EngineMode;
+use netbw::eval::SweepExecutor;
+use netbw::fluid::{CacheStats, CompletedTransfer, ReferenceNetwork, TimelineStats};
 use netbw::graph::Communication;
 use netbw::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::{Arc, OnceLock};
 
 /// Prints a section header in the harness output.
 pub fn section(title: &str) {
@@ -188,9 +190,89 @@ pub fn churn_stagger(kind: ModelKind) -> f64 {
     }
 }
 
-/// Builds a fresh unit-parameter engine in the requested mode.
-pub fn churn_engine<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
-    mode.apply(FluidNetwork::new(model, NetworkParams::unit()))
+/// The fluid-engine configurations the benches time and the equivalence
+/// batteries pin bit for bit against [`ReferenceNetwork`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// The default engine: every flow in one shard.
+    Single,
+    /// Conflict-component shards, each settle barrier run serially.
+    Sharded,
+    /// Conflict-component shards, each settle barrier dispatched on a
+    /// shared two-thread [`SweepExecutor`].
+    Executor,
+}
+
+impl Engine {
+    /// Every configuration, default first.
+    pub const ALL: [Engine; 3] = [Engine::Single, Engine::Sharded, Engine::Executor];
+
+    /// Builds a fresh network of this configuration.
+    pub fn build<M: PenaltyModel>(self, model: M, params: NetworkParams) -> FluidNetwork<M> {
+        static EXECUTOR: OnceLock<Arc<SweepExecutor>> = OnceLock::new();
+        let net = FluidNetwork::new(model, params);
+        match self {
+            Engine::Single => net,
+            Engine::Sharded => net.with_sharded(),
+            Engine::Executor => net.with_sharded_dispatch(
+                EXECUTOR
+                    .get_or_init(|| Arc::new(SweepExecutor::new(2)))
+                    .clone(),
+            ),
+        }
+    }
+}
+
+/// The driving surface [`FluidNetwork`] and [`ReferenceNetwork`] share,
+/// so one scripted scenario runs through every engine configuration and
+/// the reference alike.
+pub trait Drive {
+    /// Starts a transfer at `start`.
+    fn add(&mut self, key: u64, comm: Communication, start: f64);
+    /// The next instant at which the network state changes, or `None`
+    /// when idle.
+    fn next_event_time(&mut self) -> Option<f64>;
+    /// Advances the clock to `t`, returning the transfers completed on the
+    /// way.
+    fn advance_to(&mut self, t: f64) -> Vec<CompletedTransfer>;
+
+    /// Advances until every transfer completes.
+    fn run_to_completion(&mut self) -> Vec<CompletedTransfer> {
+        let mut done = Vec::new();
+        while let Some(t) = self.next_event_time() {
+            done.extend(self.advance_to(t));
+        }
+        done
+    }
+}
+
+impl<M: PenaltyModel> Drive for FluidNetwork<M> {
+    fn add(&mut self, key: u64, comm: Communication, start: f64) {
+        FluidNetwork::add(self, key, comm, start);
+    }
+    fn next_event_time(&mut self) -> Option<f64> {
+        FluidNetwork::next_event_time(self)
+    }
+    fn advance_to(&mut self, t: f64) -> Vec<CompletedTransfer> {
+        FluidNetwork::advance_to(self, t)
+    }
+}
+
+impl<M: PenaltyModel> Drive for ReferenceNetwork<M> {
+    fn add(&mut self, key: u64, comm: Communication, start: f64) {
+        ReferenceNetwork::add(self, key, comm, start);
+    }
+    fn next_event_time(&mut self) -> Option<f64> {
+        ReferenceNetwork::next_event_time(self)
+    }
+    fn advance_to(&mut self, t: f64) -> Vec<CompletedTransfer> {
+        ReferenceNetwork::advance_to(self, t)
+    }
+}
+
+/// Builds a fresh unit-parameter engine of the requested configuration.
+pub fn churn_engine<M: PenaltyModel>(model: M, engine: Engine) -> FluidNetwork<M> {
+    engine.build(model, NetworkParams::unit())
 }
 
 /// A churn workload of `comps` disjoint conflict components: the
@@ -230,8 +312,8 @@ pub fn multi_component_churn(
 /// a wave's bridges are in flight the whole fabric is one conflict
 /// component; the bridges are sized to finish early in the wave, so the
 /// component breaks back into `comps` pieces long before the next wave
-/// re-bridges it. A merge-only partition therefore degrades to a single
-/// mega-shard on the first wave and stays there; a splitting partition
+/// re-bridges it. A partition that only merged would therefore fuse into
+/// one mega-shard on the first wave and stay there; a splitting partition
 /// returns to `comps` shards every wave. Intra-component flow lifetimes
 /// are matched to the wave length so the live population reaches a steady
 /// state instead of accumulating — the regime where per-settle cost
@@ -283,62 +365,55 @@ pub fn bridge_wave_churn(
     out
 }
 
-/// Drains a churn workload through a fresh `FluidNetwork`, returning the
-/// completion count and the cache stats. `full_recompute` selects the
-/// query-every-iteration oracle; `false` runs the default (heap) engine.
-pub fn drain_churn<M: PenaltyModel>(
-    model: M,
-    transfers: &[(u64, netbw::graph::Communication, f64)],
-    full_recompute: bool,
-) -> (usize, netbw::fluid::CacheStats) {
-    let mode = if full_recompute {
-        EngineMode::FullRecompute
-    } else {
-        EngineMode::Event
-    };
-    let (done, stats, _) = drain_churn_mode(model, transfers, mode);
-    (done, stats)
-}
-
-/// [`drain_churn`] with an explicit [`EngineMode`], also returning the
-/// event-timeline counters.
+/// Drains a churn workload through a fresh unit-parameter engine of the
+/// given configuration, returning the completion count, the cache stats
+/// and the event-timeline counters.
 pub fn drain_churn_mode<M: PenaltyModel>(
     model: M,
     transfers: &[(u64, netbw::graph::Communication, f64)],
-    mode: EngineMode,
-) -> (usize, netbw::fluid::CacheStats, netbw::fluid::TimelineStats) {
-    let mut net = churn_engine(model, mode);
-    for &(key, comm, start) in transfers {
-        net.add(key, comm, start);
-    }
-    let done = net.run_to_completion().len();
-    (done, net.cache_stats(), net.timeline_stats())
+    engine: Engine,
+) -> (usize, CacheStats, TimelineStats) {
+    drain_churn_prefix(model, transfers, engine, usize::MAX)
 }
 
 /// Drains only until `prefix` flows have completed (or the network runs
 /// dry), returning the completions actually collected. This is how the
-/// 100k-flow smoke group times the linear-scan baseline: a full linear
-/// drain over a 100k-slot slab is O(events x slots) and takes minutes,
+/// 100k-flow smoke group times the reference engine: a full reference
+/// drain over 100k queued flows is O(events x flows) and takes minutes,
 /// but a fixed completion prefix gives both engines the same measured
 /// work — every event up to the prefix'th completion.
 pub fn drain_churn_prefix<M: PenaltyModel>(
     model: M,
     transfers: &[(u64, netbw::graph::Communication, f64)],
-    mode: EngineMode,
+    engine: Engine,
     prefix: usize,
-) -> (usize, netbw::fluid::CacheStats, netbw::fluid::TimelineStats) {
-    let mut net = churn_engine(model, mode);
+) -> (usize, CacheStats, TimelineStats) {
+    let mut net = churn_engine(model, engine);
     let done = drain_prefix_into(&mut net, transfers, prefix);
     (done, net.cache_stats(), net.timeline_stats())
 }
 
+/// Drains a churn workload through a fresh unit-parameter
+/// [`ReferenceNetwork`] until `prefix` flows have completed (or it runs
+/// dry; pass `usize::MAX` for a full drain), returning the completion
+/// count and the reference's model queries.
+pub fn drain_reference<M: PenaltyModel>(
+    model: M,
+    transfers: &[(u64, netbw::graph::Communication, f64)],
+    prefix: usize,
+) -> (usize, u64) {
+    let mut net = ReferenceNetwork::new(model, NetworkParams::unit());
+    let done = drain_prefix_into(&mut net, transfers, prefix);
+    (done, net.model_queries())
+}
+
 /// Adds `transfers` to a prebuilt network and drains until `prefix` flows
 /// have completed (or the network runs dry), returning the completion
-/// count. The engine-agnostic core of [`drain_churn_prefix`] — the
-/// `shard_smoke` guard uses it directly so it can time networks carrying
-/// a custom settle dispatcher.
-pub fn drain_prefix_into<M: PenaltyModel>(
-    net: &mut FluidNetwork<M>,
+/// count. The engine-agnostic core of [`drain_churn_prefix`] and
+/// [`drain_reference`] — the `shard_smoke` guard uses it directly so it
+/// can time networks carrying a custom settle dispatcher.
+pub fn drain_prefix_into<N: Drive>(
+    net: &mut N,
     transfers: &[(u64, netbw::graph::Communication, f64)],
     prefix: usize,
 ) -> usize {
@@ -422,42 +497,56 @@ mod tests {
         assert!(mixed > 0, "no mixed steps in 60");
     }
 
+    /// `net`'s completions over `transfers` as sorted `(key, completion
+    /// bits)` pairs.
+    fn completion_bits<N: Drive>(
+        net: &mut N,
+        transfers: &[(u64, Communication, f64)],
+    ) -> Vec<(u64, u64)> {
+        for &(key, comm, start) in transfers {
+            net.add(key, comm, start);
+        }
+        let mut done: Vec<(u64, u64)> = net
+            .run_to_completion()
+            .iter()
+            .map(|c| (c.key, c.completion.to_bits()))
+            .collect();
+        done.sort_unstable();
+        done
+    }
+
+    fn reference_bits(transfers: &[(u64, Communication, f64)]) -> Vec<(u64, u64)> {
+        let model = GigabitEthernetModel::default();
+        completion_bits(
+            &mut ReferenceNetwork::new(model, NetworkParams::unit()),
+            transfers,
+        )
+    }
+
     #[test]
     fn mode_drains_agree_and_prefix_stops_early() {
         let transfers = churn_transfers(48, 25.0);
-        let heap = drain_churn_mode(
-            GigabitEthernetModel::default(),
-            &transfers,
-            EngineMode::Event,
-        );
-        let lin = drain_churn_mode(
-            GigabitEthernetModel::default(),
-            &transfers,
-            EngineMode::LinearTimeline,
-        );
-        let full = drain_churn_mode(
-            GigabitEthernetModel::default(),
-            &transfers,
-            EngineMode::FullRecompute,
-        );
-        let shard = drain_churn_mode(
-            GigabitEthernetModel::default(),
-            &transfers,
-            EngineMode::Sharded,
-        );
-        assert_eq!(heap.0, 48);
-        assert_eq!(lin.0, 48);
-        assert_eq!(full.0, 48);
-        assert_eq!(shard.0, 48);
-        assert!(heap.2.heap_pushes > 0, "{:?}", heap.2);
-        assert_eq!(lin.2.heap_pushes, 0, "{:?}", lin.2);
+        let expected = reference_bits(&transfers);
+        assert_eq!(expected.len(), 48);
+        for engine in Engine::ALL {
+            let mut net = churn_engine(GigabitEthernetModel::default(), engine);
+            assert_eq!(
+                completion_bits(&mut net, &transfers),
+                expected,
+                "{engine:?}"
+            );
+            assert!(net.timeline_stats().heap_pushes > 0, "{engine:?}");
+        }
         let (done, _, _) = drain_churn_prefix(
             GigabitEthernetModel::default(),
             &transfers,
-            EngineMode::Event,
+            Engine::Single,
             10,
         );
         assert!((10..48).contains(&done), "prefix drain got {done}");
+        let (ref_done, queries) = drain_reference(GigabitEthernetModel::default(), &transfers, 10);
+        assert_eq!(ref_done, done, "both stop at the same event");
+        assert!(queries > 0);
     }
 
     #[test]
@@ -493,29 +582,25 @@ mod tests {
         );
         assert_eq!(transfers, bridge_wave_churn(4, 8, 3, 10.0, CHURN_SEED));
 
-        let mut split = churn_engine(GigabitEthernetModel::default(), EngineMode::Sharded);
-        for &(key, comm, start) in &transfers {
-            split.add(key, comm, start);
+        let expected = reference_bits(&transfers);
+        assert_eq!(expected.len(), transfers.len());
+        for engine in Engine::ALL {
+            let mut net = churn_engine(GigabitEthernetModel::default(), engine);
+            assert_eq!(
+                completion_bits(&mut net, &transfers),
+                expected,
+                "{engine:?}"
+            );
+            let shape = net.shard_stats();
+            if engine == Engine::Single {
+                assert_eq!(shape, netbw::fluid::ShardStats::default(), "one shard");
+            } else {
+                // Every wave's bridge chain merges shards and its
+                // completion carves them back apart.
+                assert!(shape.merges >= (comps - 1) as u64, "{shape:?}");
+                assert!(shape.splits >= (comps - 1) as u64, "{shape:?}");
+            }
         }
-        let done = split.run_to_completion().len();
-        assert_eq!(done, transfers.len());
-        let refined = split.shard_stats();
-        // Every wave's bridge chain merges shards and its completion
-        // carves them back apart.
-        assert!(refined.merges >= (comps - 1) as u64, "{refined:?}");
-        assert!(refined.splits >= (comps - 1) as u64, "{refined:?}");
-
-        let mut fused = churn_engine(
-            GigabitEthernetModel::default(),
-            EngineMode::ShardedMergeOnly,
-        );
-        for &(key, comm, start) in &transfers {
-            fused.add(key, comm, start);
-        }
-        assert_eq!(fused.run_to_completion().len(), done);
-        let stats = fused.shard_stats();
-        assert_eq!(stats.splits, 0, "merge-only must never split: {stats:?}");
-        assert!(stats.merges >= (comps - 1) as u64, "{stats:?}");
     }
 
     #[test]

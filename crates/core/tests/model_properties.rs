@@ -200,3 +200,64 @@ proptest! {
         prop_assert_eq!(&patched, &model.penalties(&grown));
     }
 }
+
+/// Populations for the order-independence property: 1 to `max` flows on
+/// ten nodes, intra-node pairs included.
+fn arb_population(max: usize) -> impl Strategy<Value = Vec<Communication>> {
+    proptest::collection::vec((0u32..10, 0u32..10, 1u64..1000), 1..max + 1).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(s, d, size)| Communication::new(s, d, size))
+            .collect()
+    })
+}
+
+/// A seeded Fisher–Yates permutation of `0..n`.
+fn permutation(n: usize, seed: u64) -> Vec<usize> {
+    let mut state = seed;
+    let mut idx: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        idx.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    idx
+}
+
+/// Asserts that `model`'s penalties of the shuffled population are the
+/// shuffled penalties, bit for bit.
+fn assert_order_independent(model: &dyn PenaltyModel, comms: &[Communication], seed: u64) {
+    let base = model.penalties(comms);
+    let idx = permutation(comms.len(), seed);
+    let shuffled: Vec<Communication> = idx.iter().map(|&i| comms[i]).collect();
+    let penalties = model.penalties(&shuffled);
+    for (k, &i) in idx.iter().enumerate() {
+        assert_eq!(
+            penalties[k].value().to_bits(),
+            base[i].value().to_bits(),
+            "{}: flow {i} moved to position {k} of {comms:?}",
+            model.name()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// No model's penalties depend on the order of the population: the
+    /// fluid engines hand flows to the model in slab-slot order and the
+    /// reference engine in arrival order, and their completion times are
+    /// compared bit for bit.
+    #[test]
+    fn penalties_do_not_depend_on_population_order(
+        comms in arb_population(27),
+        seed in 0u64..1_000_000_000,
+        budget in 1usize..40,
+    ) {
+        assert_order_independent(&GigabitEthernetModel::default(), &comms, seed);
+        assert_order_independent(&InfinibandModel::default(), &comms, seed);
+        let few = &comms[..comms.len().min(20)];
+        assert_order_independent(&MyrinetModel::default(), few, seed);
+        assert_order_independent(&MyrinetModel::with_budget(budget), few, seed);
+    }
+}

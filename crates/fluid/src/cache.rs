@@ -73,7 +73,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Model queries that had to rebuild from scratch (first query, forced
-    /// full recomputes, or transitions no positional delta could explain).
+    /// rebuilds, or transitions no positional delta could explain).
     pub fn rebuild_queries(&self) -> u64 {
         self.model_queries - self.delta_queries
     }
@@ -305,9 +305,9 @@ impl PenaltyCache {
     }
 
     /// Marks the population as changed in a way no positional delta
-    /// describes: the next refresh issues a full rebuild query. Used by
-    /// [`crate::FluidNetwork::with_full_recompute`] and as the defensive
-    /// answer to any bookkeeping surprise.
+    /// describes: the next refresh issues a full rebuild query. Used when
+    /// two shards merge and as the defensive answer to any bookkeeping
+    /// surprise.
     pub fn invalidate_rebuild(&mut self) {
         self.stats.invalidations += 1;
         self.valid = false;
@@ -419,32 +419,6 @@ impl PenaltyCache {
         }
         (recycled_active, recycled_comms)
     }
-
-    /// The stateless oracle refresh used by
-    /// [`crate::FluidNetwork::with_full_recompute`]: one full model
-    /// evaluation, no delta, no scratch — exactly the pre-refactor
-    /// query-every-iteration behaviour, so the oracle's wall-clock stays
-    /// an honest baseline (it must not pay for scratch rebuilds it never
-    /// benefits from). Pending change sets are still consumed so they
-    /// cannot leak into a later delta.
-    pub fn refresh_full<M: PenaltyModel>(
-        &mut self,
-        model: &M,
-        active: Vec<FlowKey>,
-        comms: Vec<Communication>,
-    ) -> (Vec<FlowKey>, Vec<Communication>) {
-        debug_assert_eq!(active.len(), comms.len());
-        let _ = self.take_delta(&active);
-        self.penalties = model.penalties(&comms);
-        self.affected = AffectedSet::All;
-        debug_assert_eq!(self.penalties.len(), comms.len());
-        let recycled_active = std::mem::replace(&mut self.active, active);
-        let recycled_comms = std::mem::replace(&mut self.comms, comms);
-        self.valid = true;
-        self.settled_once = true;
-        self.stats.model_queries += 1;
-        (recycled_active, recycled_comms)
-    }
 }
 
 #[cfg(test)]
@@ -523,7 +497,7 @@ mod tests {
     fn mixed_batches_patch_incrementally() {
         // A departure and an arrival in the same settle reach the model as
         // one chained Mixed delta — and the model patches it instead of
-        // rebuilding, matching the full-recompute oracle bit-for-bit.
+        // rebuilding, matching a full model query bit-for-bit.
         let model = MyrinetModel::default();
         let mut all = comms();
         all.push(Communication::new(3u32, 4u32, 50));
@@ -608,7 +582,7 @@ mod tests {
         // query that re-enumerates it must show the blow-up in
         // `CacheStats::budget_fallbacks`, warm queries must still patch
         // (the fallback is decided per component), and the answers must
-        // match the full-recompute oracle exactly.
+        // match a full model query exactly.
         let model = MyrinetModel::with_budget(2);
         // One 4-flow component out of node 0 (4 state sets > 2).
         let all: Vec<Communication> = (0..5)

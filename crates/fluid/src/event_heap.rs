@@ -28,8 +28,8 @@
 //! ([`TimelineStats::gate_lazy_pops`]) exactly like a re-anchored
 //! completion entry.
 //!
-//! The full-recompute oracle mode keeps the linear scans (see
-//! `ARCHITECTURE.md`, "Event timeline"), which is what lets the
+//! The standalone [`crate::ReferenceNetwork`] keeps linear scans instead
+//! (see `ARCHITECTURE.md`, "Event timeline"), which is what lets the
 //! equivalence proptests pin the heap path bit-for-bit.
 
 use crate::slab::{FlowKey, Slab};
@@ -54,12 +54,11 @@ pub struct TimelineStats {
     pub gate_heap_hits: u64,
     /// Stale gate entries discarded on peek/pop — only shard splits make
     /// gate entries stale (migrating a gated flow re-pushes its gate under
-    /// a fresh epoch), so this stays 0 in the unsharded engines.
+    /// a fresh epoch), so this stays 0 in the single-shard engine.
     pub gate_lazy_pops: u64,
     /// Settles that fell back to re-syncing the whole active population
-    /// (an [`netbw_core::AffectedSet::All`] answer — full recomputes,
-    /// scratch rebuilds, budget fallbacks — and every settle of the
-    /// linear-timeline modes).
+    /// (an [`netbw_core::AffectedSet::All`] answer — first settles,
+    /// scratch rebuilds, budget fallbacks).
     pub rescans: u64,
 }
 

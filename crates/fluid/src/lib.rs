@@ -48,28 +48,31 @@
 //!   completion or latency-gate opening is a heap peek instead of a scan
 //!   over the population: an event costs O(affected + log n) end to end.
 //!
-//! [`FluidNetwork::with_full_recompute`] preserves the pre-refactor
-//! query-every-iteration, scan-every-event behaviour as a correctness
-//! oracle (the proptests assert bitwise-equal completions);
-//! [`FluidNetwork::with_linear_timeline`] keeps the incremental cache but
-//! scans instead of using the heaps, isolating the timeline's contribution
-//! for the benchmarks; [`FluidNetwork::with_sharded`] partitions the
-//! population into conflict-component [`shard`]s — each with its own cache,
-//! scratch and heaps — whose settles are independent and can be dispatched
-//! onto a parallel executor ([`dispatch`]), still bit-for-bit equal to the
-//! other modes because the penalty models are component-local (the
-//! Myrinet state-set budget is decided per conflict component too). The
-//! partition refines in both directions: bridging arrivals merge shards
-//! and component-splitting departures carve them back apart, so a
+//! The default engine keeps its cache and heaps in one shard;
+//! [`FluidNetwork::with_sharded`] partitions the population into
+//! conflict-component [`shard`]s — each with its own cache, scratch and
+//! heaps — whose settles are independent and can be dispatched onto a
+//! parallel executor ([`dispatch`]), still bit-for-bit equal to the
+//! single-shard engine because the penalty models are component-local
+//! (the Myrinet state-set budget is decided per conflict component too).
+//! The partition refines in both directions: bridging arrivals merge
+//! shards and component-splitting departures carve them back apart, so a
 //! long-lived churning population keeps its fine partition instead of
-//! degrading toward one mega-shard. [`EngineMode`] names the five
-//! variants for callers that choose one at run time.
+//! degrading toward one mega-shard.
+//!
+//! [`ReferenceNetwork`] is the test oracle: the §IV.B algorithm with a
+//! full model query per settle and linear scans per event, sharing only
+//! the re-anchor arithmetic with the engine. The
+//! equivalence proptests pin both engine configurations against it bit
+//! for bit.
 
 pub mod cache;
 pub mod dispatch;
 pub mod event_heap;
+mod kinetics;
 pub mod network;
 pub mod params;
+pub mod reference;
 pub mod shard;
 pub mod slab;
 pub mod solver;
@@ -78,8 +81,9 @@ pub mod timeline;
 pub use cache::{CacheStats, PenaltyCache};
 pub use dispatch::{SerialDispatch, SettleDispatch, SettleJob};
 pub use event_heap::TimelineStats;
-pub use network::{AddError, CompletedTransfer, EngineMode, FluidNetwork, TransferKey};
+pub use network::{AddError, CompletedTransfer, FluidNetwork, TransferKey};
 pub use params::NetworkParams;
+pub use reference::ReferenceNetwork;
 pub use shard::ShardStats;
 pub use slab::{FlowKey, Slab};
 pub use solver::{solve_scheme, FluidSolver, Phase, TransferResult};

@@ -1,5 +1,7 @@
-//! Component shards: per-conflict-component timelines and penalty caches
-//! for [`crate::FluidNetwork::with_sharded`].
+//! Component shards: per-conflict-component timelines and penalty caches.
+//! The default [`crate::FluidNetwork`] keeps its whole population in one
+//! `Shard`; [`crate::FluidNetwork::with_sharded`] keeps one per conflict
+//! component in a `ShardSet`.
 //!
 //! The penalty models are component-local (see
 //! [`netbw_core::components`]): flows in disjoint connected components of
@@ -95,13 +97,17 @@ pub(crate) struct Shard {
     pub(crate) cache: PenaltyCache,
     /// The shard's completion/gate heaps.
     pub(crate) events: EventHeaps,
-    /// Every flow ever assigned to this shard and not yet known-dead;
-    /// stale keys (completed flows) are compacted lazily before a rebuild
-    /// gather or a split. Only those two read this — warm settles stage
-    /// the population from the cache's pending change sets.
+    /// Every flow assigned to this shard and not yet known-dead. Stale
+    /// keys (completed flows) are compacted before a rebuild gather, in a
+    /// split, and by [`Self::note_departures`] once they could make up
+    /// half the list. Only gathers and splits read this — warm settles
+    /// stage the population from the cache's pending change sets.
     pub(crate) members: Vec<FlowKey>,
+    /// Members that departed since the list was last compacted — an upper
+    /// bound on its stale keys.
+    departures: usize,
     /// Staging buffer for the next refresh's population (recycled through
-    /// [`PenaltyCache::refresh`] like the unsharded engine's buffer).
+    /// [`PenaltyCache::refresh`]).
     pub(crate) staged: Vec<FlowKey>,
     /// Communications aligned with `staged` (same recycling).
     pub(crate) comms_buf: Vec<Communication>,
@@ -114,11 +120,12 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Shard {
             cache: PenaltyCache::new(),
             events: EventHeaps::default(),
             members: Vec::new(),
+            departures: 0,
             staged: Vec::new(),
             comms_buf: Vec::new(),
             version: 0,
@@ -128,11 +135,12 @@ impl Shard {
 
     /// An independent deep copy (cache via [`PenaltyCache::fork`], heaps
     /// entry-for-entry) that settles bit-for-bit like the original.
-    fn fork(&self) -> Shard {
+    pub(crate) fn fork(&self) -> Shard {
         Shard {
             cache: self.cache.fork(),
             events: self.events.clone(),
             members: self.members.clone(),
+            departures: self.departures,
             staged: self.staged.clone(),
             comms_buf: self.comms_buf.clone(),
             version: self.version,
@@ -143,14 +151,59 @@ impl Shard {
     /// [`Self::fork`] into an existing shard, reusing its allocations
     /// (cache via [`PenaltyCache::fork_into`], heaps via
     /// [`EventHeaps::fork_into`]). Bitwise identical outcome to `fork`.
-    fn fork_into(&self, target: &mut Shard) {
+    pub(crate) fn fork_into(&self, target: &mut Shard) {
         self.cache.fork_into(&mut target.cache);
         self.events.fork_into(&mut target.events);
         target.members.clone_from(&self.members);
+        target.departures = self.departures;
         target.staged.clone_from(&self.staged);
         target.comms_buf.clone_from(&self.comms_buf);
         target.version = self.version;
         target.dirty = self.dirty;
+    }
+
+    /// Returns the shard to its freshly built state while keeping its
+    /// allocations warm and its stats cumulative (see
+    /// [`PenaltyCache::reset`]).
+    pub(crate) fn reset(&mut self) {
+        self.cache.reset();
+        self.events.clear();
+        self.members.clear();
+        self.departures = 0;
+        self.dirty = false;
+    }
+
+    /// Takes in a just-added flow: a member from now on, contending at
+    /// once or waiting on its latency gate in the gate heap.
+    pub(crate) fn admit(&mut self, flow: FlowKey, contending: bool, gate: f64, epoch: u64) {
+        self.members.push(flow);
+        if contending {
+            self.cache.note_arrival(flow);
+        } else {
+            self.events.push_gate(gate, flow, epoch);
+        }
+    }
+
+    /// The shard's next event: its earliest live completion or gate.
+    pub(crate) fn next_event<T>(&mut self, slots: &Slab<T>) -> Option<f64> {
+        match (self.events.peek_finish(slots), self.events.peek_gate(slots)) {
+            (None, None) => None,
+            (Some(c), None) => Some(c),
+            (None, Some(g)) => Some(g),
+            (Some(c), Some(g)) => Some(c.min(g)),
+        }
+    }
+
+    /// Counts `departed` members that just left the slab, compacting the
+    /// member list once they could make up half of it — amortized O(1)
+    /// per departure, and the list never holds more than twice the
+    /// shard's live flows.
+    pub(crate) fn note_departures<T>(&mut self, departed: usize, slots: &Slab<T>) {
+        self.departures += departed;
+        if 2 * self.departures > self.members.len() {
+            self.members.retain(|&k| slots.contains(k));
+            self.departures = 0;
+        }
     }
 }
 
@@ -213,13 +266,8 @@ pub(crate) struct ShardSet {
     /// Timeline counters of drained/reset shards (merges fold the loser's
     /// counters into the winner's heaps directly).
     retired_timeline: TimelineStats,
-    /// Ablation switch: when set, departures are ignored entirely (the
-    /// tracker keeps every edge forever) and the partition only coarsens
-    /// — the pre-refinement behaviour, kept as the baseline the split
-    /// benchmarks compare against.
-    pub(crate) merge_only: bool,
     /// Settles served entirely from valid shard caches — the sharded
-    /// analogue of [`CacheStats::reuses`] on the unsharded engine.
+    /// analogue of [`CacheStats::reuses`] on the single-shard engine.
     reused_settles: u64,
     /// Scratch buffer for the candidate shards of one event.
     candidates: Vec<usize>,
@@ -266,9 +314,6 @@ impl ShardSet {
     /// retiring a drained shard, or splitting a disconnected one. Call
     /// after the flow's slot has left the slab.
     pub(crate) fn depart<S: SlotView>(&mut self, comm: &Communication, slots: &mut Slab<S>) {
-        if self.merge_only {
-            return;
-        }
         match self.tracker.remove(comm.src, comm.dst) {
             ComponentRemoval::Shrunk { old_root, root } => {
                 if old_root != root {
@@ -320,6 +365,7 @@ impl ShardSet {
             });
         }
         let kept = self.shards[id].as_mut().expect("split shard is live");
+        kept.departures = 0;
         let mut sp_cache = kept.cache.fork();
         // The kept cache keeps the history; the splinter's starts now.
         sp_cache.clear_stats();
@@ -412,6 +458,7 @@ impl ShardSet {
         self.retired_cache.absorb(loser_shard.cache.stats());
         let w = self.shards[winner].as_mut().expect("winning shard is live");
         w.members.extend(loser_shard.members);
+        w.departures += loser_shard.departures;
         w.events.append(loser_shard.events);
         w.cache.invalidate_rebuild();
         // The loser's global entries go stale by its slot retiring; the
@@ -471,11 +518,8 @@ impl ShardSet {
     pub(crate) fn refresh_next<T>(&mut self, id: usize, slots: &Slab<T>) {
         let sh = self.shards[id].as_mut().expect("shard is live");
         sh.version += 1;
-        let next = match (sh.events.peek_finish(slots), sh.events.peek_gate(slots)) {
-            (None, None) => return,
-            (Some(c), None) => c,
-            (None, Some(g)) => g,
-            (Some(c), Some(g)) => c.min(g),
+        let Some(next) = sh.next_event(slots) else {
+            return;
         };
         self.next_events.push(ShardNext {
             time: next,
@@ -542,6 +586,16 @@ impl ShardSet {
         stats
     }
 
+    /// Member keys held across every live shard, stale ones included.
+    #[cfg(test)]
+    pub(crate) fn member_count(&self) -> usize {
+        self.shards
+            .iter()
+            .flatten()
+            .map(|sh| sh.members.len())
+            .sum()
+    }
+
     /// Aggregated timeline counters: live shards plus retired ones.
     pub(crate) fn timeline_stats(&self) -> TimelineStats {
         let mut stats = self.retired_timeline;
@@ -570,7 +624,6 @@ impl ShardSet {
             next_events: self.next_events.clone(),
             retired_cache: self.retired_cache,
             retired_timeline: self.retired_timeline,
-            merge_only: self.merge_only,
             reused_settles: self.reused_settles,
             candidates: Vec::new(),
             splits: self.splits,
@@ -604,7 +657,6 @@ impl ShardSet {
         target.next_events.clone_from(&self.next_events);
         target.retired_cache = self.retired_cache;
         target.retired_timeline = self.retired_timeline;
-        target.merge_only = self.merge_only;
         target.reused_settles = self.reused_settles;
         target.candidates.clear();
         target.splits = self.splits;
@@ -615,7 +667,7 @@ impl ShardSet {
     /// Drops every shard and the component structure while folding their
     /// counters into the retired accumulators — stats (including the
     /// partition-shape counters) stay cumulative across resets, exactly
-    /// like the unsharded engine's. The engine also calls this as the
+    /// like the single-shard engine's. The engine also calls this as the
     /// quiescent barrier when the flow population drains to empty.
     pub(crate) fn reset(&mut self) {
         for sh in self.shards.iter().flatten() {

@@ -253,6 +253,65 @@ impl<T> Slab<T> {
     }
 }
 
+/// The entry access one shard's settle needs. The single-shard engine
+/// settles straight through its [`Slab`]; the sharded engine's parallel
+/// barrier jobs go through a [`JobSlots`] view instead — so the one settle
+/// body serves both without the safe path ever touching a raw pointer.
+pub(crate) trait SlotAccess<T> {
+    /// True when `key` names a live entry.
+    fn is_live(&self, key: FlowKey) -> bool;
+    /// Mutable access to the live entry named by `key`.
+    fn get_mut(&mut self, key: FlowKey) -> Option<&mut T>;
+    /// Bumps and returns the live entry's epoch stamp.
+    fn bump_epoch(&mut self, key: FlowKey) -> Option<u64>;
+}
+
+impl<T> SlotAccess<T> for Slab<T> {
+    fn is_live(&self, key: FlowKey) -> bool {
+        self.contains(key)
+    }
+    fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
+        Slab::get_mut(self, key)
+    }
+    fn bump_epoch(&mut self, key: FlowKey) -> Option<u64> {
+        Slab::bump_epoch(self, key)
+    }
+}
+
+/// One parallel settle job's [`SlotAccess`]: a [`RawSlots`] view whose
+/// user touches only its own shard's member keys.
+pub(crate) struct JobSlots<T>(RawSlots<T>);
+
+impl<T> JobSlots<T> {
+    /// Scopes `raw` to one settle job.
+    ///
+    /// # Safety
+    /// For the job's whole lifetime the slab stays structurally frozen,
+    /// and the job passes only the keys of its own shard's members, which
+    /// no other concurrent user of the same slab holds (see
+    /// [`RawSlots`]).
+    pub(crate) unsafe fn new(raw: RawSlots<T>) -> Self {
+        JobSlots(raw)
+    }
+}
+
+impl<T> SlotAccess<T> for JobSlots<T> {
+    fn is_live(&self, key: FlowKey) -> bool {
+        // SAFETY: the constructor's contract; probing a stale key reads
+        // only the generation stamp, which no job writes.
+        unsafe { self.0.contains(key) }
+    }
+    fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
+        // SAFETY: the constructor's contract; the borrow is scoped to
+        // `&mut self`, so no two borrows of one entry coexist.
+        unsafe { self.0.get_mut(key) }
+    }
+    fn bump_epoch(&mut self, key: FlowKey) -> Option<u64> {
+        // SAFETY: the constructor's contract — the job owns `key`.
+        unsafe { self.0.bump_epoch(key) }
+    }
+}
+
 /// Unchecked entry access into a [`Slab`] from concurrently running settle
 /// jobs, justified by partition disjointness: the sharded engine's jobs
 /// each touch only the keys of their own shard's members, and distinct

@@ -1,43 +1,34 @@
-//! End-to-end equivalence of the incremental fluid engine against the
-//! full-recompute oracle, plus the `PopulationDelta` edge cases the slab
-//! refactor must not regress: empty (cancelled) deltas, simultaneous
-//! arrival+departure of the same endpoint pair (now served as a chained
-//! mixed delta), and completion-batch ordering. Schedules come from the
-//! shared churn generator in `netbw-bench` — the same source the churn
-//! bench and the `churn_smoke` CI guard draw from.
+//! End-to-end equivalence of the fluid engine against the standalone
+//! §IV.B `ReferenceNetwork`, plus the `PopulationDelta` edge cases the
+//! slab refactor must not regress: empty (cancelled) deltas, simultaneous
+//! arrival+departure of the same endpoint pair (served as a chained mixed
+//! delta), and completion-batch ordering. Every engine configuration —
+//! one shard, shards on serial dispatch, shards on the work-stealing
+//! executor — must match the reference bit for bit. Schedules come from
+//! the shared churn generator in `netbw-bench` — the same source the
+//! churn bench and the `churn_smoke` CI guard draw from.
 
-use netbw_bench::{bridge_wave_churn, churn_transfers_seeded, multi_component_churn};
+use netbw_bench::{
+    bridge_wave_churn, churn_transfers_seeded, multi_component_churn, Drive, Engine,
+};
 use netbw_core::{GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel};
 use netbw_eval::SweepExecutor;
-use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams, TimelineStats};
+use netbw_fluid::{CacheStats, FluidNetwork, NetworkParams, ReferenceNetwork, TimelineStats};
 use netbw_graph::Communication;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Every engine configuration under test: the event-heap timeline
-/// (default), the pre-heap linear scans over the incremental cache, the
-/// pre-refactor full-recompute oracle, the component-sharded engine (one
-/// cache + scratch + timeline per conflict component), and the sharded
-/// engine with departure-driven splitting disabled — the refinement
-/// ablation, equally bound by bitwise equality.
-const MODES: [EngineMode; 5] = [
-    EngineMode::Event,
-    EngineMode::LinearTimeline,
-    EngineMode::FullRecompute,
-    EngineMode::Sharded,
-    EngineMode::ShardedMergeOnly,
-];
+fn params() -> NetworkParams {
+    NetworkParams::new(2.0, 0.25)
+}
 
-fn build<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
-    mode.apply(FluidNetwork::new(model, NetworkParams::new(2.0, 0.25)))
+fn build<M: PenaltyModel>(model: M, engine: Engine) -> FluidNetwork<M> {
+    engine.build(model, params())
 }
 
 /// Adds `transfers` (sorted by start) and drains the network, returning
 /// `(key, completion)` sorted by key.
-fn drain_into<M: PenaltyModel>(
-    net: &mut FluidNetwork<M>,
-    transfers: &[(u64, Communication, f64)],
-) -> Vec<(u64, f64)> {
+fn drain_into<N: Drive>(net: &mut N, transfers: &[(u64, Communication, f64)]) -> Vec<(u64, f64)> {
     let mut sorted = transfers.to_vec();
     sorted.sort_by(|a, b| a.2.total_cmp(&b.2));
     for &(key, comm, start) in &sorted {
@@ -52,18 +43,57 @@ fn drain_into<M: PenaltyModel>(
     done
 }
 
-/// Drains `transfers` through a fresh network in the given mode, returning
-/// `(key, completion)` sorted by key, plus the cache and timeline stats.
+/// Drains `transfers` through a fresh engine, returning `(key,
+/// completion)` sorted by key, plus the cache and timeline stats.
 fn drain<M: PenaltyModel>(
     model: M,
     transfers: &[(u64, Communication, f64)],
-    mode: EngineMode,
-) -> (Vec<(u64, f64)>, netbw_fluid::CacheStats, TimelineStats) {
-    let mut net = build(model, mode);
+    engine: Engine,
+) -> (Vec<(u64, f64)>, CacheStats, TimelineStats) {
+    let mut net = build(model, engine);
     let done = drain_into(&mut net, transfers);
     let stats = net.cache_stats();
     let timeline = net.timeline_stats();
     (done, stats, timeline)
+}
+
+/// Drains `transfers` through the reference, returning `(key,
+/// completion)` sorted by key, plus its model queries.
+fn reference<M: PenaltyModel>(
+    model: M,
+    transfers: &[(u64, Communication, f64)],
+) -> (Vec<(u64, f64)>, u64) {
+    let mut net = ReferenceNetwork::new(model, params());
+    let done = drain_into(&mut net, transfers);
+    (done, net.model_queries())
+}
+
+/// Asserts two `(key, completion)` lists are bitwise equal.
+fn assert_bitwise(a: &[(u64, f64)], b: &[(u64, f64)], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}");
+    for (&(ka, ta), &(kb, tb)) in a.iter().zip(b) {
+        assert_eq!(ka, kb, "{context}");
+        assert_eq!(
+            ta.to_bits(),
+            tb.to_bits(),
+            "{context}, key {ka}: {ta} vs {tb}"
+        );
+    }
+}
+
+/// Asserts every engine configuration drains `transfers` bitwise like
+/// the reference, returning the reference's completions.
+fn assert_engines_match_reference<M: PenaltyModel>(
+    model: impl Fn() -> M,
+    transfers: &[(u64, Communication, f64)],
+) -> Vec<(u64, f64)> {
+    let (expected, _) = reference(model(), transfers);
+    assert_eq!(expected.len(), transfers.len(), "reference lost flows");
+    for engine in Engine::ALL {
+        let (done, ..) = drain(model(), transfers, engine);
+        assert_bitwise(&done, &expected, &format!("{engine:?} vs reference"));
+    }
+    expected
 }
 
 /// Schedules from the shared churn generator: seeded bounded-degree
@@ -77,61 +107,42 @@ fn arb_transfers() -> impl Strategy<Value = Vec<(u64, Communication, f64)>> {
 }
 
 proptest! {
-    /// Heap timeline == linear scans == full recompute == component-sharded
-    /// on random churn for all three specialized models: identical
-    /// completion times (bitwise — the four modes share the anchored-finish
-    /// arithmetic and the penalties are bit-for-bit equal because every
-    /// model is component-local, so the cached finish times are too), with
-    /// the incremental engine issuing no more model queries, every settle
-    /// after the first reaching the model as a positional delta (mixed
-    /// batches included), and every offered delta actually patched.
+    /// Every engine configuration == the reference on random churn for
+    /// all three specialized models: identical completion times (bitwise
+    /// — they share the anchored-finish arithmetic and the penalties are
+    /// bit-for-bit equal because every model is component-local and
+    /// order-independent), with the single-shard engine issuing no more
+    /// model queries than the reference, every settle after the first
+    /// reaching the model as a positional delta (mixed batches included),
+    /// and every offered delta actually patched.
     #[test]
     fn heap_engine_matches_linear_oracle_and_sharded_on_random_churn(
         transfers in arb_transfers(),
     ) {
         macro_rules! check {
             ($model:expr) => {{
-                let (fast, fast_stats, fast_timeline) = drain($model, &transfers, EngineMode::Event);
-                let (lin, _, lin_timeline) = drain($model, &transfers, EngineMode::LinearTimeline);
-                let (slow, slow_stats, _) = drain($model, &transfers, EngineMode::FullRecompute);
-                let (shard, shard_stats, shard_timeline) =
-                    drain($model, &transfers, EngineMode::Sharded);
-                prop_assert_eq!(fast.len(), slow.len());
-                prop_assert_eq!(fast.len(), lin.len());
-                prop_assert_eq!(fast.len(), shard.len());
-                for ((&(ka, ta), &(kl, tl)), &(kb, tb)) in fast.iter().zip(&lin).zip(&slow) {
-                    prop_assert_eq!(ka, kb);
-                    prop_assert_eq!(ka, kl);
-                    prop_assert_eq!(ta.to_bits(), tb.to_bits(),
-                        "heap vs oracle, key {}: {} vs {}", ka, ta, tb);
-                    prop_assert_eq!(ta.to_bits(), tl.to_bits(),
-                        "heap vs linear, key {}: {} vs {}", ka, ta, tl);
+                let (expected, oracle_queries) = reference($model, &transfers);
+                prop_assert_eq!(expected.len(), transfers.len());
+                for engine in Engine::ALL {
+                    let (done, stats, timeline) = drain($model, &transfers, engine);
+                    assert_bitwise(&done, &expected, &format!("{engine:?} vs reference"));
+                    // every engine anchors every flow in some heap and
+                    // settles each cache at least once
+                    prop_assert!(timeline.heap_pushes >= transfers.len() as u64,
+                        "{:?}: every flow anchors at least once: {:?}", engine, timeline);
+                    prop_assert!(timeline.lazy_pops <= timeline.heap_pushes,
+                        "{:?}: {:?}", engine, timeline);
+                    prop_assert!(stats.rebuild_queries() >= 1, "{:?}: {:?}", engine, stats);
+                    if engine == Engine::Single {
+                        prop_assert!(stats.model_queries <= oracle_queries);
+                        prop_assert!(stats.rebuild_queries() <= 1,
+                            "only the first settle may rebuild: {:?}", stats);
+                        prop_assert_eq!(stats.patched_queries, stats.delta_queries,
+                            "every offered delta must be patched at these sizes: {:?}", stats);
+                        // the only full resync is the first settle's rebuild
+                        prop_assert_eq!(timeline.rescans, 1, "{:?}", timeline);
+                    }
                 }
-                for (&(ka, ta), &(ks, ts)) in fast.iter().zip(&shard) {
-                    prop_assert_eq!(ka, ks);
-                    prop_assert_eq!(ta.to_bits(), ts.to_bits(),
-                        "heap vs sharded, key {}: {} vs {}", ka, ta, ts);
-                }
-                // the sharded engine anchors every flow in some shard's heap
-                // and settles each shard's cache at least once
-                prop_assert!(shard_timeline.heap_pushes >= transfers.len() as u64,
-                    "{:?}", shard_timeline);
-                prop_assert!(shard_stats.rebuild_queries() >= 1, "{:?}", shard_stats);
-                prop_assert!(fast_stats.model_queries <= slow_stats.model_queries);
-                prop_assert!(fast_stats.rebuild_queries() <= 1,
-                    "only the first settle may rebuild: {:?}", fast_stats);
-                prop_assert_eq!(fast_stats.patched_queries, fast_stats.delta_queries,
-                    "every offered delta must be patched at these sizes: {:?}", fast_stats);
-                // heap hygiene: stale entries never outnumber pushes, the
-                // only full resync is the first settle's rebuild, and the
-                // linear ablation never touches the heaps
-                prop_assert!(fast_timeline.lazy_pops <= fast_timeline.heap_pushes,
-                    "{:?}", fast_timeline);
-                prop_assert!(fast_timeline.heap_pushes >= transfers.len() as u64,
-                    "every flow anchors at least once: {:?}", fast_timeline);
-                prop_assert_eq!(fast_timeline.rescans, 1, "{:?}", fast_timeline);
-                prop_assert_eq!(lin_timeline.heap_pushes, 0, "{:?}", lin_timeline);
-                prop_assert_eq!(lin_timeline.gate_pushes, 0, "{:?}", lin_timeline);
             }};
         }
         check!(GigabitEthernetModel::default());
@@ -142,47 +153,46 @@ proptest! {
     /// Pure time advances are free in the anchored arithmetic: draining
     /// the same schedule through arbitrary fixed-step `advance_to` targets
     /// (which cut the timeline at non-event instants) yields bitwise the
-    /// same completions as the event-driven drain, and the stepping does
-    /// not disturb the heap (no extra pushes: probes never re-anchor).
+    /// same completions as the reference's event-driven drain, in every
+    /// engine, and the stepping does not disturb the heaps (no extra
+    /// pushes: probes never re-anchor).
     #[test]
     fn stepped_time_advances_do_not_perturb_the_heap_timeline(
         transfers in arb_transfers(),
         step_denom in 3u32..17,
     ) {
-        let (event_driven, _, event_timeline) =
-            drain(MyrinetModel::default(), &transfers, EngineMode::Event);
+        let (event_driven, _) = reference(MyrinetModel::default(), &transfers);
         let horizon = event_driven.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-        let mut net = build(MyrinetModel::default(), EngineMode::Event);
-        let mut sorted = transfers.clone();
-        sorted.sort_by(|a, b| a.2.total_cmp(&b.2));
-        for &(key, comm, start) in &sorted {
-            net.add(key, comm, start);
+        for engine in Engine::ALL {
+            let (_, _, event_timeline) = drain(MyrinetModel::default(), &transfers, engine);
+            let mut net = build(MyrinetModel::default(), engine);
+            let mut sorted = transfers.clone();
+            sorted.sort_by(|a, b| a.2.total_cmp(&b.2));
+            for &(key, comm, start) in &sorted {
+                net.add(key, comm, start);
+            }
+            let mut done: Vec<(u64, f64)> = Vec::new();
+            for k in 1..=step_denom {
+                let t = horizon * f64::from(k) / f64::from(step_denom);
+                done.extend(net.advance_to(t).into_iter().map(|c| (c.key, c.completion)));
+            }
+            // mop up float shortfall at the horizon
+            done.extend(net.run_to_completion().into_iter().map(|c| (c.key, c.completion)));
+            done.sort_by_key(|&(k, _)| k);
+            assert_bitwise(&done, &event_driven, &format!("stepped {engine:?} vs reference"));
+            let stepped_timeline = net.timeline_stats();
+            prop_assert_eq!(stepped_timeline.heap_pushes, event_timeline.heap_pushes,
+                "{:?}: probe boundaries must not re-anchor: {:?} vs {:?}",
+                engine, stepped_timeline, event_timeline);
         }
-        let mut done: Vec<(u64, f64)> = Vec::new();
-        for k in 1..=step_denom {
-            let t = horizon * f64::from(k) / f64::from(step_denom);
-            done.extend(net.advance_to(t).into_iter().map(|c| (c.key, c.completion)));
-        }
-        // mop up float shortfall at the horizon
-        done.extend(net.run_to_completion().into_iter().map(|c| (c.key, c.completion)));
-        done.sort_by_key(|&(k, _)| k);
-        prop_assert_eq!(done.len(), event_driven.len());
-        for (&(ka, ta), &(kb, tb)) in done.iter().zip(&event_driven) {
-            prop_assert_eq!(ka, kb);
-            prop_assert_eq!(ta.to_bits(), tb.to_bits(), "key {}: {} vs {}", ka, ta, tb);
-        }
-        let stepped_timeline = net.timeline_stats();
-        prop_assert_eq!(stepped_timeline.heap_pushes, event_timeline.heap_pushes,
-            "probe boundaries must not re-anchor: {:?} vs {:?}",
-            stepped_timeline, event_timeline);
     }
 
     /// A delta that bridges two components mid-settle: two disjoint
     /// node-offset copies of the churn schedule, plus one extra flow whose
     /// endpoints straddle the copies, arriving anywhere from before the
-    /// first gate to past the stagger horizon. The sharded engine merges
-    /// the two shards at that settle (the winner rebuilds); all four modes
-    /// must still agree bitwise on all three models.
+    /// first gate to past the stagger horizon. The sharded engines merge
+    /// the two shards at that settle (the winner rebuilds); every engine
+    /// must still match the reference bitwise on all three models.
     #[test]
     fn bridging_delta_agrees_across_all_modes(
         seed in 0u64..1_000_000,
@@ -199,40 +209,16 @@ proptest! {
         let bridge = Communication::new(sa % nodes, nodes + sb % nodes, 4_000);
         let bridge_start = stagger * flows as f64 * f64::from(bridge_pct) / 100.0;
         transfers.push((key, bridge, bridge_start));
-        macro_rules! check {
-            ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, EngineMode::Event);
-                let (lin, _, _) = drain($model, &transfers, EngineMode::LinearTimeline);
-                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
-                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
-                prop_assert_eq!(fast.len(), transfers.len());
-                prop_assert_eq!(fast.len(), lin.len());
-                prop_assert_eq!(fast.len(), slow.len());
-                prop_assert_eq!(fast.len(), shard.len());
-                for (((&(ka, ta), &(_, tl)), &(_, tb)), &(_, ts)) in
-                    fast.iter().zip(&lin).zip(&slow).zip(&shard)
-                {
-                    prop_assert_eq!(ta.to_bits(), tl.to_bits(),
-                        "heap vs linear, key {}: {} vs {}", ka, ta, tl);
-                    prop_assert_eq!(ta.to_bits(), tb.to_bits(),
-                        "heap vs oracle, key {}: {} vs {}", ka, ta, tb);
-                    prop_assert_eq!(ta.to_bits(), ts.to_bits(),
-                        "heap vs sharded, key {}: {} vs {}", ka, ta, ts);
-                }
-            }};
-        }
-        check!(GigabitEthernetModel::default());
-        check!(MyrinetModel::default());
-        check!(InfinibandModel::default());
+        assert_engines_match_reference(GigabitEthernetModel::default, &transfers);
+        assert_engines_match_reference(MyrinetModel::default, &transfers);
+        assert_engines_match_reference(InfinibandModel::default, &transfers);
     }
 
     /// Mid-run component splits: the bridge-wave workload merges the
     /// partition every wave and carves it back apart when the bridges
     /// complete, so the splitting machinery (slab-key partitioning, cache
-    /// forks, heap rebuilds, slot reuse) runs continuously mid-drain. All
-    /// five modes — including the merge-only ablation, whose partition
-    /// shape differs — must agree bitwise on all three models, because a
-    /// union of components is still a safe partition cell.
+    /// forks, heap rebuilds, slot reuse) runs continuously mid-drain.
+    /// Every engine must match the reference bitwise on all three models.
     #[test]
     fn bridge_wave_splits_agree_across_all_modes(
         seed in 0u64..1_000_000,
@@ -243,32 +229,14 @@ proptest! {
     ) {
         let stagger = [0.5, 5.0, 40.0][stagger_pick];
         let transfers = bridge_wave_churn(comps, flows_per_comp, waves, stagger, seed);
-        macro_rules! check {
-            ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, EngineMode::Event);
-                let (lin, _, _) = drain($model, &transfers, EngineMode::LinearTimeline);
-                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
-                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
-                let (fused, _, _) = drain($model, &transfers, EngineMode::ShardedMergeOnly);
-                prop_assert_eq!(fast.len(), transfers.len());
-                for modeled in [&lin, &slow, &shard, &fused] {
-                    prop_assert_eq!(fast.len(), modeled.len());
-                    for (&(ka, ta), &(kb, tb)) in fast.iter().zip(modeled) {
-                        prop_assert_eq!(ka, kb);
-                        prop_assert_eq!(ta.to_bits(), tb.to_bits(),
-                            "key {}: {} vs {}", ka, ta, tb);
-                    }
-                }
-            }};
-        }
-        check!(GigabitEthernetModel::default());
-        check!(MyrinetModel::default());
-        check!(InfinibandModel::default());
+        assert_engines_match_reference(GigabitEthernetModel::default, &transfers);
+        assert_engines_match_reference(MyrinetModel::default, &transfers);
+        assert_engines_match_reference(InfinibandModel::default, &transfers);
 
-        // The refining engine must have actually exercised the partition:
+        // The sharded engine must have actually exercised the partition:
         // every wave's bridge chain coarsens it, and (stagger permitting)
         // its completion refines it back.
-        let mut net = build(GigabitEthernetModel::default(), EngineMode::Sharded);
+        let mut net = build(GigabitEthernetModel::default(), Engine::Sharded);
         drain_into(&mut net, &transfers);
         let stats = net.shard_stats();
         prop_assert!(
@@ -280,8 +248,9 @@ proptest! {
     /// Split-then-rebridge round-trips: two components joined and re-joined
     /// by a sequence of short bridges, each gone before the next arrives.
     /// The partition round-trips merged → split → merged; the kept shard
-    /// and the splinter must stay interchangeable with the fused modes at
-    /// every step — bitwise, on all three models.
+    /// and the splinter must stay interchangeable with the single shard at
+    /// every step — all bitwise equal to the reference, on all three
+    /// models.
     #[test]
     fn split_rebridge_round_trips_agree_across_all_modes(
         seed in 0u64..1_000_000,
@@ -300,27 +269,31 @@ proptest! {
             let bridge = Communication::new(sa % nodes, nodes + sb % nodes, 20);
             transfers.push((key, bridge, horizon * r as f64 / bridges as f64));
         }
-        macro_rules! check {
-            ($model:expr) => {{
-                let (fast, _, _) = drain($model, &transfers, EngineMode::Event);
-                let (slow, _, _) = drain($model, &transfers, EngineMode::FullRecompute);
-                let (shard, _, _) = drain($model, &transfers, EngineMode::Sharded);
-                let (fused, _, _) = drain($model, &transfers, EngineMode::ShardedMergeOnly);
-                prop_assert_eq!(fast.len(), transfers.len());
-                for modeled in [&slow, &shard, &fused] {
-                    prop_assert_eq!(fast.len(), modeled.len());
-                    for (&(ka, ta), &(kb, tb)) in fast.iter().zip(modeled) {
-                        prop_assert_eq!(ka, kb);
-                        prop_assert_eq!(ta.to_bits(), tb.to_bits(),
-                            "key {}: {} vs {}", ka, ta, tb);
-                    }
-                }
-            }};
-        }
-        check!(GigabitEthernetModel::default());
-        check!(MyrinetModel::default());
-        check!(InfinibandModel::default());
+        assert_engines_match_reference(GigabitEthernetModel::default, &transfers);
+        assert_engines_match_reference(MyrinetModel::default, &transfers);
+        assert_engines_match_reference(InfinibandModel::default, &transfers);
     }
+}
+
+/// The scripted zero-size scenario: a zero-size flow flashing at t=0
+/// next to a 100-byte one, then another landing exactly on the 100-byte
+/// flow's completion instant.
+fn zero_size_script<N: Drive>(mut net: N) -> Vec<(u64, f64)> {
+    net.add(0, Communication::new(0u32, 1u32, 100), 0.0);
+    net.add(1, Communication::new(0u32, 2u32, 0), 0.0); // flashes at t=0
+    let mut done: Vec<(u64, f64)> = net
+        .advance_to(50.0)
+        .into_iter()
+        .map(|c| (c.key, c.completion))
+        .collect();
+    net.add(2, Communication::new(2u32, 3u32, 0), 100.0); // lands on 0's completion
+    done.extend(
+        net.run_to_completion()
+            .into_iter()
+            .map(|c| (c.key, c.completion)),
+    );
+    done.sort_by_key(|&(k, _)| k);
+    done
 }
 
 #[test]
@@ -328,49 +301,26 @@ fn zero_size_transfers_complete_at_their_gate_in_all_modes() {
     // `remaining <= eps` at arrival: the flow anchors with its finish time
     // equal to the settle instant and completes in the same event step —
     // including one landing exactly on another flow's completion instant.
-    // All three timelines must agree bitwise.
-    let mut results = Vec::new();
-    for mode in MODES {
-        let mut net = mode.apply(FluidNetwork::new(
-            MyrinetModel::default(),
-            NetworkParams::new(1.0, 0.0),
-        ));
-        net.add(0, Communication::new(0u32, 1u32, 100), 0.0);
-        net.add(1, Communication::new(0u32, 2u32, 0), 0.0); // flashes at t=0
-        let mut done: Vec<(u64, f64)> = net
-            .advance_to(50.0)
-            .into_iter()
-            .map(|c| (c.key, c.completion))
-            .collect();
-        net.add(2, Communication::new(2u32, 3u32, 0), 100.0); // lands on 0's completion
-        done.extend(
-            net.run_to_completion()
-                .into_iter()
-                .map(|c| (c.key, c.completion)),
-        );
-        done.sort_by_key(|&(k, _)| k);
-        assert_eq!(done.len(), 3, "{mode:?}");
-        assert_eq!(done[1].1, 0.0, "{mode:?}: zero-size completes at its gate");
-        assert!((done[0].1 - 100.0).abs() < 1e-9, "{mode:?}: {done:?}");
-        assert_eq!(
-            done[2].1, done[0].1,
-            "{mode:?}: flash at the completion instant"
-        );
-        results.push(done);
-    }
-    let heap = &results[0];
-    for (done, mode) in results[1..].iter().zip(&MODES[1..]) {
-        for (&(ka, ta), &(kb, tb)) in heap.iter().zip(done) {
-            assert_eq!(ka, kb, "{mode:?}");
-            assert_eq!(ta.to_bits(), tb.to_bits(), "heap vs {mode:?}, key {ka}");
-        }
+    // Every engine must agree with the reference bitwise.
+    let params = NetworkParams::new(1.0, 0.0);
+    let expected = zero_size_script(ReferenceNetwork::new(MyrinetModel::default(), params));
+    assert_eq!(expected.len(), 3);
+    assert_eq!(expected[1].1, 0.0, "zero-size completes at its gate");
+    assert!((expected[0].1 - 100.0).abs() < 1e-9, "{expected:?}");
+    assert_eq!(
+        expected[2].1, expected[0].1,
+        "flash at the completion instant"
+    );
+    for engine in Engine::ALL {
+        let done = zero_size_script(engine.build(MyrinetModel::default(), params));
+        assert_bitwise(&done, &expected, &format!("{engine:?} vs reference"));
     }
 }
 
 #[test]
 fn reset_network_replays_the_heap_timeline_bit_for_bit() {
-    // Network reuse across drains (the FluidSolver pattern): a reset heap
-    // engine must hand back exactly what a fresh one would — the cleared
+    // Network reuse across drains (the FluidSolver pattern): a reset
+    // engine must hand back exactly what the reference does — the cleared
     // slab re-issues the same key/epoch sequence, so the heap's lazy
     // invalidation cannot leak state across batteries.
     let battery = [
@@ -378,16 +328,14 @@ fn reset_network_replays_the_heap_timeline_bit_for_bit() {
         churn_transfers_seeded(12, 0.0, 12),
         churn_transfers_seeded(20, 0.5, 13),
     ];
-    let mut reused = build(MyrinetModel::default(), EngineMode::Event);
-    for transfers in &battery {
-        let again = drain_into(&mut reused, transfers);
-        let (fresh, _, _) = drain(MyrinetModel::default(), transfers, EngineMode::Event);
-        assert_eq!(again.len(), fresh.len());
-        for (&(ka, ta), &(kb, tb)) in again.iter().zip(&fresh) {
-            assert_eq!(ka, kb);
-            assert_eq!(ta.to_bits(), tb.to_bits(), "key {ka}: {ta} vs {tb}");
+    for engine in Engine::ALL {
+        let mut reused = build(MyrinetModel::default(), engine);
+        for transfers in &battery {
+            let again = drain_into(&mut reused, transfers);
+            let (fresh, _) = reference(MyrinetModel::default(), transfers);
+            assert_bitwise(&again, &fresh, &format!("reset {engine:?} vs reference"));
+            reused.reset();
         }
-        reused.reset();
     }
 }
 
@@ -421,32 +369,34 @@ fn zero_size_flash_is_served_by_patches_not_rebuilds() {
 #[test]
 fn same_endpoint_pair_arrival_and_departure_in_one_batch() {
     // Flow A (0→1) completes at t=100 exactly when flow B with the *same
-    // endpoint pair* opens its gate: the cache sees a mixed batch — now
-    // served as a chained positional delta that the model patches — and
-    // both engines must agree.
-    for full in [false, true] {
-        let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::new(1.0, 0.0));
-        if full {
-            net = net.with_full_recompute();
-        }
-        net.add(0, Communication::new(0u32, 1u32, 100), 0.0);
-        net.add(1, Communication::new(0u32, 1u32, 100), 100.0);
-        let done = net.run_to_completion();
-        assert_eq!(done.len(), 2);
-        assert!((done[0].completion - 100.0).abs() < 1e-9, "full={full}");
-        assert!((done[1].completion - 200.0).abs() < 1e-9, "full={full}");
-        if !full {
-            let stats = net.cache_stats();
-            assert_eq!(
-                stats.rebuild_queries(),
-                1,
-                "the mixed settle must stay positional: {stats:?}"
-            );
-            assert_eq!(
-                stats.patched_queries, stats.delta_queries,
-                "and must actually be patched: {stats:?}"
-            );
-        }
+    // endpoint pair* opens its gate: the cache sees a mixed batch — served
+    // as a chained positional delta that the model patches — and every
+    // engine must agree with the reference.
+    let params = NetworkParams::new(1.0, 0.0);
+    let transfers = [
+        (0, Communication::new(0u32, 1u32, 100), 0.0),
+        (1, Communication::new(0u32, 1u32, 100), 100.0),
+    ];
+    let expected = drain_into(
+        &mut ReferenceNetwork::new(MyrinetModel::default(), params),
+        &transfers,
+    );
+    assert!((expected[0].1 - 100.0).abs() < 1e-9, "{expected:?}");
+    assert!((expected[1].1 - 200.0).abs() < 1e-9, "{expected:?}");
+    for engine in Engine::ALL {
+        let mut net = engine.build(MyrinetModel::default(), params);
+        let done = drain_into(&mut net, &transfers);
+        assert_bitwise(&done, &expected, &format!("{engine:?} vs reference"));
+        let stats = net.cache_stats();
+        assert_eq!(
+            stats.rebuild_queries(),
+            1,
+            "{engine:?}: the mixed settle must stay positional: {stats:?}"
+        );
+        assert_eq!(
+            stats.patched_queries, stats.delta_queries,
+            "{engine:?}: and must actually be patched: {stats:?}"
+        );
     }
 }
 
@@ -455,9 +405,10 @@ fn components_collapsing_to_singletons_agree_in_all_modes() {
     // Two fan-out components that each shrink to a single surviving flow
     // as the short transfers complete: the shard keeps settling a
     // singleton population (departure patches down to one flow) before
-    // draining dry. All four modes must agree bitwise, and the sharded
-    // engine must keep both component shards alive through the collapse
-    // (shards retire only by merging, never by emptying).
+    // draining dry. Every engine must agree with the reference bitwise,
+    // and the sharded engine must keep both component shards alive
+    // through the collapse (shards retire only by merging or a full
+    // drain, never by shrinking).
     let transfers: Vec<(u64, Communication, f64)> = vec![
         // component A: shared source 0
         (0, Communication::new(0u32, 1u32, 600), 0.0),
@@ -467,33 +418,8 @@ fn components_collapsing_to_singletons_agree_in_all_modes() {
         (3, Communication::new(10u32, 11u32, 400), 1.0),
         (4, Communication::new(10u32, 12u32, 7_000), 1.0), // B's singleton
     ];
-    let mut results = Vec::new();
-    for mode in [
-        EngineMode::Event,
-        EngineMode::LinearTimeline,
-        EngineMode::FullRecompute,
-        EngineMode::Sharded,
-    ] {
-        let (done, _, _) = drain(MyrinetModel::default(), &transfers, mode);
-        assert_eq!(done.len(), transfers.len(), "{mode:?}");
-        results.push(done);
-    }
-    let heap = &results[0];
-    for (done, mode) in results[1..].iter().zip([
-        EngineMode::LinearTimeline,
-        EngineMode::FullRecompute,
-        EngineMode::Sharded,
-    ]) {
-        for (&(ka, ta), &(kb, tb)) in heap.iter().zip(done) {
-            assert_eq!(ka, kb, "{mode:?}");
-            assert_eq!(
-                ta.to_bits(),
-                tb.to_bits(),
-                "heap vs {mode:?}, key {ka}: {ta} vs {tb}"
-            );
-        }
-    }
-    let mut net = build(MyrinetModel::default(), EngineMode::Sharded);
+    assert_engines_match_reference(MyrinetModel::default, &transfers);
+    let mut net = build(MyrinetModel::default(), Engine::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
@@ -571,22 +497,10 @@ fn cycle(pairs: &[(u32, u32)], size: u64, first_key: u64) -> Vec<(u64, Communica
         .collect()
 }
 
-/// Asserts two `(key, completion)` lists are bitwise equal.
-fn assert_bitwise(a: &[(u64, f64)], b: &[(u64, f64)], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}");
-    for (&(ka, ta), &(kb, tb)) in a.iter().zip(b) {
-        assert_eq!(ka, kb, "{context}");
-        assert_eq!(
-            ta.to_bits(),
-            tb.to_bits(),
-            "{context}, key {ka}: {ta} vs {tb}"
-        );
-    }
-}
-
 /// A budget blow-up degrades only its own conflict component: C8 takes
 /// the max-conflict rows while C6 keeps its exact 5/2, so each cycle
-/// completes exactly as it would alone — in every engine mode, bitwise.
+/// completes exactly as it would alone — in every engine and in the
+/// reference, bitwise.
 #[test]
 fn budget_blowup_degrades_only_its_own_component() {
     let c8 = cycle(&C8, 4_000, 0);
@@ -594,8 +508,8 @@ fn budget_blowup_degrades_only_its_own_component() {
     let both: Vec<_> = c8.iter().chain(&c6).copied().collect();
     let model = || MyrinetModel::with_budget(9);
 
-    let (c8_alone, c8_stats, _) = drain(model(), &c8, EngineMode::Event);
-    let (c6_alone, c6_stats, _) = drain(model(), &c6, EngineMode::Event);
+    let (c8_alone, c8_stats, _) = drain(model(), &c8, Engine::Single);
+    let (c6_alone, c6_stats, _) = drain(model(), &c6, Engine::Single);
     assert!(
         c8_stats.budget_fallbacks >= 1,
         "C8 blows the budget: {c8_stats:?}"
@@ -607,17 +521,16 @@ fn budget_blowup_degrades_only_its_own_component() {
         assert_eq!(t, 0.25 + 4_000.0 * 2.5 / 2.0, "exact 5/2 penalty");
     }
 
-    for mode in MODES {
-        let (done, ..) = drain(model(), &both, mode);
-        assert_bitwise(&done[..8], &c8_alone, &format!("{mode:?}: C8 vs C8 alone"));
-        assert_bitwise(&done[8..], &c6_alone, &format!("{mode:?}: C6 vs C6 alone"));
-    }
+    let expected = assert_engines_match_reference(model, &both);
+    assert_bitwise(&expected[..8], &c8_alone, "C8 vs C8 alone");
+    assert_bitwise(&expected[8..], &c6_alone, "C6 vs C6 alone");
 }
 
 /// The blown component never collapses the partition: C8 (short) and C6
 /// (long) keep their own shards while C8 is over budget, C8's drain
 /// retires only its shard, and a latecomer gated past that drain gets a
-/// shard of its own — with every mode bitwise equal throughout.
+/// shard of its own — with every engine bitwise equal to the reference
+/// throughout.
 #[test]
 fn blown_component_keeps_the_partition_until_it_drains() {
     let mut transfers = cycle(&C8, 2_000, 0);
@@ -625,15 +538,11 @@ fn blown_component_keeps_the_partition_until_it_drains() {
     transfers.push((14, Communication::new(20u32, 21u32, 1_000), 6_500.0));
     let model = || MyrinetModel::with_budget(9);
 
-    let (heap, ..) = drain(model(), &transfers, EngineMode::Event);
-    let (c6_alone, ..) = drain(model(), &cycle(&C6, 8_000, 8), EngineMode::Event);
-    assert_bitwise(&heap[8..14], &c6_alone, "C6 vs C6 alone");
-    for mode in &MODES[1..] {
-        let (done, ..) = drain(model(), &transfers, *mode);
-        assert_bitwise(&done, &heap, &format!("{mode:?} vs heap"));
-    }
+    let expected = assert_engines_match_reference(model, &transfers);
+    let (c6_alone, _) = reference(model(), &cycle(&C6, 8_000, 8));
+    assert_bitwise(&expected[8..14], &c6_alone, "C6 vs C6 alone");
 
-    let mut net = build(model(), EngineMode::Sharded);
+    let mut net = build(model(), Engine::Sharded);
     for &(key, comm, start) in &transfers {
         net.add(key, comm, start);
     }
@@ -659,7 +568,7 @@ fn blown_component_keeps_the_partition_until_it_drains() {
     );
     sharded.sort_by_key(|&(k, _)| k);
     assert_eq!(net.shard_count(), 0, "full drain quiesces");
-    assert_bitwise(&sharded, &heap, "stepped sharded vs heap");
+    assert_bitwise(&sharded, &expected, "stepped sharded vs reference");
 }
 
 proptest! {
@@ -667,23 +576,13 @@ proptest! {
 
     /// Random churn through a budget-starved Myrinet: with budgets this
     /// small most components blow and take the max-conflict rows, and
-    /// every engine mode must still agree bitwise.
+    /// every engine must still agree with the reference bitwise.
     #[test]
     fn starved_budget_churn_agrees_across_all_modes(
         transfers in arb_transfers(),
         budget in 1usize..6,
     ) {
-        let (heap, ..) = drain(MyrinetModel::with_budget(budget), &transfers, EngineMode::Event);
-        prop_assert_eq!(heap.len(), transfers.len());
-        for mode in &MODES[1..] {
-            let (done, ..) = drain(MyrinetModel::with_budget(budget), &transfers, *mode);
-            prop_assert_eq!(done.len(), heap.len());
-            for (&(ka, ta), &(kb, tb)) in heap.iter().zip(&done) {
-                prop_assert_eq!(ka, kb);
-                prop_assert_eq!(ta.to_bits(), tb.to_bits(),
-                    "{:?} vs heap, budget {}, key {}: {} vs {}", mode, budget, ka, tb, ta);
-            }
-        }
+        assert_engines_match_reference(|| MyrinetModel::with_budget(budget), &transfers);
     }
 }
 
@@ -692,14 +591,14 @@ proptest! {
 /// slots are reused by later arrivals while stale member keys still name
 /// them) through the sharded engine on a 4-worker executor. Splits,
 /// merges and stale-member probes all happen inside the parallel round;
-/// the answers must equal the serial sharded engine's and the heap
-/// engine's bit for bit.
+/// the answers must equal the serial sharded engine's, the single-shard
+/// engine's and the reference's bit for bit.
 #[test]
 fn online_bridge_waves_on_the_executor_match_serial_and_heap() {
     let transfers = bridge_wave_churn(64, 16, 4, 5.0, 7);
-    let feed = |mut net: FluidNetwork<GigabitEthernetModel>| {
+    fn feed<N: Drive>(net: &mut N, transfers: &[(u64, Communication, f64)]) -> Vec<(u64, f64)> {
         let mut done: Vec<(u64, f64)> = Vec::new();
-        for &(key, comm, start) in &transfers {
+        for &(key, comm, start) in transfers {
             done.extend(
                 net.advance_to(start)
                     .into_iter()
@@ -713,18 +612,27 @@ fn online_bridge_waves_on_the_executor_match_serial_and_heap() {
                 .map(|c| (c.key, c.completion)),
         );
         done.sort_by_key(|&(k, _)| k);
-        (done, net.shard_stats())
-    };
-    let params = NetworkParams::new(2.0, 0.25);
-    let (par, shape) = feed(
-        FluidNetwork::new(GigabitEthernetModel::default(), params)
-            .with_sharded_dispatch(Arc::new(SweepExecutor::new(4))),
-    );
-    let (serial, _) =
-        feed(FluidNetwork::new(GigabitEthernetModel::default(), params).with_sharded());
-    let (heap, _) = feed(FluidNetwork::new(GigabitEthernetModel::default(), params));
-    assert_eq!(heap.len(), transfers.len());
+        done
+    }
+    let mut par = FluidNetwork::new(GigabitEthernetModel::default(), params())
+        .with_sharded_dispatch(Arc::new(SweepExecutor::new(4)));
+    let done = feed(&mut par, &transfers);
+    let shape = par.shard_stats();
     assert!(shape.splits >= 63 && shape.merges >= 63, "{shape:?}");
-    assert_bitwise(&par, &serial, "executor vs serial sharded");
-    assert_bitwise(&par, &heap, "executor vs heap");
+    let serial = feed(
+        &mut build(GigabitEthernetModel::default(), Engine::Sharded),
+        &transfers,
+    );
+    let heap = feed(
+        &mut build(GigabitEthernetModel::default(), Engine::Single),
+        &transfers,
+    );
+    let oracle = feed(
+        &mut ReferenceNetwork::new(GigabitEthernetModel::default(), params()),
+        &transfers,
+    );
+    assert_eq!(oracle.len(), transfers.len());
+    assert_bitwise(&done, &serial, "executor vs serial sharded");
+    assert_bitwise(&done, &heap, "executor vs single shard");
+    assert_bitwise(&done, &oracle, "executor vs reference");
 }

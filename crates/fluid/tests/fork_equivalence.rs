@@ -1,52 +1,70 @@
 //! `FluidNetwork::fork` equivalence: a fork of a warm engine, diverged
-//! with additional transfers, must match a rebuild-and-replay of the same
-//! history bit-for-bit — across all three fabric models and all four
-//! engine modes, including forks taken mid-churn with latency-gated flows
-//! still pending. This is the contract the `netbw-serve` what-if service
-//! relies on when it answers speculative placement queries from a forked
-//! snapshot instead of replaying the admission log.
+//! with additional transfers, must match the standalone
+//! `ReferenceNetwork` replaying the same history bit-for-bit — across all
+//! three fabric models and every engine configuration (one shard, shards
+//! on serial dispatch, shards on the work-stealing executor), including
+//! forks taken mid-churn with latency-gated flows still pending. This is
+//! the contract the `netbw-serve` what-if service relies on when it
+//! answers speculative placement queries from a forked snapshot instead
+//! of replaying the admission log.
 
-use netbw_bench::churn_transfers_seeded;
+use netbw_bench::{churn_transfers_seeded, Drive, Engine};
 use netbw_core::{GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel};
-use netbw_fluid::{EngineMode, FluidNetwork, NetworkParams};
+use netbw_fluid::{NetworkParams, ReferenceNetwork};
 use netbw_graph::Communication;
 use proptest::prelude::*;
 
-/// The four engine configurations under test (the churn equivalence
-/// suite's set, minus the merge-only ablation).
-const MODES: [EngineMode; 4] = [
-    EngineMode::Event,
-    EngineMode::LinearTimeline,
-    EngineMode::FullRecompute,
-    EngineMode::Sharded,
-];
-
-fn build<M: PenaltyModel>(model: M, mode: EngineMode) -> FluidNetwork<M> {
-    mode.apply(FluidNetwork::new(model, NetworkParams::new(2.0, 0.25)))
+fn params() -> NetworkParams {
+    NetworkParams::new(2.0, 0.25)
 }
 
-fn add_all<M: PenaltyModel>(net: &mut FluidNetwork<M>, transfers: &[(u64, Communication, f64)]) {
+fn add_all<N: Drive>(net: &mut N, transfers: &[(u64, Communication, f64)]) {
     for &(key, comm, start) in transfers {
         net.add(key, comm, start);
     }
 }
 
-fn completions<M: PenaltyModel>(net: &mut FluidNetwork<M>) -> Vec<(u64, u64)> {
+/// Advances to `t`, returning `(key, completion bits)` pairs.
+fn advance<N: Drive>(net: &mut N, t: f64) -> Vec<(u64, u64)> {
+    net.advance_to(t)
+        .into_iter()
+        .map(|c| (c.key, c.completion.to_bits()))
+        .collect()
+}
+
+fn completions<N: Drive>(net: &mut N) -> Vec<(u64, u64)> {
     net.run_to_completion()
         .into_iter()
         .map(|c| (c.key, c.completion.to_bits()))
         .collect()
 }
 
-/// Drives one `(model, mode, split)` scenario: builds a base network over
-/// the prefix, advances it to the last prefix start (so the newest flow's
-/// latency gate is still pending — the fork happens mid-churn), forks it,
-/// diverges the fork with the suffix, and checks the fork against a fresh
-/// rebuild-and-replay of the identical history. Also drains the parent
-/// afterwards to prove the fork did not perturb it.
+/// The reference's completions over `prefix` up to `fork_time`, then
+/// `suffix` added, then drained — sorted by key.
+fn replay<M: PenaltyModel>(
+    model: M,
+    prefix: &[(u64, Communication, f64)],
+    fork_time: f64,
+    suffix: &[(u64, Communication, f64)],
+) -> Vec<(u64, u64)> {
+    let mut oracle = ReferenceNetwork::new(model, params());
+    add_all(&mut oracle, prefix);
+    let mut done = advance(&mut oracle, fork_time);
+    add_all(&mut oracle, suffix);
+    done.extend(completions(&mut oracle));
+    done.sort_by_key(|&(k, _)| k);
+    done
+}
+
+/// Drives one `(model, engine, split)` scenario: builds a base network
+/// over the prefix, advances it to the last prefix start (so the newest
+/// flow's latency gate is still pending — the fork happens mid-churn),
+/// forks it, diverges the fork with the suffix, and checks the fork
+/// against the reference replaying the identical history. Also drains
+/// the parent afterwards to prove the fork did not perturb it.
 fn check_fork_equivalence<M: PenaltyModel + Clone>(
     model: M,
-    mode: EngineMode,
+    engine: Engine,
     transfers: &[(u64, Communication, f64)],
     split: usize,
 ) {
@@ -55,13 +73,9 @@ fn check_fork_equivalence<M: PenaltyModel + Clone>(
     // the last prefix flow's start: its gate (start + latency) is pending.
     let fork_time = prefix.last().expect("non-empty prefix").2;
 
-    let mut base = build(model.clone(), mode);
+    let mut base = engine.build(model.clone(), params());
     add_all(&mut base, prefix);
-    let mut done_before: Vec<(u64, u64)> = base
-        .advance_to(fork_time)
-        .into_iter()
-        .map(|c| (c.key, c.completion.to_bits()))
-        .collect();
+    let mut done_before = advance(&mut base, fork_time);
 
     let mut forked = base.fork();
     assert_eq!(forked.time().to_bits(), base.time().to_bits());
@@ -70,40 +84,20 @@ fn check_fork_equivalence<M: PenaltyModel + Clone>(
     let mut fork_done = done_before.clone();
     fork_done.extend(completions(&mut forked));
     fork_done.sort_by_key(|&(k, _)| k);
-
-    // Rebuild-and-replay the exact same history on a fresh engine.
-    let mut replay = build(model.clone(), mode);
-    add_all(&mut replay, prefix);
-    let mut replay_done: Vec<(u64, u64)> = replay
-        .advance_to(fork_time)
-        .into_iter()
-        .map(|c| (c.key, c.completion.to_bits()))
-        .collect();
-    add_all(&mut replay, suffix);
-    replay_done.extend(completions(&mut replay));
-    replay_done.sort_by_key(|&(k, _)| k);
-
     assert_eq!(
-        fork_done, replay_done,
-        "fork-then-diverge must equal rebuild-and-replay ({mode:?}, split {split})"
+        fork_done,
+        replay(model.clone(), prefix, fork_time, suffix),
+        "fork-then-diverge must equal the reference's replay ({engine:?}, split {split})"
     );
 
-    // The parent continues (without the suffix) exactly as an un-forked
-    // control over the prefix alone.
+    // The parent continues (without the suffix) exactly as the reference
+    // over the prefix alone.
     done_before.extend(completions(&mut base));
     done_before.sort_by_key(|&(k, _)| k);
-    let mut control = build(model, mode);
-    add_all(&mut control, prefix);
-    let mut control_done: Vec<(u64, u64)> = control
-        .advance_to(fork_time)
-        .into_iter()
-        .map(|c| (c.key, c.completion.to_bits()))
-        .collect();
-    control_done.extend(completions(&mut control));
-    control_done.sort_by_key(|&(k, _)| k);
     assert_eq!(
-        done_before, control_done,
-        "forking must not perturb the parent ({mode:?}, split {split})"
+        done_before,
+        replay(model, prefix, fork_time, &[]),
+        "forking must not perturb the parent ({engine:?}, split {split})"
     );
 }
 
@@ -111,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random churn, random mid-churn split point: fork + diverge equals
-    /// rebuild + replay bitwise for every model and engine mode, and the
+    /// the reference's replay bitwise for every model and engine, and the
     /// forked-from parent is left unperturbed.
     #[test]
     fn fork_then_diverge_equals_rebuild_and_replay(
@@ -123,17 +117,17 @@ proptest! {
         let stagger = [0.0, 0.5, 5.0, 40.0][stagger_pick];
         let transfers = churn_transfers_seeded(flows, stagger, seed);
         let split = 1 + (split_pick as usize) % (transfers.len() - 1);
-        for mode in MODES {
-            check_fork_equivalence(GigabitEthernetModel::default(), mode, &transfers, split);
-            check_fork_equivalence(MyrinetModel::default(), mode, &transfers, split);
-            check_fork_equivalence(InfinibandModel::default(), mode, &transfers, split);
+        for engine in Engine::ALL {
+            check_fork_equivalence(GigabitEthernetModel::default(), engine, &transfers, split);
+            check_fork_equivalence(MyrinetModel::default(), engine, &transfers, split);
+            check_fork_equivalence(InfinibandModel::default(), engine, &transfers, split);
         }
     }
 }
 
-/// Forking a sharded engine while one Myrinet component is over the
-/// state-set budget: the fork must carry that component's max-conflict
-/// penalties next to the exact ones and stay bitwise with the rebuild.
+/// Forking while one Myrinet component is over the state-set budget: the
+/// fork must carry that component's max-conflict penalties next to the
+/// exact ones and stay bitwise with the reference.
 #[test]
 fn fork_carries_a_collapsed_partition() {
     // An 8-flow conflict cycle that blows a state-set budget of 9 (same
@@ -156,18 +150,9 @@ fn fork_carries_a_collapsed_partition() {
         .collect();
     transfers.push((8, Communication::new(10u32, 11u32, 2_000), 8.0));
     transfers.push((9, Communication::new(12u32, 13u32, 2_000), 9.0));
-    check_fork_equivalence(
-        MyrinetModel::with_budget(9),
-        EngineMode::Sharded,
-        &transfers,
-        8,
-    );
-    check_fork_equivalence(
-        MyrinetModel::with_budget(9),
-        EngineMode::Event,
-        &transfers,
-        8,
-    );
+    for engine in Engine::ALL {
+        check_fork_equivalence(MyrinetModel::with_budget(9), engine, &transfers, 8);
+    }
 }
 
 /// A fork taken while *every* prefix flow is still latency-gated (advance
@@ -184,9 +169,9 @@ fn fork_with_only_gated_flows_pending() {
             )
         })
         .collect();
-    for mode in MODES {
+    for engine in Engine::ALL {
         // split 3, fork at t = 0.0: all three prefix gates (latency 0.25)
         // are pending at the fork instant.
-        check_fork_equivalence(MyrinetModel::default(), mode, &transfers, 3);
+        check_fork_equivalence(MyrinetModel::default(), engine, &transfers, 3);
     }
 }

@@ -199,7 +199,6 @@ mod tests {
             params: NetworkParams::new(2.0, 0.25),
             fabric: FabricConfig::gige(),
             threads: 2,
-            mode: crate::EngineMode::Event,
         })
     }
 

@@ -49,7 +49,6 @@ mod frontend;
 mod service;
 
 pub use frontend::{ServeHandle, ServeRequest};
-pub use netbw_fluid::EngineMode;
 pub use service::{
     FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery, WhatIfService,
 };

@@ -3,9 +3,7 @@
 
 use netbw_core::{GigabitEthernetModel, PenaltyModel};
 use netbw_eval::{EvalSession, SweepStats, SweepWorker};
-use netbw_fluid::{
-    AddError, CompletedTransfer, EngineMode, FluidNetwork, NetworkParams, TransferKey,
-};
+use netbw_fluid::{AddError, CompletedTransfer, FluidNetwork, NetworkParams, TransferKey};
 use netbw_graph::Communication;
 use netbw_packet::FabricConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,11 +33,6 @@ pub struct ServeConfig {
     pub fabric: FabricConfig,
     /// Worker ceiling for query batches (0 = available parallelism).
     pub threads: usize,
-    /// Fluid-engine variant, used for the authoritative engine, the
-    /// snapshot and the rebuild ablation alike, so the bitwise-equality
-    /// guards (fork == rebuild, re-base == fresh fork) can be pinned per
-    /// mode (event heaps by default).
-    pub mode: EngineMode,
 }
 
 impl Default for ServeConfig {
@@ -49,7 +42,6 @@ impl Default for ServeConfig {
             params: NetworkParams::gige(),
             fabric: FabricConfig::gige(),
             threads: 0,
-            mode: EngineMode::Event,
         }
     }
 }
@@ -271,9 +263,7 @@ impl WhatIfService {
 
     /// A service over an explicit penalty model.
     pub fn with_model(model: ModelHandle, config: ServeConfig) -> Self {
-        let net = config
-            .mode
-            .apply(FluidNetwork::new(Arc::clone(&model), config.params));
+        let net = FluidNetwork::new(Arc::clone(&model), config.params);
         WhatIfService {
             model,
             config,
@@ -414,10 +404,7 @@ impl WhatIfService {
             (st.log.clone(), st.net.time())
         };
         self.session.sweep(queries, |worker, query| {
-            let mut net = self.config.mode.apply(FluidNetwork::new(
-                Arc::clone(&self.model),
-                self.config.params,
-            ));
+            let mut net = FluidNetwork::new(Arc::clone(&self.model), self.config.params);
             for &(key, comm, start) in &log {
                 net.add(key, comm, start);
             }
@@ -577,7 +564,6 @@ mod tests {
             params: NetworkParams::new(2.0, 0.25),
             fabric: FabricConfig::gige(),
             threads: 2,
-            mode: EngineMode::Event,
         }
     }
 

@@ -1,11 +1,12 @@
 //! Snapshot re-base equivalence: a snapshot that followed the
 //! authoritative engine through admissions and clock advances by O(delta)
 //! re-bases must answer what-if queries bit-for-bit like a fresh fork
-//! would — across all five engine modes and all three fabric models,
-//! including a re-base applied over a Myrinet component that blew its
-//! state-set budget and a re-base racing an in-flight batch that still aliases the cached
-//! snapshot (which must publish a private successor, never mutate the
-//! shared one).
+//! would — across all three fabric models, including a re-base applied
+//! over a Myrinet component that blew its state-set budget and a re-base
+//! racing an in-flight batch that still aliases the cached snapshot (which
+//! must publish a private successor, never mutate the shared one). The
+//! service runs the default single-shard engine; the sharded engine's
+//! fork path is pinned by the fluid crate's `fork_equivalence` battery.
 //!
 //! The oracle is [`WhatIfService::what_if_batch_via_rebuild`]: it ignores
 //! the snapshot cache entirely and rebuilds-and-replays the admission log
@@ -21,25 +22,16 @@ use netbw_core::{
 use netbw_fluid::NetworkParams;
 use netbw_graph::Communication;
 use netbw_packet::FabricConfig;
-use netbw_serve::{EngineMode, ServeConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
+use netbw_serve::{ServeConfig, WhatIfAnswer, WhatIfQuery, WhatIfService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-const MODES: [EngineMode; 5] = [
-    EngineMode::Event,
-    EngineMode::LinearTimeline,
-    EngineMode::FullRecompute,
-    EngineMode::Sharded,
-    EngineMode::ShardedMergeOnly,
-];
-
-fn config(mode: EngineMode) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         params: NetworkParams::new(2.0, 0.25),
         fabric: FabricConfig::gige(),
         threads: 2,
-        mode,
     }
 }
 
@@ -77,11 +69,11 @@ fn assert_bitwise(
 /// rebased snapshot bitwise against the rebuild-and-replay oracle.
 fn check_rebase_equivalence(
     model: Arc<dyn PenaltyModel>,
-    mode: EngineMode,
     transfers: &[(u64, Communication, f64)],
     queries: &[WhatIfQuery],
 ) {
-    let service = WhatIfService::with_model(model, config(mode));
+    let name = model.name();
+    let service = WhatIfService::with_model(model, config());
     for (i, &(_, comm, start)) in transfers.iter().enumerate() {
         service.admit(comm, start).expect("churn admission");
         if i == 0 {
@@ -102,30 +94,24 @@ fn check_rebase_equivalence(
     service.advance_to(last + 0.02).expect("final advance");
 
     let stats = service.stats();
-    assert_eq!(
-        stats.snapshot_builds, 1,
-        "one build, then re-bases ({mode:?})"
-    );
-    assert!(
-        stats.rebases > 0,
-        "churn after prewarm must re-base ({mode:?})"
-    );
+    assert_eq!(stats.snapshot_builds, 1, "one build, then re-bases");
+    assert!(stats.rebases > 0, "churn after prewarm must re-base");
 
     let rebased = service.what_if_batch(queries);
     let oracle = service.what_if_batch_via_rebuild(queries);
-    assert_bitwise(&rebased, &oracle, &format!("{mode:?}"));
+    assert_bitwise(&rebased, &oracle, name);
     assert_eq!(
         service.stats().snapshot_builds,
         1,
-        "the query batch must ride the rebased snapshot ({mode:?})"
+        "the query batch must ride the rebased snapshot"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random churn, every engine mode × fabric model: a snapshot kept
-    /// alive by re-basing answers bit-for-bit like the rebuild oracle.
+    /// Random churn on every fabric model: a snapshot kept alive by
+    /// re-basing answers bit-for-bit like the rebuild oracle.
     #[test]
     fn rebased_snapshot_equals_fresh_fork(
         seed in 0u64..1_000_000,
@@ -144,14 +130,9 @@ proptest! {
                 q
             })
             .collect();
-        for mode in MODES {
-            check_rebase_equivalence(
-                Arc::new(GigabitEthernetModel::default()), mode, &transfers, &queries);
-            check_rebase_equivalence(
-                Arc::new(MyrinetModel::default()), mode, &transfers, &queries);
-            check_rebase_equivalence(
-                Arc::new(InfinibandModel::default()), mode, &transfers, &queries);
-        }
+        check_rebase_equivalence(Arc::new(GigabitEthernetModel::default()), &transfers, &queries);
+        check_rebase_equivalence(Arc::new(MyrinetModel::default()), &transfers, &queries);
+        check_rebase_equivalence(Arc::new(InfinibandModel::default()), &transfers, &queries);
     }
 }
 
@@ -176,26 +157,15 @@ fn rebase_over_a_budget_collapsed_partition() {
         .enumerate()
         .map(|(i, &(s, d))| (i as u64, Communication::new(s, d, 4_000), i as f64))
         .collect();
-    // Two extra flows admitted after the cycle is in flight: in sharded
-    // mode these get shards of their own next to the blown cycle's.
+    // Two extra flows admitted after the cycle is in flight, next to the
+    // blown cycle.
     transfers.push((8, Communication::new(10u32, 11u32, 2_000), 8.0));
     transfers.push((9, Communication::new(12u32, 13u32, 2_000), 9.0));
     let queries = vec![
         WhatIfQuery::flow(Communication::new(2u32, 7u32, 1_500), 0.0),
         WhatIfQuery::flow(Communication::new(20u32, 21u32, 1_500), 0.2),
     ];
-    for mode in [
-        EngineMode::Sharded,
-        EngineMode::ShardedMergeOnly,
-        EngineMode::Event,
-    ] {
-        check_rebase_equivalence(
-            Arc::new(MyrinetModel::with_budget(9)),
-            mode,
-            &transfers,
-            &queries,
-        );
-    }
+    check_rebase_equivalence(Arc::new(MyrinetModel::with_budget(9)), &transfers, &queries);
 }
 
 /// A penalty model that delegates to GigE but, once armed, blocks exactly
@@ -266,7 +236,7 @@ fn rebase_while_a_batch_aliases_the_snapshot() {
         Arc::clone(&model) as Arc<dyn PenaltyModel>,
         ServeConfig {
             threads: 1,
-            ..config(EngineMode::Event)
+            ..config()
         },
     ));
     for i in 0..6u64 {

@@ -19,4 +19,4 @@ pub mod text;
 pub use event::{Event, TaskTrace, Trace};
 pub use multi::{merge, AppSpan};
 pub use stats::{TaskStats, TraceStats};
-pub use text::{parse_trace, write_trace, TraceParseError};
+pub use text::{parse_trace, write_trace, TraceParseError, MAX_TRACE_TASKS};

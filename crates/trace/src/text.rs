@@ -15,6 +15,11 @@
 use crate::event::{Event, Trace};
 use std::fmt;
 
+/// The largest `tasks` count [`parse_trace`] accepts. Far above any trace
+/// the workload generators write, it keeps a malformed count from asking
+/// for an allocation the machine cannot make.
+pub const MAX_TRACE_TASKS: usize = 1 << 20;
+
 /// Error from [`parse_trace`], with 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceParseError {
@@ -89,6 +94,11 @@ pub fn parse_trace(input: &str) -> Result<Trace, TraceParseError> {
                 .ok_or_else(|| err("tasks directive needs a count".into()))?;
             if trace.is_some() {
                 return Err(err("duplicate tasks directive".into()));
+            }
+            if n > MAX_TRACE_TASKS {
+                return Err(err(format!(
+                    "tasks count {n} exceeds the limit of {MAX_TRACE_TASKS}"
+                )));
             }
             trace = Some(Trace::with_tasks(n));
             continue;
@@ -217,6 +227,21 @@ mod tests {
 
         let e = parse_trace("tasks 1\ntasks 2\n").unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    #[test]
+    fn oversized_task_counts_are_refused_not_allocated() {
+        for count in [u64::MAX, 10_000_000_000, MAX_TRACE_TASKS as u64 + 1] {
+            let e = parse_trace(&format!("tasks {count}\n")).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("exceeds the limit"), "{e}");
+        }
+        assert_eq!(
+            parse_trace(&format!("tasks {MAX_TRACE_TASKS}\n"))
+                .unwrap()
+                .len(),
+            MAX_TRACE_TASKS
+        );
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl ChurnStep {
         };
         (comms, delta)
     }
-
-    /// How many flows this step changes (departures plus arrivals).
-    pub fn changed_count(&self) -> usize {
-        self.departed.len() + self.arrived.len()
-    }
 }
 
 /// A seeded multi-settle churn scenario: a starting population plus a
@@ -271,7 +266,7 @@ impl<M: PenaltyModel> Drive for ReferenceNetwork<M> {
 }
 
 /// Builds a fresh unit-parameter engine of the requested configuration.
-pub fn churn_engine<M: PenaltyModel>(model: M, engine: Engine) -> FluidNetwork<M> {
+fn churn_engine<M: PenaltyModel>(model: M, engine: Engine) -> FluidNetwork<M> {
     engine.build(model, NetworkParams::unit())
 }
 
@@ -489,7 +484,10 @@ mod tests {
             }
             let al = netbw::core::incremental::align(&next, &delta, &population)
                 .expect("generated deltas must verify");
-            assert_eq!(al.arrived.len() + al.departed.len(), step.changed_count());
+            assert_eq!(
+                al.arrived.len() + al.departed.len(),
+                step.arrived.len() + step.departed.len()
+            );
             population = next;
         }
         assert!(arrivals > 0, "no pure-arrival steps in 60");

@@ -158,11 +158,6 @@ impl ComponentTracker {
         self.components
     }
 
-    /// Number of live interned endpoints.
-    pub fn node_count(&self) -> usize {
-        self.slots.live()
-    }
-
     /// Forgets everything while keeping allocations warm.
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -173,23 +168,6 @@ impl ComponentTracker {
         self.components = 0;
         self.mark.clear();
         self.mark_gen = 0;
-    }
-
-    /// Makes `target` an exact copy of `self` while reusing `target`'s
-    /// allocations (the allocation-preserving counterpart of `clone`).
-    /// Sweep scratch is copied too, so a forked tracker is bitwise
-    /// indistinguishable from a cloned one.
-    pub fn fork_into(&self, target: &mut Self) {
-        target.slots.clone_from(&self.slots);
-        target.parent.clone_from(&self.parent);
-        target.rank.clone_from(&self.rank);
-        target.adj.clone_from(&self.adj);
-        target.incident.clone_from(&self.incident);
-        target.components = self.components;
-        target.mark.clone_from(&self.mark);
-        target.mark_gen = self.mark_gen;
-        target.stack.clone_from(&self.stack);
-        target.visited.clone_from(&self.visited);
     }
 
     /// The root of the component containing `node`, or `None` if the node
@@ -535,7 +513,7 @@ mod tests {
         assert!(matches!(b, ComponentChange::Created { .. }));
         assert_ne!(a.root(), b.root());
         assert_eq!(t.component_count(), 2);
-        assert_eq!(t.node_count(), 4);
+        assert_eq!(t.slots.live(), 4);
     }
 
     #[test]
@@ -594,7 +572,7 @@ mod tests {
         let c = t.insert(n(5), n(5));
         assert!(matches!(c, ComponentChange::Created { .. }));
         assert_eq!(t.component_count(), 1);
-        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.slots.live(), 1);
         assert_eq!(
             t.insert(n(5), n(5)),
             ComponentChange::Joined { root: c.root() }
@@ -616,7 +594,7 @@ mod tests {
         t.clear();
         assert_eq!(t.find(n(0)), None);
         assert_eq!(t.component_count(), 0);
-        assert_eq!(t.node_count(), 0);
+        assert_eq!(t.slots.live(), 0);
     }
 
     #[test]
@@ -656,7 +634,7 @@ mod tests {
         }
         assert_eq!(t.remove(n(0), n(1)), ComponentRemoval::Drained { root });
         assert_eq!(t.component_count(), 0);
-        assert_eq!(t.node_count(), 0);
+        assert_eq!(t.slots.live(), 0);
     }
 
     #[test]
@@ -673,7 +651,7 @@ mod tests {
             }
         );
         assert_eq!(t.component_count(), 1);
-        assert_eq!(t.node_count(), 2);
+        assert_eq!(t.slots.live(), 2);
         assert_eq!(t.find(n(2)), None, "drained endpoints are forgotten");
         assert_eq!(t.find(n(0)), Some(root));
     }
@@ -772,7 +750,7 @@ mod tests {
         // lone self-loop drains its singleton
         let root = t.insert(n(9), n(9)).root();
         assert_eq!(t.remove(n(9), n(9)), ComponentRemoval::Drained { root });
-        assert_eq!(t.node_count(), 0);
+        assert_eq!(t.slots.live(), 0);
     }
 
     #[test]
@@ -780,7 +758,7 @@ mod tests {
         let mut t = ComponentTracker::new();
         t.insert(n(0), n(1));
         t.remove(n(0), n(1));
-        assert_eq!(t.node_count(), 0);
+        assert_eq!(t.slots.live(), 0);
         let before = t.parent.len();
         t.insert(n(7), n(8));
         assert_eq!(
@@ -788,7 +766,7 @@ mod tests {
             before,
             "drained slots must be recycled, not appended past"
         );
-        assert_eq!(t.node_count(), 2);
+        assert_eq!(t.slots.live(), 2);
         assert_eq!(t.find(n(7)), t.find(n(8)));
         assert_eq!(t.find(n(0)), None);
     }
@@ -831,7 +809,7 @@ mod tests {
                 reference.component_count(),
                 "step {step}: component counts diverged over {live:?}"
             );
-            assert_eq!(t.node_count(), reference.node_count(), "step {step}");
+            assert_eq!(t.slots.live(), reference.slots.live(), "step {step}");
             for x in 0..nodes as u32 {
                 assert_eq!(
                     t.find(n(x)).is_some(),

@@ -33,7 +33,7 @@
 //! 4. **Scratch lifecycle** — [`EndpointScratch`] packages the previous
 //!    population, its penalties and slots, and the live index into the
 //!    opaque per-cache state of the closed-form models (GigE and its
-//!    InfiniBand extension), and [`patch_endpoints`] is the shared patch
+//!    InfiniBand extension), and `patch_endpoints` is the shared patch
 //!    driver over it: seed (from the `previous` hint) if cold, align, apply
 //!    the delta to the index, re-evaluate exactly the touched
 //!    communications, commit. Its buffers are reused, so a warm settle
@@ -428,13 +428,22 @@ impl Clone for EndpointIndex {
 
     /// Field-wise, so a fork into a warm index reuses its group vectors.
     fn clone_from(&mut self, source: &Self) {
-        self.slots.clone_from(&source.slots);
-        self.out.clone_from(&source.out);
-        self.inc.clone_from(&source.inc);
-        self.out_memo.clone_from(&source.out_memo);
-        self.in_memo.clone_from(&source.in_memo);
-        self.generation = source.generation;
-        self.idle.clone_from(&source.idle);
+        let EndpointIndex {
+            slots,
+            out,
+            inc,
+            out_memo,
+            in_memo,
+            generation,
+            idle,
+        } = source;
+        self.slots.clone_from(slots);
+        self.out.clone_from(out);
+        self.inc.clone_from(inc);
+        self.out_memo.clone_from(out_memo);
+        self.in_memo.clone_from(in_memo);
+        self.generation = *generation;
+        self.idle.clone_from(idle);
     }
 }
 
@@ -543,7 +552,7 @@ impl AffectedEndpoints {
 /// The per-cache scratch of the closed-form (endpoint-driven) models: the
 /// previously settled population with its penalties and endpoint slots,
 /// plus the live [`EndpointIndex`] over its network subset.
-/// [`patch_endpoints`] keeps them in sync across settles, so a settle
+/// `patch_endpoints` keeps them in sync across settles, so a settle
 /// never rebuilds the index from zero unless the hints were unusable. The
 /// remaining fields are per-settle buffers, kept only for their
 /// allocations.
@@ -561,11 +570,6 @@ pub struct EndpointScratch {
 }
 
 impl EndpointScratch {
-    /// True once the scratch describes a settled population.
-    pub fn is_settled(&self) -> bool {
-        self.settled
-    }
-
     /// Re-seeds the scratch from a full population/penalty pair (the
     /// caller-provided `previous` hint): one O(n) index build, in place.
     pub fn rebuild(&mut self, comms: &[Communication], pens: &[Penalty]) {
@@ -606,11 +610,22 @@ impl Clone for EndpointScratch {
     /// buffers are left as they are (every settle overwrites them before
     /// reading), so a fork answers exactly like its source.
     fn clone_from(&mut self, source: &Self) {
-        self.settled = source.settled;
-        self.prev.clone_from(&source.prev);
-        self.prev_pens.clone_from(&source.prev_pens);
-        self.prev_slots.clone_from(&source.prev_slots);
-        self.index.clone_from(&source.index);
+        let EndpointScratch {
+            settled,
+            prev,
+            prev_pens,
+            prev_slots,
+            index,
+            alignment: _,
+            changed: _,
+            affected: _,
+            next_slots: _,
+        } = source;
+        self.settled = *settled;
+        self.prev.clone_from(prev);
+        self.prev_pens.clone_from(prev_pens);
+        self.prev_slots.clone_from(prev_slots);
+        self.index.clone_from(index);
     }
 }
 
@@ -661,7 +676,7 @@ pub fn evaluate_full(
 /// `penalty` evaluates one network communication over the index; it must
 /// be the same arithmetic the model's batch path uses, so patched and full
 /// answers stay bit-for-bit identical.
-pub fn patch_endpoints(
+fn patch_endpoints(
     comms: &[Communication],
     delta: &PopulationDelta,
     previous: Option<(&[Communication], &[Penalty])>,
@@ -735,7 +750,7 @@ pub fn patch_endpoints(
 /// The whole `penalties_with_scratch` implementation of the closed-form
 /// models, shared verbatim by GigE and its InfiniBand extension: downcast
 /// the opaque scratch (an unexpected type is treated as cold local state —
-/// correctness never depends on the scratch), run [`patch_endpoints`], and
+/// correctness never depends on the scratch), run `patch_endpoints`, and
 /// answer with a full evaluation over the scratch's own index — re-seeding
 /// the scratch with it — when the patch is impossible.
 pub fn endpoint_scratch_query(
@@ -1133,7 +1148,7 @@ mod tests {
         let prev = vec![c(0, 1), c(2, 3)];
         let prev_pens = vec![Penalty::new(2.0), Penalty::new(3.0)];
         let mut scratch = EndpointScratch::default();
-        assert!(!scratch.is_settled());
+        assert!(!scratch.settled);
         // cold + no hint: unusable
         assert!(patch_endpoints(
             &prev,

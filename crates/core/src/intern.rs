@@ -104,6 +104,7 @@ impl SlotInterner {
     }
 
     /// Number of interned nodes.
+    #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
         self.nodes.len() - self.free.len()
     }
@@ -133,9 +134,10 @@ impl Clone for SlotInterner {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.index.clone_from(&source.index);
-        self.nodes.clone_from(&source.nodes);
-        self.free.clone_from(&source.free);
+        let SlotInterner { index, nodes, free } = source;
+        self.index.clone_from(index);
+        self.nodes.clone_from(nodes);
+        self.free.clone_from(free);
     }
 }
 

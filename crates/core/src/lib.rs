@@ -62,7 +62,6 @@ pub mod model;
 pub mod myrinet;
 pub mod penalty;
 pub mod scratch;
-pub mod sensitivity;
 pub mod states;
 
 pub use components::{ComponentChange, ComponentRemoval, ComponentRoot, ComponentTracker};

@@ -41,10 +41,9 @@ use netbw_graph::conflict::{ConflictGraph, ConflictRule};
 use netbw_graph::{Communication, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The paper's Myrinet 2000 model.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MyrinetModel {
     /// Conflict rule used to build the state graph. The paper's rule is
     /// [`ConflictRule::Strict`]; [`ConflictRule::SharedNode`] is kept for
@@ -52,19 +51,9 @@ pub struct MyrinetModel {
     pub rule: ConflictRule,
     /// Cap on enumerated state sets per component. A component beyond it
     /// falls back to the max-conflict approximation (`p = max(Δo, Δi)`)
-    /// for its own flows, counted in [`MyrinetModel::fallback_count`].
+    /// for its own flows, reported per query by
+    /// [`QueryOutcome::budget_fallback`].
     pub budget: usize,
-    fallbacks: AtomicU64,
-}
-
-impl Clone for MyrinetModel {
-    fn clone(&self) -> Self {
-        MyrinetModel {
-            rule: self.rule,
-            budget: self.budget,
-            fallbacks: AtomicU64::new(self.fallbacks.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl Default for MyrinetModel {
@@ -72,7 +61,6 @@ impl Default for MyrinetModel {
         MyrinetModel {
             rule: ConflictRule::Strict,
             budget: DEFAULT_STATE_SET_BUDGET,
-            fallbacks: AtomicU64::new(0),
         }
     }
 }
@@ -95,13 +83,6 @@ impl MyrinetModel {
         }
     }
 
-    /// How many queries had at least one component hit the enumeration
-    /// budget and fall back to the max-conflict approximation. Zero on
-    /// every graph in the paper.
-    pub fn fallback_count(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
     /// Full analysis of a set of concurrent communications: state sets,
     /// emission coefficients, minima and penalties — everything needed to
     /// print the paper's Figs. 5 and 6.
@@ -112,7 +93,6 @@ impl MyrinetModel {
         let mut state_count = vec![1u64; network.len()];
         let mut emission = vec![1u64; network.len()];
         let mut components = Vec::new();
-        let mut blown = false;
         for vertices in graph.components() {
             match enumerate_component(&graph, &vertices, self.budget) {
                 Ok(e) => {
@@ -123,13 +103,9 @@ impl MyrinetModel {
                     components.push(e);
                 }
                 Err(_) => {
-                    blown = true;
                     max_conflict_rows(&network, &vertices, &mut state_count, &mut emission);
                 }
             }
-        }
-        if blown {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
 
         // κ: minimum emission coefficient among each node's outgoing comms.
@@ -405,10 +381,7 @@ impl PenaltyModel for MyrinetModel {
 impl MyrinetModel {
     /// The [`PenaltyModel::penalties`] evaluation, also reporting whether
     /// some component hit the enumeration budget and degraded to the
-    /// max-conflict approximation — a local flag, so callers attributing
-    /// fallbacks to *this* query never race with other users of a shared
-    /// model instance (the `fallbacks` atomic is a cumulative model-wide
-    /// counter, not a per-query signal).
+    /// max-conflict approximation.
     fn penalties_flagged(&self, comms: &[Communication]) -> (Vec<Penalty>, bool) {
         let (indices, network) = split_intra_node(comms);
         let graph = ConflictGraph::build(&network, self.rule);
@@ -417,9 +390,6 @@ impl MyrinetModel {
         let mut blown = false;
         for comp in count_components(&graph, self.budget) {
             blown |= fill_component(&network, &comp, &mut state_count, &mut emission);
-        }
-        if blown {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         let pens =
             Self::penalties_from_tables(comms.len(), &indices, &network, &state_count, &emission);
@@ -519,9 +489,6 @@ impl MyrinetModel {
                 sub_comps += 1;
             }
         }
-        if blown {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
 
         // κ over the sub-population is exact: a source group always lives
         // inside a single conflict component, and marked components are
@@ -618,6 +585,14 @@ mod tests {
     use super::*;
     use netbw_graph::schemes;
 
+    /// Whether a full query over `comms` reports a budget fallback.
+    fn falls_back(model: &MyrinetModel, comms: &[Communication]) -> bool {
+        let mut scratch = model.new_scratch();
+        let (_, outcome) =
+            model.penalties_with_scratch(comms, &PopulationDelta::Rebuilt, None, scratch.as_mut());
+        outcome.budget_fallback
+    }
+
     #[test]
     fn fig6_table_reproduced_exactly() {
         let model = MyrinetModel::default();
@@ -627,7 +602,7 @@ mod tests {
         assert_eq!(a.coefficient, vec![1, 1, 1, 2, 2, 2], "Minimum row");
         let p: Vec<f64> = a.penalties.iter().map(|p| p.value()).collect();
         assert_eq!(p, vec![5.0, 5.0, 5.0, 2.5, 2.5, 2.5], "penalty row");
-        assert_eq!(model.fallback_count(), 0);
+        assert!(!falls_back(&model, fig5.comms()));
     }
 
     #[test]
@@ -717,7 +692,7 @@ mod tests {
         };
         let g = schemes::fig5();
         let p = model.penalties(g.comms());
-        assert_eq!(model.fallback_count(), 1);
+        assert!(falls_back(&model, g.comms()));
         // approximation: p = max(Δo, Δi) — a: max(3, 3) = 3
         assert_eq!(p[0].value(), 3.0);
     }
@@ -825,7 +800,8 @@ mod tests {
         let a = model.analyse(&both);
         assert_eq!(a.penalties, p);
         assert_eq!(a.components.len(), 3, "only MK1's components enumerate");
-        assert_eq!(model.fallback_count(), 3, "one per query that blew");
+        assert!(falls_back(&model, &both));
+        assert!(!falls_back(&model, &mk1), "MK1 alone stays exact");
     }
 
     #[test]

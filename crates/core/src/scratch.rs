@@ -23,43 +23,60 @@ use std::any::Any;
 
 /// Opaque per-cache scratch state, owned by the query issuer (the fluid
 /// engine's `PenaltyCache`) and interpreted only by the model that created
-/// it. The blanket impl makes any `Any + Send + Clone` type usable as a
-/// scratch.
-pub trait ModelScratch: Any + Send {
+/// it. The blanket impl makes any `Any + Send + Sync + Clone` type usable
+/// as a scratch; every scratch is plain data, and `Sync` lets an engine
+/// holding one be shared read-only across threads.
+pub trait ModelScratch: Any + Send + Sync {
     /// Upcast for downcasting to the concrete scratch type.
     fn as_any(&self) -> &dyn Any;
     /// Mutable upcast for downcasting to the concrete scratch type.
     fn as_any_mut(&mut self) -> &mut dyn Any;
     /// An independent deep copy of the scratch, behaviourally identical to
-    /// the original: a forked cache must answer the exact same queries with
-    /// the exact same bits. This is what lets a warm `FluidNetwork` be
-    /// forked for speculative what-if queries without a rebuild.
-    fn fork(&self) -> Box<dyn ModelScratch>;
-    /// [`fork`](Self::fork) into an existing scratch, reusing its
-    /// allocations where the concrete type allows. Returns `false` when
-    /// `target` holds a different concrete type (the caller falls back to
-    /// a fresh `fork`); on `true`, `target` is bitwise-behaviourally equal
-    /// to what `fork` would have produced.
-    fn fork_into(&self, target: &mut dyn ModelScratch) -> bool;
+    /// the original: a copied cache must answer the exact same queries
+    /// with the exact same bits. This is what lets a warm `FluidNetwork`
+    /// be copied for speculative what-if queries without a rebuild.
+    fn clone_box(&self) -> Box<dyn ModelScratch>;
+    /// [`clone_box`](Self::clone_box) into an existing scratch, reusing
+    /// its allocations. Returns `false`, leaving `target` untouched, when
+    /// `target` holds a different concrete type.
+    fn clone_into(&self, target: &mut dyn ModelScratch) -> bool;
 }
 
-impl<T: Any + Send + Clone> ModelScratch for T {
+impl<T: Any + Send + Sync + Clone> ModelScratch for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-    fn fork(&self) -> Box<dyn ModelScratch> {
+    fn clone_box(&self) -> Box<dyn ModelScratch> {
         Box::new(self.clone())
     }
-    fn fork_into(&self, target: &mut dyn ModelScratch) -> bool {
+    fn clone_into(&self, target: &mut dyn ModelScratch) -> bool {
         match target.as_any_mut().downcast_mut::<T>() {
             Some(t) => {
                 t.clone_from(self);
                 true
             }
             None => false,
+        }
+    }
+}
+
+// Calls go through `**` throughout: with `Sync` on the trait, the blanket
+// impl above also covers `Box<dyn ModelScratch>` and references to it, so
+// a method call on the box itself would copy the box, not its contents.
+impl Clone for Box<dyn ModelScratch> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+
+    /// Clones in place when `self` holds the same concrete type as
+    /// `source`, and falls back to a fresh [`ModelScratch::clone_box`]
+    /// otherwise.
+    fn clone_from(&mut self, source: &Self) {
+        if !(**source).clone_into(&mut **self) {
+            *self = (**source).clone_box();
         }
     }
 }
@@ -168,8 +185,8 @@ mod tests {
     #[test]
     fn fork_deep_copies_the_scratch() {
         let boxed: Box<dyn ModelScratch> = Box::new(vec![1u64, 2, 3]);
-        let mut forked = (*boxed).fork();
-        (*forked)
+        let mut copy = boxed.clone();
+        (*copy)
             .as_any_mut()
             .downcast_mut::<Vec<u64>>()
             .unwrap()
@@ -177,20 +194,20 @@ mod tests {
         assert_eq!(
             (*boxed).as_any().downcast_ref::<Vec<u64>>().unwrap().len(),
             3,
-            "mutating the fork must not touch the original"
+            "mutating the copy must not touch the original"
         );
         assert_eq!(
-            (*forked).as_any().downcast_ref::<Vec<u64>>().unwrap().len(),
+            (*copy).as_any().downcast_ref::<Vec<u64>>().unwrap().len(),
             4
         );
     }
 
     #[test]
-    fn fork_into_reuses_on_type_match_and_refuses_on_mismatch() {
+    fn clone_into_reuses_on_type_match_and_refuses_on_mismatch() {
         let src: Box<dyn ModelScratch> = Box::new(vec![7u64, 8, 9]);
         let mut tgt: Box<dyn ModelScratch> = Box::new(vec![0u64; 16]);
         assert!(
-            (*src).fork_into(&mut *tgt),
+            (*src).clone_into(&mut *tgt),
             "same concrete type must clone into"
         );
         assert_eq!(
@@ -199,8 +216,14 @@ mod tests {
         );
         let mut wrong: Box<dyn ModelScratch> = Box::new(NoScratch);
         assert!(
-            !(*src).fork_into(&mut *wrong),
+            !(*src).clone_into(&mut *wrong),
             "a type mismatch must report failure, not panic"
+        );
+        // `clone_from` falls back to a fresh copy on the mismatch.
+        wrong.clone_from(&src);
+        assert_eq!(
+            (*wrong).as_any().downcast_ref::<Vec<u64>>().unwrap(),
+            &vec![7u64, 8, 9]
         );
     }
 

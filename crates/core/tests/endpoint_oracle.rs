@@ -177,8 +177,8 @@ fn check_churn<M: PenaltyModel>(
                 model.name()
             ));
         }
-        if !(*scratch).fork_into(spare.as_mut()) {
-            return Err("fork_into refused a scratch of its own type".into());
+        if !(*scratch).clone_into(spare.as_mut()) {
+            return Err("clone_into refused a scratch of its own type".into());
         }
         let (patched, outcome) =
             model.penalties_with_scratch(&next, &delta, None, scratch.as_mut());

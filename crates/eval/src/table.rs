@@ -70,24 +70,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders comma-separated values with a header line.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = self.headers.iter().map(esc).collect::<Vec<_>>().join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with `prec` decimals, trimming trailing zeros
@@ -114,15 +96,6 @@ mod tests {
         assert!(md.contains("| com | Tm    | Tp    |"));
         assert!(md.lines().count() == 4);
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new(["a", "b"]);
-        t.push(["x,y", "q\"z"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"q\"\"z\""));
     }
 
     #[test]

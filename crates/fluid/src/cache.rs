@@ -66,8 +66,9 @@ pub struct CacheStats {
     /// enumeration hit its budget and took the max-conflict approximation
     /// (always 0 for the closed-form models).
     pub budget_fallbacks: u64,
-    /// Settles where pending changes cancelled out (arrive + depart
-    /// between settles): revalidated without touching the model.
+    /// Settles that found the population unchanged — pending changes
+    /// cancelled out (arrive + depart between settles), or nothing
+    /// contended before or after: revalidated without touching the model.
     pub cancelled_refreshes: u64,
 }
 
@@ -134,6 +135,52 @@ impl std::fmt::Debug for PenaltyCache {
     }
 }
 
+/// A copy is faithful: settled population, pending change sets, model
+/// scratch and stats all carry over, so it answers every later refresh
+/// bit for bit like the original — without the two sharing mutable
+/// state. The one place a copy drops its stats is a shard split, which
+/// zeroes the splinter's counters.
+impl Clone for PenaltyCache {
+    fn clone(&self) -> Self {
+        let mut cache = PenaltyCache::default();
+        cache.clone_from(self);
+        cache
+    }
+
+    /// Field-wise into `self`'s allocations; the model scratch clones in
+    /// place when the concrete scratch types line up, so a copy into a
+    /// warm cache allocates nothing. `staged_arrivals` is a step buffer,
+    /// cleared before every use, so it is cleared rather than copied.
+    fn clone_from(&mut self, source: &Self) {
+        let PenaltyCache {
+            active,
+            comms,
+            penalties,
+            valid,
+            settled_once,
+            pending_arrivals,
+            pending_departures,
+            pending_rebuild,
+            scratch,
+            affected,
+            staged_arrivals: _,
+            stats,
+        } = source;
+        self.active.clone_from(active);
+        self.comms.clone_from(comms);
+        self.penalties.clone_from(penalties);
+        self.valid = *valid;
+        self.settled_once = *settled_once;
+        self.pending_arrivals.clone_from(pending_arrivals);
+        self.pending_departures.clone_from(pending_departures);
+        self.pending_rebuild = *pending_rebuild;
+        self.scratch.clone_from(scratch);
+        self.affected.clone_from(affected);
+        self.staged_arrivals.clear();
+        self.stats = *stats;
+    }
+}
+
 impl PenaltyCache {
     /// An empty, invalid cache (first use always queries the model).
     pub fn new() -> Self {
@@ -162,62 +209,11 @@ impl PenaltyCache {
         self.stats
     }
 
-    /// An independent deep copy: settled population, pending deltas, and
-    /// the model scratch (via [`ModelScratch::fork`]) are all duplicated,
-    /// so the fork answers subsequent refreshes bit-for-bit like the
-    /// original would have — without the two ever sharing mutable state.
-    /// Stats are copied as-of-now and diverge from here on.
-    pub fn fork(&self) -> PenaltyCache {
-        PenaltyCache {
-            active: self.active.clone(),
-            comms: self.comms.clone(),
-            penalties: self.penalties.clone(),
-            valid: self.valid,
-            settled_once: self.settled_once,
-            pending_arrivals: self.pending_arrivals.clone(),
-            pending_departures: self.pending_departures.clone(),
-            pending_rebuild: self.pending_rebuild,
-            scratch: self.scratch.as_ref().map(|s| s.fork()),
-            affected: self.affected.clone(),
-            staged_arrivals: self.staged_arrivals.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Zeroes the usage counters: a cache forked off another to carry on
+    /// Zeroes the usage counters: a cache cloned off another to carry on
     /// part of its work (a shard split) starts its own history, so an
     /// aggregate over both does not count the shared past twice.
     pub(crate) fn clear_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// [`Self::fork`] into an existing cache, reusing its allocations.
-    /// Identical outcome to `*target = self.fork()` — bitwise, scratch
-    /// included — but steady-state re-forks into a warm target allocate
-    /// nothing: containers `clone_from`, and the model scratch clones in
-    /// place via [`ModelScratch::fork_into`] whenever the concrete scratch
-    /// types line up (falling back to a fresh `fork` when they don't).
-    pub fn fork_into(&self, target: &mut PenaltyCache) {
-        target.active.clone_from(&self.active);
-        target.comms.clone_from(&self.comms);
-        target.penalties.clone_from(&self.penalties);
-        target.valid = self.valid;
-        target.settled_once = self.settled_once;
-        target.pending_arrivals.clone_from(&self.pending_arrivals);
-        target
-            .pending_departures
-            .clone_from(&self.pending_departures);
-        target.pending_rebuild = self.pending_rebuild;
-        let scratch_reused = match (&self.scratch, &mut target.scratch) {
-            (Some(src), Some(tgt)) => src.fork_into(&mut **tgt),
-            _ => false,
-        };
-        if !scratch_reused {
-            target.scratch = self.scratch.as_ref().map(|s| s.fork());
-        }
-        target.affected.clone_from(&self.affected);
-        target.staged_arrivals.clone_from(&self.staged_arrivals);
-        target.stats = self.stats;
     }
 
     /// Returns the cache to its pre-first-settle state while keeping the
@@ -368,8 +364,8 @@ impl PenaltyCache {
     /// [`PenaltyModel::penalties_with_scratch`] over the scratch this
     /// cache owns — the previously settled population is still forwarded
     /// as a seeding hint; `comms` must be aligned with `active`. When the
-    /// pending changes cancel out exactly, the model is not queried at
-    /// all.
+    /// pending changes cancel out exactly, or the population is empty
+    /// before and after, the model is not queried at all.
     ///
     /// Returns the *previous* population's vectors (or the passed-in ones,
     /// when the refresh cancelled) so a hot caller can recycle their
@@ -381,14 +377,21 @@ impl PenaltyCache {
         comms: Vec<Communication>,
     ) -> (Vec<FlowKey>, Vec<Communication>) {
         debug_assert_eq!(active.len(), comms.len());
+        if active.is_empty() && self.active.is_empty() {
+            // Nothing contends before or after: a fresh or reset cache
+            // already describes the empty population. A pending rebuild
+            // stays pending, so the first real settle is the rebuild.
+            debug_assert!(
+                self.pending_arrivals.is_empty() && self.pending_departures.is_empty(),
+                "an empty population has no pending changes"
+            );
+            return self.revalidate(active, comms);
+        }
         let delta = self.take_delta(&active);
         if delta.is_empty() && active == self.active {
             // Nothing actually changed (e.g. a zero-size transfer arrived
             // and completed between settles): revalidate for free.
-            self.stats.cancelled_refreshes += 1;
-            self.affected = AffectedSet::Positions(Vec::new());
-            self.valid = true;
-            return (active, comms);
+            return self.revalidate(active, comms);
         }
         let incremental = !matches!(delta, PopulationDelta::Rebuilt);
         let previous = self
@@ -418,6 +421,19 @@ impl PenaltyCache {
             self.stats.budget_fallbacks += 1;
         }
         (recycled_active, recycled_comms)
+    }
+
+    /// Revalidates an unchanged population without querying the model;
+    /// nobody's penalty moved.
+    fn revalidate(
+        &mut self,
+        active: Vec<FlowKey>,
+        comms: Vec<Communication>,
+    ) -> (Vec<FlowKey>, Vec<Communication>) {
+        self.stats.cancelled_refreshes += 1;
+        self.affected = AffectedSet::Positions(Vec::new());
+        self.valid = true;
+        (active, comms)
     }
 }
 

@@ -40,7 +40,7 @@ impl<'scope> SettleJob<'scope> {
     }
 
     /// Whether [`Self::run`] has already consumed the closure.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.0.is_none()
     }
 }

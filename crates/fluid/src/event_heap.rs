@@ -144,12 +144,33 @@ impl Ord for GateEntry {
 
 /// The engine's two lazy min-heaps plus their counters. Cloning copies
 /// both heaps entry-for-entry (entries are `Copy`), which is what lets a
-/// forked network resume its timeline without a rescan.
-#[derive(Debug, Default, Clone)]
+/// copied network resume its timeline without a rescan.
+#[derive(Debug, Default)]
 pub(crate) struct EventHeaps {
     completions: BinaryHeap<FinishEntry>,
     gates: BinaryHeap<GateEntry>,
     pub(crate) stats: TimelineStats,
+}
+
+impl Clone for EventHeaps {
+    fn clone(&self) -> Self {
+        let mut heaps = EventHeaps::default();
+        heaps.clone_from(self);
+        heaps
+    }
+
+    /// Field-wise: `BinaryHeap::clone_from` delegates to the backing
+    /// `Vec`'s, so a copy into warm heaps reuses their allocations.
+    fn clone_from(&mut self, source: &Self) {
+        let EventHeaps {
+            completions,
+            gates,
+            stats,
+        } = source;
+        self.completions.clone_from(completions);
+        self.gates.clone_from(gates);
+        self.stats = *stats;
+    }
 }
 
 impl EventHeaps {
@@ -158,16 +179,6 @@ impl EventHeaps {
     pub(crate) fn clear(&mut self) {
         self.completions.clear();
         self.gates.clear();
-    }
-
-    /// Makes `target` an exact copy of `self` — heap layout, stamps and
-    /// stats included — while reusing `target`'s heap allocations
-    /// (`BinaryHeap::clone_from` delegates to the backing `Vec`'s). The
-    /// allocation-preserving counterpart of `clone`.
-    pub(crate) fn fork_into(&self, target: &mut Self) {
-        target.completions.clone_from(&self.completions);
-        target.gates.clone_from(&self.gates);
-        target.stats = self.stats;
     }
 
     /// Records a (re-)anchored flow's cached finish time. `epoch` must be

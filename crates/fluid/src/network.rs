@@ -46,7 +46,7 @@ use crate::slab::{FlowKey, JobSlots, Slab, SlotAccess};
 use crate::solver::Phase;
 use netbw_core::{AffectedSet, PenaltyModel};
 use netbw_graph::Communication;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Caller-chosen identifier for a transfer (the simulator uses its event
 /// ids; the batch solver uses input indices). Distinct from the internal
@@ -146,19 +146,21 @@ enum Partition {
     Sharded(ShardSet),
 }
 
-impl Partition {
-    fn fork(&self) -> Partition {
+impl Clone for Partition {
+    fn clone(&self) -> Self {
         match self {
-            Partition::Single(sh) => Partition::Single(sh.fork()),
-            Partition::Sharded(shards) => Partition::Sharded(shards.fork()),
+            Partition::Single(sh) => Partition::Single(sh.clone()),
+            Partition::Sharded(shards) => Partition::Sharded(shards.clone()),
         }
     }
 
-    fn fork_into(&self, target: &mut Partition) {
-        match (self, target) {
-            (Partition::Single(src), Partition::Single(tgt)) => src.fork_into(tgt),
-            (Partition::Sharded(src), Partition::Sharded(tgt)) => src.fork_into(tgt),
-            (src, tgt) => *tgt = src.fork(),
+    /// In place when both sides have the same kind; a target of the other
+    /// kind is replaced by a fresh clone.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Partition::Single(tgt), Partition::Single(src)) => tgt.clone_from(src),
+            (Partition::Sharded(tgt), Partition::Sharded(src)) => tgt.clone_from(src),
+            (tgt, src) => *tgt = src.clone(),
         }
     }
 }
@@ -177,7 +179,8 @@ struct StepBuffers {
     departed: Vec<Communication>,
 }
 
-/// Everything that mutates during a settle or an event, behind one lock.
+/// Everything that mutates during a settle or an event, kept apart from
+/// the model, parameters and dispatch so a settle can borrow both halves.
 struct EngineState {
     time: f64,
     slots: Slab<Slot>,
@@ -198,11 +201,7 @@ pub struct FluidNetwork<M> {
     /// (the jobs touch disjoint shards, so any order — or any parallel
     /// schedule — yields the same bits). [`SerialDispatch`] by default.
     dispatch: Arc<dyn SettleDispatch>,
-    // Mutex (uncontended in single-threaded use) because
-    // `next_event_time` is `&self` (see `NetworkBackend`) but may need to
-    // lazily settle after a population change — and the network must stay
-    // `Sync` for thread-scoped sweeps.
-    state: Mutex<EngineState>,
+    state: EngineState,
 }
 
 /// Settles one shard — the body both drivers share:
@@ -482,12 +481,12 @@ impl<M: PenaltyModel> FluidNetwork<M> {
             params,
             record_phases: false,
             dispatch: Arc::new(SerialDispatch),
-            state: Mutex::new(EngineState {
+            state: EngineState {
                 time: 0.0,
                 slots: Slab::new(),
                 partition: Partition::Single(Shard::new()),
                 bufs: StepBuffers::default(),
-            }),
+            },
         }
     }
 
@@ -506,8 +505,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// are independent — hand them to a parallel executor with
     /// [`Self::with_sharded_dispatch`].
     pub fn with_sharded(mut self) -> Self {
-        self.state.get_mut().expect("engine state lock").partition =
-            Partition::Sharded(ShardSet::default());
+        self.state.partition = Partition::Sharded(ShardSet::default());
         self
     }
 
@@ -522,7 +520,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
 
     /// Current simulation time.
     pub fn time(&self) -> f64 {
-        self.state.lock().expect("engine state lock").time
+        self.state.time
     }
 
     /// The network parameters in use.
@@ -537,14 +535,14 @@ impl<M: PenaltyModel> FluidNetwork<M> {
 
     /// Number of transfers not yet completed (including latency-gated ones).
     pub fn in_flight(&self) -> usize {
-        self.state.lock().expect("engine state lock").slots.len()
+        self.state.slots.len()
     }
 
     /// Penalty-cache counters: model queries, cache reuses, invalidations.
     /// In sharded mode this is the aggregate over every shard cache, past
     /// and present (merged-away shards included).
     pub fn cache_stats(&self) -> CacheStats {
-        match &self.state.lock().expect("engine state lock").partition {
+        match &self.state.partition {
             Partition::Single(sh) => sh.cache.stats(),
             Partition::Sharded(shards) => shards.cache_stats(),
         }
@@ -554,7 +552,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// gate-heap traffic, full-population rescans. In sharded mode this is
     /// the aggregate over every shard timeline.
     pub fn timeline_stats(&self) -> TimelineStats {
-        match &self.state.lock().expect("engine state lock").partition {
+        match &self.state.partition {
             Partition::Single(sh) => sh.events.stats,
             Partition::Sharded(shards) => shards.timeline_stats(),
         }
@@ -570,7 +568,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// merges and drains (all zero unless built with
     /// [`Self::with_sharded`]).
     pub fn shard_stats(&self) -> ShardStats {
-        match &self.state.lock().expect("engine state lock").partition {
+        match &self.state.partition {
             Partition::Single(_) => ShardStats::default(),
             Partition::Sharded(shards) => shards.shard_stats(),
         }
@@ -585,7 +583,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// by [`crate::FluidSolver`] to amortize construction across a scheme
     /// battery; cache and timeline stats accumulate across resets.
     pub fn reset(&mut self) {
-        let st = self.state.get_mut().expect("engine state lock");
+        let st = &mut self.state;
         st.time = 0.0;
         st.slots.clear();
         match &mut st.partition {
@@ -622,7 +620,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         start: f64,
     ) -> Result<(), AddError> {
         let latency = self.params.latency;
-        let st = self.state.get_mut().expect("engine state lock");
+        let st = &mut self.state;
         if !start.is_finite() {
             return Err(AddError::NonFiniteStart { start });
         }
@@ -663,12 +661,11 @@ impl<M: PenaltyModel> FluidNetwork<M> {
 
     /// The next instant at which the network state changes (a gate opens or
     /// a transfer completes), or `None` when idle.
-    pub fn next_event_time(&self) -> Option<f64> {
-        let mut st = self.state.lock().expect("engine state lock");
-        if st.slots.is_empty() {
+    pub fn next_event_time(&mut self) -> Option<f64> {
+        if self.state.slots.is_empty() {
             return None;
         }
-        st.settle_next(
+        self.state.settle_next(
             &self.model,
             &self.params,
             self.record_phases,
@@ -682,7 +679,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// # Panics
     /// If `t` is before the current time.
     pub fn advance_to(&mut self, t: f64) -> Vec<CompletedTransfer> {
-        let st = self.state.get_mut().expect("engine state lock");
+        let st = &mut self.state;
         assert!(
             t >= st.time - 1e-12,
             "cannot advance backwards ({} -> {t})",
@@ -719,64 +716,57 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     }
 }
 
-impl<M: PenaltyModel + Clone> FluidNetwork<M> {
-    /// An independent deep copy of the warm engine: clock, slab (keys,
-    /// generations and epochs verbatim), and every shard's penalty cache
-    /// with its model scratch (via [`netbw_core::ModelScratch::fork`]) and
-    /// event heaps — in sharded mode the whole shard table. The fork and
-    /// the original evolve independently from here on and produce
-    /// bit-for-bit the results a rebuild-and-replay of the same history
-    /// would (pinned by the `fork_equivalence` proptests).
-    ///
-    /// The model itself is cloned, so share an immutable model cheaply by
-    /// instantiating the network over `Arc<dyn PenaltyModel>` (models are
-    /// stateless — all mutable state lives in the forked scratch). This is
-    /// what lets the `netbw-serve` what-if service answer speculative
-    /// queries by forking a warm snapshot instead of replaying history.
-    ///
-    /// `fork` takes `&self` (briefly locking the engine state), so many
-    /// worker threads can fork the same shared snapshot concurrently.
-    pub fn fork(&self) -> Self {
-        let st = self.state.lock().expect("engine state lock");
-        FluidNetwork {
-            model: self.model.clone(),
-            params: self.params,
-            record_phases: self.record_phases,
-            dispatch: Arc::clone(&self.dispatch),
-            state: Mutex::new(EngineState {
-                time: st.time,
-                slots: st.slots.clone(),
-                partition: st.partition.fork(),
-                bufs: StepBuffers::default(),
-            }),
-        }
+/// A copy of a warm engine is independent and exact: clock, slab (keys,
+/// generations and epochs verbatim), and every shard's penalty cache with
+/// its model scratch and event heaps — in sharded mode the whole shard
+/// table. The copy and the original evolve independently from here on,
+/// and the copy produces bit-for-bit the results a rebuild-and-replay of
+/// the same history would (pinned by the `fork_equivalence` proptests).
+///
+/// The model itself is cloned, so share an immutable model cheaply by
+/// instantiating the network over `Arc<dyn PenaltyModel>` (models are
+/// stateless — all mutable state lives in the copied scratch). This is
+/// what lets the `netbw-serve` what-if service answer speculative queries
+/// by copying a warm snapshot instead of replaying history.
+impl<M: PenaltyModel + Clone> Clone for FluidNetwork<M> {
+    fn clone(&self) -> Self {
+        let mut net = FluidNetwork::new(self.model.clone(), self.params);
+        net.clone_from(self);
+        net
     }
 
-    /// [`Self::fork`] into an existing engine, reusing `target`'s
-    /// allocations all the way down: slab, shard caches (model scratch
-    /// included, via [`netbw_core::ModelScratch::fork_into`]) and event
-    /// heaps — in sharded mode the whole shard table clones in place. The
-    /// outcome is bitwise indistinguishable from `*target = self.fork()`
-    /// (pinned by the `rebase_equivalence` proptests), but a steady-state
-    /// re-fork into a warm target allocates nothing — this is the serve
-    /// hot path's per-worker fork arena.
-    ///
-    /// `target`'s own history is discarded wholesale; its step buffers are
-    /// cleared, not copied, exactly as `fork` starts them empty (they are
-    /// always drained before use).
-    pub fn fork_into(&self, target: &mut Self) {
-        let st = self.state.lock().expect("engine state lock");
-        target.model = self.model.clone();
-        target.params = self.params;
-        target.record_phases = self.record_phases;
-        target.dispatch = Arc::clone(&self.dispatch);
-        let tgt = target.state.get_mut().expect("target engine state lock");
-        tgt.time = st.time;
-        st.slots.fork_into(&mut tgt.slots);
-        st.partition.fork_into(&mut tgt.partition);
-        tgt.bufs.opened.clear();
-        tgt.bufs.due.clear();
-        tgt.bufs.departed.clear();
+    /// Copies into `self`'s allocations all the way down: slab, shard
+    /// caches (model scratch included) and event heaps. A single-shard
+    /// engine copied into a warm single-shard target allocates nothing —
+    /// the serve hot path's per-worker arena; a sharded shard table is
+    /// replaced by a fresh clone. `self`'s own history is discarded
+    /// wholesale; its step buffers are cleared, not copied, since every
+    /// step drains them before use.
+    fn clone_from(&mut self, source: &Self) {
+        let FluidNetwork {
+            model,
+            params,
+            record_phases,
+            dispatch,
+            state:
+                EngineState {
+                    time,
+                    slots,
+                    partition,
+                    bufs: _,
+                },
+        } = source;
+        self.model.clone_from(model);
+        self.params = *params;
+        self.record_phases = *record_phases;
+        self.dispatch.clone_from(dispatch);
+        let st = &mut self.state;
+        st.time = *time;
+        st.slots.clone_from(slots);
+        st.partition.clone_from(partition);
+        st.bufs.opened.clear();
+        st.bufs.due.clear();
+        st.bufs.departed.clear();
     }
 }
 
@@ -1041,6 +1031,21 @@ mod tests {
             "expected ≤8 model queries, got {stats:?}"
         );
         assert!(stats.reuses > 0, "cache never reused: {stats:?}");
+    }
+
+    #[test]
+    fn an_empty_population_costs_no_model_query() {
+        // Two disjoint flows behind latency gates: the default engine's
+        // first settle comes before either gate opens, when nobody
+        // contends. Every engine queries the model once when the gates
+        // open and once when the flows leave.
+        let params = NetworkParams::new(1.0, 0.5);
+        for (name, mut net) in engines(GigabitEthernetModel::default(), params) {
+            net.add(0, comm(0, 1, 10), 0.0);
+            net.add(1, comm(2, 3, 10), 0.0);
+            assert_eq!(net.run_to_completion().len(), 2, "{name}");
+            assert_eq!(net.cache_stats().model_queries, 2, "{name}");
+        }
     }
 
     #[test]
@@ -1320,7 +1325,7 @@ mod tests {
                     key += 1;
                 }
                 let live = net.in_flight();
-                let members = match &net.state.get_mut().expect("engine state lock").partition {
+                let members = match &net.state.partition {
                     Partition::Single(sh) => sh.members.len(),
                     Partition::Sharded(shards) => shards.member_count(),
                 };

@@ -26,8 +26,8 @@
 //! shard's last flow left, so its slot retires), or
 //! [`ComponentRemoval::Split`] — in which case `ShardSet::split` carves
 //! the splinter component out of its shard: member keys are partitioned
-//! by a tracker lookup, the splinter gets a [`PenaltyCache::fork`] of the
-//! kept cache (its counters zeroed, so the set-wide aggregate counts the
+//! by a tracker lookup, the splinter gets a clone of the kept
+//! cache (its counters zeroed, so the set-wide aggregate counts the
 //! shared history once) with each side noting the other's members as
 //! departures (penalties are component-local, so both sides' next delta
 //! refresh reproduces identical values and the engine's resync skips —
@@ -133,35 +133,6 @@ impl Shard {
         }
     }
 
-    /// An independent deep copy (cache via [`PenaltyCache::fork`], heaps
-    /// entry-for-entry) that settles bit-for-bit like the original.
-    pub(crate) fn fork(&self) -> Shard {
-        Shard {
-            cache: self.cache.fork(),
-            events: self.events.clone(),
-            members: self.members.clone(),
-            departures: self.departures,
-            staged: self.staged.clone(),
-            comms_buf: self.comms_buf.clone(),
-            version: self.version,
-            dirty: self.dirty,
-        }
-    }
-
-    /// [`Self::fork`] into an existing shard, reusing its allocations
-    /// (cache via [`PenaltyCache::fork_into`], heaps via
-    /// [`EventHeaps::fork_into`]). Bitwise identical outcome to `fork`.
-    pub(crate) fn fork_into(&self, target: &mut Shard) {
-        self.cache.fork_into(&mut target.cache);
-        self.events.fork_into(&mut target.events);
-        target.members.clone_from(&self.members);
-        target.departures = self.departures;
-        target.staged.clone_from(&self.staged);
-        target.comms_buf.clone_from(&self.comms_buf);
-        target.version = self.version;
-        target.dirty = self.dirty;
-    }
-
     /// Returns the shard to its freshly built state while keeping its
     /// allocations warm and its stats cumulative (see
     /// [`PenaltyCache::reset`]).
@@ -207,6 +178,38 @@ impl Shard {
     }
 }
 
+impl Clone for Shard {
+    fn clone(&self) -> Self {
+        let mut shard = Shard::new();
+        shard.clone_from(self);
+        shard
+    }
+
+    /// Field-wise into `self`'s allocations (cache and heaps included).
+    /// The staging buffers are overwritten before every read, so they are
+    /// cleared rather than copied.
+    fn clone_from(&mut self, source: &Self) {
+        let Shard {
+            cache,
+            events,
+            members,
+            departures,
+            staged: _,
+            comms_buf: _,
+            version,
+            dirty,
+        } = source;
+        self.cache.clone_from(cache);
+        self.events.clone_from(events);
+        self.members.clone_from(members);
+        self.departures = *departures;
+        self.staged.clear();
+        self.comms_buf.clear();
+        self.version = *version;
+        self.dirty = *dirty;
+    }
+}
+
 /// A cross-shard event-heap entry: one shard's next completion-or-gate
 /// time as of `version`. Min-ordered by time with a shard-id tiebreak so
 /// simultaneous events pop deterministically.
@@ -241,7 +244,7 @@ impl Ord for ShardNext {
 /// The engine's shard table: component tracker, live shards, the dirty
 /// list and the cross-shard event heap, plus the counters of retired
 /// shards (so aggregate stats survive merges and resets).
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub(crate) struct ShardSet {
     tracker: ComponentTracker,
     /// Shard index per tracker root index. Entries go stale when a root
@@ -338,7 +341,7 @@ impl ShardSet {
 
     /// Carves the `split_root` component out of shard `id` into a fresh
     /// shard. Member keys are partitioned by a tracker lookup (compacting
-    /// stale keys on the way); the splinter's cache is a fork of the kept
+    /// stale keys on the way); the splinter's cache is a clone of the kept
     /// cache with each side noting the other's contending members as
     /// departures, so both sides' next delta refresh reproduces exactly
     /// the penalties the joint query would have (penalties are
@@ -366,7 +369,7 @@ impl ShardSet {
         }
         let kept = self.shards[id].as_mut().expect("split shard is live");
         kept.departures = 0;
-        let mut sp_cache = kept.cache.fork();
+        let mut sp_cache = kept.cache.clone();
         // The kept cache keeps the history; the splinter's starts now.
         sp_cache.clear_stats();
         let mut sp_events = EventHeaps::default();
@@ -603,65 +606,6 @@ impl ShardSet {
             stats.absorb(sh.events.stats);
         }
         stats
-    }
-
-    /// An independent deep copy of the whole shard table: tracker,
-    /// per-shard caches (scratch included) and heaps, the dirty list and
-    /// the cross-shard event heap. The fork and the original settle
-    /// bit-for-bit identically from here on without sharing any state.
-    pub(crate) fn fork(&self) -> ShardSet {
-        ShardSet {
-            tracker: self.tracker.clone(),
-            shard_of_root: self.shard_of_root.clone(),
-            shards: self
-                .shards
-                .iter()
-                .map(|slot| slot.as_ref().map(Shard::fork))
-                .collect(),
-            live: self.live,
-            free_slots: self.free_slots.clone(),
-            dirty: self.dirty.clone(),
-            next_events: self.next_events.clone(),
-            retired_cache: self.retired_cache,
-            retired_timeline: self.retired_timeline,
-            reused_settles: self.reused_settles,
-            candidates: Vec::new(),
-            splits: self.splits,
-            merges: self.merges,
-            drains: self.drains,
-        }
-    }
-
-    /// [`Self::fork`] into an existing shard table, reusing its
-    /// allocations: the tracker, the shard slots (matching `Some`/`Some`
-    /// slots clone in place, shard caches and heaps included) and every
-    /// side table `clone_from` into the target. Bitwise identical outcome
-    /// to `fork` — including the always-empty `candidates` scratch.
-    pub(crate) fn fork_into(&self, target: &mut ShardSet) {
-        self.tracker.fork_into(&mut target.tracker);
-        target.shard_of_root.clone_from(&self.shard_of_root);
-        target.shards.truncate(self.shards.len());
-        for (i, slot) in self.shards.iter().enumerate() {
-            if let Some(tgt) = target.shards.get_mut(i) {
-                match (slot, tgt) {
-                    (Some(src), Some(t)) => src.fork_into(t),
-                    (src, t) => *t = src.as_ref().map(Shard::fork),
-                }
-            } else {
-                target.shards.push(slot.as_ref().map(Shard::fork));
-            }
-        }
-        target.live = self.live;
-        target.free_slots.clone_from(&self.free_slots);
-        target.dirty.clone_from(&self.dirty);
-        target.next_events.clone_from(&self.next_events);
-        target.retired_cache = self.retired_cache;
-        target.retired_timeline = self.retired_timeline;
-        target.reused_settles = self.reused_settles;
-        target.candidates.clear();
-        target.splits = self.splits;
-        target.merges = self.merges;
-        target.drains = self.drains;
     }
 
     /// Drops every shard and the component structure while folding their

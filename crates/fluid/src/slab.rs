@@ -73,7 +73,7 @@ struct Entry<T> {
 /// slot-ordered iteration. Cloning deep-copies every slot verbatim —
 /// generations, epochs and free-list included — so a clone hands out the
 /// exact same key sequence the original would.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Slab<T> {
     entries: Vec<Entry<T>>,
     free: Vec<u32>,
@@ -87,6 +87,22 @@ impl<T> Default for Slab<T> {
             free: Vec::new(),
             len: 0,
         }
+    }
+}
+
+impl<T: Clone> Clone for Slab<T> {
+    fn clone(&self) -> Self {
+        let mut slab = Slab::default();
+        slab.clone_from(self);
+        slab
+    }
+
+    /// Field-wise, so a copy into a warm slab reuses its slot storage.
+    fn clone_from(&mut self, source: &Self) {
+        let Slab { entries, free, len } = source;
+        self.entries.clone_from(entries);
+        self.free.clone_from(free);
+        self.len = *len;
     }
 }
 
@@ -115,19 +131,6 @@ impl<T> Slab<T> {
     /// True when no slot is occupied.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Makes `target` an exact copy of `self` — generations, epochs and
-    /// free-list included — while reusing `target`'s allocations. The
-    /// allocation-preserving counterpart of `clone`: a forked slab hands
-    /// out the same key sequence the original would.
-    pub fn fork_into(&self, target: &mut Self)
-    where
-        T: Clone,
-    {
-        target.entries.clone_from(&self.entries);
-        target.free.clone_from(&self.free);
-        target.len = self.len;
     }
 
     /// Stores `value`, returning its stable key. Freed slots are re-used

@@ -152,23 +152,6 @@ impl<M: PenaltyModel> FluidSolver<M> {
     }
 }
 
-impl<M: PenaltyModel + Clone> FluidSolver<M> {
-    /// An independent deep copy of the solver and its warm network state
-    /// (see [`FluidNetwork::fork`]): the fork solves bit-for-bit like the
-    /// original while reusing the original's warm scratch allocations.
-    pub fn fork(&self) -> Self {
-        FluidSolver {
-            net: self.net.fork(),
-        }
-    }
-
-    /// [`Self::fork`] into an existing solver, reusing its network's
-    /// allocations (see [`FluidNetwork::fork_into`]).
-    pub fn fork_into(&self, target: &mut Self) {
-        self.net.fork_into(&mut target.net);
-    }
-}
-
 /// One-shot convenience: completion times of a scheme under `model`,
 /// starting synchronized at time 0.
 pub fn solve_scheme<M: PenaltyModel>(

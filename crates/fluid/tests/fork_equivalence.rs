@@ -1,16 +1,19 @@
-//! `FluidNetwork::fork` equivalence: a fork of a warm engine, diverged
-//! with additional transfers, must match the standalone
-//! `ReferenceNetwork` replaying the same history bit-for-bit — across all
-//! three fabric models and every engine configuration (one shard, shards
-//! on serial dispatch, shards on the work-stealing executor), including
-//! forks taken mid-churn with latency-gated flows still pending. This is
-//! the contract the `netbw-serve` what-if service relies on when it
-//! answers speculative placement queries from a forked snapshot instead
-//! of replaying the admission log.
+//! Fork equivalence: a copy of a warm engine (a fork), diverged with
+//! additional transfers, must match the standalone `ReferenceNetwork`
+//! replaying the same history bit-for-bit — across all three fabric
+//! models and every engine configuration (one shard, shards on serial
+//! dispatch, shards on the work-stealing executor), including forks
+//! taken mid-churn with latency-gated flows still pending. A fork is
+//! taken both by `clone` and by `clone_from` into a warm engine of every
+//! configuration that ran a different history first, so a field the
+//! in-place copy misses shows up as a bit mismatch. This is the contract
+//! the `netbw-serve` what-if service relies on when it answers
+//! speculative placement queries from a copied snapshot instead of
+//! replaying the admission log.
 
 use netbw_bench::{churn_transfers_seeded, Drive, Engine};
 use netbw_core::{GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel};
-use netbw_fluid::{NetworkParams, ReferenceNetwork};
+use netbw_fluid::{FluidNetwork, NetworkParams, ReferenceNetwork};
 use netbw_graph::Communication;
 use proptest::prelude::*;
 
@@ -60,8 +63,11 @@ fn replay<M: PenaltyModel>(
 /// over the prefix, advances it to the last prefix start (so the newest
 /// flow's latency gate is still pending — the fork happens mid-churn),
 /// forks it, diverges the fork with the suffix, and checks the fork
-/// against the reference replaying the identical history. Also drains
-/// the parent afterwards to prove the fork did not perturb it.
+/// against the reference replaying the identical history. The same check
+/// runs on a fork made by `clone_from` into a warm engine of each
+/// configuration (the sharded kinds into the single shard and back
+/// included) that first ran a different history. Also drains the parent
+/// afterwards to prove the forks did not perturb it.
 fn check_fork_equivalence<M: PenaltyModel + Clone>(
     model: M,
     engine: Engine,
@@ -77,18 +83,34 @@ fn check_fork_equivalence<M: PenaltyModel + Clone>(
     add_all(&mut base, prefix);
     let mut done_before = advance(&mut base, fork_time);
 
-    let mut forked = base.fork();
-    assert_eq!(forked.time().to_bits(), base.time().to_bits());
-    assert_eq!(forked.in_flight(), base.in_flight());
-    add_all(&mut forked, suffix);
-    let mut fork_done = done_before.clone();
-    fork_done.extend(completions(&mut forked));
-    fork_done.sort_by_key(|&(k, _)| k);
-    assert_eq!(
-        fork_done,
-        replay(model.clone(), prefix, fork_time, suffix),
-        "fork-then-diverge must equal the reference's replay ({engine:?}, split {split})"
-    );
+    let expected = replay(model.clone(), prefix, fork_time, suffix);
+    let diverge = |forked: &mut FluidNetwork<M>, how: &str| {
+        assert_eq!(forked.time().to_bits(), base.time().to_bits());
+        assert_eq!(forked.in_flight(), base.in_flight());
+        add_all(forked, suffix);
+        let mut fork_done = done_before.clone();
+        fork_done.extend(completions(forked));
+        fork_done.sort_by_key(|&(k, _)| k);
+        assert_eq!(
+            fork_done, expected,
+            "{how}-then-diverge must equal the reference's replay ({engine:?}, split {split})"
+        );
+    };
+    diverge(&mut base.clone(), "clone");
+    // A different history on every target configuration: the same
+    // schedule reversed, with other sizes, advanced past the fork instant.
+    let history: Vec<(u64, Communication, f64)> = transfers
+        .iter()
+        .map(|&(key, c, start)| (key, Communication::new(c.dst, c.src, 2 * c.size + 1), start))
+        .collect();
+    let history_end = history.last().expect("non-empty schedule").2;
+    for target in Engine::ALL {
+        let mut warm = target.build(model.clone(), params());
+        add_all(&mut warm, &history);
+        advance(&mut warm, history_end);
+        warm.clone_from(&base);
+        diverge(&mut warm, &format!("clone_from into a warm {target:?}"));
+    }
 
     // The parent continues (without the suffix) exactly as the reference
     // over the prefix alone.

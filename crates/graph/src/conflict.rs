@@ -21,7 +21,7 @@
 use crate::bitset::BitSet;
 use crate::comm::Communication;
 use crate::graph::CommGraph;
-use crate::ids::{CommId, NodeId};
+use crate::ids::NodeId;
 
 /// Which pairs of communications are considered to conflict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -81,11 +81,6 @@ pub struct CommConflicts {
 }
 
 impl CommConflicts {
-    /// True when the communication shares no resource with any other.
-    pub fn is_isolated(&self) -> bool {
-        self.outgoing_peers == 0 && self.income_peers == 0 && self.income_outgo_peers == 0
-    }
-
     /// The dominant conflict kind, if any (priority: outgoing, income,
     /// income/outgo — mirroring the severity order observed in Fig. 2).
     pub fn dominant(&self) -> Option<ConflictKind> {
@@ -234,16 +229,6 @@ impl ConflictGraph {
     }
 }
 
-/// Convenience: conflict ids for one communication within a graph.
-pub fn conflicting_comms(graph: &CommGraph, id: CommId, rule: ConflictRule) -> Vec<CommId> {
-    let me = graph.comm(id);
-    graph
-        .iter()
-        .filter(|(other, _, c)| *other != id && rule.conflicts(me, c))
-        .map(|(other, _, _)| other)
-        .collect()
-}
-
 /// Degrees used throughout the models: Δo of the source, Δi of the
 /// destination, restricted to the given communication population.
 pub fn degrees(comms: &[Communication], of: &Communication) -> (usize, usize) {
@@ -265,6 +250,7 @@ pub fn in_degree(comms: &[Communication], node: NodeId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::CommId;
     use crate::schemes;
 
     fn fig5_comms() -> Vec<Communication> {
@@ -343,7 +329,7 @@ mod tests {
         let mut g = CommGraph::new();
         g.add("a", 0u32, 1u32, 1);
         let cen = census(&g);
-        assert!(cen[0].is_isolated());
+        assert_eq!(cen[0], CommConflicts::default(), "shares nothing");
         assert_eq!(cen[0].dominant(), None);
     }
 
@@ -377,9 +363,13 @@ mod tests {
     #[test]
     fn conflicting_comms_lists_partners() {
         let g = schemes::fig5();
+        let cg = ConflictGraph::build(g.comms(), ConflictRule::Strict);
         let a = g.by_label("a").unwrap();
-        let partners = conflicting_comms(&g, a, ConflictRule::Strict);
-        let labels: Vec<&str> = partners.iter().map(|&id| g.label(id)).collect();
+        let labels: Vec<&str> = cg
+            .neighbours(a.idx())
+            .iter()
+            .map(|v| g.label(CommId(v as u32)))
+            .collect();
         assert_eq!(labels, vec!["b", "c", "d", "e"]);
     }
 }

@@ -7,7 +7,6 @@
 //! [`CommGraph::with_uniform_size`] to rescale.
 
 use crate::graph::CommGraph;
-use crate::ids::NodeId;
 use crate::units::MB;
 use rand::prelude::IndexedRandom;
 use rand::rngs::StdRng;
@@ -181,21 +180,6 @@ pub fn complete(n: usize, size: u64, low_to_high: bool) -> CommGraph {
     g
 }
 
-/// A balanced binary-tree broadcast: node 0 the root, each parent sends to
-/// its two children, `depth` levels below the root.
-pub fn binary_tree(depth: usize, size: u64) -> CommGraph {
-    let mut g = CommGraph::named(format!("btree-{depth}"));
-    let nodes = (1usize << (depth + 1)) - 1;
-    for p in 0..nodes {
-        for c in [2 * p + 1, 2 * p + 2] {
-            if c < nodes {
-                g.add_auto(p as u32, c as u32, size);
-            }
-        }
-    }
-    g
-}
-
 /// All-to-one incast: `k` senders to node 0 (same as [`incoming_ladder`]
 /// with explicit size).
 pub fn incast(k: usize, size: u64) -> CommGraph {
@@ -216,33 +200,6 @@ pub fn random(nodes: usize, comms: usize, size: u64, seed: u64) -> CommGraph {
             d += 1;
         }
         g.add_auto(s, d, size);
-    }
-    g
-}
-
-/// A random *permutation* scheme: every node sends to a distinct target
-/// (no shared sources, no shared destinations — conflict-free under the
-/// strict rule unless a node sends to itself, which is excluded by
-/// derangement retry).
-pub fn random_permutation(nodes: usize, size: u64, seed: u64) -> CommGraph {
-    assert!(nodes >= 2, "need at least two nodes");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let targets: Vec<usize>;
-    loop {
-        let mut t: Vec<usize> = (0..nodes).collect();
-        // Fisher–Yates
-        for i in (1..nodes).rev() {
-            let j = rng.random_range(0..=i);
-            t.swap(i, j);
-        }
-        if t.iter().enumerate().all(|(i, &x)| i != x) {
-            targets = t;
-            break;
-        }
-    }
-    let mut g = CommGraph::named(format!("perm-{nodes}n-{seed}"));
-    for (s, &d) in targets.iter().enumerate() {
-        g.add_auto(s as u32, d as u32, size);
     }
     g
 }
@@ -284,20 +241,10 @@ pub fn random_bounded(
     g
 }
 
-/// Maps every endpoint node through `f` — used to re-express a task-level
-/// scheme as a node-level scheme after placement.
-pub fn map_nodes(graph: &CommGraph, f: impl Fn(NodeId) -> NodeId) -> CommGraph {
-    let mut g = CommGraph::named(graph.name().to_string());
-    for (_, label, c) in graph.iter() {
-        g.add(label.to_string(), f(c.src), f(c.dst), c.size);
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conflict::{ConflictGraph, ConflictRule};
+    use crate::ids::NodeId;
 
     #[test]
     fn fig2_schemes_have_expected_shapes() {
@@ -374,13 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_tree_counts() {
-        let t = binary_tree(2, 1); // 7 nodes, 6 edges
-        assert_eq!(t.len(), 6);
-        assert_eq!(t.nodes().len(), 7);
-    }
-
-    #[test]
     fn random_is_reproducible_and_loop_free() {
         let a = random(8, 20, 100, 42);
         let b = random(8, 20, 100, 42);
@@ -391,30 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_conflict_free_under_strict_rule() {
-        for seed in 0..5 {
-            let g = random_permutation(10, 100, seed);
-            assert_eq!(g.len(), 10);
-            let cg = ConflictGraph::build(g.comms(), ConflictRule::Strict);
-            assert_eq!(cg.edge_count(), 0, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn bounded_random_respects_degrees() {
         let g = random_bounded(10, 24, 2, 3, 100, 7);
         for v in g.nodes() {
             assert!(g.out_degree(v) <= 2);
             assert!(g.in_degree(v) <= 3);
         }
-    }
-
-    #[test]
-    fn map_nodes_relabels() {
-        let g = ring(4, 10);
-        let h = map_nodes(&g, |n| NodeId(n.0 * 2));
-        assert_eq!(h.comm(crate::ids::CommId(0)).src, NodeId(0));
-        assert_eq!(h.comm(crate::ids::CommId(0)).dst, NodeId(2));
-        assert_eq!(h.len(), 4);
     }
 }

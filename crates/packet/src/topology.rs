@@ -2,12 +2,8 @@
 //!
 //! The paper's clusters use full-bisection fat trees, so core contention is
 //! absent and sharing happens at the endpoints (NIC emission, NIC
-//! reception). The default topology is therefore a non-blocking crossbar:
-//! one egress server per node, one ingress server per node. A two-level
-//! fat tree with configurable *oversubscription* is provided as an
-//! extension: with `oversubscription > 1` the shared uplinks become
-//! additional contention points (not part of the paper's evaluation, used
-//! by our extension tests).
+//! reception). The topology is therefore a non-blocking crossbar: one
+//! egress server per node, one ingress server per node.
 
 use netbw_graph::NodeId;
 
@@ -29,10 +25,6 @@ pub struct Route {
 #[derive(Clone, Debug)]
 pub struct Topology {
     nodes: usize,
-    /// Nodes per leaf switch (0 = crossbar, no leaf level).
-    leaf_radix: usize,
-    /// Uplink oversubscription factor (1.0 = full bisection).
-    oversubscription: f64,
     server_count: u32,
 }
 
@@ -42,29 +34,8 @@ impl Topology {
         assert!(nodes >= 2, "topology needs at least two nodes");
         Topology {
             nodes,
-            leaf_radix: 0,
-            oversubscription: 1.0,
             // servers: tx[node] then down[node]
             server_count: (nodes * 2) as u32,
-        }
-    }
-
-    /// Two-level fat tree: `leaf_radix` nodes per leaf switch, shared
-    /// uplinks with the given oversubscription factor (uplink capacity =
-    /// link_rate × leaf_radix / oversubscription, modelled as
-    /// `ceil(radix/oversub)` unit-rate uplink servers used round-robin by
-    /// source node index).
-    pub fn fat_tree(nodes: usize, leaf_radix: usize, oversubscription: f64) -> Self {
-        assert!(nodes >= 2 && leaf_radix >= 1);
-        assert!(oversubscription >= 1.0);
-        let leaves = nodes.div_ceil(leaf_radix);
-        let uplinks_per_leaf = (leaf_radix as f64 / oversubscription).ceil() as usize;
-        Topology {
-            nodes,
-            leaf_radix,
-            oversubscription,
-            // tx[node], down[node], then per-leaf uplink/downlink servers
-            server_count: (nodes * 2 + leaves * uplinks_per_leaf * 2) as u32,
         }
     }
 
@@ -79,23 +50,15 @@ impl Topology {
     }
 
     /// The egress (NIC transmit) server of a node.
-    pub fn tx_server(&self, node: NodeId) -> ServerId {
+    fn tx_server(&self, node: NodeId) -> ServerId {
         assert!((node.idx()) < self.nodes, "node {node} out of range");
         ServerId(node.0)
     }
 
     /// The ingress (switch-to-NIC delivery) server of a node.
-    pub fn down_server(&self, node: NodeId) -> ServerId {
+    fn down_server(&self, node: NodeId) -> ServerId {
         assert!((node.idx()) < self.nodes, "node {node} out of range");
         ServerId(self.nodes as u32 + node.0)
-    }
-
-    fn leaf_of(&self, node: NodeId) -> usize {
-        node.idx() / self.leaf_radix
-    }
-
-    fn uplinks_per_leaf(&self) -> usize {
-        (self.leaf_radix as f64 / self.oversubscription).ceil() as usize
     }
 
     /// Route from `src` to `dst`.
@@ -105,28 +68,9 @@ impl Topology {
     /// enter the fabric).
     pub fn route(&self, src: NodeId, dst: NodeId) -> Route {
         assert!(src != dst, "intra-node traffic does not enter the fabric");
-        let tx = self.tx_server(src);
-        let down = self.down_server(dst);
-        if self.leaf_radix == 0 || self.leaf_of(src) == self.leaf_of(dst) {
-            // crossbar or same leaf: two serialization points, two hops
-            return Route {
-                servers: vec![tx, down],
-                hops: 2,
-            };
-        }
-        // cross-leaf: tx -> leaf uplink -> spine -> leaf downlink -> down
-        let per = self.uplinks_per_leaf();
-        let leaves = self.nodes.div_ceil(self.leaf_radix);
-        let base = (self.nodes * 2) as u32;
-        let up_leaf = self.leaf_of(src);
-        let down_leaf = self.leaf_of(dst);
-        let up_idx = src.idx() % per;
-        let down_idx = dst.idx() % per;
-        let up = ServerId(base + (up_leaf * per + up_idx) as u32);
-        let dn = ServerId(base + (leaves * per) as u32 + (down_leaf * per + down_idx) as u32);
         Route {
-            servers: vec![tx, up, dn, down],
-            hops: 4,
+            servers: vec![self.tx_server(src), self.down_server(dst)],
+            hops: 2,
         }
     }
 }
@@ -164,40 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_same_leaf_is_short() {
-        let t = Topology::fat_tree(8, 4, 1.0);
-        let r = t.route(NodeId(0), NodeId(3)); // same leaf
-        assert_eq!(r.servers.len(), 2);
-    }
-
-    #[test]
-    fn fat_tree_cross_leaf_adds_uplinks() {
-        let t = Topology::fat_tree(8, 4, 1.0);
-        let r = t.route(NodeId(0), NodeId(7));
-        assert_eq!(r.servers.len(), 4);
-        assert_eq!(r.hops, 4);
-        // uplink/downlink servers are distinct from endpoint servers
-        assert!(r.servers[1].0 >= 16);
-        assert!(r.servers[2].0 >= 16);
-        assert!(r.servers[2] != r.servers[1]);
-    }
-
-    #[test]
-    fn oversubscribed_tree_shares_uplinks() {
-        let t = Topology::fat_tree(8, 4, 4.0); // 1 uplink per leaf
-        let r0 = t.route(NodeId(0), NodeId(7));
-        let r1 = t.route(NodeId(1), NodeId(6));
-        // both cross-leaf routes share the single leaf-0 uplink
-        assert_eq!(r0.servers[1], r1.servers[1]);
-    }
-
-    #[test]
     fn server_ids_stay_in_bounds() {
-        for t in [
-            Topology::crossbar(5),
-            Topology::fat_tree(9, 4, 1.0),
-            Topology::fat_tree(16, 4, 2.0),
-        ] {
+        for t in [Topology::crossbar(2), Topology::crossbar(5)] {
             let n = t.nodes();
             for s in 0..n as u32 {
                 for d in 0..n as u32 {

@@ -13,9 +13,9 @@
 //!   [`netbw_fluid::FluidNetwork`] tracks the transfers actually admitted
 //!   (through the fallible `try_add`, so malformed requests surface as
 //!   typed [`ServeError`]s instead of panics). What-if queries never touch
-//!   it: they run on throwaway [`netbw_fluid::FluidNetwork::fork`]s of a cached
-//!   **snapshot** fork, which is invalidated on admission/advance and
-//!   rebuilt at most once per batch — the fork-equivalence proptests in
+//!   it: they run on throwaway clones (forks) of a cached **snapshot**
+//!   fork, which is re-based on admission/advance and rebuilt at most
+//!   once per batch — the fork-equivalence proptests in
 //!   `netbw-fluid` pin that a fork diverged with speculative flows answers
 //!   bit-for-bit like a rebuild-and-replay of the admission log.
 //! * An [`netbw_eval::EvalSession`] underneath — query batches fan out on
@@ -51,4 +51,5 @@ mod service;
 pub use frontend::{ServeHandle, ServeRequest};
 pub use service::{
     FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery, WhatIfService,
+    MAX_WHAT_IF_BYTES,
 };

@@ -23,6 +23,13 @@ type ModelHandle = Arc<dyn PenaltyModel>;
 /// per worker.
 const FORK_ARENA_KEY: u64 = 0;
 
+/// The largest what-if flow the service answers, in bytes (4 GiB).
+/// Normalising a flow's slowdown needs `Tref(size)`, a packet-level
+/// simulation whose cost grows linearly with the size — about 20 ms at
+/// this cap on the GigE fabric — so a larger flow is refused with
+/// [`ServeError::FlowTooLarge`] instead of stalling its worker.
+pub const MAX_WHAT_IF_BYTES: u64 = 1 << 32;
+
 /// Configuration of a [`WhatIfService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -62,6 +69,11 @@ pub enum ServeError {
     },
     /// A what-if query with no flows.
     EmptyQuery,
+    /// A what-if flow larger than [`MAX_WHAT_IF_BYTES`].
+    FlowTooLarge {
+        /// The refused flow's size in bytes.
+        size: u64,
+    },
     /// The service thread behind a [`crate::ServeHandle`] has shut down.
     ServiceStopped,
 }
@@ -74,6 +86,10 @@ impl std::fmt::Display for ServeError {
                 write!(f, "cannot advance to {t}: clock is already at {now}")
             }
             ServeError::EmptyQuery => write!(f, "what-if query has no flows"),
+            ServeError::FlowTooLarge { size } => write!(
+                f,
+                "what-if flow of {size} bytes exceeds the {MAX_WHAT_IF_BYTES}-byte limit"
+            ),
             ServeError::ServiceStopped => write!(f, "service thread has shut down"),
         }
     }
@@ -162,7 +178,7 @@ pub struct ServeStats {
     /// (paying one fork), or replay was refused and the snapshot dropped.
     pub rebase_fallbacks: u64,
     /// Per-query engine forks that recycled a warm per-worker arena via
-    /// `FluidNetwork::fork_into` instead of deep-copying afresh.
+    /// `FluidNetwork::clone_from` instead of deep-copying afresh.
     pub fork_reuses: u64,
     /// Executor / arena / `Tref` memo counters of the underlying session.
     pub sweep: SweepStats,
@@ -359,7 +375,7 @@ impl WhatIfService {
     /// authoritative state nor each other. The fork lands in the worker's
     /// persistent fork arena: after each worker's first query ever, the
     /// deep copy recycles the previous fork's allocations
-    /// ([`FluidNetwork::fork_into`]) instead of building a fresh engine.
+    /// ([`Clone::clone_from`]) instead of building a fresh engine.
     pub fn what_if_batch(&self, queries: &[WhatIfQuery]) -> Vec<Result<WhatIfAnswer, ServeError>> {
         if queries.is_empty() {
             return Vec::new();
@@ -376,11 +392,11 @@ impl WhatIfService {
                 .and_then(|warm| warm.downcast::<FluidNetwork<ModelHandle>>().ok())
             {
                 Some(mut warm) => {
-                    snap.net.fork_into(&mut warm);
+                    (*warm).clone_from(&snap.net);
                     self.fork_reuses.fetch_add(1, Ordering::Relaxed);
                     warm
                 }
-                None => Box::new(snap.net.fork()),
+                None => Box::new(snap.net.clone()),
             };
             let answer = self.answer_on(&mut engine, snap.now, worker, query);
             worker.put_fork_arena(FORK_ARENA_KEY, engine);
@@ -468,7 +484,7 @@ impl WhatIfService {
             return;
         }
         let mut next = Snapshot {
-            net: arc.net.fork(),
+            net: arc.net.clone(),
             now: arc.now,
         };
         if apply(&mut next) {
@@ -490,7 +506,7 @@ impl WhatIfService {
             return Arc::clone(snap);
         }
         let snap = Arc::new(Snapshot {
-            net: st.net.fork(),
+            net: st.net.clone(),
             now: st.net.time(),
         });
         st.snapshot = Some(Arc::clone(&snap));
@@ -503,7 +519,7 @@ impl WhatIfService {
     /// Superimposes the query's flows on `net` (already positioned at
     /// `now`) and settles until every speculative flow completes. `net`
     /// is a private fork or rebuild — it is left diverged, to be
-    /// overwritten by the next `fork_into` (arena path) or dropped
+    /// overwritten by the next `clone_from` (arena path) or dropped
     /// (rebuild path).
     fn answer_on(
         &self,
@@ -514,6 +530,9 @@ impl WhatIfService {
     ) -> Result<WhatIfAnswer, ServeError> {
         if query.flows.is_empty() {
             return Err(ServeError::EmptyQuery);
+        }
+        if let Some(&(comm, _)) = query.flows.iter().find(|(c, _)| c.size > MAX_WHAT_IF_BYTES) {
+            return Err(ServeError::FlowTooLarge { size: comm.size });
         }
         let mut starts = Vec::with_capacity(query.flows.len());
         for (i, &(comm, offset)) in query.flows.iter().enumerate() {
@@ -624,6 +643,29 @@ mod tests {
         ));
         // a rejected admission leaves no trace
         assert_eq!(service.stats().admitted, 1);
+    }
+
+    #[test]
+    fn oversized_what_if_flows_are_refused_before_any_tref() {
+        let service = WhatIfService::new(tiny_config());
+        service
+            .admit(Communication::new(0u32, 1u32, 100), 0.0)
+            .unwrap();
+        for size in [u64::MAX, MAX_WHAT_IF_BYTES + 1] {
+            let query = WhatIfQuery::flow(Communication::new(2u32, 1u32, size), 0.0);
+            let refused = Err(ServeError::FlowTooLarge { size });
+            assert_eq!(service.what_if(&query), refused);
+            assert_eq!(
+                service.what_if_batch_via_rebuild(std::slice::from_ref(&query)),
+                vec![refused]
+            );
+        }
+        assert_eq!(service.stats().sweep.tref_misses, 0, "no Tref was measured");
+        let answer = service.what_if(&WhatIfQuery::flow(
+            Communication::new(2u32, 1u32, 64 << 10),
+            0.0,
+        ));
+        assert!(answer.is_ok(), "{answer:?}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub trait NetworkBackend {
     /// Starts transfer `key` at absolute time `start`.
     fn add(&mut self, key: u64, comm: Communication, start: f64);
     /// The next instant at which the backend's state changes, if any.
-    fn next_event_time(&self) -> Option<f64>;
+    fn next_event_time(&mut self) -> Option<f64>;
     /// Advances to `t`, returning `(key, completion_time)` for transfers
     /// completing in `(previous, t]`.
     fn advance_to(&mut self, t: f64) -> Vec<(u64, f64)>;
@@ -59,7 +59,7 @@ impl<B: NetworkBackend + ?Sized> NetworkBackend for &mut B {
         (**self).add(key, comm, start);
     }
 
-    fn next_event_time(&self) -> Option<f64> {
+    fn next_event_time(&mut self) -> Option<f64> {
         (**self).next_event_time()
     }
 
@@ -85,7 +85,7 @@ impl<M: netbw_core::PenaltyModel> NetworkBackend for netbw_fluid::FluidNetwork<M
         netbw_fluid::FluidNetwork::add(self, key, comm, start);
     }
 
-    fn next_event_time(&self) -> Option<f64> {
+    fn next_event_time(&mut self) -> Option<f64> {
         netbw_fluid::FluidNetwork::next_event_time(self)
     }
 
@@ -114,7 +114,7 @@ impl NetworkBackend for netbw_packet::PacketNetwork {
         netbw_packet::PacketNetwork::add(self, key, comm, start);
     }
 
-    fn next_event_time(&self) -> Option<f64> {
+    fn next_event_time(&mut self) -> Option<f64> {
         netbw_packet::PacketNetwork::next_event_time(self)
     }
 

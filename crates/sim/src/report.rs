@@ -55,14 +55,6 @@ pub struct TaskReport {
     pub bytes_sent: u64,
 }
 
-impl TaskReport {
-    /// Total communication time attributed to this task (sends + receives),
-    /// the quantity summed into the paper's `Sm`/`Sp`.
-    pub fn comm_time(&self) -> f64 {
-        self.send_time + self.recv_time
-    }
-}
-
 /// Full result of replaying a trace.
 #[derive(Clone, Debug, Default)]
 pub struct SimReport {
@@ -87,14 +79,6 @@ impl SimReport {
             sums[m.src_task] += m.send_duration();
         }
         sums
-    }
-
-    /// Average of per-message effective bandwidth (diagnostics).
-    pub fn mean_message_duration(&self) -> f64 {
-        if self.messages.is_empty() {
-            return 0.0;
-        }
-        self.messages.iter().map(|m| m.end - m.start).sum::<f64>() / self.messages.len() as f64
     }
 
     /// Effective penalty of each inter-node message relative to an

@@ -71,7 +71,7 @@ impl HplConfig {
 
     /// Panel payload in bytes at iteration `k` (column panel of the
     /// trailing matrix, f64 entries, plus pivot rows).
-    pub fn panel_bytes(&self, k: usize) -> u64 {
+    fn panel_bytes(&self, k: usize) -> u64 {
         let m = self.n.saturating_sub(k * self.nb);
         let nb = self.nb.min(m);
         ((m * nb + nb) * 8) as u64
@@ -79,7 +79,7 @@ impl HplConfig {
 
     /// Panel factorisation flops at iteration `k` (≈ m·NB² for the
     /// unblocked panel).
-    pub fn panel_flops(&self, k: usize) -> f64 {
+    fn panel_flops(&self, k: usize) -> f64 {
         let m = self.n.saturating_sub(k * self.nb) as f64;
         let nb = self.nb as f64;
         m * nb * nb
@@ -87,7 +87,7 @@ impl HplConfig {
 
     /// Trailing-update flops per task at iteration `k`
     /// (2·m·m·NB spread over the tasks).
-    pub fn update_flops_per_task(&self, k: usize) -> f64 {
+    fn update_flops_per_task(&self, k: usize) -> f64 {
         let m = self.n.saturating_sub((k + 1) * self.nb) as f64;
         let nb = self.nb as f64;
         2.0 * m * m * nb / self.tasks as f64

@@ -57,13 +57,6 @@ impl StencilConfig {
         y * self.px + x
     }
 
-    /// Number of halo messages each task sends per iteration: two per
-    /// dimension of extent > 1 (the two halo faces are distinct data even
-    /// when the periodic neighbours coincide).
-    pub fn halos_per_task(&self) -> usize {
-        2 * usize::from(self.px > 1) + 2 * usize::from(self.py > 1)
-    }
-
     /// Generates the halo-exchange trace as four directional ring-shift
     /// phases (E, W, S, N). Each phase is a shift-by-one along a grid
     /// ring; under blocking rendezvous sends a full ring of simultaneous
@@ -133,18 +126,16 @@ mod tests {
 
     #[test]
     fn halo_counts() {
-        let full = StencilConfig {
-            px: 4,
-            py: 4,
-            ..StencilConfig::small()
-        };
-        assert_eq!(full.halos_per_task(), 4);
-        let line = StencilConfig {
-            px: 4,
-            py: 1,
-            ..StencilConfig::small()
-        };
-        assert_eq!(line.halos_per_task(), 2);
+        // Each task sends two halos per dimension of extent > 1.
+        for (px, py, halos) in [(4, 4, 4), (4, 1, 2)] {
+            let c = StencilConfig {
+                px,
+                py,
+                ..StencilConfig::small()
+            };
+            let s = netbw_trace::TraceStats::of(&c.trace());
+            assert_eq!(s.total_messages(), c.tasks() * halos * c.iterations);
+        }
     }
 
     #[test]
@@ -168,10 +159,7 @@ mod tests {
         let c = StencilConfig::small(); // 4×2 grid
         let tr = c.trace();
         let s = netbw_trace::TraceStats::of(&tr);
-        assert_eq!(
-            s.total_messages(),
-            c.tasks() * c.halos_per_task() * c.iterations
-        );
+        assert_eq!(s.total_messages(), c.tasks() * 4 * c.iterations);
     }
 
     #[test]

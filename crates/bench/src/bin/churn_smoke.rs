@@ -37,7 +37,8 @@
 //!   fewer cores it must merely never fall behind it beyond a noise
 //!   slack. At every core count it must also never fall behind the same
 //!   engine on serial dispatch beyond that slack: the executor never
-//!   loses to running the barrier's jobs in order on the caller.
+//!   loses to running the barrier's jobs in order on the caller. Its
+//!   wide barriers must still reach the dispatcher (a count guard).
 //! * the `shard_split_smoke` group: steady arrive/depart bridge waves
 //!   (`netbw_bench::bridge_wave_churn`) that merge the partition every
 //!   wave and break it apart again when the bridges complete. The
@@ -46,7 +47,10 @@
 //!   fall behind the single-shard engine on the same feed beyond a noise
 //!   slack. At every core count the executor-dispatched feed must also
 //!   keep up with the same feed on serial dispatch (`with_sharded`),
-//!   within the same slack.
+//!   within the same slack. Two count guards pin the work behind those
+//!   timings: splits and merges re-home about one component's flows
+//!   each (the smaller side), and the group's narrow barriers settle
+//!   inline instead of going to the dispatcher.
 //!
 //! The medians land in `BENCH_timeline.json`, `BENCH_shard.json` and
 //! `BENCH_split.json` (uploaded as CI artifacts next to
@@ -304,6 +308,7 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
     let (mut done_heap, mut done_serial, mut done_par) = (0, 0, 0);
     let mut live_shards = 0;
     let mut budget_fallbacks = 0;
+    let mut shape = netbw::fluid::ShardStats::default();
     let [t_heap, t_serial, t_par] = interleaved(
         reps,
         [
@@ -322,6 +327,7 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
                 let mut net = FluidNetwork::new(MyrinetModel::default(), NetworkParams::unit())
                     .with_sharded_dispatch(Arc::new(SweepExecutor::new(0)));
                 done_par = drain_prefix_into(&mut net, &transfers, prefix);
+                shape = net.shard_stats();
             },
         ],
     )
@@ -349,7 +355,16 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
     println!(
         "shard-{comps}x{flows_per_comp} ({endpoints} endpoints, {cores} cores): \
          first {prefix} completions | heap {t_heap:?} | sharded serial {t_serial:?} \
-         | sharded executor {t_par:?} ({speedup:.2}x vs heap)"
+         | sharded executor {t_par:?} ({speedup:.2}x vs heap) | {} barriers dispatched, \
+         {} flows re-homed",
+        shape.dispatched_barriers, shape.rehomed_flows,
+    );
+    // Counted work: the event instants here dirty thousands of shards at
+    // once, far past the inline cutoff, so the barriers must still reach
+    // the executor.
+    assert!(
+        shape.dispatched_barriers > 0,
+        "shard smoke: no settle barrier reached the executor: {shape:?}"
     );
     if cores >= 4 {
         assert!(
@@ -381,10 +396,13 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
         "{{\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \
          \"endpoints\": {endpoints}, \"prefix\": {prefix}, \"cores\": {cores}, \
          \"heap_prefix_ms\": {:.3}, \"sharded_serial_ms\": {:.3}, \
-         \"sharded_executor_ms\": {:.3}, \"executor_speedup\": {speedup:.3}}}\n",
+         \"sharded_executor_ms\": {:.3}, \"executor_speedup\": {speedup:.3}, \
+         \"dispatched_barriers\": {}, \"rehomed_flows\": {}}}\n",
         t_heap.as_secs_f64() * 1e3,
         t_serial.as_secs_f64() * 1e3,
         t_par.as_secs_f64() * 1e3,
+        shape.dispatched_barriers,
+        shape.rehomed_flows,
     )
 }
 
@@ -471,9 +489,15 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     let speedup = t_single.as_secs_f64() / t_split.as_secs_f64();
     println!(
         "split-{comps}x{flows_per_comp}x{waves} ({cores} cores): split drain {t_split:?} \
-         ({} splits, {} merges) | serial dispatch {t_split_serial:?} | single-shard drain \
-         {t_single:?} | refinement speedup {speedup:.2}x | waves {:?}",
-        stats.splits, stats.merges, wave_best,
+         ({} splits, {} merges, {} flows re-homed, {} barriers dispatched) | serial dispatch \
+         {t_split_serial:?} ({:.2}x) | single-shard drain {t_single:?} | refinement speedup \
+         {speedup:.2}x | waves {:?}",
+        stats.splits,
+        stats.merges,
+        stats.rehomed_flows,
+        stats.dispatched_barriers,
+        t_split.as_secs_f64() / t_split_serial.as_secs_f64(),
+        wave_best,
     );
 
     // Partition shape: every wave re-merges and re-splits, and every
@@ -490,6 +514,24 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
     assert_eq!(
         cache.budget_fallbacks, 0,
         "split smoke: no budget fallback on GigE: {cache:?}"
+    );
+    // Counted work. A split or a merge moves its smaller side, which is
+    // about one component's flows (13.9 per repartition at 128 x 16 x 8);
+    // moving the larger side re-homes over 300.
+    let repartitions = stats.splits + stats.merges;
+    assert!(
+        stats.rehomed_flows <= flows_per_comp as u64 * repartitions,
+        "split smoke: {} flows re-homed by {repartitions} splits and merges; the \
+         smaller side should move, about one component each: {stats:?}",
+        stats.rehomed_flows,
+    );
+    // Every barrier of this feed is narrow enough to settle inline (none
+    // dispatches at 128 x 16 x 8; an inline cutoff of 0 sends all ~13.6k).
+    assert!(
+        stats.dispatched_barriers <= 4 * waves as u64,
+        "split smoke: {} settle barriers went to the dispatcher; narrow barriers \
+         should settle inline: {stats:?}",
+        stats.dispatched_barriers,
     );
 
     // Settle cost must stay flat across waves: steady churn with a
@@ -520,7 +562,8 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
         "{{\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \"waves\": {waves}, \
          \"cores\": {cores}, \"split_drain_ms\": {:.3}, \"split_serial_ms\": {:.3}, \
          \"single_shard_drain_ms\": {:.3}, \"refinement_speedup\": {speedup:.3}, \
-         \"wave2_ms\": {:.3}, \"last_wave_ms\": {:.3}, \"splits\": {}, \"merges\": {}}}\n",
+         \"wave2_ms\": {:.3}, \"last_wave_ms\": {:.3}, \"splits\": {}, \"merges\": {}, \
+         \"rehomed_flows\": {}, \"dispatched_barriers\": {}}}\n",
         t_split.as_secs_f64() * 1e3,
         t_split_serial.as_secs_f64() * 1e3,
         t_single.as_secs_f64() * 1e3,
@@ -528,6 +571,8 @@ fn check_split(comps: usize, flows_per_comp: usize, waves: usize, reps: usize) -
         t_late.as_secs_f64() * 1e3,
         stats.splits,
         stats.merges,
+        stats.rehomed_flows,
+        stats.dispatched_barriers,
     )
 }
 

@@ -23,6 +23,11 @@
 //! distinguish deltas *offered* from patches *performed* and count scratch
 //! rebuilds and budget fallbacks.
 //!
+//! The pending sets are lookup-only and keyed with
+//! [`netbw_core::NodeHasher`], the workspace's multiply-rotate hasher: no
+//! result depends on their hash order (arrivals are sorted by slot before
+//! use, and departures only answer membership).
+//!
 //! Two bookkeeping niceties fall out of stable keys:
 //!
 //! * a flow that arrives *and* departs between two settles (a zero-size
@@ -33,9 +38,14 @@
 //!   `Departed` delta instead of a rebuild.
 
 use crate::slab::FlowKey;
-use netbw_core::{AffectedSet, ModelScratch, Penalty, PenaltyModel, PopulationDelta};
+use netbw_core::{AffectedSet, ModelScratch, NodeHasher, Penalty, PenaltyModel, PopulationDelta};
 use netbw_graph::Communication;
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+/// A pending change set: flow keys, probed once per contending flow per
+/// settle.
+type KeySet = HashSet<FlowKey, BuildHasherDefault<NodeHasher>>;
 
 /// Counters describing how well query-on-change is working.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -59,8 +69,8 @@ pub struct CacheStats {
     /// alignment).
     pub patched_queries: u64,
     /// Queries in which the model (re)built its per-cache scratch state
-    /// with a full O(n) pass — the first settle, every forced rebuild, and
-    /// any bookkeeping surprise.
+    /// with a full O(n) pass — a cache's first settle (a fresh shard's
+    /// included) and any bookkeeping surprise.
     pub scratch_rebuilds: u64,
     /// Queries in which some Myrinet conflict component's state-set
     /// enumeration hit its budget and took the max-conflict approximation
@@ -73,16 +83,17 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Model queries that had to rebuild from scratch (first query, forced
-    /// rebuilds, or transitions no positional delta could explain).
+    /// Model queries that had to rebuild from scratch (a cache's first
+    /// query, or a transition no positional delta could explain).
     pub fn rebuild_queries(&self) -> u64 {
         self.model_queries - self.delta_queries
     }
 
     /// Adds `other`'s counters into `self`. The sharded engine keeps one
-    /// penalty cache per shard and reports their sum; retiring a shard (a
-    /// component merge, or a reset) folds its counters through this, so
-    /// the aggregate stays cumulative.
+    /// penalty cache per shard and reports their sum; retiring a cache (the
+    /// smaller side's at a component merge, a drained shard's, or every
+    /// shard's at a reset) folds its counters through this, so the
+    /// aggregate stays cumulative.
     pub fn absorb(&mut self, other: CacheStats) {
         self.model_queries += other.model_queries;
         self.reuses += other.reuses;
@@ -109,9 +120,8 @@ pub struct PenaltyCache {
     penalties: Vec<Penalty>,
     valid: bool,
     settled_once: bool,
-    pending_arrivals: HashSet<FlowKey>,
-    pending_departures: HashSet<FlowKey>,
-    pending_rebuild: bool,
+    pending_arrivals: KeySet,
+    pending_departures: KeySet,
     scratch: Option<Box<dyn ModelScratch>>,
     /// The model's answer to "whose penalty may have changed?" from the
     /// most recent refresh, consumed by the engine's kinetics resync via
@@ -138,8 +148,7 @@ impl std::fmt::Debug for PenaltyCache {
 /// A copy is faithful: settled population, pending change sets, model
 /// scratch and stats all carry over, so it answers every later refresh
 /// bit for bit like the original — without the two sharing mutable
-/// state. The one place a copy drops its stats is a shard split, which
-/// zeroes the splinter's counters.
+/// state.
 impl Clone for PenaltyCache {
     fn clone(&self) -> Self {
         let mut cache = PenaltyCache::default();
@@ -160,7 +169,6 @@ impl Clone for PenaltyCache {
             settled_once,
             pending_arrivals,
             pending_departures,
-            pending_rebuild,
             scratch,
             affected,
             staged_arrivals: _,
@@ -173,7 +181,6 @@ impl Clone for PenaltyCache {
         self.settled_once = *settled_once;
         self.pending_arrivals.clone_from(pending_arrivals);
         self.pending_departures.clone_from(pending_departures);
-        self.pending_rebuild = *pending_rebuild;
         self.scratch.clone_from(scratch);
         self.affected.clone_from(affected);
         self.staged_arrivals.clear();
@@ -209,13 +216,6 @@ impl PenaltyCache {
         self.stats
     }
 
-    /// Zeroes the usage counters: a cache cloned off another to carry on
-    /// part of its work (a shard split) starts its own history, so an
-    /// aggregate over both does not count the shared past twice.
-    pub(crate) fn clear_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Returns the cache to its pre-first-settle state while keeping the
     /// model scratch allocation and the cumulative stats. The next refresh
     /// issues a full rebuild query (no positional delta can bridge a
@@ -231,7 +231,6 @@ impl PenaltyCache {
         self.settled_once = false;
         self.pending_arrivals.clear();
         self.pending_departures.clear();
-        self.pending_rebuild = false;
         self.affected = AffectedSet::All;
     }
 
@@ -247,15 +246,14 @@ impl PenaltyCache {
     /// touching the slab: the previously settled population minus pending
     /// departures, merged (by slot index, i.e. slab iteration order) with
     /// pending arrivals. Returns `false` — caller must gather by scanning
-    /// the slab instead — when no settled population exists yet or a
-    /// rebuild is pending.
+    /// the slab instead — when no settled population exists yet.
     ///
     /// This is what keeps a settle O(changed + log n) end to end: with
     /// 100k queued transfers and a few hundred contending, re-deriving the
     /// population from the slab would cost O(total) per event even though
     /// the penalty query itself is O(affected).
     pub fn staged_active(&mut self, out: &mut Vec<FlowKey>) -> bool {
-        if self.pending_rebuild || !self.settled_once {
+        if !self.settled_once {
             return false;
         }
         out.clear();
@@ -300,16 +298,6 @@ impl PenaltyCache {
         }
     }
 
-    /// Marks the population as changed in a way no positional delta
-    /// describes: the next refresh issues a full rebuild query. Used when
-    /// two shards merge and as the defensive answer to any bookkeeping
-    /// surprise.
-    pub fn invalidate_rebuild(&mut self) {
-        self.stats.invalidations += 1;
-        self.valid = false;
-        self.pending_rebuild = true;
-    }
-
     /// Records a served-from-cache settle.
     pub fn note_reuse(&mut self) {
         debug_assert!(self.valid);
@@ -321,14 +309,12 @@ impl PenaltyCache {
     /// batch becomes a chained [`PopulationDelta::Mixed`] (departures
     /// applied against the previous population first, then arrivals
     /// against the new one); the cache only falls back to
-    /// [`PopulationDelta::Rebuilt`] on the first settle, on a forced
-    /// rebuild, or when a pending key fails to line up with either
-    /// population.
+    /// [`PopulationDelta::Rebuilt`] on the first settle, or when a pending
+    /// key fails to line up with either population.
     fn take_delta(&mut self, new_active: &[FlowKey]) -> PopulationDelta {
-        let rebuild = std::mem::take(&mut self.pending_rebuild);
         let arrivals = std::mem::take(&mut self.pending_arrivals);
         let departures = std::mem::take(&mut self.pending_departures);
-        if rebuild || !self.settled_once {
+        if !self.settled_once {
             return PopulationDelta::Rebuilt;
         }
         let arrived: Vec<usize> = new_active
@@ -379,8 +365,8 @@ impl PenaltyCache {
         debug_assert_eq!(active.len(), comms.len());
         if active.is_empty() && self.active.is_empty() {
             // Nothing contends before or after: a fresh or reset cache
-            // already describes the empty population. A pending rebuild
-            // stays pending, so the first real settle is the rebuild.
+            // already describes the empty population, and stays unsettled,
+            // so the first real settle is the rebuild.
             debug_assert!(
                 self.pending_arrivals.is_empty() && self.pending_departures.is_empty(),
                 "an empty population has no pending changes"
@@ -580,19 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_invalidation_forces_a_full_query() {
-        let model = MyrinetModel::default();
-        let (_, keys) = keyed(&comms());
-        let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys.clone(), comms());
-        cache.invalidate_rebuild();
-        cache.refresh(&model, keys, comms());
-        assert_eq!(cache.stats().model_queries, 2);
-        assert_eq!(cache.stats().delta_queries, 0);
-        assert_eq!(cache.stats().cancelled_refreshes, 0);
-    }
-
-    #[test]
     fn myrinet_budget_fallback_is_visible_and_exact() {
         // A conflict component with more state sets than the budget: every
         // query that re-enumerates it must show the blow-up in
@@ -660,8 +633,8 @@ mod tests {
         cache.note_arrival(reused);
         assert!(cache.staged_active(&mut staged));
         assert_eq!(staged, vec![keys[0], reused, keys[2], keys[3]]);
-        // a forced rebuild disables staging until the next settle
-        cache.invalidate_rebuild();
+        // a reset disables staging until the next settle
+        cache.reset();
         assert!(!cache.staged_active(&mut staged));
     }
 

@@ -24,7 +24,7 @@
 //! Gate entries still carry the slab epoch, because the *sharded* engine
 //! migrates gated flows between per-shard heaps when a shard splits: the
 //! migration bumps the flow's epoch and re-pushes its gate into the
-//! splinter heap, leaving the old shard's entry to be lazily discarded
+//! smaller part's fresh heap, leaving the old entry to be lazily discarded
 //! ([`TimelineStats::gate_lazy_pops`]) exactly like a re-anchored
 //! completion entry.
 //!

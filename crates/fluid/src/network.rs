@@ -26,15 +26,16 @@
 //! Cache and heaps belong to a shard. The default engine keeps every
 //! flow in one shard; [`FluidNetwork::with_sharded`] partitions the
 //! population into conflict-component shards (see [`crate::shard`]) whose
-//! settles are independent: each settle barrier hands one
-//! stage/refresh/re-anchor job per dirty shard to a
+//! settles are independent: a settle barrier with enough work to share
+//! hands one stage/refresh/re-anchor job per dirty shard to a
 //! [`crate::dispatch::SettleDispatch`] in a single round, so they can run
-//! in parallel. Both drivers settle a shard through one body
-//! (`settle_shard`) and process an event instant through one per-shard
-//! step (`step_shard`), and every re-anchor goes through the same
-//! kinetics arithmetic, so their results are bit-for-bit identical — and
-//! identical to [`crate::ReferenceNetwork`], the standalone §IV.B engine
-//! the equivalence batteries pin both against.
+//! in parallel, and a smaller barrier settles inline. Both drivers
+//! settle a shard through one body (`settle_shard`) and process an event
+//! instant through one per-shard step (`step_shard`), and every
+//! re-anchor goes through the same kinetics arithmetic, so their results
+//! are bit-for-bit identical — and identical to
+//! [`crate::ReferenceNetwork`], the standalone §IV.B engine the
+//! equivalence batteries pin both against.
 
 use crate::cache::CacheStats;
 use crate::dispatch::{SerialDispatch, SettleDispatch, SettleJob};
@@ -96,6 +97,17 @@ impl std::error::Error for AddError {}
 
 /// Absolute slack when comparing times (gates, targets, completions).
 pub(crate) const TIME_EPS: f64 = 1e-15;
+
+/// A sharded settle barrier whose parallelisable work
+/// ([`ShardSet::parallel_work`]: the dirty shards' summed member counts
+/// minus the largest) stays below this many members settles inline on
+/// the caller. A barrier with one dirty shard always does. Member counts
+/// overstate a warm shard's settle, which patches only its changes, so
+/// the cutoff sits far above a bare pool round's break-even: on two
+/// cores, barriers of a few thousand members still settled faster inline
+/// than on the pool, while barriers that dirty thousands of shards at
+/// once gain from it.
+const INLINE_BARRIER_MEMBERS: usize = 4096;
 
 /// A transfer slot: identity, latency gate and anchored kinetics.
 #[derive(Debug, Clone)]
@@ -213,8 +225,9 @@ pub struct FluidNetwork<M> {
 /// 3. **re-anchors** the kinetics of the flows the model reports as
 ///    affected, pushing their new finish times into the shard's heaps.
 ///
-/// The single-shard engine passes its [`Slab`]; a parallel barrier job
-/// passes a [`JobSlots`] view restricted to its own shard's members.
+/// The single-shard engine and an inline barrier pass the [`Slab`]; a
+/// dispatched barrier job passes a [`JobSlots`] view restricted to its own
+/// shard's members.
 fn settle_shard<M: PenaltyModel, S: SlotAccess<Slot>>(
     model: &M,
     params: &NetworkParams,
@@ -272,19 +285,22 @@ fn settle_shard<M: PenaltyModel, S: SlotAccess<Slot>>(
     sh.dirty = false;
 }
 
-/// The sharded settle barrier: one dispatch round with one
-/// [`settle_shard`] job per dirty shard.
+/// The sharded settle barrier: each dirty shard's [`settle_shard`], run
+/// inline on the [`Slab`] when the barrier's parallelisable work is below
+/// [`INLINE_BARRIER_MEMBERS`], and otherwise as one dispatch round with
+/// one job per dirty shard.
 ///
-/// The jobs reach the slab through one raw view: the dirty shards' live
-/// members are pairwise-disjoint slot sets (asserted in debug builds
-/// before the dispatch) and the slab is structurally frozen for the whole
-/// barrier, so no two jobs ever touch the same live entry. A stale member
+/// The dispatched jobs reach the slab through one raw view: the dirty
+/// shards' live members are pairwise-disjoint slot sets (asserted in debug
+/// builds before the dispatch) and the slab is structurally frozen for the
+/// whole barrier, so no two jobs ever touch the same live entry. A stale member
 /// key whose slot another shard's flow now occupies is only ever probed,
 /// by generation, while compacting. The next-event republish stays
 /// serial: it feeds the shared cross-shard heap.
 ///
 /// Clean shards are never touched, so a settle costs the dirty shards'
-/// O(affected) work — not O(components) — plus the dispatch overhead. No
+/// O(affected) work — not O(components) — plus, for a dispatched
+/// barrier, the dispatch overhead. No
 /// model answer depends on a flow outside its own component, so the shards
 /// never need to consult each other mid-barrier.
 fn settle_sharded<M: PenaltyModel>(
@@ -304,35 +320,48 @@ fn settle_sharded<M: PenaltyModel>(
     }
     let mut dirty = std::mem::take(&mut shards.dirty);
     dirty.sort_unstable();
-    #[cfg(debug_assertions)]
-    {
-        // The raw-view jobs below are sound only if the dirty shards' live
-        // members name pairwise-disjoint slots.
-        let mut seen = std::collections::HashSet::new();
+    if shards.parallel_work(&dirty) < INLINE_BARRIER_MEMBERS {
         for &id in &dirty {
-            for &k in &shards.shard_mut(id).members {
-                if slots.contains(k) {
-                    assert!(seen.insert(k), "shard members overlap on a slot");
+            settle_shard(
+                model,
+                params,
+                record_phases,
+                now,
+                slots,
+                shards.shard_mut(id),
+            );
+        }
+    } else {
+        shards.note_dispatched_barrier();
+        #[cfg(debug_assertions)]
+        {
+            // The raw-view jobs below are sound only if the dirty shards'
+            // live members name pairwise-disjoint slots.
+            let mut seen = std::collections::HashSet::new();
+            for &id in &dirty {
+                for &k in &shards.shard_mut(id).members {
+                    if slots.contains(k) {
+                        assert!(seen.insert(k), "shard members overlap on a slot");
+                    }
                 }
             }
         }
-    }
-    let raw = slots.raw();
-    let mut jobs: Vec<SettleJob<'_>> = shards
-        .disjoint_mut(&dirty)
-        .into_iter()
-        .map(|sh| {
-            SettleJob::new(move || {
-                // SAFETY: the job passes only its own shard's member keys,
-                // disjoint from every other job's live keys; the slab is
-                // frozen for the whole barrier.
-                let mut view = unsafe { JobSlots::new(raw) };
-                settle_shard(model, params, record_phases, now, &mut view, sh)
+        let raw = slots.raw();
+        let mut jobs: Vec<SettleJob<'_>> = shards
+            .disjoint_mut(&dirty)
+            .into_iter()
+            .map(|sh| {
+                SettleJob::new(move || {
+                    // SAFETY: the job passes only its own shard's member
+                    // keys, disjoint from every other job's live keys; the
+                    // slab is frozen for the whole barrier.
+                    let mut view = unsafe { JobSlots::new(raw) };
+                    settle_shard(model, params, record_phases, now, &mut view, sh)
+                })
             })
-        })
-        .collect();
-    dispatch.run_settles(&mut jobs);
-    drop(jobs);
+            .collect();
+        dispatch.run_settles(&mut jobs);
+    }
     for &id in &dirty {
         shards.refresh_next(id, slots);
     }
@@ -648,7 +677,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 // front (gated flows included, so every flow has a shard
                 // home); a flow bridging two components merges their
                 // shards here.
-                let id = shards.assign(&comm);
+                let id = shards.assign(&comm, &st.slots);
                 shards.shard_mut(id).admit(flow, contending, gate, epoch);
                 if contending {
                     shards.mark_dirty(id);
@@ -798,7 +827,8 @@ mod tests {
 
     /// The engines every bitwise test here pins against the reference,
     /// all recording phases: one shard, shards on serial dispatch, and
-    /// shards on [`ThreadDispatch`].
+    /// shards on [`ThreadDispatch`]. Their barriers are narrow enough to
+    /// settle inline; `churn_equivalence` dispatches wide ones.
     fn engines<M: PenaltyModel + Clone>(
         model: M,
         params: NetworkParams,

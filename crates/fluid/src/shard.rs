@@ -16,27 +16,33 @@
 //! [`crate::dispatch::SettleDispatch`].
 //!
 //! The partition **refines in both directions**, driven by the
-//! [`ComponentTracker`]. Arrivals coarsen it: a new flow joins an
-//! existing shard, creates a fresh one, or *bridges* two — in which case
-//! the loser shard is retired: its member list and event heaps are
-//! spliced into the winner, its cache counters fold into the set-wide
-//! accumulator, and the winner's cache is invalidated for a full rebuild.
-//! Departures refine it back apart: the tracker classifies each one as
-//! [`ComponentRemoval::Shrunk`], [`ComponentRemoval::Drained`] (the
-//! shard's last flow left, so its slot retires), or
+//! [`ComponentTracker`], and every repartition costs its *smaller side*.
+//! Arrivals coarsen it: a new flow joins an existing shard, creates a
+//! fresh one, or *bridges* two — in which case the tracker's loser shard
+//! slot retires, the larger side's cache survives (swapped into the
+//! winner's slot when the loser held more members), the smaller side's
+//! contending flows are noted on it as arrivals (so its next settle is a
+//! delta patch, not a rebuild), member lists and event heaps are spliced
+//! together, and the dropped cache's counters fold into the set-wide
+//! accumulator. Departures refine it back apart: the tracker classifies
+//! each one as [`ComponentRemoval::Shrunk`], [`ComponentRemoval::Drained`]
+//! (the shard's last flow left, so its slot retires), or
 //! [`ComponentRemoval::Split`] — in which case `ShardSet::split` carves
 //! the splinter component out of its shard: member keys are partitioned
-//! by a tracker lookup, the splinter gets a clone of the kept
-//! cache (its counters zeroed, so the set-wide aggregate counts the
-//! shared history once) with each side noting the other's members as
-//! departures (penalties are component-local, so both sides' next delta
-//! refresh reproduces identical values and the engine's resync skips —
-//! the split is bitwise invisible), and the splinter's event heaps are
-//! rebuilt from its members under freshly bumped slot epochs so the kept
-//! shard's old entries go stale lazily. A union of true components is
-//! still a safe partition cell, so splitting is purely a performance
-//! refinement — without it any long-lived population degrades toward one
-//! mega-shard.
+//! by a tracker lookup, the larger part keeps the pre-split cache and
+//! event heaps with the smaller part's contending flows noted on it as
+//! departures, and the smaller part starts a fresh cache (its first
+//! settle is a rebuild over its own members) and fresh heaps, rebuilt
+//! from its members under freshly bumped slot epochs so its entries in
+//! the old heaps go stale lazily. Penalties are component-local and a
+//! model's patch equals its full query bit for bit, so both sides' next
+//! refreshes reproduce the values the joint query would have and the
+//! engine's resync skips every slot — merges and splits are bitwise
+//! invisible. A fresh cache starts its counters at zero and a surviving
+//! one keeps its own, so the set-wide aggregate counts every query once.
+//! A union of true components is still a safe partition cell, so
+//! splitting is purely a performance refinement — without it any
+//! long-lived population degrades toward one mega-shard.
 //!
 //! Cross-shard event ordering goes through one lazy min-heap of
 //! `(next event time, shard, version)` entries: every change to a shard's
@@ -72,9 +78,10 @@ pub(crate) trait SlotView {
 }
 
 /// Partition-shape counters for the sharded engine: how many shards are
-/// live right now and how often the partition has refined (split),
-/// coarsened (merged) or drained since the engine was built. Cumulative
-/// across resets.
+/// live right now, how often the partition has refined (split), coarsened
+/// (merged) or drained since the engine was built, what those moves
+/// re-homed, and how many settle barriers went to the dispatcher.
+/// Cumulative across resets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Live shards in the current partition.
@@ -89,6 +96,12 @@ pub struct ShardStats {
     /// the Myrinet budget fallback included — is component-local. Kept
     /// only so existing readers of the counter still compile.
     pub budget_collapses: u64,
+    /// Member flows moved to other cache and heap structures by splits
+    /// and merges: the smaller side's live members, each time.
+    pub rehomed_flows: u64,
+    /// Settle barriers handed to the [`crate::dispatch::SettleDispatch`].
+    /// Every other barrier with dirty shards settled inline on the caller.
+    pub dispatched_barriers: u64,
 }
 
 /// One conflict component's private engine state.
@@ -100,8 +113,9 @@ pub(crate) struct Shard {
     /// Every flow assigned to this shard and not yet known-dead. Stale
     /// keys (completed flows) are compacted before a rebuild gather, in a
     /// split, and by [`Self::note_departures`] once they could make up
-    /// half the list. Only gathers and splits read this — warm settles
-    /// stage the population from the cache's pending change sets.
+    /// half the list. Only gathers, splits and merges read its keys (and
+    /// a settle barrier its length) — warm settles stage the population
+    /// from the cache's pending change sets.
     pub(crate) members: Vec<FlowKey>,
     /// Members that departed since the list was last compacted — an upper
     /// bound on its stale keys.
@@ -277,6 +291,8 @@ pub(crate) struct ShardSet {
     splits: u64,
     merges: u64,
     drains: u64,
+    rehomed: u64,
+    dispatched: u64,
 }
 
 impl ShardSet {
@@ -293,20 +309,24 @@ impl ShardSet {
             merges: self.merges,
             drains: self.drains,
             budget_collapses: 0,
+            rehomed_flows: self.rehomed,
+            dispatched_barriers: self.dispatched,
         }
     }
 
     /// Routes a flow's endpoints through the component tracker, creating
     /// or merging shards as needed, and returns the index of the shard
-    /// the flow belongs to.
-    pub(crate) fn assign(&mut self, comm: &Communication) -> usize {
+    /// the flow belongs to. A merge reads which of the absorbed members
+    /// contend from `slots`; the new flow itself must not be a member of
+    /// any shard yet.
+    pub(crate) fn assign<S: SlotView>(&mut self, comm: &Communication, slots: &Slab<S>) -> usize {
         match self.tracker.insert(comm.src, comm.dst) {
             ComponentChange::Created { root } => self.alloc(root),
             ComponentChange::Joined { root } => self.shard_of_root[root as usize],
             ComponentChange::Bridged { root, absorbed } => {
                 let winner = self.shard_of_root[root as usize];
                 let loser = self.shard_of_root[absorbed as usize];
-                self.merge(winner, loser);
+                self.merge(winner, loser, slots);
                 winner
             }
         }
@@ -339,16 +359,21 @@ impl ShardSet {
         }
     }
 
-    /// Carves the `split_root` component out of shard `id` into a fresh
-    /// shard. Member keys are partitioned by a tracker lookup (compacting
-    /// stale keys on the way); the splinter's cache is a clone of the kept
-    /// cache with each side noting the other's contending members as
-    /// departures, so both sides' next delta refresh reproduces exactly
-    /// the penalties the joint query would have (penalties are
-    /// component-local) and the engine's resync skips every slot — the
-    /// split never perturbs the trajectory. Moved members get their slot
-    /// epoch bumped and their due event re-pushed into the splinter's
-    /// fresh heaps, lazily invalidating the kept shard's old entries.
+    /// Carves the `split_root` component out of shard `id` into a new
+    /// shard, at the cost of the smaller part. Member keys are partitioned
+    /// by a tracker lookup (compacting stale keys on the way). The part
+    /// with more members keeps the pre-split cache and event heaps, with
+    /// the smaller part's contending members noted on the cache as
+    /// departures; the smaller part takes the new shard's fresh cache and
+    /// heaps (swapped into shard `id` when the splinter is the larger
+    /// part — each part keeps its own root's shard either way). Its
+    /// members get their slot epochs bumped and their due events re-pushed
+    /// into the fresh heaps, lazily invalidating their old entries. The
+    /// larger part's next refresh patches the departures and the smaller
+    /// part's first one rebuilds over its own members; penalties are
+    /// component-local, so both reproduce exactly the penalties the joint
+    /// query would have and the engine's resync skips every slot — the
+    /// split never perturbs the trajectory.
     fn split<S: SlotView>(&mut self, id: usize, split_root: ComponentRoot, slots: &mut Slab<S>) {
         self.splits += 1;
         let mut moved: Vec<FlowKey> = Vec::new();
@@ -366,37 +391,40 @@ impl ShardSet {
                     }
                 }
             });
+            kept.departures = 0;
         }
-        let kept = self.shards[id].as_mut().expect("split shard is live");
-        kept.departures = 0;
-        let mut sp_cache = kept.cache.clone();
-        // The kept cache keeps the history; the splinter's starts now.
-        sp_cache.clear_stats();
-        let mut sp_events = EventHeaps::default();
-        for &k in &kept.members {
-            if slots.get(k).expect("retained member is live").contending() {
-                sp_cache.note_departure(k);
-            }
-        }
-        for &k in &moved {
-            let slot = slots.get(k).expect("moved member is live");
+        let sid = self.alloc(split_root);
+        let [kept, sp] = self
+            .shards
+            .get_disjoint_mut([id, sid])
+            .expect("split shards are distinct");
+        let (kept, sp) = (
+            kept.as_mut().expect("split shard is live"),
+            sp.as_mut().expect("splinter shard is live"),
+        );
+        sp.members = moved;
+        let (small, large) = if sp.members.len() > kept.members.len() {
+            std::mem::swap(&mut kept.cache, &mut sp.cache);
+            std::mem::swap(&mut kept.events, &mut sp.events);
+            (kept, sp)
+        } else {
+            (sp, kept)
+        };
+        self.rehomed += small.members.len() as u64;
+        for &k in &small.members {
+            let slot = slots.get(k).expect("member is live");
             let contending = slot.contending();
             let (finish, gate) = (slot.finish(), slot.gate());
             if contending {
-                kept.cache.note_departure(k);
+                large.cache.note_departure(k);
             }
-            let epoch = slots.bump_epoch(k).expect("moved member is live");
+            let epoch = slots.bump_epoch(k).expect("member is live");
             if contending {
-                sp_events.push_completion(finish, k, epoch);
+                small.events.push_completion(finish, k, epoch);
             } else {
-                sp_events.push_gate(gate, k, epoch);
+                small.events.push_gate(gate, k, epoch);
             }
         }
-        let sid = self.alloc(split_root);
-        let sp = self.shards[sid].as_mut().expect("splinter shard is live");
-        sp.cache = sp_cache;
-        sp.events = sp_events;
-        sp.members = moved;
         self.mark_dirty(id);
         self.mark_dirty(sid);
         self.refresh_next(id, slots);
@@ -447,33 +475,49 @@ impl ShardSet {
         self.free_slots.push((id, sh.version));
     }
 
-    /// Splices shard `loser` into shard `winner`: members and event heaps
-    /// move over verbatim (slab keys and epochs are global, so every
-    /// entry stays valid), the loser's cache counters are folded into the
-    /// retired accumulator, and the winner is invalidated for a full
-    /// rebuild — no positional delta can describe two populations
-    /// becoming one.
-    fn merge(&mut self, winner: usize, loser: usize) {
+    /// Splices shard `loser` into shard `winner` at the cost of the
+    /// smaller side. The side with more members keeps its cache and member
+    /// list (swapped into the winner's slot when the loser is larger); the
+    /// smaller side's contending members, read from `slots`, are noted on
+    /// that cache as arrivals, so its next refresh is a delta patch — which
+    /// the models answer bit for bit like the full query over the joint
+    /// population. The smaller side's members and event heaps are spliced
+    /// in verbatim (slab keys and epochs are global, so every entry stays
+    /// valid), and its dropped cache's counters fold into the retired
+    /// accumulator.
+    fn merge<S: SlotView>(&mut self, winner: usize, loser: usize, slots: &Slab<S>) {
         debug_assert_ne!(winner, loser);
         self.merges += 1;
-        let loser_shard = self.shards[loser].take().expect("absorbed shard is live");
+        let mut small = self.shards[loser].take().expect("absorbed shard is live");
         self.live -= 1;
-        self.retired_cache.absorb(loser_shard.cache.stats());
         let w = self.shards[winner].as_mut().expect("winning shard is live");
-        w.members.extend(loser_shard.members);
-        w.departures += loser_shard.departures;
-        w.events.append(loser_shard.events);
-        w.cache.invalidate_rebuild();
+        if small.members.len() > w.members.len() {
+            // The absorbed side is the larger: its cache and members stay.
+            std::mem::swap(&mut w.cache, &mut small.cache);
+            std::mem::swap(&mut w.members, &mut small.members);
+        }
+        self.retired_cache.absorb(small.cache.stats());
+        for &k in &small.members {
+            if let Some(slot) = slots.get(k) {
+                self.rehomed += 1;
+                if slot.contending() {
+                    w.cache.note_arrival(k);
+                }
+            }
+        }
+        w.members.extend(small.members);
+        w.departures += small.departures;
+        w.events.append(small.events);
         // The loser's global entries go stale by its slot retiring; the
         // winner's by the version bump at its next refresh.
         if !w.dirty {
             w.dirty = true;
             self.dirty.push(winner);
         }
-        if loser_shard.dirty {
+        if small.dirty {
             self.dirty.retain(|&d| d != loser);
         }
-        self.free_slots.push((loser, loser_shard.version));
+        self.free_slots.push((loser, small.version));
     }
 
     /// Marks a shard's population as changed, queueing it for the next
@@ -512,6 +556,25 @@ impl ShardSet {
     /// Records a settle that found every shard cache valid.
     pub(crate) fn note_reused_settle(&mut self) {
         self.reused_settles += 1;
+    }
+
+    /// The most a second thread could take off the critical path of a
+    /// barrier settling the shards `ids`: their summed member counts minus
+    /// the largest.
+    pub(crate) fn parallel_work(&self, ids: &[usize]) -> usize {
+        let (sum, max) = ids
+            .iter()
+            .map(|&id| {
+                let sh = self.shards[id].as_ref().expect("dirty shard is live");
+                sh.members.len()
+            })
+            .fold((0, 0), |(sum, max), n| (sum + n, max.max(n)));
+        sum - max
+    }
+
+    /// Records a settle barrier handed to the dispatcher.
+    pub(crate) fn note_dispatched_barrier(&mut self) {
+        self.dispatched += 1;
     }
 
     /// Recomputes shard `id`'s next event (earliest live completion or
@@ -670,38 +733,125 @@ mod tests {
         }
     }
 
+    /// Admits `flows` (all contending at once) one by one, the way the
+    /// engine does, and settles the single resulting shard once. Returns
+    /// the set, the slab, the flows' keys and the shard.
+    fn settled_component(flows: &[(u32, u32)]) -> (ShardSet, Slab<TSlot>, Vec<FlowKey>, usize) {
+        let mut set = ShardSet::default();
+        let mut slab = Slab::new();
+        let mut keys = Vec::new();
+        let mut id = usize::MAX;
+        for &(s, d) in flows {
+            let k = slab.insert(TSlot::running(s, d, 10.0));
+            id = set.assign(&comm(s, d), &slab);
+            set.shard_mut(id).admit(k, true, 0.0, 0);
+            keys.push(k);
+        }
+        assert_eq!(set.live_count(), 1, "one component");
+        settle(&mut set, id, &slab);
+        (set, slab, keys, id)
+    }
+
+    /// Stages and refreshes shard `id` under GigE the way the engine's
+    /// settle does; returns the shard's cache counters.
+    fn settle(set: &mut ShardSet, id: usize, slab: &Slab<TSlot>) -> CacheStats {
+        let sh = set.shard_mut(id);
+        let mut staged = Vec::new();
+        if !sh.cache.staged_active(&mut staged) {
+            staged.extend(
+                sh.members
+                    .iter()
+                    .copied()
+                    .filter(|&k| slab.get(k).is_some_and(|s| s.contending)),
+            );
+            staged.sort_unstable_by_key(|k| k.slot_index());
+        }
+        let comms = staged.iter().map(|&k| slab.get(k).unwrap().comm).collect();
+        let model = netbw_core::GigabitEthernetModel::default();
+        sh.cache.refresh(&model, staged, comms);
+        sh.cache.stats()
+    }
+
+    /// Completes the flow `key` over the endpoints `flow` the way the
+    /// engine does and returns the `(kept, splinter)` shards of the split
+    /// it causes.
+    fn split_off(
+        set: &mut ShardSet,
+        slab: &mut Slab<TSlot>,
+        id: usize,
+        flow: (u32, u32),
+        key: FlowKey,
+    ) -> (usize, usize) {
+        slab.remove(key);
+        set.shard_mut(id).cache.note_departure(key);
+        set.depart(&comm(flow.0, flow.1), slab);
+        assert_eq!(set.shard_stats().splits, 1);
+        let splinter = *set.dirty.iter().find(|&&d| d != id).expect("splinter");
+        (id, splinter)
+    }
+
     #[test]
     fn assign_creates_joins_and_merges() {
         let mut set = ShardSet::default();
-        let a = set.assign(&comm(0, 1));
-        let b = set.assign(&comm(2, 3));
+        let slab: Slab<TSlot> = Slab::new();
+        let a = set.assign(&comm(0, 1), &slab);
+        let b = set.assign(&comm(2, 3), &slab);
         assert_ne!(a, b);
         assert_eq!(set.live_count(), 2);
-        assert_eq!(set.assign(&comm(0, 4)), a, "shared endpoint joins");
-        let bridged = set.assign(&comm(1, 2));
+        assert_eq!(set.assign(&comm(0, 4), &slab), a, "shared endpoint joins");
+        let bridged = set.assign(&comm(1, 2), &slab);
         assert!(bridged == a || bridged == b);
         assert_eq!(set.live_count(), 1, "bridge retires the loser");
         assert_eq!(set.shard_stats().merges, 1);
         // the whole union now routes to the surviving shard
-        assert_eq!(set.assign(&comm(3, 4)), bridged);
+        assert_eq!(set.assign(&comm(3, 4), &slab), bridged);
     }
 
     #[test]
     fn merge_moves_members_and_invalidates_the_winner() {
+        // Shard a: one settled flow out of node 0. Shard b: a settled flow
+        // and a gated one out of node 2. The bridge 1-2 names a's root
+        // first, so a wins the tracker tie while b holds more members.
         let mut set = ShardSet::default();
-        let mut slab: Slab<()> = Slab::new();
-        let (k0, k1) = (slab.insert(()), slab.insert(()));
-        let a = set.assign(&comm(0, 1));
-        let b = set.assign(&comm(2, 3));
-        set.shard_mut(a).members.push(k0);
-        set.shard_mut(b).members.push(k1);
-        set.shard_mut(b).events.push_gate(5.0, k1, 0);
+        let mut slab: Slab<TSlot> = Slab::new();
+        let k0 = slab.insert(TSlot::running(0, 1, 10.0));
+        let k1 = slab.insert(TSlot::running(2, 3, 10.0));
+        let k2 = slab.insert(TSlot {
+            contending: false,
+            gate: 5.0,
+            ..TSlot::running(2, 4, 0.0)
+        });
+        let a = set.assign(&comm(0, 1), &slab);
+        set.shard_mut(a).admit(k0, true, 0.0, 0);
+        settle(&mut set, a, &slab);
+        let b = set.assign(&comm(2, 3), &slab);
+        set.shard_mut(b).admit(k1, true, 0.0, 0);
+        settle(&mut set, b, &slab);
+        assert_eq!(set.assign(&comm(2, 4), &slab), b);
+        set.shard_mut(b).admit(k2, false, 5.0, 0);
         set.refresh_next(b, &slab);
         assert_eq!(set.peek_next(), Some(5.0));
-        let survivor = set.assign(&comm(1, 2));
-        assert_eq!(set.shard_mut(survivor).members.len(), 2);
-        assert!(set.shard_mut(survivor).dirty, "merge queues a rebuild");
+        let survivor = set.assign(&comm(1, 2), &slab);
+        assert_eq!(survivor, a);
+        assert_eq!(set.shard_mut(survivor).members.len(), 3);
+        assert!(set.shard_mut(survivor).dirty, "merge queues a settle");
         assert_eq!(set.dirty, vec![survivor]);
+        // b's cache (the larger side's) survives in a's slot with a's
+        // contending flow noted as an arrival — the gated flow is none —
+        // so the next settle patches instead of rebuilding.
+        assert!(!set.shard_mut(survivor).cache.is_valid());
+        assert_eq!(set.shard_stats().rehomed_flows, 1);
+        let stats = settle(&mut set, survivor, &slab);
+        assert_eq!(
+            (
+                stats.model_queries,
+                stats.delta_queries,
+                stats.patched_queries
+            ),
+            (2, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(set.cache_stats().model_queries, 3, "a's query is retired");
         // the merged gate survives in the winner's heaps...
         assert_eq!(set.shard_mut(survivor).events.peek_gate(&slab), Some(5.0));
         // ...but the retired shard's cross-shard entry went stale, and the
@@ -714,9 +864,12 @@ mod tests {
     #[test]
     fn stale_versions_are_discarded_on_peek_and_pop() {
         let mut set = ShardSet::default();
-        let mut slab: Slab<()> = Slab::new();
-        let (k0, k1) = (slab.insert(()), slab.insert(()));
-        let a = set.assign(&comm(0, 1));
+        let mut slab: Slab<TSlot> = Slab::new();
+        let (k0, k1) = (
+            slab.insert(TSlot::running(0, 1, 0.0)),
+            slab.insert(TSlot::running(0, 1, 0.0)),
+        );
+        let a = set.assign(&comm(0, 1), &slab);
         set.shard_mut(a).events.push_gate(3.0, k0, 0);
         set.refresh_next(a, &slab);
         // a second refresh supersedes the first entry
@@ -733,7 +886,7 @@ mod tests {
     #[test]
     fn dirty_marking_is_idempotent() {
         let mut set = ShardSet::default();
-        let a = set.assign(&comm(0, 1));
+        let a = set.assign(&comm(0, 1), &Slab::<TSlot>::new());
         set.mark_dirty(a);
         set.mark_dirty(a);
         assert_eq!(set.dirty, vec![a]);
@@ -742,10 +895,11 @@ mod tests {
     #[test]
     fn disjoint_mut_hands_out_every_requested_shard() {
         let mut set = ShardSet::default();
+        let slab: Slab<TSlot> = Slab::new();
         let ids = [
-            set.assign(&comm(0, 1)),
-            set.assign(&comm(2, 3)),
-            set.assign(&comm(4, 5)),
+            set.assign(&comm(0, 1), &slab),
+            set.assign(&comm(2, 3), &slab),
+            set.assign(&comm(4, 5), &slab),
         ];
         let picked = [ids[0], ids[2]];
         let shards = set.disjoint_mut(&picked);
@@ -758,9 +912,9 @@ mod tests {
     #[test]
     fn reset_folds_counters_and_forgets_structure() {
         let mut set = ShardSet::default();
-        let mut slab: Slab<()> = Slab::new();
-        let k0 = slab.insert(());
-        let a = set.assign(&comm(0, 1));
+        let mut slab: Slab<TSlot> = Slab::new();
+        let k0 = slab.insert(TSlot::running(0, 1, 0.0));
+        let a = set.assign(&comm(0, 1), &slab);
         set.shard_mut(a).events.push_gate(1.0, k0, 0);
         set.note_reused_settle();
         let before = set.timeline_stats();
@@ -771,7 +925,7 @@ mod tests {
         assert_eq!(set.timeline_stats().gate_pushes, 1, "stats survive reset");
         assert_eq!(set.cache_stats().reuses, 1);
         // and the next assignment starts a fresh shard table
-        let b = set.assign(&comm(0, 1));
+        let b = set.assign(&comm(0, 1), &slab);
         assert_eq!(set.live_count(), 1);
         let _ = b;
     }
@@ -781,9 +935,9 @@ mod tests {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
         // One chain component 0-1-2-3 whose cache has answered a query.
-        let a = set.assign(&comm(0, 1));
-        set.assign(&comm(1, 2));
-        set.assign(&comm(2, 3));
+        let a = set.assign(&comm(0, 1), &slab);
+        set.assign(&comm(1, 2), &slab);
+        set.assign(&comm(2, 3), &slab);
         let flows = [(0, 1), (1, 2), (2, 3)];
         let keys: Vec<FlowKey> = flows
             .iter()
@@ -804,16 +958,95 @@ mod tests {
         assert_eq!(before.model_queries, 1);
         set.depart(&comm(1, 2), &mut slab);
         assert_eq!(set.shard_stats().splits, 1);
-        // The split notes each side's members as departures on the other
-        // (one flow each way); no other counter moves.
+        // The split notes the smaller side's one flow as a departure on
+        // the surviving cache, and the fresh cache starts at zero; no
+        // other counter moves.
         let after = set.cache_stats();
         assert_eq!(
             after,
             CacheStats {
-                invalidations: before.invalidations + 2,
+                invalidations: before.invalidations + 1,
                 ..before
             }
         );
+    }
+
+    #[test]
+    fn split_keeps_the_cache_with_the_larger_kept_part() {
+        // A star out of node 0, bridged by 3-10 to the flow 10-11: node 0
+        // is the union-find root, so the bridge's departure splits {10, 11}
+        // off as the splinter — the smaller part.
+        let flows = [(0, 1), (0, 2), (0, 3), (3, 10), (10, 11)];
+        let (mut set, mut slab, keys, id) = settled_component(&flows);
+        let (kept, splinter) = split_off(&mut set, &mut slab, id, flows[3], keys[3]);
+        assert_eq!(set.shard_mut(kept).members, keys[..3].to_vec());
+        assert_eq!(set.shard_mut(splinter).members, vec![keys[4]]);
+        assert_eq!(set.shard_stats().rehomed_flows, 1, "only the splinter");
+        // The pre-split cache (the one that answered a query) stayed with
+        // the kept part; the splinter's is fresh.
+        assert_eq!(set.shard_mut(kept).cache.stats().model_queries, 1);
+        assert_eq!(set.shard_mut(splinter).cache.stats(), CacheStats::default());
+        // The larger part's next refresh patches a departure delta; the
+        // smaller part's first one rebuilds over its own member.
+        let large = settle(&mut set, kept, &slab);
+        assert_eq!(
+            (
+                large.model_queries,
+                large.delta_queries,
+                large.patched_queries
+            ),
+            (2, 1, 1),
+            "{large:?}"
+        );
+        let small = settle(&mut set, splinter, &slab);
+        assert_eq!((small.model_queries, small.delta_queries), (1, 0));
+        assert_eq!(small.scratch_rebuilds, 1, "{small:?}");
+    }
+
+    #[test]
+    fn split_hands_the_cache_to_the_splinter_when_it_is_larger() {
+        // The flow 10-11 comes first and the bridge 10-3 names node 10's
+        // root first, so node 10 roots the bridged component and the
+        // bridge's departure splits the star {0, 1, 2, 3} off as the
+        // splinter — the larger part.
+        let flows = [(10, 11), (0, 1), (0, 2), (0, 3), (10, 3)];
+        let (mut set, mut slab, keys, id) = settled_component(&flows);
+        let (kept, splinter) = split_off(&mut set, &mut slab, id, flows[4], keys[4]);
+        assert_eq!(set.shard_mut(kept).members, vec![keys[0]]);
+        let mut moved = set.shard_mut(splinter).members.clone();
+        moved.sort_unstable();
+        assert_eq!(moved, keys[1..4].to_vec());
+        assert_eq!(
+            set.shard_stats().rehomed_flows,
+            1 + 1,
+            "the bridge merge, then the kept part"
+        );
+        // The kept root's shard took the fresh structures; the splinter's
+        // shard carries on with the pre-split cache.
+        assert_eq!(set.shard_mut(splinter).cache.stats().model_queries, 1);
+        assert_eq!(set.shard_mut(kept).cache.stats(), CacheStats::default());
+        let fresh = TimelineStats {
+            heap_pushes: 1,
+            ..TimelineStats::default()
+        };
+        assert_eq!(
+            set.shard_mut(kept).events.stats,
+            fresh,
+            "its member re-pushed"
+        );
+        let large = settle(&mut set, splinter, &slab);
+        assert_eq!(
+            (
+                large.model_queries,
+                large.delta_queries,
+                large.patched_queries
+            ),
+            (2, 1, 1),
+            "{large:?}"
+        );
+        let small = settle(&mut set, kept, &slab);
+        assert_eq!((small.model_queries, small.delta_queries), (1, 0));
+        assert_eq!(small.scratch_rebuilds, 1, "{small:?}");
     }
 
     #[test]
@@ -821,9 +1054,9 @@ mod tests {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
         // One chain component 0-1-2-3 out of three flows.
-        let a = set.assign(&comm(0, 1));
-        assert_eq!(set.assign(&comm(1, 2)), a);
-        assert_eq!(set.assign(&comm(2, 3)), a);
+        let a = set.assign(&comm(0, 1), &slab);
+        assert_eq!(set.assign(&comm(1, 2), &slab), a);
+        assert_eq!(set.assign(&comm(2, 3), &slab), a);
         let k01 = slab.insert(TSlot::running(0, 1, 10.0));
         let k12 = slab.insert(TSlot::running(1, 2, 20.0));
         let k23 = slab.insert(TSlot::running(2, 3, 30.0));
@@ -857,7 +1090,7 @@ mod tests {
         assert_eq!(set.live_count(), 1);
         assert_eq!(set.shard_stats().drains, 1);
         // ...which the next brand-new component reuses.
-        assert_eq!(set.assign(&comm(8, 9)), a, "retired slot is reused");
+        assert_eq!(set.assign(&comm(8, 9), &slab), a, "retired slot is reused");
         // A stale cross-shard entry for the old occupant can never fire
         // against the new one: versions continued past the retiree's.
         set.refresh_next(a, &slab);

@@ -191,8 +191,9 @@ proptest! {
     /// node-offset copies of the churn schedule, plus one extra flow whose
     /// endpoints straddle the copies, arriving anywhere from before the
     /// first gate to past the stagger horizon. The sharded engines merge
-    /// the two shards at that settle (the winner rebuilds); every engine
-    /// must still match the reference bitwise on all three models.
+    /// the two shards at that settle (the larger side's cache patches in
+    /// the smaller side's flows); every engine must still match the
+    /// reference bitwise on all three models.
     #[test]
     fn bridging_delta_agrees_across_all_modes(
         seed in 0u64..1_000_000,
@@ -216,8 +217,9 @@ proptest! {
 
     /// Mid-run component splits: the bridge-wave workload merges the
     /// partition every wave and carves it back apart when the bridges
-    /// complete, so the splitting machinery (slab-key partitioning, cache
-    /// forks, heap rebuilds, slot reuse) runs continuously mid-drain.
+    /// complete, so the splitting machinery (slab-key partitioning, fresh
+    /// caches for the smaller part, heap rebuilds, slot reuse) runs
+    /// continuously mid-drain.
     /// Every engine must match the reference bitwise on all three models.
     #[test]
     fn bridge_wave_splits_agree_across_all_modes(
@@ -586,34 +588,144 @@ proptest! {
     }
 }
 
-/// The parallel settle barrier at a realistic size: bridge waves fed
-/// online (each transfer added at its start time, so completed flows'
-/// slots are reused by later arrivals while stale member keys still name
-/// them) through the sharded engine on a 4-worker executor. Splits,
-/// merges and stale-member probes all happen inside the parallel round;
-/// the answers must equal the serial sharded engine's, the single-shard
+/// Feeds `transfers` (sorted by start) online — the clock advances to
+/// each start before its transfer is added, so shards settle and merge
+/// mid-run — then drains; returns `(key, completion)` sorted by key.
+fn feed<N: Drive>(net: &mut N, transfers: &[(u64, Communication, f64)]) -> Vec<(u64, f64)> {
+    let mut done: Vec<(u64, f64)> = Vec::new();
+    for &(key, comm, start) in transfers {
+        done.extend(
+            net.advance_to(start)
+                .into_iter()
+                .map(|c| (c.key, c.completion)),
+        );
+        net.add(key, comm, start);
+    }
+    done.extend(
+        net.run_to_completion()
+            .into_iter()
+            .map(|c| (c.key, c.completion)),
+    );
+    done.sort_by_key(|&(k, _)| k);
+    done
+}
+
+/// Repartitioning costs the smaller side in both orientations: a 12-flow
+/// star out of node 0 and a 2-flow star out of node 100, every flow
+/// contending and settled, then a short bridge between them. Bridged
+/// from node 0 to node 101, the large star's union-find root wins the
+/// merge (and its part keeps the root at the split); bridged from node
+/// 100 to node 1, the small star's root wins (and the large star is the
+/// splinter). The bridge's arrival moves penalties on both sides under
+/// GigE and Myrinet, and on its sender's side under InfiniBand, which
+/// couples only flows that share a sender. The bridge completes while
+/// both stars still run, the small star drains next, then the large
+/// one flow at a time (so the large side settles after the small side
+/// is gone). Every engine must match the reference bit for bit on all
+/// three models, and the merge and the split each re-home just the
+/// small star's two flows.
+#[test]
+fn lopsided_bridges_match_the_reference_in_both_orientations() {
+    /// The small star is added first, so it gets the lower shard id
+    /// and the smaller part settles first after the split.
+    fn stars(bridge: Communication) -> Vec<(u64, Communication, f64)> {
+        let mut transfers = vec![
+            (13, Communication::new(100u32, 101u32, 1_500), 0.0),
+            (14, Communication::new(100u32, 102u32, 1_500), 0.0),
+        ];
+        transfers.extend((1..=12u32).map(|d| {
+            let size = 4_000 + 100 * u64::from(d);
+            (u64::from(d), Communication::new(0u32, d, size), 0.0)
+        }));
+        transfers.push((15, bridge, 10.0));
+        transfers
+    }
+    /// `moved`: flows whose penalty changes as the bridge opens.
+    fn check<M: PenaltyModel>(
+        model: impl Fn() -> M,
+        transfers: &[(u64, Communication, f64)],
+        moved: &[u64],
+    ) {
+        let expected = feed(&mut ReferenceNetwork::new(model(), params()), transfers);
+        assert_eq!(expected.len(), transfers.len(), "reference lost flows");
+        let last_small = expected[12].1.max(expected[13].1);
+        assert!(expected[14].1 < last_small, "the bridge leaves first");
+        assert!(last_small < expected[0].1, "the small star drains next");
+        let mut oracle = ReferenceNetwork::new(model(), params()).with_phase_recording();
+        let mut phased = Vec::new();
+        for &(key, comm, start) in transfers {
+            phased.extend(oracle.advance_to(start));
+            oracle.add(key, comm, start);
+        }
+        phased.extend(oracle.run_to_completion());
+        let gate = 10.0 + params().latency;
+        for &key in moved {
+            let flow = phased
+                .iter()
+                .find(|c| c.key == key)
+                .expect("flow completed");
+            assert!(
+                flow.phases.iter().any(|ph| ph.t0 == gate),
+                "flow {key}'s penalty must change as the bridge opens: {:?}",
+                flow.phases
+            );
+        }
+        for engine in Engine::ALL {
+            let mut net = build(model(), engine);
+            let done = feed(&mut net, transfers);
+            assert_bitwise(&done, &expected, &format!("{engine:?} vs reference"));
+            if engine != Engine::Single {
+                let shape = net.shard_stats();
+                assert_eq!(
+                    (shape.merges, shape.splits),
+                    (1, 1),
+                    "{engine:?}: {shape:?}"
+                );
+                assert_eq!(shape.rehomed_flows, 2 + 2, "{engine:?}: {shape:?}");
+            }
+        }
+    }
+    // Flow 1 is in the large star, flow 13 in the small one.
+    for (bridge, sender_side) in [
+        (Communication::new(0u32, 101u32, 20), 1),
+        (Communication::new(100u32, 1u32, 20), 13),
+    ] {
+        let transfers = stars(bridge);
+        check(GigabitEthernetModel::default, &transfers, &[1, 13]);
+        check(MyrinetModel::default, &transfers, &[1, 13]);
+        check(InfinibandModel::default, &transfers, &[sender_side]);
+    }
+}
+
+/// Barriers wide enough to share go to the dispatcher: 512 node-offset
+/// copies of one schedule, all added up front, dirty every copy's shard
+/// at each event instant. Every engine must match the reference bit for
+/// bit, and both sharded engines must have dispatched barriers — so the
+/// executor's parallel round runs, and in `release-checked` builds so
+/// does the dispatch path's slot-disjointness assert.
+#[test]
+fn wide_barriers_are_dispatched_and_match_the_reference() {
+    let transfers = multi_component_churn(512, 16, 5.0, 3);
+    assert_engines_match_reference(GigabitEthernetModel::default, &transfers);
+    for engine in [Engine::Sharded, Engine::Executor] {
+        let mut net = build(GigabitEthernetModel::default(), engine);
+        drain_into(&mut net, &transfers);
+        let shape = net.shard_stats();
+        assert!(shape.dispatched_barriers > 0, "{engine:?}: {shape:?}");
+    }
+}
+
+/// The sharded engine on a 4-worker executor at a realistic size: bridge
+/// waves fed online (each transfer added at its start time, so completed
+/// flows' slots are reused by later arrivals while stale member keys
+/// still name them). Splits, merges and stale-member probes all happen
+/// between and inside settle barriers (narrow enough here to settle
+/// inline; the wide-barrier test above covers the parallel round); the
+/// answers must equal the serial sharded engine's, the single-shard
 /// engine's and the reference's bit for bit.
 #[test]
 fn online_bridge_waves_on_the_executor_match_serial_and_heap() {
     let transfers = bridge_wave_churn(64, 16, 4, 5.0, 7);
-    fn feed<N: Drive>(net: &mut N, transfers: &[(u64, Communication, f64)]) -> Vec<(u64, f64)> {
-        let mut done: Vec<(u64, f64)> = Vec::new();
-        for &(key, comm, start) in transfers {
-            done.extend(
-                net.advance_to(start)
-                    .into_iter()
-                    .map(|c| (c.key, c.completion)),
-            );
-            net.add(key, comm, start);
-        }
-        done.extend(
-            net.run_to_completion()
-                .into_iter()
-                .map(|c| (c.key, c.completion)),
-        );
-        done.sort_by_key(|&(k, _)| k);
-        done
-    }
     let mut par = FluidNetwork::new(GigabitEthernetModel::default(), params())
         .with_sharded_dispatch(Arc::new(SweepExecutor::new(4)));
     let done = feed(&mut par, &transfers);

@@ -52,6 +52,11 @@ fn knead(x: u64, i: usize) -> f64 {
     (a * 1e9).sin() / (x as f64 + 1.5)
 }
 
+/// Enough three-flow components that one event instant dirties 4,197
+/// members beyond the largest shard — past the engine's inline cutoff of
+/// 4,096 — so the sharded engine hands its barriers to the executor.
+const WIDE: u32 = 1_400;
+
 /// `comps` disjoint conflict components whose events coincide, so the
 /// sharded engine's settle barriers carry several dirty shards each.
 fn multi_component_workload(comps: u32) -> Vec<(u64, Communication, f64)> {
@@ -69,7 +74,7 @@ fn multi_component_workload(comps: u32) -> Vec<(u64, Communication, f64)> {
 /// Drains `adds` through `net`, returning `(key, completion bits)` in key
 /// order.
 fn drain(
-    mut net: FluidNetwork<MyrinetModel>,
+    net: &mut FluidNetwork<MyrinetModel>,
     adds: &[(u64, Communication, f64)],
 ) -> Vec<(u64, u64)> {
     for &(k, c, s) in adds {
@@ -84,6 +89,23 @@ fn drain(
     done
 }
 
+/// Drains `adds` through a sharded engine dispatching its settle barriers
+/// on `dispatch`, asserting that some barrier was wide enough to reach it.
+fn drain_dispatched(
+    dispatch: Arc<dyn SettleDispatch>,
+    adds: &[(u64, Communication, f64)],
+) -> Vec<(u64, u64)> {
+    let mut net =
+        FluidNetwork::new(MyrinetModel::default(), params()).with_sharded_dispatch(dispatch);
+    let done = drain(&mut net, adds);
+    let shape = net.shard_stats();
+    assert!(
+        shape.dispatched_barriers > 0,
+        "no barrier reached the executor: {shape:?}"
+    );
+    done
+}
+
 fn params() -> NetworkParams {
     NetworkParams::new(2.0, 0.5)
 }
@@ -91,9 +113,12 @@ fn params() -> NetworkParams {
 /// The unsharded heap engine and the serially dispatched sharded engine
 /// on `adds`; both must agree before either serves as the reference.
 fn references(adds: &[(u64, Communication, f64)]) -> Vec<(u64, u64)> {
-    let heap = drain(FluidNetwork::new(MyrinetModel::default(), params()), adds);
+    let heap = drain(
+        &mut FluidNetwork::new(MyrinetModel::default(), params()),
+        adds,
+    );
     let serial = drain(
-        FluidNetwork::new(MyrinetModel::default(), params()).with_sharded(),
+        &mut FluidNetwork::new(MyrinetModel::default(), params()).with_sharded(),
         adds,
     );
     assert_eq!(heap.len(), adds.len());
@@ -126,7 +151,7 @@ fn pool_survives_panicking_jobs() {
         .enumerate()
         .map(|(i, &x)| knead(x, i))
         .collect();
-    let adds = multi_component_workload(6);
+    let adds = multi_component_workload(WIDE);
     let reference = references(&adds);
     within_deadline(move || {
         for round in 0..3 {
@@ -160,12 +185,7 @@ fn pool_survives_panicking_jobs() {
             let counters: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
             exec.run_settles(&mut counting_jobs(&counters));
             assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-            let dispatch: Arc<dyn SettleDispatch> = exec.clone();
-            let sharded = drain(
-                FluidNetwork::new(MyrinetModel::default(), params())
-                    .with_sharded_dispatch(dispatch),
-                &adds,
-            );
+            let sharded = drain_dispatched(exec.clone(), &adds);
             assert_eq!(sharded, reference, "round {round}: drain after a panic");
         }
     });
@@ -203,19 +223,14 @@ fn nested_map_on_the_same_executor_finishes() {
 #[test]
 fn sharded_engine_inside_a_sweep_item_finishes() {
     let exec = Arc::new(SweepExecutor::new(4));
-    let workloads: Vec<u32> = vec![2, 5, 8, 3];
+    let workloads: Vec<u32> = vec![WIDE, WIDE + 3, WIDE + 6, WIDE + 1];
     let want: Vec<_> = workloads
         .iter()
         .map(|&c| references(&multi_component_workload(c)))
         .collect();
     let got = within_deadline(move || {
         exec.map(&workloads, |&c| {
-            let dispatch: Arc<dyn SettleDispatch> = exec.clone();
-            drain(
-                FluidNetwork::new(MyrinetModel::default(), params())
-                    .with_sharded_dispatch(dispatch),
-                &multi_component_workload(c),
-            )
+            drain_dispatched(exec.clone(), &multi_component_workload(c))
         })
     });
     assert_eq!(got, want);
@@ -228,7 +243,7 @@ fn sharded_engine_inside_a_sweep_item_finishes() {
 #[test]
 fn engine_runs_inline_while_another_thread_holds_the_pool() {
     let exec = Arc::new(SweepExecutor::new(4));
-    let adds = multi_component_workload(12);
+    let adds = multi_component_workload(WIDE);
     let reference = references(&adds);
     let got = within_deadline(move || {
         let (holding_tx, holding_rx) = mpsc::channel();
@@ -251,11 +266,7 @@ fn engine_runs_inline_while_another_thread_holds_the_pool() {
             })
         };
         holding_rx.recv().expect("holder alive");
-        let dispatch: Arc<dyn SettleDispatch> = exec;
-        let drained = drain(
-            FluidNetwork::new(MyrinetModel::default(), params()).with_sharded_dispatch(dispatch),
-            &adds,
-        );
+        let drained = drain_dispatched(exec, &adds);
         result_tx.send(drained).expect("holder alive");
         holder.join().expect("holder thread").swap_remove(0)
     });
@@ -269,7 +280,7 @@ fn engine_runs_inline_while_another_thread_holds_the_pool() {
 #[test]
 fn concurrent_engines_share_one_executor() {
     let exec = Arc::new(SweepExecutor::new(4));
-    let adds = Arc::new(multi_component_workload(12));
+    let adds = Arc::new(multi_component_workload(WIDE));
     let reference = references(&adds);
     let results = within_deadline(move || {
         let start = Arc::new(Barrier::new(2));
@@ -280,13 +291,7 @@ fn concurrent_engines_share_one_executor() {
                 std::thread::spawn(move || {
                     start.wait();
                     (0..20)
-                        .map(|_| {
-                            drain(
-                                FluidNetwork::new(MyrinetModel::default(), params())
-                                    .with_sharded_dispatch(Arc::clone(&dispatch)),
-                                &adds,
-                            )
-                        })
+                        .map(|_| drain_dispatched(Arc::clone(&dispatch), &adds))
                         .collect::<Vec<_>>()
                 })
             })

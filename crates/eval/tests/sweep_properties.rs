@@ -13,6 +13,7 @@ use netbw_graph::units::KB;
 use netbw_graph::{Communication, NodeId};
 use netbw_packet::FabricConfig;
 use proptest::prelude::*;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A deterministic, float-heavy per-item function: any index mix-up or
@@ -154,11 +155,13 @@ fn multi_component_workload(comps: u32) -> Vec<(u64, Communication, f64)> {
 /// The sharded engine dispatched through the work-stealing executor must
 /// answer bit-for-bit like the serial dispatcher and the unsharded heap
 /// engine, for every worker count — parallel settle barriers may never
-/// change an answer.
+/// change an answer. 1,400 components make each barrier dirty 4,197
+/// members beyond the largest shard, past the engine's inline cutoff of
+/// 4,096, so the barriers reach the executor.
 #[test]
 fn executor_dispatched_shard_settles_match_serial_bit_for_bit() {
-    let adds = multi_component_workload(6);
-    let run = |mut net: FluidNetwork<MyrinetModel>| {
+    let adds = multi_component_workload(1_400);
+    let run = |net: &mut FluidNetwork<MyrinetModel>| {
         for &(k, c, s) in &adds {
             net.add(k, c, s);
         }
@@ -167,13 +170,19 @@ fn executor_dispatched_shard_settles_match_serial_bit_for_bit() {
         done
     };
     let params = NetworkParams::new(2.0, 0.5);
-    let heap = run(FluidNetwork::new(MyrinetModel::default(), params));
-    let serial = run(FluidNetwork::new(MyrinetModel::default(), params).with_sharded());
+    let heap = run(&mut FluidNetwork::new(MyrinetModel::default(), params));
+    let serial = run(&mut FluidNetwork::new(MyrinetModel::default(), params).with_sharded());
     assert_eq!(heap.len(), adds.len());
     for threads in [1, 2, 4, 8] {
         let exec = Arc::new(SweepExecutor::new(threads));
-        let par =
-            run(FluidNetwork::new(MyrinetModel::default(), params).with_sharded_dispatch(exec));
+        let mut net =
+            FluidNetwork::new(MyrinetModel::default(), params).with_sharded_dispatch(exec);
+        let par = run(&mut net);
+        let shape = net.shard_stats();
+        assert!(
+            shape.dispatched_barriers > 0,
+            "threads={threads}: {shape:?}"
+        );
         assert_eq!(par.len(), heap.len());
         for ((h, s), p) in heap.iter().zip(&serial).zip(&par) {
             assert_eq!(h.key, p.key, "threads={threads}");
@@ -214,18 +223,34 @@ impl PenaltyModel for PoisonModel {
 /// settle barrier (the pool re-raises it on the caller once the barrier's
 /// other jobs have run) instead of deadlocking the other workers — the
 /// shard-worker sibling of [`panic_propagates_under_stealing`]. The test
-/// *finishing* (with the expected panic) is the non-deadlock proof.
+/// *finishing* (with the expected panic) is the non-deadlock proof; the
+/// panic is re-raised only once the barrier is known to have reached the
+/// pool.
 #[test]
-#[should_panic]
+#[should_panic(expected = "poisoned shard: node 13 is sending")]
 fn poisoned_shard_panic_propagates_through_settle_barrier() {
     let mut net = FluidNetwork::new(PoisonModel, NetworkParams::new(1.0, 0.0))
         .with_sharded_dispatch(Arc::new(SweepExecutor::new(4)));
-    // four disjoint components, all dirty at the first settle barrier;
-    // the one where node 13 sends poisons its worker
-    for (k, (src, dst)) in [(0u32, 1u32), (4, 5), (8, 9), (13, 12)].iter().enumerate() {
-        net.add(k as u64, Communication::new(*src, *dst, 100), 0.0);
+    // 4,200 disjoint one-flow components, all dirty at the first settle
+    // barrier — past the engine's inline cutoff of 4,096 members, so the
+    // barrier goes to the pool; the one where node 13 sends poisons its
+    // worker
+    for k in 0..4_200u32 {
+        let (src, dst) = if 2 * k + 1 == 13 {
+            (13, 12)
+        } else {
+            (2 * k, 2 * k + 1)
+        };
+        net.add(u64::from(k), Communication::new(src, dst, 100), 0.0);
     }
-    let _ = net.run_to_completion();
+    let boom = panic::catch_unwind(AssertUnwindSafe(|| net.run_to_completion()))
+        .expect_err("the poisoned shard's panic must reach the caller");
+    let shape = net.shard_stats();
+    assert!(
+        shape.dispatched_barriers > 0,
+        "the barrier never reached the pool: {shape:?}"
+    );
+    panic::resume_unwind(boom);
 }
 
 /// Myrinet through the session: the state-heavy model (union-find

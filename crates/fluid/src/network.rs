@@ -810,16 +810,17 @@ mod tests {
         Communication::new(src, dst, size)
     }
 
-    /// Runs every job of a barrier on its own scoped thread — the
-    /// parallel dispatch `netbw-eval`'s executor provides, which this
-    /// crate's unit tests cannot reach.
+    /// Runs a barrier's jobs on up to four scoped threads, each taking a
+    /// contiguous run of them — the parallel dispatch `netbw-eval`'s
+    /// executor provides, which this crate's unit tests cannot reach.
     struct ThreadDispatch;
 
     impl SettleDispatch for ThreadDispatch {
         fn run_settles(&self, jobs: &mut [SettleJob<'_>]) {
+            let per_thread = jobs.len().div_ceil(4).max(1);
             std::thread::scope(|s| {
-                for job in jobs.iter_mut() {
-                    s.spawn(move || job.run());
+                for run in jobs.chunks_mut(per_thread) {
+                    s.spawn(move || run.iter_mut().for_each(SettleJob::run));
                 }
             });
         }
@@ -827,8 +828,9 @@ mod tests {
 
     /// The engines every bitwise test here pins against the reference,
     /// all recording phases: one shard, shards on serial dispatch, and
-    /// shards on [`ThreadDispatch`]. Their barriers are narrow enough to
-    /// settle inline; `churn_equivalence` dispatches wide ones.
+    /// shards on [`ThreadDispatch`]. Most tests' barriers are narrow enough
+    /// to settle inline; `wide_barriers_dispatch_and_agree_bitwise` sizes
+    /// its workload past the inline cutoff.
     fn engines<M: PenaltyModel + Clone>(
         model: M,
         params: NetworkParams,
@@ -1138,6 +1140,43 @@ mod tests {
             let mut done = net.run_to_completion();
             done.sort_by_key(|c| c.key);
             assert_bitwise_with_phases(&done, &reference, name);
+        }
+    }
+
+    #[test]
+    fn wide_barriers_dispatch_and_agree_bitwise() {
+        // 1,400 node-offset copies of one three-flow component: their
+        // events coincide, so each barrier dirties every copy's shard —
+        // 4,197 members beyond the largest, past `INLINE_BARRIER_MEMBERS`
+        // — and both sharded engines hand it to their dispatcher, the
+        // threaded one included. Completions and phases still match the
+        // reference bit for bit.
+        let params = NetworkParams::new(4.0, 0.25);
+        let flows: Vec<(u64, Communication, f64)> = (0..1_400u32)
+            .flat_map(|c| {
+                let (b, k) = (4 * c, 3 * u64::from(c));
+                [
+                    (k, comm(b, b + 1, 300), 0.0),
+                    (k + 1, comm(b, b + 2, 201), 2.5),
+                    (k + 2, comm(b + 3, b + 1, 157), 6.0),
+                ]
+            })
+            .collect();
+        let reference = reference_drain(MyrinetModel::default(), params, &flows);
+        assert_eq!(reference.len(), flows.len());
+        for (name, mut net) in engines(MyrinetModel::default(), params) {
+            for &(k, c, s) in &flows {
+                net.add(k, c, s);
+            }
+            let mut done = net.run_to_completion();
+            done.sort_by_key(|c| c.key);
+            assert_bitwise_with_phases(&done, &reference, name);
+            let shape = net.shard_stats();
+            assert_eq!(
+                shape.dispatched_barriers > 0,
+                name != "single shard",
+                "{name}: {shape:?}"
+            );
         }
     }
 

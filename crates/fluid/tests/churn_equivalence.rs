@@ -715,13 +715,128 @@ fn wide_barriers_are_dispatched_and_match_the_reference() {
     }
 }
 
+/// Length of one wave of [`bridged_waves`].
+const WAVE: f64 = 400.0;
+
+/// Start of wave `w` of [`bridged_waves`].
+fn wave_start(w: u32) -> f64 {
+    1.0 + f64::from(w) * WAVE
+}
+
+/// `copies` node-offset copies (8 nodes each, base `b`) of one bridged
+/// schedule, sorted by start. A long flow `b → b+1` runs through every
+/// wave. Each of `waves` waves opens a short flow `b+2 → b+1` beside it,
+/// then, a second later, a four-flow star into `b+5` and a tiny bridge
+/// `b → b+5` that merges the two components' shards until it completes
+/// and splits them again; the bridge shares a sender with the long flow
+/// and a receiver with the star, so it moves penalties on both sides.
+/// The short flow leaves last (the test asserts it), and one departure
+/// out of two members leaves the long flow's member list uncompacted:
+/// from the second wave on it names the slot the short flow freed, which
+/// LIFO reuse has handed to another copy's new short flow, contending by
+/// the time the star arrives. The star outnumbers that list (four
+/// members to three), so the merge keeps the star's fresh cache and its
+/// first settle rebuilds over the stale key. The copies' events coincide,
+/// so every barrier dirties one shard per copy or more. Keys are
+/// `64 × copy + i`: `i = 0` is the long flow, `i = 1 + 6w ..= 6 + 6w` are
+/// wave `w`'s.
+fn bridged_waves(copies: u32, waves: u32) -> Vec<(u64, Communication, f64)> {
+    let mut out = Vec::new();
+    for c in 0..copies {
+        let b = 8 * c;
+        let key = |i: u32| u64::from(c) * 64 + u64::from(i);
+        out.push((key(0), Communication::new(b, b + 1, 4_000), 0.0));
+        for w in 0..waves {
+            let (t0, i) = (wave_start(w), 1 + 6 * w);
+            out.extend([
+                (key(i), Communication::new(b + 2, b + 1, 250), t0),
+                (key(i + 1), Communication::new(b + 4, b + 5, 50), t0 + 1.0),
+                (key(i + 2), Communication::new(b + 6, b + 5, 40), t0 + 1.0),
+                (key(i + 3), Communication::new(b + 4, b + 6, 30), t0 + 1.0),
+                (key(i + 4), Communication::new(b + 7, b + 5, 20), t0 + 1.0),
+                (key(i + 5), Communication::new(b, b + 5, 4), t0 + 1.0),
+            ]);
+        }
+    }
+    out.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+    out
+}
+
+/// Wide barriers on a live partition: 1,024 copies of [`bridged_waves`]
+/// fed online, so each wave's flows take the slab slots the last wave's
+/// freed while member lists may still name them, and every wave merges
+/// and splits each copy. The barrier settling a wave's merges dirties
+/// over 7,000 members beyond the largest shard, past the inline cutoff,
+/// so it goes to the dispatcher: there, the merged shards' rebuild
+/// gathers probe stale member keys through the jobs' raw slab views, and
+/// in `release-checked` builds the barrier passes the slot-disjointness
+/// assert. Every engine must match the reference bit for bit under
+/// Myrinet, GigE and InfiniBand.
+#[test]
+fn wide_online_bridge_waves_dispatch_and_match_the_reference() {
+    const COPIES: u32 = 1_024;
+    const WAVES: u32 = 2;
+    let transfers = bridged_waves(COPIES, WAVES);
+    /// [`feed`], advancing once per start instant: the reference
+    /// re-queries its whole population at every advance.
+    fn feed_by_instant<N: Drive>(
+        net: &mut N,
+        transfers: &[(u64, Communication, f64)],
+    ) -> Vec<(u64, f64)> {
+        let mut done: Vec<(u64, f64)> = Vec::new();
+        for batch in transfers.chunk_by(|a, b| a.2 == b.2) {
+            let done_by_start = net.advance_to(batch[0].2);
+            done.extend(done_by_start.into_iter().map(|c| (c.key, c.completion)));
+            for &(key, comm, start) in batch {
+                net.add(key, comm, start);
+            }
+        }
+        let rest = net.run_to_completion();
+        done.extend(rest.into_iter().map(|c| (c.key, c.completion)));
+        done.sort_by_key(|&(k, _)| k);
+        done
+    }
+    fn check<M: PenaltyModel>(model: impl Fn() -> M, transfers: &[(u64, Communication, f64)]) {
+        let expected = feed_by_instant(&mut ReferenceNetwork::new(model(), params()), transfers);
+        assert_eq!(expected.len(), transfers.len(), "reference lost flows");
+        // Each wave drains before the next opens, its short flow last.
+        for copy in expected.chunks(1 + 6 * WAVES as usize) {
+            for (w, wave) in (1..).zip(copy[1..].chunks(6)) {
+                let (&(short, left), rest) = wave.split_first().expect("six flows a wave");
+                assert!(left < wave_start(w), "flow {short} outlives its wave");
+                assert!(
+                    rest.iter().all(|&(_, done)| done < left),
+                    "flow {short} must leave its wave last: {wave:?}"
+                );
+            }
+        }
+        for engine in Engine::ALL {
+            let mut net = build(model(), engine);
+            let done = feed_by_instant(&mut net, transfers);
+            assert_bitwise(&done, &expected, &format!("{engine:?} vs reference"));
+            if engine != Engine::Single {
+                let shape = net.shard_stats();
+                let repartitions = u64::from(COPIES * WAVES);
+                assert!(
+                    shape.merges >= repartitions && shape.splits >= repartitions,
+                    "{engine:?}: {shape:?}"
+                );
+                assert!(shape.dispatched_barriers > 0, "{engine:?}: {shape:?}");
+            }
+        }
+    }
+    check(MyrinetModel::default, &transfers);
+    check(GigabitEthernetModel::default, &transfers);
+    check(InfinibandModel::default, &transfers);
+}
+
 /// The sharded engine on a 4-worker executor at a realistic size: bridge
 /// waves fed online (each transfer added at its start time, so completed
 /// flows' slots are reused by later arrivals while stale member keys
 /// still name them). Splits, merges and stale-member probes all happen
 /// between and inside settle barriers (narrow enough here to settle
-/// inline; the wide-barrier test above covers the parallel round); the
-/// answers must equal the serial sharded engine's, the single-shard
+/// inline; the two wide-barrier tests above cover the parallel round);
+/// the answers must equal the serial sharded engine's, the single-shard
 /// engine's and the reference's bit for bit.
 #[test]
 fn online_bridge_waves_on_the_executor_match_serial_and_heap() {

@@ -12,8 +12,7 @@
 //! in the style of FxHash: node ids are not attacker-controlled, and the
 //! maps are only ever looked up, never iterated, so neither SipHash's
 //! flooding resistance nor its iteration-order randomisation buys
-//! anything — and no result can depend on the hasher. The fluid engine's
-//! penalty cache keys its pending change sets with the same hasher.
+//! anything — and no result can depend on the hasher.
 //!
 //! [`ComponentTracker`]: crate::ComponentTracker
 //! [`EndpointIndex`]: crate::incremental::EndpointIndex
@@ -25,11 +24,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// A multiply-rotate [`Hasher`] for small integer keys: each word is added
 /// to the state and multiplied by an odd constant, and `finish` rotates
 /// the well-mixed high product bits down to where the table takes its
-/// bucket index. For lookup-only sets and maps over keys nobody picks
-/// adversarially (use it through
-/// [`BuildHasherDefault`](std::hash::BuildHasherDefault)).
+/// bucket index.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NodeHasher(u64);
+pub(crate) struct NodeHasher(u64);
 
 impl NodeHasher {
     const K: u64 = 0xf135_7aea_2e62_a9c5;
@@ -50,10 +47,6 @@ impl Hasher for NodeHasher {
 
     fn write_u32(&mut self, n: u32) {
         self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
     }
 
     fn finish(&self) -> u64 {
@@ -184,19 +177,5 @@ mod tests {
         buckets.sort_unstable();
         buckets.dedup();
         assert!(buckets.len() > 48, "{} distinct buckets", buckets.len());
-    }
-
-    #[test]
-    fn hasher_spreads_u64_keys_across_both_halves() {
-        // Slot-index/generation keys (index in the low half, generation in
-        // the high half) hash as one word: sequential indices and keys that
-        // differ only in their generation must both spread.
-        let build = BuildHasherDefault::<NodeHasher>::default();
-        for key in [|i: u64| i, |i: u64| i << 32 | 5] {
-            let mut buckets: Vec<u64> = (0..64u64).map(|i| build.hash_one(key(i)) & 1023).collect();
-            buckets.sort_unstable();
-            buckets.dedup();
-            assert!(buckets.len() > 48, "{} distinct buckets", buckets.len());
-        }
     }
 }

@@ -67,7 +67,6 @@ pub mod states;
 pub use components::{ComponentChange, ComponentRemoval, ComponentRoot, ComponentTracker};
 pub use gige::GigabitEthernetModel;
 pub use infiniband::InfinibandModel;
-pub use intern::NodeHasher;
 pub use model::{ModelKind, PenaltyModel, PopulationDelta};
 pub use myrinet::{MyrinetAnalysis, MyrinetModel};
 pub use penalty::Penalty;

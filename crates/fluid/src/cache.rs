@@ -23,11 +23,6 @@
 //! distinguish deltas *offered* from patches *performed* and count scratch
 //! rebuilds and budget fallbacks.
 //!
-//! The pending sets are lookup-only and keyed with
-//! [`netbw_core::NodeHasher`], the workspace's multiply-rotate hasher: no
-//! result depends on their hash order (arrivals are sorted by slot before
-//! use, and departures only answer membership).
-//!
 //! Two bookkeeping niceties fall out of stable keys:
 //!
 //! * a flow that arrives *and* departs between two settles (a zero-size
@@ -38,14 +33,9 @@
 //!   `Departed` delta instead of a rebuild.
 
 use crate::slab::FlowKey;
-use netbw_core::{AffectedSet, ModelScratch, NodeHasher, Penalty, PenaltyModel, PopulationDelta};
+use netbw_core::{AffectedSet, ModelScratch, Penalty, PenaltyModel, PopulationDelta};
 use netbw_graph::Communication;
 use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
-
-/// A pending change set: flow keys, probed once per contending flow per
-/// settle.
-type KeySet = HashSet<FlowKey, BuildHasherDefault<NodeHasher>>;
 
 /// Counters describing how well query-on-change is working.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -120,8 +110,8 @@ pub struct PenaltyCache {
     penalties: Vec<Penalty>,
     valid: bool,
     settled_once: bool,
-    pending_arrivals: KeySet,
-    pending_departures: KeySet,
+    pending_arrivals: HashSet<FlowKey>,
+    pending_departures: HashSet<FlowKey>,
     scratch: Option<Box<dyn ModelScratch>>,
     /// The model's answer to "whose penalty may have changed?" from the
     /// most recent refresh, consumed by the engine's kinetics resync via

@@ -29,6 +29,16 @@
 //!   drain is O(events x flows) and takes minutes); the default engine
 //!   must be ≥5x faster on the median and then also drain the full
 //!   workload in bounded time.
+//! * the churn-drain group: `churn_transfers` at 5,000 and 20,000 GigE
+//!   flows and at 2,048 Myrinet flows (each at `churn_stagger`, every flow
+//!   added up front), drained through the single-shard engine and the
+//!   sharded engine on serial dispatch. Only counts are gated: the
+//!   component tracker's work per flow removal
+//!   (`ShardStats::tracker_visits`) must stay within 200 at 20k flows and
+//!   grow less than 3x from 5k to 20k flows — a tracker that sweeps one
+//!   side of a component per departure reads about 1,900 visits per
+//!   removal at 20k flows, 4x its 5k count. The drain medians and
+//!   sharded/single ratios are recorded, not gated.
 //! * the `shard_smoke` group: a multi-component 65k-endpoint Myrinet
 //!   churn (node-offset copies of the shared schedule, so events coincide
 //!   across components and every settle barrier carries many dirty
@@ -52,7 +62,8 @@
 //!   each (the smaller side), and the group's narrow barriers settle
 //!   inline instead of going to the dispatcher.
 //!
-//! The medians land in `BENCH_timeline.json`, `BENCH_shard.json` and
+//! The medians land in `BENCH_timeline.json`, `BENCH_shard.json` (the
+//! churn-drain group under its `churn_drains` key) and
 //! `BENCH_split.json` (uploaded as CI artifacts next to
 //! `BENCH_sweep.json`) so the perf trajectory is tracked. Pass
 //! `--flows N`, `--big N`, `--prefix K`, `--comps N`, `--comp-flows N`,
@@ -281,6 +292,75 @@ fn check_big(flows: usize, prefix: usize, reps: usize) -> String {
         tl.gate_heap_hits,
         tl.rescans,
     )
+}
+
+/// The churn-drain group: full `churn_transfers` drains through the
+/// single-shard engine and the serially dispatched sharded engine (median
+/// of `reps` interleaved runs each), gated on the component tracker's
+/// visits per flow removal only. Returns the JSON array for
+/// `BENCH_shard.json`'s `churn_drains` key.
+fn check_churn_drains(reps: usize) -> String {
+    let groups = [
+        ("gige-5000", ModelKind::GigabitEthernet, 5_000),
+        ("gige-20000", ModelKind::GigabitEthernet, 20_000),
+        ("myrinet-2048", ModelKind::Myrinet, 2_048),
+    ];
+    let mut per_removal = Vec::new();
+    let mut records = Vec::new();
+    for (name, kind, flows) in groups {
+        let transfers = churn_transfers(flows, churn_stagger(kind));
+        let (mut done_single, mut done_sharded) = (0, 0);
+        let mut shape = netbw::fluid::ShardStats::default();
+        let [t_single, t_sharded] = interleaved(
+            reps,
+            [
+                &mut || done_single = drain_churn_mode(kind.build(), &transfers, Engine::Single).0,
+                &mut || {
+                    let mut net = Engine::Sharded.build(kind.build(), NetworkParams::unit());
+                    done_sharded = drain_prefix_into(&mut net, &transfers, usize::MAX);
+                    shape = net.shard_stats();
+                },
+            ],
+        )
+        .map(|t| median(&t));
+        assert_eq!(done_single, flows, "{name}: single-shard engine lost flows");
+        assert_eq!(done_sharded, flows, "{name}: sharded engine lost flows");
+        let ratio = t_sharded.as_secs_f64() / t_single.as_secs_f64();
+        // Every flow leaves the tracker once; a bridge's relabelling at
+        // admission counts against the same budget.
+        let visits = shape.tracker_visits as f64 / flows as f64;
+        println!(
+            "{name}: full drain | single shard {t_single:?} | sharded {t_sharded:?} \
+             ({ratio:.2}x) | {} tracker visits ({visits:.1} per removal), {} splits, \
+             {} merges",
+            shape.tracker_visits, shape.splits, shape.merges,
+        );
+        per_removal.push((name, visits));
+        records.push(format!(
+            "{{\"workload\": \"{name}\", \"flows\": {flows}, \"single_ms\": {:.3}, \
+             \"sharded_ms\": {:.3}, \"sharded_over_single\": {ratio:.3}, \
+             \"tracker_visits\": {}, \"visits_per_removal\": {visits:.3}}}",
+            t_single.as_secs_f64() * 1e3,
+            t_sharded.as_secs_f64() * 1e3,
+            shape.tracker_visits,
+        ));
+    }
+    // Counted work: a departure costs the tracker what moved — the smaller
+    // part of a split, or a search that stops where its two sides meet —
+    // not a sweep over the whole component.
+    let (small, large) = (per_removal[0].1, per_removal[1].1);
+    assert!(
+        large <= 200.0,
+        "churn drains: {large:.1} tracker visits per flow removal at 20k GigE \
+         flows (bound 200): departures are sweeping whole components"
+    );
+    assert!(
+        large <= 3.0 * small,
+        "churn drains: tracker visits per removal grew {:.2}x from 5k to 20k \
+         flows ({small:.1} -> {large:.1}, bound 3x)",
+        large / small,
+    );
+    format!("[{}]", records.join(", "))
 }
 
 /// The `shard_smoke` group: a multi-component Myrinet churn (identical
@@ -635,8 +715,15 @@ fn main() {
     std::fs::write("BENCH_timeline.json", &json).expect("write BENCH_timeline.json");
     print!("churn_smoke: BENCH_timeline.json = {json}");
 
-    // The multi-component group the sharded engine exists for.
-    let json = check_shard(comps, comp_flows, shard_prefix, 3);
+    // The component tracker's count guard on full churn drains, then the
+    // multi-component group the sharded engine exists for; both land in
+    // the shard record.
+    let drains = check_churn_drains(3);
+    let shard = check_shard(comps, comp_flows, shard_prefix, 3);
+    let json = format!(
+        "{}, \"churn_drains\": {drains}}}\n",
+        shard.trim_end().trim_end_matches('}')
+    );
     std::fs::write("BENCH_shard.json", &json).expect("write BENCH_shard.json");
     print!("churn_smoke: BENCH_shard.json = {json}");
 

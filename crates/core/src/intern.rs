@@ -1,12 +1,13 @@
 //! Dense interning of node ids.
 //!
 //! The per-node structures of this crate ([`ComponentTracker`]'s
-//! union–find and the closed-form models' [`EndpointIndex`]) live in
-//! slot-indexed `Vec`s: each [`NodeId`] is looked up once per flow insert
-//! or remove and turned into a dense `u32` slot, and everything else reads
-//! the `Vec`s. [`SlotInterner`] owns that mapping and recycles the slots
-//! of nodes that drained out, so a churning population keeps the
-//! footprint proportional to the *live* node set.
+//! component labels and adjacency, and the closed-form models'
+//! [`EndpointIndex`]) live in slot-indexed `Vec`s: each [`NodeId`] is
+//! looked up once per flow insert or remove and turned into a dense `u32`
+//! slot, and everything else reads the `Vec`s. [`SlotInterner`] owns that
+//! mapping and recycles the slots of nodes that drained out, so a
+//! churning population keeps the footprint proportional to the *live*
+//! node set.
 //!
 //! The map behind it is keyed by [`NodeHasher`], a multiply-rotate hasher
 //! in the style of FxHash: node ids are not attacker-controlled, and the

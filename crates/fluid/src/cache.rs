@@ -224,6 +224,16 @@ impl PenaltyCache {
         self.affected = AffectedSet::All;
     }
 
+    /// [`Self::reset`] with the counters zeroed too: the cache then
+    /// answers *and counts* like a freshly built one while keeping its
+    /// model scratch and buffers warm. The sharded engine recycles retired
+    /// shards' caches through this, after folding their counters into its
+    /// aggregate.
+    pub fn recycle(&mut self) {
+        self.reset();
+        self.stats = CacheStats::default();
+    }
+
     /// The affected set reported by the most recent refresh, leaving the
     /// conservative [`AffectedSet::All`] behind. The engine uses it to
     /// re-anchor only the flows whose penalty may actually have changed;
@@ -300,13 +310,23 @@ impl PenaltyCache {
     /// applied against the previous population first, then arrivals
     /// against the new one); the cache only falls back to
     /// [`PopulationDelta::Rebuilt`] on the first settle, or when a pending
-    /// key fails to line up with either population.
+    /// key fails to line up with either population. The sets are read in
+    /// place and cleared, keeping their tables warm for the next settle's
+    /// changes.
     fn take_delta(&mut self, new_active: &[FlowKey]) -> PopulationDelta {
-        let arrivals = std::mem::take(&mut self.pending_arrivals);
-        let departures = std::mem::take(&mut self.pending_departures);
+        let delta = self.delta_from_pending(new_active);
+        self.pending_arrivals.clear();
+        self.pending_departures.clear();
+        delta
+    }
+
+    /// The body of [`Self::take_delta`], over the pending sets as they
+    /// stand.
+    fn delta_from_pending(&self, new_active: &[FlowKey]) -> PopulationDelta {
         if !self.settled_once {
             return PopulationDelta::Rebuilt;
         }
+        let (arrivals, departures) = (&self.pending_arrivals, &self.pending_departures);
         let arrived: Vec<usize> = new_active
             .iter()
             .enumerate()
@@ -377,7 +397,7 @@ impl PenaltyCache {
         let (penalties, outcome) =
             model.penalties_with_scratch(&comms, &delta, previous, scratch.as_mut());
         self.penalties = penalties;
-        self.affected = outcome.affected.clone();
+        self.affected = outcome.affected;
         debug_assert_eq!(self.penalties.len(), comms.len());
         let recycled_active = std::mem::replace(&mut self.active, active);
         let recycled_comms = std::mem::replace(&mut self.comms, comms);

@@ -250,15 +250,16 @@ impl EventHeaps {
         None
     }
 
-    /// Splices `other`'s entries (and counters) into `self` — the heap
-    /// half of a shard merge. Entries stay valid verbatim: completion
-    /// entries carry slab epochs (the slab is shared across shards) and
-    /// gate entries are immutable, so a merged timeline answers exactly as
-    /// the two separate ones would have.
-    pub(crate) fn append(&mut self, mut other: EventHeaps) {
+    /// Moves `other`'s entries (and counters) into `self`, leaving it
+    /// empty with zeroed counters — the heap half of a shard merge.
+    /// Entries stay valid verbatim: completion entries carry slab epochs
+    /// (the slab is shared across shards) and gate entries are immutable,
+    /// so a merged timeline answers exactly as the two separate ones would
+    /// have.
+    pub(crate) fn append(&mut self, other: &mut EventHeaps) {
         self.completions.append(&mut other.completions);
         self.gates.append(&mut other.gates);
-        self.stats.absorb(other.stats);
+        self.stats.absorb(std::mem::take(&mut other.stats));
     }
 
     /// Pops every live gate with `gate <= t` into `out` — these flows

@@ -476,8 +476,9 @@ impl EngineState {
                 for &id in &candidates {
                     if step_shard(record_phases, now, slots, shards.shard_mut(id), bufs, done) {
                         shards.mark_dirty(id);
+                    } else {
+                        shards.refresh_next(id, slots);
                     }
-                    shards.refresh_next(id, slots);
                 }
                 shards.recycle_candidates(candidates);
                 if slots.is_empty() {
@@ -490,8 +491,8 @@ impl EngineState {
                 } else {
                     // Departure refinement: drop each completed flow's
                     // edge from the component tracker and re-partition to
-                    // match — re-seating roots, retiring drained shards,
-                    // splitting disconnected ones.
+                    // match — retiring drained shards, splitting
+                    // disconnected ones.
                     for comm in bufs.departed.drain(..) {
                         shards.depart(&comm, slots);
                     }
@@ -678,11 +679,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 // home); a flow bridging two components merges their
                 // shards here.
                 let id = shards.assign(&comm, &st.slots);
-                shards.shard_mut(id).admit(flow, contending, gate, epoch);
-                if contending {
-                    shards.mark_dirty(id);
-                }
-                shards.refresh_next(id, &st.slots);
+                shards.admit(id, flow, contending, gate, epoch, &st.slots);
             }
         }
         Ok(())
@@ -1283,6 +1280,49 @@ mod tests {
         let stats = refine.shard_stats();
         assert_eq!(stats.live_shards, 0);
         assert_eq!((stats.splits, stats.merges), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_recycled_shard_settles_like_a_fresh_one() {
+        // Component {0, 1} drains at about t = 4 while {10, 11} runs on, so
+        // its shard retires into the pool without a quiescent reset; the
+        // component {20, 21, 22} arriving at t = 8 draws that shard. The
+        // recycled shard's first settle is a full rebuild, and every
+        // completion matches the single-shard engine and the reference bit
+        // for bit.
+        let flows = [
+            (0, comm(0, 1, 3), 0.0),
+            (1, comm(10, 11, 900), 0.0),
+            (2, comm(10, 12, 700), 1.0),
+            (3, comm(20, 21, 50), 8.0),
+            (4, comm(22, 21, 60), 8.0),
+            (5, comm(20, 22, 40), 9.5),
+        ];
+        let params = NetworkParams::new(1.0, 0.5);
+        let reference = reference_drain(MyrinetModel::default(), params, &flows);
+        for (name, mut net) in engines(MyrinetModel::default(), params) {
+            let mut done = Vec::new();
+            for &(k, c, s) in &flows {
+                done.extend(net.advance_to(s));
+                if s == 8.0 && k == 3 && name != "single shard" {
+                    let Partition::Sharded(shards) = &net.state.partition else {
+                        unreachable!("sharded engine");
+                    };
+                    assert_eq!(shards.pooled(), 1, "{name}: the drained shard is pooled");
+                }
+                net.add(k, c, s);
+            }
+            if let Partition::Sharded(shards) = &net.state.partition {
+                assert_eq!(shards.pooled(), 0, "{name}: the new component drew it");
+                let shape = net.shard_stats();
+                assert_eq!((shape.drains, shape.merges), (1, 0), "{name}: {shape:?}");
+                // one full rebuild per shard opened, the recycled one's too
+                assert_eq!(net.cache_stats().scratch_rebuilds, 3, "{name}");
+            }
+            done.extend(net.run_to_completion());
+            done.sort_by_key(|c| c.key);
+            assert_bitwise_with_phases(&done, &reference, name);
+        }
     }
 
     #[test]

@@ -15,53 +15,57 @@
 //! refreshes are independent, so they can run in parallel through a
 //! [`crate::dispatch::SettleDispatch`].
 //!
-//! The partition **refines in both directions**, driven by the
-//! [`ComponentTracker`], and every repartition costs its *smaller side*.
-//! Arrivals coarsen it: a new flow joins an existing shard, creates a
-//! fresh one, or *bridges* two — in which case the tracker's loser shard
-//! slot retires, the larger side's cache survives (swapped into the
-//! winner's slot when the loser held more members), the smaller side's
-//! contending flows are noted on it as arrivals (so its next settle is a
-//! delta patch, not a rebuild), member lists and event heaps are spliced
-//! together, and the dropped cache's counters fold into the set-wide
-//! accumulator. Departures refine it back apart: the tracker classifies
-//! each one as [`ComponentRemoval::Shrunk`], [`ComponentRemoval::Drained`]
-//! (the shard's last flow left, so its slot retires), or
+//! A shard's index *is* its component's [`ComponentTracker`] label, so
+//! routing a flow to its shard is a label read. The partition **refines in
+//! both directions**, driven by the tracker, and every repartition costs
+//! its *smaller side*. Arrivals coarsen it: a new flow joins an existing
+//! shard, creates a fresh one, or *bridges* two — in which case the
+//! absorbed label's shard retires, the larger side's cache survives
+//! (swapped into the surviving label's shard when the absorbed side held
+//! more members), the smaller side's contending flows are noted on it as
+//! arrivals (so its next settle is a delta patch, not a rebuild), member
+//! lists and event heaps are spliced together, and the dropped cache's
+//! counters fold into the set-wide accumulator. Departures refine it back
+//! apart: the tracker classifies each one as [`ComponentRemoval::Shrunk`]
+//! (nothing moves: labels never re-seat), [`ComponentRemoval::Drained`]
+//! (the shard's last flow left, so it retires), or
 //! [`ComponentRemoval::Split`] — in which case `ShardSet::split` carves
-//! the splinter component out of its shard: member keys are partitioned
-//! by a tracker lookup, the larger part keeps the pre-split cache and
-//! event heaps with the smaller part's contending flows noted on it as
-//! departures, and the smaller part starts a fresh cache (its first
-//! settle is a rebuild over its own members) and fresh heaps, rebuilt
-//! from its members under freshly bumped slot epochs so its entries in
-//! the old heaps go stale lazily. Penalties are component-local and a
-//! model's patch equals its full query bit for bit, so both sides' next
-//! refreshes reproduce the values the joint query would have and the
-//! engine's resync skips every slot — merges and splits are bitwise
-//! invisible. A fresh cache starts its counters at zero and a surviving
-//! one keeps its own, so the set-wide aggregate counts every query once.
-//! A union of true components is still a safe partition cell, so
-//! splitting is purely a performance refinement — without it any
-//! long-lived population degrades toward one mega-shard.
+//! the split-off component out of its shard: member keys are partitioned
+//! by O(1) label lookups, the part with more members keeps the pre-split
+//! cache and event heaps with the smaller part's contending flows noted on
+//! it as departures, and the smaller part starts a fresh cache (its first
+//! settle is a rebuild over its own members) and fresh heaps, rebuilt from
+//! its members under freshly bumped slot epochs so its entries in the old
+//! heaps go stale lazily. Penalties are component-local and a model's
+//! patch equals its full query bit for bit, so both sides' next refreshes
+//! reproduce the values the joint query would have and the engine's
+//! resync skips every slot — merges and splits are bitwise invisible. A
+//! union of true components is still a safe partition cell, so splitting
+//! is purely a performance refinement — without it any long-lived
+//! population degrades toward one mega-shard.
 //!
-//! Cross-shard event ordering goes through one lazy min-heap of
-//! `(next event time, shard, version)` entries: every change to a shard's
-//! timeline bumps its version and pushes a fresh entry, and stale entries
-//! are discarded on pop — the same lazy-invalidation idea the per-shard
-//! completion heaps already use, one level up. Retired shard slots *are*
-//! reused (drains and splits would otherwise leak slots forever on a
-//! churning population), which is safe because a slot's version continues
-//! from where the previous occupant left off: every stale entry carries a
-//! version at most the retired shard's last, and the new occupant starts
-//! strictly above it.
+//! Retired shards are **recycled**, not dropped: a drained shard, a
+//! merge's absorbed shard and every live shard at a reset has its counters
+//! folded into the set-wide accumulators, is reset in place (cache, heaps
+//! and member list cleared, their allocations and the model scratch kept)
+//! and waits in a pool that new labels draw from. A recycled cache's
+//! first settle is still a full rebuild, over its warm scratch, so a
+//! recycled shard answers bit for bit like a fresh one; its counters
+//! restart at zero, so the aggregate counts every query once.
+//!
+//! Cross-shard event ordering goes through an indexed min-heap holding at
+//! most one `(next event time, shard)` entry per shard: a shard's entry is
+//! updated in place when its timeline moves and removed when the shard
+//! goes quiet or retires, and ties break by shard index, so simultaneous
+//! events run in ascending shard order. A dirty shard is not published —
+//! its settle publishes it, and the engine settles before it reads the
+//! index.
 
 use crate::cache::{CacheStats, PenaltyCache};
 use crate::event_heap::{EventHeaps, TimelineStats};
 use crate::slab::{FlowKey, Slab};
 use netbw_core::{ComponentChange, ComponentRemoval, ComponentRoot, ComponentTracker};
 use netbw_graph::Communication;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// The slot fields the shard table reads when re-partitioning live flows.
 /// Implemented by the engine's (private) slot type so [`ShardSet`] can
@@ -80,8 +84,8 @@ pub(crate) trait SlotView {
 /// Partition-shape counters for the sharded engine: how many shards are
 /// live right now, how often the partition has refined (split), coarsened
 /// (merged) or drained since the engine was built, what those moves
-/// re-homed, and how many settle barriers went to the dispatcher.
-/// Cumulative across resets.
+/// re-homed, what the component tracker spent finding them, and how many
+/// settle barriers went to the dispatcher. Cumulative across resets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Live shards in the current partition.
@@ -102,6 +106,10 @@ pub struct ShardStats {
     /// Settle barriers handed to the [`crate::dispatch::SettleDispatch`].
     /// Every other barrier with dirty shards settled inline on the caller.
     pub dispatched_barriers: u64,
+    /// Component-tracker work: endpoints its departure searches expanded
+    /// plus endpoints relabelled by bridges and splits
+    /// ([`ComponentTracker::visits`]).
+    pub tracker_visits: u64,
 }
 
 /// One conflict component's private engine state.
@@ -125,10 +133,6 @@ pub(crate) struct Shard {
     pub(crate) staged: Vec<FlowKey>,
     /// Communications aligned with `staged` (same recycling).
     pub(crate) comms_buf: Vec<Communication>,
-    /// Bumped on every timeline change; the cross-shard event heap stamps
-    /// its entries with this, so superseded entries go stale. Survives the
-    /// shard's retirement: a reused slot continues from the last version.
-    pub(crate) version: u64,
     /// Whether the shard sits in the dirty list awaiting a settle.
     pub(crate) dirty: bool,
 }
@@ -142,7 +146,6 @@ impl Shard {
             departures: 0,
             staged: Vec::new(),
             comms_buf: Vec::new(),
-            version: 0,
             dirty: false,
         }
     }
@@ -156,6 +159,14 @@ impl Shard {
         self.members.clear();
         self.departures = 0;
         self.dirty = false;
+    }
+
+    /// [`Self::reset`] with the counters zeroed too, for the shard pool:
+    /// the caller folds them into its accumulators first.
+    fn recycle(&mut self) {
+        self.reset();
+        self.cache.recycle();
+        self.events.stats = TimelineStats::default();
     }
 
     /// Takes in a just-added flow: a member from now on, contending at
@@ -210,7 +221,6 @@ impl Clone for Shard {
             departures,
             staged: _,
             comms_buf: _,
-            version,
             dirty,
         } = source;
         self.cache.clone_from(cache);
@@ -219,64 +229,144 @@ impl Clone for Shard {
         self.departures = *departures;
         self.staged.clear();
         self.comms_buf.clear();
-        self.version = *version;
         self.dirty = *dirty;
     }
 }
 
-/// A cross-shard event-heap entry: one shard's next completion-or-gate
-/// time as of `version`. Min-ordered by time with a shard-id tiebreak so
-/// simultaneous events pop deterministically.
-#[derive(Clone, Copy, Debug)]
-struct ShardNext {
-    time: f64,
-    shard: usize,
-    version: u64,
+/// Marks a shard without an entry in [`NextEvents`].
+const ABSENT: usize = usize::MAX;
+
+/// The cross-shard next-event index: a binary min-heap of
+/// `(next event time, shard)` entries holding at most one entry per
+/// shard, which a per-shard position table lets the index update or
+/// remove in place. Ordered by time, ties broken by shard index.
+#[derive(Clone, Debug, Default)]
+struct NextEvents {
+    heap: Vec<(f64, usize)>,
+    /// Per shard: its entry's position in `heap`, or [`ABSENT`].
+    at: Vec<usize>,
 }
 
-impl PartialEq for ShardNext {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl NextEvents {
+    fn before(a: (f64, usize), b: (f64, usize)) -> bool {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
     }
-}
-impl Eq for ShardNext {}
-impl PartialOrd for ShardNext {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    /// Sets shard `shard`'s entry to `time`, inserting or updating it.
+    fn set(&mut self, shard: usize, time: f64) {
+        if self.at.len() <= shard {
+            self.at.resize(shard + 1, ABSENT);
+        }
+        let i = match self.at[shard] {
+            ABSENT => {
+                self.heap.push((time, shard));
+                self.heap.len() - 1
+            }
+            i => {
+                self.heap[i].0 = time;
+                i
+            }
+        };
+        self.at[shard] = i;
+        let i = self.sift_up(i);
+        self.sift_down(i);
     }
-}
-impl Ord for ShardNext {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.shard.cmp(&self.shard))
-            .then_with(|| other.version.cmp(&self.version))
+
+    /// Removes shard `shard`'s entry, if it has one.
+    fn remove(&mut self, shard: usize) {
+        let Some(&i) = self.at.get(shard).filter(|&&i| i != ABSENT) else {
+            return;
+        };
+        self.at[shard] = ABSENT;
+        let last = self.heap.pop().expect("a present entry is in the heap");
+        if i < self.heap.len() {
+            self.heap[i] = last;
+            self.at[last.1] = i;
+            let i = self.sift_up(i);
+            self.sift_down(i);
+        }
+    }
+
+    /// The earliest entry.
+    fn peek(&self) -> Option<(f64, usize)> {
+        self.heap.first().copied()
+    }
+
+    /// Removes and returns the earliest entry.
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        let top = self.peek()?;
+        self.remove(top.1);
+        Some(top)
+    }
+
+    fn clear(&mut self) {
+        for &(_, shard) in &self.heap {
+            self.at[shard] = ABSENT;
+        }
+        self.heap.clear();
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.at[self.heap[i].1] = i;
+        self.at[self.heap[j].1] = j;
+    }
+
+    /// Moves entry `i` up to its place; returns where it landed.
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(self.heap[i], self.heap[parent]) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    /// Moves entry `i` down to its place.
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child =
+                if right < self.heap.len() && Self::before(self.heap[right], self.heap[left]) {
+                    right
+                } else {
+                    left
+                };
+            if !Self::before(self.heap[child], self.heap[i]) {
+                return;
+            }
+            self.swap(i, child);
+            i = child;
+        }
     }
 }
 
-/// The engine's shard table: component tracker, live shards, the dirty
-/// list and the cross-shard event heap, plus the counters of retired
-/// shards (so aggregate stats survive merges and resets).
-#[derive(Default, Clone)]
+/// The engine's shard table: component tracker, live shards indexed by
+/// tracker label, the pool of recycled shards, the dirty list and the
+/// cross-shard next-event index, plus the counters of retired shards (so
+/// aggregate stats survive drains, merges and resets).
+#[derive(Default)]
 pub(crate) struct ShardSet {
     tracker: ComponentTracker,
-    /// Shard index per tracker root index. Entries go stale when a root
-    /// is absorbed, re-seated or drained; only live roots are looked up.
-    shard_of_root: Vec<usize>,
-    /// Live shards; a retired slot goes to `None` and onto `free_slots`
-    /// for reuse.
+    /// Live shards, indexed by their component's tracker label; a free
+    /// label's entry is `None`.
     shards: Vec<Option<Shard>>,
     /// Count of `Some` entries in `shards`.
     live: usize,
-    /// Retired shard slots, each with the version its last occupant
-    /// reached — a new occupant's version continues strictly above it so
-    /// stale [`ShardNext`] entries can never alias across occupancies.
-    free_slots: Vec<(usize, u64)>,
+    /// Retired shards, reset in place with their counters folded away,
+    /// for new labels to draw from.
+    pool: Vec<Shard>,
     /// Indices of shards with pending population changes, in marking
     /// order (settles sort it).
     pub(crate) dirty: Vec<usize>,
-    next_events: BinaryHeap<ShardNext>,
+    next_events: NextEvents,
     /// Cache counters of retired shards (merged away, drained, or cleared
     /// by a reset).
     retired_cache: CacheStats,
@@ -295,6 +385,48 @@ pub(crate) struct ShardSet {
     dispatched: u64,
 }
 
+/// A copy is faithful — tracker, live shards, dirty list, next-event
+/// index and counters — and starts with an empty pool: pooled shards
+/// hold no state, only warm allocations.
+impl Clone for ShardSet {
+    fn clone(&self) -> Self {
+        let ShardSet {
+            tracker,
+            shards,
+            live,
+            pool: _,
+            dirty,
+            next_events,
+            retired_cache,
+            retired_timeline,
+            reused_settles,
+            candidates: _,
+            splits,
+            merges,
+            drains,
+            rehomed,
+            dispatched,
+        } = self;
+        ShardSet {
+            tracker: tracker.clone(),
+            shards: shards.clone(),
+            live: *live,
+            pool: Vec::new(),
+            dirty: dirty.clone(),
+            next_events: next_events.clone(),
+            retired_cache: *retired_cache,
+            retired_timeline: *retired_timeline,
+            reused_settles: *reused_settles,
+            candidates: Vec::new(),
+            splits: *splits,
+            merges: *merges,
+            drains: *drains,
+            rehomed: *rehomed,
+            dispatched: *dispatched,
+        }
+    }
+}
+
 impl ShardSet {
     /// Number of live shards.
     pub(crate) fn live_count(&self) -> usize {
@@ -311,6 +443,7 @@ impl ShardSet {
             budget_collapses: 0,
             rehomed_flows: self.rehomed,
             dispatched_barriers: self.dispatched,
+            tracker_visits: self.tracker.visits(),
         }
     }
 
@@ -321,88 +454,95 @@ impl ShardSet {
     /// any shard yet.
     pub(crate) fn assign<S: SlotView>(&mut self, comm: &Communication, slots: &Slab<S>) -> usize {
         match self.tracker.insert(comm.src, comm.dst) {
-            ComponentChange::Created { root } => self.alloc(root),
-            ComponentChange::Joined { root } => self.shard_of_root[root as usize],
+            ComponentChange::Created { root } => self.open(root),
+            ComponentChange::Joined { root } => root as usize,
             ComponentChange::Bridged { root, absorbed } => {
-                let winner = self.shard_of_root[root as usize];
-                let loser = self.shard_of_root[absorbed as usize];
-                self.merge(winner, loser, slots);
-                winner
+                self.merge(root as usize, absorbed as usize, slots);
+                root as usize
             }
         }
     }
 
+    /// Takes a just-added flow into shard `id` (see [`Shard::admit`]). A
+    /// contending flow dirties the shard, whose settle then publishes its
+    /// next event; a gated one publishes it now.
+    pub(crate) fn admit<T>(
+        &mut self,
+        id: usize,
+        flow: FlowKey,
+        contending: bool,
+        gate: f64,
+        epoch: u64,
+        slots: &Slab<T>,
+    ) {
+        self.shard_mut(id).admit(flow, contending, gate, epoch);
+        if contending {
+            self.mark_dirty(id);
+        } else {
+            self.refresh_next(id, slots);
+        }
+    }
+
     /// Handles a completed flow's departure: removes its edge from the
-    /// tracker and refines the partition to match — re-seating a root,
-    /// retiring a drained shard, or splitting a disconnected one. Call
-    /// after the flow's slot has left the slab.
+    /// tracker and refines the partition to match — retiring a drained
+    /// shard or splitting a disconnected one. Call after the flow's slot
+    /// has left the slab.
     pub(crate) fn depart<S: SlotView>(&mut self, comm: &Communication, slots: &mut Slab<S>) {
         match self.tracker.remove(comm.src, comm.dst) {
-            ComponentRemoval::Shrunk { old_root, root } => {
-                if old_root != root {
-                    let id = self.shard_of_root[old_root as usize];
-                    self.map_root(root, id);
-                }
-            }
+            ComponentRemoval::Shrunk { .. } => {}
             ComponentRemoval::Drained { root } => {
                 // Gated flows hold tracker edges until their own
                 // completion, so a drained component has no live members
                 // of any kind: the shard retires wholesale.
-                let id = self.shard_of_root[root as usize];
-                self.retire(id);
+                self.retire(root as usize);
                 self.drains += 1;
             }
             ComponentRemoval::Split { root, split_root } => {
-                let id = self.shard_of_root[root as usize];
-                self.split(id, split_root, slots);
+                self.split(root as usize, split_root, slots);
             }
         }
     }
 
     /// Carves the `split_root` component out of shard `id` into a new
     /// shard, at the cost of the smaller part. Member keys are partitioned
-    /// by a tracker lookup (compacting stale keys on the way). The part
+    /// by label lookups (compacting stale keys on the way). The part
     /// with more members keeps the pre-split cache and event heaps, with
     /// the smaller part's contending members noted on the cache as
     /// departures; the smaller part takes the new shard's fresh cache and
-    /// heaps (swapped into shard `id` when the splinter is the larger
-    /// part — each part keeps its own root's shard either way). Its
+    /// heaps (swapped into shard `id` when the split-off part is the
+    /// larger — each part keeps its own label's shard either way). Its
     /// members get their slot epochs bumped and their due events re-pushed
     /// into the fresh heaps, lazily invalidating their old entries. The
     /// larger part's next refresh patches the departures and the smaller
     /// part's first one rebuilds over its own members; penalties are
     /// component-local, so both reproduce exactly the penalties the joint
     /// query would have and the engine's resync skips every slot — the
-    /// split never perturbs the trajectory.
+    /// split never perturbs the trajectory. Both shards are left dirty, so
+    /// their settles publish their next events.
     fn split<S: SlotView>(&mut self, id: usize, split_root: ComponentRoot, slots: &mut Slab<S>) {
         self.splits += 1;
-        let mut moved: Vec<FlowKey> = Vec::new();
-        {
-            let tracker = &mut self.tracker;
-            let kept = self.shards[id].as_mut().expect("split shard is live");
-            kept.members.retain(|&k| match slots.get(k) {
-                None => false,
-                Some(slot) => {
-                    if tracker.find(slot.comm().src) == Some(split_root) {
-                        moved.push(k);
-                        false
-                    } else {
-                        true
-                    }
-                }
-            });
-            kept.departures = 0;
-        }
-        let sid = self.alloc(split_root);
+        let sid = self.open(split_root);
         let [kept, sp] = self
             .shards
             .get_disjoint_mut([id, sid])
             .expect("split shards are distinct");
         let (kept, sp) = (
             kept.as_mut().expect("split shard is live"),
-            sp.as_mut().expect("splinter shard is live"),
+            sp.as_mut().expect("split-off shard is live"),
         );
-        sp.members = moved;
+        let tracker = &self.tracker;
+        kept.members.retain(|&k| match slots.get(k) {
+            None => false,
+            Some(slot) => {
+                if tracker.find(slot.comm().src) == Some(split_root) {
+                    sp.members.push(k);
+                    false
+                } else {
+                    true
+                }
+            }
+        });
+        kept.departures = 0;
         let (small, large) = if sp.members.len() > kept.members.len() {
             std::mem::swap(&mut kept.cache, &mut sp.cache);
             std::mem::swap(&mut kept.events, &mut sp.events);
@@ -427,52 +567,46 @@ impl ShardSet {
         }
         self.mark_dirty(id);
         self.mark_dirty(sid);
-        self.refresh_next(id, slots);
-        self.refresh_next(sid, slots);
     }
 
-    /// Creates a live shard for `root`, reusing a retired slot when one
-    /// is free (continuing its version) and mapping the root to it.
-    fn alloc(&mut self, root: ComponentRoot) -> usize {
-        let id = match self.free_slots.pop() {
-            Some((slot, version)) => {
-                debug_assert!(self.shards[slot].is_none(), "free slot is vacant");
-                let mut sh = Shard::new();
-                sh.version = version + 1;
-                self.shards[slot] = Some(sh);
-                slot
-            }
-            None => {
-                self.shards.push(Some(Shard::new()));
-                self.shards.len() - 1
-            }
-        };
+    /// Opens the shard for a fresh tracker label, drawing a recycled
+    /// shard from the pool when one waits there.
+    fn open(&mut self, label: ComponentRoot) -> usize {
+        let id = label as usize;
+        if self.shards.len() <= id {
+            self.shards.resize_with(id + 1, || None);
+        }
+        debug_assert!(self.shards[id].is_none(), "a fresh label has no shard");
+        self.shards[id] = Some(self.pool.pop().unwrap_or_else(Shard::new));
         self.live += 1;
-        self.map_root(root, id);
         id
     }
 
-    /// Points `root` at shard `id`, growing the map as needed.
-    fn map_root(&mut self, root: ComponentRoot, id: usize) {
-        let root = root as usize;
-        if self.shard_of_root.len() <= root {
-            self.shard_of_root.resize(root + 1, usize::MAX);
-        }
-        self.shard_of_root[root] = id;
-    }
-
-    /// Retires shard `id`: folds its counters into the retired
-    /// accumulators, drops it from the dirty list, and frees its slot for
-    /// reuse (recording the version its successor must continue from).
-    fn retire(&mut self, id: usize) {
-        let sh = self.shards[id].take().expect("retired shard is live");
-        self.live -= 1;
+    /// Folds a retired shard's counters into the retired accumulators,
+    /// resets it in place and pools it for a later label.
+    fn recycle(&mut self, mut sh: Shard) {
         self.retired_cache.absorb(sh.cache.stats());
         self.retired_timeline.absorb(sh.events.stats);
+        sh.recycle();
+        self.pool.push(sh);
+    }
+
+    /// Takes shard `id` out of the table, the dirty list and the
+    /// next-event index.
+    fn take(&mut self, id: usize) -> Shard {
+        let sh = self.shards[id].take().expect("retired shard is live");
+        self.live -= 1;
         if sh.dirty {
             self.dirty.retain(|&d| d != id);
         }
-        self.free_slots.push((id, sh.version));
+        self.next_events.remove(id);
+        sh
+    }
+
+    /// Retires shard `id` into the pool.
+    fn retire(&mut self, id: usize) {
+        let sh = self.take(id);
+        self.recycle(sh);
     }
 
     /// Splices shard `loser` into shard `winner` at the cost of the
@@ -483,20 +617,18 @@ impl ShardSet {
     /// the models answer bit for bit like the full query over the joint
     /// population. The smaller side's members and event heaps are spliced
     /// in verbatim (slab keys and epochs are global, so every entry stays
-    /// valid), and its dropped cache's counters fold into the retired
-    /// accumulator.
+    /// valid), and the loser retires into the pool with its dropped
+    /// cache's counters folded into the retired accumulator.
     fn merge<S: SlotView>(&mut self, winner: usize, loser: usize, slots: &Slab<S>) {
         debug_assert_ne!(winner, loser);
         self.merges += 1;
-        let mut small = self.shards[loser].take().expect("absorbed shard is live");
-        self.live -= 1;
+        let mut small = self.take(loser);
         let w = self.shards[winner].as_mut().expect("winning shard is live");
         if small.members.len() > w.members.len() {
             // The absorbed side is the larger: its cache and members stay.
             std::mem::swap(&mut w.cache, &mut small.cache);
             std::mem::swap(&mut w.members, &mut small.members);
         }
-        self.retired_cache.absorb(small.cache.stats());
         for &k in &small.members {
             if let Some(slot) = slots.get(k) {
                 self.rehomed += 1;
@@ -505,19 +637,11 @@ impl ShardSet {
                 }
             }
         }
-        w.members.extend(small.members);
+        w.members.append(&mut small.members);
         w.departures += small.departures;
-        w.events.append(small.events);
-        // The loser's global entries go stale by its slot retiring; the
-        // winner's by the version bump at its next refresh.
-        if !w.dirty {
-            w.dirty = true;
-            self.dirty.push(winner);
-        }
-        if small.dirty {
-            self.dirty.retain(|&d| d != loser);
-        }
-        self.free_slots.push((loser, small.version));
+        w.events.append(&mut small.events);
+        self.mark_dirty(winner);
+        self.recycle(small);
     }
 
     /// Marks a shard's population as changed, queueing it for the next
@@ -577,54 +701,48 @@ impl ShardSet {
         self.dispatched += 1;
     }
 
-    /// Recomputes shard `id`'s next event (earliest live completion or
-    /// gate) and publishes it to the cross-shard heap under a fresh
-    /// version, invalidating every earlier entry for the shard. Call
-    /// after anything that may move the shard's timeline.
+    /// Publishes shard `id`'s next event (earliest live completion or
+    /// gate) to the next-event index, replacing its entry, or removes the
+    /// entry when the shard has nothing pending. Call after anything that
+    /// may move a clean shard's timeline; a dirty shard is skipped, since
+    /// its settle publishes it.
     pub(crate) fn refresh_next<T>(&mut self, id: usize, slots: &Slab<T>) {
         let sh = self.shards[id].as_mut().expect("shard is live");
-        sh.version += 1;
-        let Some(next) = sh.next_event(slots) else {
+        if sh.dirty {
             return;
-        };
-        self.next_events.push(ShardNext {
-            time: next,
-            shard: id,
-            version: sh.version,
-        });
-    }
-
-    /// The earliest next-event time across all shards, discarding stale
-    /// entries from the top of the cross-shard heap.
-    pub(crate) fn peek_next(&mut self) -> Option<f64> {
-        while let Some(top) = self.next_events.peek() {
-            if self.entry_is_live(top) {
-                return Some(top.time);
-            }
-            self.next_events.pop();
         }
-        None
+        match sh.next_event(slots) {
+            Some(next) => self.next_events.set(id, next),
+            None => self.next_events.remove(id),
+        }
     }
 
-    /// Pops every live entry with `time <= bound` and returns the (sorted,
+    /// The earliest next-event time across all shards. The engine settles
+    /// first, so every shard is published.
+    pub(crate) fn peek_next(&self) -> Option<f64> {
+        debug_assert!(self.dirty.is_empty(), "read the next-event index unsettled");
+        self.next_events.peek().map(|(time, _)| time)
+    }
+
+    /// Removes every entry with `time <= bound` and returns the (sorted,
     /// distinct) shards they name — the shards that may have a gate or
-    /// completion due at the current event. The caller must
-    /// [`Self::refresh_next`] each one after processing it.
+    /// completion due at the current event. The caller must republish
+    /// each one ([`Self::refresh_next`], or a settle once it is dirty)
+    /// after processing it.
     pub(crate) fn take_candidates(&mut self, bound: f64) -> Vec<usize> {
+        debug_assert!(self.dirty.is_empty(), "read the next-event index unsettled");
         let mut out = std::mem::take(&mut self.candidates);
         out.clear();
-        while let Some(top) = self.next_events.peek() {
-            if top.time > bound {
+        while let Some((time, shard)) = self.next_events.peek() {
+            if time > bound {
                 break;
             }
-            let entry = self.next_events.pop().expect("peeked entry pops");
-            if self.entry_is_live(&entry) {
-                out.push(entry.shard);
-            }
+            self.next_events.pop();
+            out.push(shard);
         }
-        // At most one live entry exists per shard (each refresh bumps the
-        // version), so the list is already duplicate-free; sort it so
-        // simultaneous events process in deterministic shard order.
+        // One entry per shard, so the list is duplicate-free; entries
+        // within the bound may differ in time, so sort them into shard
+        // order for a deterministic step.
         out.sort_unstable();
         out
     }
@@ -633,12 +751,6 @@ impl ShardSet {
     /// buffer reuse.
     pub(crate) fn recycle_candidates(&mut self, buf: Vec<usize>) {
         self.candidates = buf;
-    }
-
-    fn entry_is_live(&self, entry: &ShardNext) -> bool {
-        self.shards[entry.shard]
-            .as_ref()
-            .is_some_and(|sh| sh.version == entry.version)
     }
 
     /// Aggregated cache counters: live shards plus everything retired,
@@ -662,6 +774,12 @@ impl ShardSet {
             .sum()
     }
 
+    /// Recycled shards waiting in the pool.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
+        self.pool.len()
+    }
+
     /// Aggregated timeline counters: live shards plus retired ones.
     pub(crate) fn timeline_stats(&self) -> TimelineStats {
         let mut stats = self.retired_timeline;
@@ -671,21 +789,20 @@ impl ShardSet {
         stats
     }
 
-    /// Drops every shard and the component structure while folding their
-    /// counters into the retired accumulators — stats (including the
-    /// partition-shape counters) stay cumulative across resets, exactly
-    /// like the single-shard engine's. The engine also calls this as the
-    /// quiescent barrier when the flow population drains to empty.
+    /// Retires every shard into the pool and forgets the component
+    /// structure. Counters fold into the retired accumulators, so stats
+    /// (the partition-shape counters included) stay cumulative across
+    /// resets, exactly like the single-shard engine's. The engine also
+    /// calls this as the quiescent barrier when the flow population
+    /// drains to empty.
     pub(crate) fn reset(&mut self) {
-        for sh in self.shards.iter().flatten() {
-            self.retired_cache.absorb(sh.cache.stats());
-            self.retired_timeline.absorb(sh.events.stats);
+        let mut shards = std::mem::take(&mut self.shards);
+        for sh in shards.drain(..).flatten() {
+            self.recycle(sh);
         }
+        self.shards = shards;
         self.tracker.clear();
-        self.shard_of_root.clear();
-        self.shards.clear();
         self.live = 0;
-        self.free_slots.clear();
         self.dirty.clear();
         self.next_events.clear();
     }
@@ -744,7 +861,7 @@ mod tests {
         for &(s, d) in flows {
             let k = slab.insert(TSlot::running(s, d, 10.0));
             id = set.assign(&comm(s, d), &slab);
-            set.shard_mut(id).admit(k, true, 0.0, 0);
+            set.admit(id, k, true, 0.0, 0, &slab);
             keys.push(k);
         }
         assert_eq!(set.live_count(), 1, "one component");
@@ -753,7 +870,8 @@ mod tests {
     }
 
     /// Stages and refreshes shard `id` under GigE the way the engine's
-    /// settle does; returns the shard's cache counters.
+    /// settle does, then publishes its next event; returns the shard's
+    /// cache counters.
     fn settle(set: &mut ShardSet, id: usize, slab: &Slab<TSlot>) -> CacheStats {
         let sh = set.shard_mut(id);
         let mut staged = Vec::new();
@@ -769,11 +887,15 @@ mod tests {
         let comms = staged.iter().map(|&k| slab.get(k).unwrap().comm).collect();
         let model = netbw_core::GigabitEthernetModel::default();
         sh.cache.refresh(&model, staged, comms);
-        sh.cache.stats()
+        sh.dirty = false;
+        let stats = sh.cache.stats();
+        set.dirty.retain(|&d| d != id);
+        set.refresh_next(id, slab);
+        stats
     }
 
     /// Completes the flow `key` over the endpoints `flow` the way the
-    /// engine does and returns the `(kept, splinter)` shards of the split
+    /// engine does and returns the `(kept, split-off)` shards of the split
     /// it causes.
     fn split_off(
         set: &mut ShardSet,
@@ -800,47 +922,57 @@ mod tests {
         assert_eq!(set.live_count(), 2);
         assert_eq!(set.assign(&comm(0, 4), &slab), a, "shared endpoint joins");
         let bridged = set.assign(&comm(1, 2), &slab);
-        assert!(bridged == a || bridged == b);
+        assert_eq!(bridged, a, "the side with more endpoints keeps its label");
         assert_eq!(set.live_count(), 1, "bridge retires the loser");
         assert_eq!(set.shard_stats().merges, 1);
+        assert_eq!(set.pooled(), 1, "the loser waits in the pool");
         // the whole union now routes to the surviving shard
         assert_eq!(set.assign(&comm(3, 4), &slab), bridged);
+        // and the next component takes the absorbed label's recycled shard
+        assert_eq!(set.assign(&comm(7, 8), &slab), b);
+        assert_eq!(set.pooled(), 0);
     }
 
     #[test]
     fn merge_moves_members_and_invalidates_the_winner() {
-        // Shard a: one settled flow out of node 0. Shard b: a settled flow
-        // and a gated one out of node 2. The bridge 1-2 names a's root
-        // first, so a wins the tracker tie while b holds more members.
+        // Shard a: three settled parallel flows 0→1 (two endpoints).
+        // Shard b: a settled flow and a gated one out of node 2 (three
+        // endpoints). The bridge 1-2 keeps b's label, the side with more
+        // endpoints, while a holds more members — so a's cache, the
+        // larger side's, moves into b's shard.
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
-        let k0 = slab.insert(TSlot::running(0, 1, 10.0));
+        let ka: Vec<FlowKey> = (0..3)
+            .map(|_| slab.insert(TSlot::running(0, 1, 10.0)))
+            .collect();
         let k1 = slab.insert(TSlot::running(2, 3, 10.0));
         let k2 = slab.insert(TSlot {
             contending: false,
             gate: 5.0,
             ..TSlot::running(2, 4, 0.0)
         });
-        let a = set.assign(&comm(0, 1), &slab);
-        set.shard_mut(a).admit(k0, true, 0.0, 0);
+        let mut a = usize::MAX;
+        for &k in &ka {
+            a = set.assign(&comm(0, 1), &slab);
+            set.admit(a, k, true, 0.0, 0, &slab);
+        }
         settle(&mut set, a, &slab);
         let b = set.assign(&comm(2, 3), &slab);
-        set.shard_mut(b).admit(k1, true, 0.0, 0);
+        set.admit(b, k1, true, 0.0, 0, &slab);
         settle(&mut set, b, &slab);
         assert_eq!(set.assign(&comm(2, 4), &slab), b);
-        set.shard_mut(b).admit(k2, false, 5.0, 0);
-        set.refresh_next(b, &slab);
+        set.admit(b, k2, false, 5.0, 0, &slab);
         assert_eq!(set.peek_next(), Some(5.0));
         let survivor = set.assign(&comm(1, 2), &slab);
-        assert_eq!(survivor, a);
-        assert_eq!(set.shard_mut(survivor).members.len(), 3);
+        assert_eq!(survivor, b);
+        assert_eq!(set.shard_mut(survivor).members.len(), 5);
         assert!(set.shard_mut(survivor).dirty, "merge queues a settle");
         assert_eq!(set.dirty, vec![survivor]);
-        // b's cache (the larger side's) survives in a's slot with a's
-        // contending flow noted as an arrival — the gated flow is none —
-        // so the next settle patches instead of rebuilding.
+        // a's cache survives in b's shard with b's contending flow noted
+        // as an arrival — the gated flow is none — so the next settle
+        // patches instead of rebuilding.
         assert!(!set.shard_mut(survivor).cache.is_valid());
-        assert_eq!(set.shard_stats().rehomed_flows, 1);
+        assert_eq!(set.shard_stats().rehomed_flows, 2, "b's two members moved");
         let stats = settle(&mut set, survivor, &slab);
         assert_eq!(
             (
@@ -851,36 +983,90 @@ mod tests {
             (2, 1, 1),
             "{stats:?}"
         );
-        assert_eq!(set.cache_stats().model_queries, 3, "a's query is retired");
-        // the merged gate survives in the winner's heaps...
+        assert_eq!(set.cache_stats().model_queries, 3, "b's query is retired");
+        // the merged gate survives in the winner's heaps, and the settle
+        // published it; the absorbed shard has no entry left
         assert_eq!(set.shard_mut(survivor).events.peek_gate(&slab), Some(5.0));
-        // ...but the retired shard's cross-shard entry went stale, and the
-        // winner republishes under a fresh version
-        set.refresh_next(survivor, &slab);
-        assert_eq!(set.peek_next(), Some(5.0));
+        assert_eq!(set.next_events.heap.len(), 1);
         assert_eq!(set.take_candidates(5.0), vec![survivor]);
     }
 
     #[test]
-    fn stale_versions_are_discarded_on_peek_and_pop() {
+    fn republishing_a_shard_replaces_its_entry() {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
-        let (k0, k1) = (
+        let (k0, k1, k2) = (
             slab.insert(TSlot::running(0, 1, 0.0)),
             slab.insert(TSlot::running(0, 1, 0.0)),
+            slab.insert(TSlot::running(5, 6, 0.0)),
         );
         let a = set.assign(&comm(0, 1), &slab);
+        let b = set.assign(&comm(5, 6), &slab);
         set.shard_mut(a).events.push_gate(3.0, k0, 0);
         set.refresh_next(a, &slab);
-        // a second refresh supersedes the first entry
+        set.shard_mut(b).events.push_gate(1.0, k2, 0);
+        set.refresh_next(b, &slab);
+        assert_eq!(set.peek_next(), Some(1.0));
+        // a second publish of a moves its one entry in place
         set.shard_mut(a).events.push_gate(1.0, k1, 0);
         set.refresh_next(a, &slab);
-        assert_eq!(set.peek_next(), Some(1.0));
-        let c = set.take_candidates(1.0);
-        assert_eq!(c, vec![a]);
-        set.recycle_candidates(c);
-        // both entries are gone (one live, one stale) until republished
+        assert_eq!(set.next_events.heap.len(), 2, "one entry per shard");
+        // ties take ascending shard order
+        assert_eq!(set.take_candidates(1.0), vec![a, b]);
+        // both entries are gone until republished
         assert_eq!(set.peek_next(), None);
+        // a dirty shard is not published: its settle will be
+        set.mark_dirty(a);
+        set.refresh_next(a, &slab);
+        assert!(set.next_events.heap.is_empty());
+    }
+
+    #[test]
+    fn next_event_index_matches_a_sorted_vec() {
+        // Interleaved sets (inserts and in-place updates) and removes over
+        // 40 shards with times drawn from a handful of values, so ties are
+        // everywhere: every pop must agree with a sorted reference.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut index = NextEvents::default();
+        let mut reference: Vec<(f64, usize)> = Vec::new();
+        for step in 0..5_000 {
+            let shard = rng(40) as usize;
+            match rng(10) {
+                0..=5 => {
+                    let time = rng(8) as f64 * 0.5;
+                    index.set(shard, time);
+                    reference.retain(|e| e.1 != shard);
+                    reference.push((time, shard));
+                }
+                6 | 7 => {
+                    index.remove(shard);
+                    reference.retain(|e| e.1 != shard);
+                }
+                _ => {
+                    reference.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+                    let expected = (!reference.is_empty()).then(|| reference.remove(0));
+                    assert_eq!(index.pop(), expected, "step {step}");
+                }
+            }
+            assert_eq!(index.heap.len(), reference.len(), "step {step}");
+            for (i, &(_, s)) in index.heap.iter().enumerate() {
+                assert_eq!(index.at[s], i, "step {step}: position table");
+            }
+        }
+        reference.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        let drained: Vec<_> = std::iter::from_fn(|| index.pop()).collect();
+        assert_eq!(drained, reference);
+        index.set(3, 1.0);
+        index.clear();
+        assert_eq!(index.peek(), None);
+        index.set(3, 2.0);
+        assert_eq!(index.pop(), Some((2.0, 3)), "clear forgets positions");
     }
 
     #[test]
@@ -905,8 +1091,9 @@ mod tests {
         let shards = set.disjoint_mut(&picked);
         assert_eq!(shards.len(), 2);
         for sh in shards {
-            sh.version += 1;
+            sh.dirty = true;
         }
+        assert!(set.shard_mut(ids[2]).dirty && !set.shard_mut(ids[1]).dirty);
     }
 
     #[test]
@@ -916,18 +1103,84 @@ mod tests {
         let k0 = slab.insert(TSlot::running(0, 1, 0.0));
         let a = set.assign(&comm(0, 1), &slab);
         set.shard_mut(a).events.push_gate(1.0, k0, 0);
+        set.refresh_next(a, &slab);
         set.note_reused_settle();
         let before = set.timeline_stats();
         assert_eq!(before.gate_pushes, 1);
         set.reset();
         assert_eq!(set.live_count(), 0);
+        assert_eq!(set.pooled(), 1, "the live shard is recycled");
         assert_eq!(set.peek_next(), None);
         assert_eq!(set.timeline_stats().gate_pushes, 1, "stats survive reset");
         assert_eq!(set.cache_stats().reuses, 1);
-        // and the next assignment starts a fresh shard table
+        // and the next assignment starts a fresh shard table, drawing the
+        // recycled shard with its counters zeroed and its heaps empty
         let b = set.assign(&comm(0, 1), &slab);
         assert_eq!(set.live_count(), 1);
-        let _ = b;
+        assert_eq!(set.shard_mut(b).events.stats, TimelineStats::default());
+        assert_eq!(set.shard_mut(b).next_event(&slab), None);
+        assert_eq!(set.timeline_stats().gate_pushes, 1);
+        // a copy keeps the table and starts with an empty pool
+        set.retire(b);
+        let copy = set.clone();
+        assert_eq!((set.pooled(), copy.pooled()), (1, 0));
+        assert_eq!(copy.timeline_stats(), set.timeline_stats());
+    }
+
+    #[test]
+    fn recycled_shards_count_every_query_and_push_once() {
+        // A component settles (one query, one completion push) and drains;
+        // its shard retires into the pool. A new component reuses it and
+        // settles again. The aggregate counts each query and push once, and
+        // the recycled shard starts from zero.
+        let mut set = ShardSet::default();
+        let mut slab: Slab<TSlot> = Slab::new();
+        let anchor = slab.insert(TSlot::running(8, 9, 50.0));
+        let keep = set.assign(&comm(8, 9), &slab);
+        set.admit(keep, anchor, true, 0.0, 0, &slab);
+        settle(&mut set, keep, &slab);
+        let k = slab.insert(TSlot::running(0, 1, 10.0));
+        let a = set.assign(&comm(0, 1), &slab);
+        set.admit(a, k, true, 0.0, 0, &slab);
+        settle(&mut set, a, &slab);
+        let epoch = slab.bump_epoch(k).unwrap();
+        set.shard_mut(a).events.push_completion(10.0, k, epoch);
+        let (queries, pushes) = (
+            set.cache_stats().model_queries,
+            set.timeline_stats().heap_pushes,
+        );
+        assert_eq!((queries, pushes), (2, 1));
+        slab.remove(k);
+        set.shard_mut(a).cache.note_departure(k);
+        set.depart(&comm(0, 1), &mut slab);
+        assert_eq!(set.pooled(), 1);
+        assert_eq!(
+            set.cache_stats().model_queries,
+            queries,
+            "retire folds once"
+        );
+        assert_eq!(set.timeline_stats().heap_pushes, pushes);
+        let k2 = slab.insert(TSlot::running(4, 5, 20.0));
+        let c = set.assign(&comm(4, 5), &slab);
+        assert_eq!(c, a, "the drained label and its shard are reused");
+        assert_eq!(set.shard_mut(c).cache.stats(), CacheStats::default());
+        set.admit(c, k2, true, 0.0, 0, &slab);
+        let fresh = settle(&mut set, c, &slab);
+        assert_eq!(
+            (
+                fresh.model_queries,
+                fresh.delta_queries,
+                fresh.scratch_rebuilds
+            ),
+            (1, 0, 1),
+            "a recycled cache's first settle is a full rebuild: {fresh:?}"
+        );
+        assert_eq!(set.cache_stats().model_queries, queries + 1);
+        // a reset recycles every live shard without counting anything twice
+        let (all, tl) = (set.cache_stats(), set.timeline_stats());
+        set.reset();
+        assert_eq!((set.cache_stats(), set.timeline_stats()), (all, tl));
+        assert_eq!(set.pooled(), 2);
     }
 
     #[test]
@@ -973,9 +1226,8 @@ mod tests {
 
     #[test]
     fn split_keeps_the_cache_with_the_larger_kept_part() {
-        // A star out of node 0, bridged by 3-10 to the flow 10-11: node 0
-        // is the union-find root, so the bridge's departure splits {10, 11}
-        // off as the splinter — the smaller part.
+        // A star out of node 0, bridged by 3-10 to the flow 10-11: the
+        // bridge's departure splits {10, 11} off as the smaller part.
         let flows = [(0, 1), (0, 2), (0, 3), (3, 10), (10, 11)];
         let (mut set, mut slab, keys, id) = settled_component(&flows);
         let (kept, splinter) = split_off(&mut set, &mut slab, id, flows[3], keys[3]);
@@ -1005,34 +1257,38 @@ mod tests {
 
     #[test]
     fn split_hands_the_cache_to_the_splinter_when_it_is_larger() {
-        // The flow 10-11 comes first and the bridge 10-3 names node 10's
-        // root first, so node 10 roots the bridged component and the
-        // bridge's departure splits the star {0, 1, 2, 3} off as the
-        // splinter — the larger part.
-        let flows = [(10, 11), (0, 1), (0, 2), (0, 3), (10, 3)];
+        // A star {0, 1, 2, 3} bridged by 3-10 to five parallel flows
+        // 10→11: the bridge's departure splits off {10, 11}, the part with
+        // fewer endpoints, which takes the fresh label — but it holds more
+        // members, so the pre-split cache goes with it.
+        let flows = [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (3, 10),
+            (10, 11),
+            (10, 11),
+            (10, 11),
+            (10, 11),
+            (10, 11),
+        ];
         let (mut set, mut slab, keys, id) = settled_component(&flows);
-        let (kept, splinter) = split_off(&mut set, &mut slab, id, flows[4], keys[4]);
-        assert_eq!(set.shard_mut(kept).members, vec![keys[0]]);
-        let mut moved = set.shard_mut(splinter).members.clone();
-        moved.sort_unstable();
-        assert_eq!(moved, keys[1..4].to_vec());
-        assert_eq!(
-            set.shard_stats().rehomed_flows,
-            1 + 1,
-            "the bridge merge, then the kept part"
-        );
-        // The kept root's shard took the fresh structures; the splinter's
-        // shard carries on with the pre-split cache.
+        let (kept, splinter) = split_off(&mut set, &mut slab, id, flows[3], keys[3]);
+        assert_eq!(set.shard_mut(kept).members, keys[..3].to_vec());
+        assert_eq!(set.shard_mut(splinter).members, keys[4..].to_vec());
+        assert_eq!(set.shard_stats().rehomed_flows, 3, "the kept part moved");
+        // The kept label's shard took the fresh structures; the
+        // split-off shard carries on with the pre-split cache.
         assert_eq!(set.shard_mut(splinter).cache.stats().model_queries, 1);
         assert_eq!(set.shard_mut(kept).cache.stats(), CacheStats::default());
         let fresh = TimelineStats {
-            heap_pushes: 1,
+            heap_pushes: 3,
             ..TimelineStats::default()
         };
         assert_eq!(
             set.shard_mut(kept).events.stats,
             fresh,
-            "its member re-pushed"
+            "its members re-pushed"
         );
         let large = settle(&mut set, splinter, &slab);
         assert_eq!(
@@ -1068,32 +1324,40 @@ mod tests {
         set.refresh_next(a, &slab);
         assert_eq!(set.peek_next(), Some(10.0));
         // The middle flow completes: its slot leaves the slab, then the
-        // departure splits {0,1,2,3} into {0,1} and {2,3}.
+        // departure splits {0,1,2,3} into {2,3}, which keeps the label,
+        // and {0,1}, which the two-sided search exhausts first.
         slab.remove(k12);
         set.depart(&comm(1, 2), &mut slab);
         assert_eq!(set.live_count(), 2);
         let stats = set.shard_stats();
         assert_eq!((stats.splits, stats.drains), (1, 0));
-        // The kept shard holds {k01}, the splinter {k23}, both dirty.
-        assert_eq!(set.shard_mut(a).members, vec![k01]);
+        // The kept shard holds {k23}, the split-off one {k01}, both dirty
+        // and so unpublished until they settle.
+        assert_eq!(set.shard_mut(a).members, vec![k23]);
         let sid = *set.dirty.iter().find(|&&d| d != a).expect("splinter dirty");
-        assert_eq!(set.shard_mut(sid).members, vec![k23]);
-        // The splinter's completion entry was re-pushed under the bumped
-        // epoch; the kept shard's old k23 entry is stale and lazily
+        assert_eq!(set.shard_mut(sid).members, vec![k01]);
+        // The split-off completion entry was re-pushed under the bumped
+        // epoch; the kept shard's old k01 entry is stale and lazily
         // skipped, so both shards report their true next events.
-        assert_eq!(set.shard_mut(a).events.peek_finish(&slab), Some(10.0));
-        assert_eq!(set.shard_mut(sid).events.peek_finish(&slab), Some(30.0));
+        settle(&mut set, a, &slab);
+        settle(&mut set, sid, &slab);
+        assert_eq!(set.shard_mut(a).events.peek_finish(&slab), Some(30.0));
+        assert_eq!(set.shard_mut(sid).events.peek_finish(&slab), Some(10.0));
         assert_eq!(set.peek_next(), Some(10.0));
-        // Draining {0,1} retires the kept shard and frees its slot...
+        // Draining {0,1} retires the split-off shard into the pool...
         slab.remove(k01);
         set.depart(&comm(0, 1), &mut slab);
         assert_eq!(set.live_count(), 1);
         assert_eq!(set.shard_stats().drains, 1);
-        // ...which the next brand-new component reuses.
-        assert_eq!(set.assign(&comm(8, 9), &slab), a, "retired slot is reused");
-        // A stale cross-shard entry for the old occupant can never fire
-        // against the new one: versions continued past the retiree's.
-        set.refresh_next(a, &slab);
-        assert_eq!(set.peek_next(), Some(30.0), "splinter's completion leads");
+        assert_eq!(set.pooled(), 1);
+        // ...and the next brand-new component reuses its id and its shard,
+        // which carries no entry of its previous occupant.
+        assert_eq!(set.assign(&comm(8, 9), &slab), sid, "retired id is reused");
+        assert_eq!(set.pooled(), 0);
+        assert_eq!(
+            set.peek_next(),
+            Some(30.0),
+            "the kept part's completion leads"
+        );
     }
 }

@@ -51,5 +51,5 @@ mod service;
 pub use frontend::{ServeHandle, ServeRequest};
 pub use service::{
     FlowAnswer, ServeConfig, ServeError, ServeStats, WhatIfAnswer, WhatIfQuery, WhatIfService,
-    MAX_WHAT_IF_BYTES,
+    MAX_WHAT_IF_BYTES, MAX_WHAT_IF_OFFSET,
 };

@@ -30,6 +30,14 @@ const FORK_ARENA_KEY: u64 = 0;
 /// [`ServeError::FlowTooLarge`] instead of stalling its worker.
 pub const MAX_WHAT_IF_BYTES: u64 = 1 << 32;
 
+/// The latest start offset a what-if flow may take, in seconds (2^26 s,
+/// about 2.1 years). A start is `now + offset` in `f64`, so a huge offset
+/// swallows the flow: at 1e300 the flow's whole transfer time is below
+/// one ulp of its start, and the answer reads `elapsed 0`. At this cap an
+/// ulp of the start is about 15 ns; a larger offset is refused with
+/// [`ServeError::OffsetTooLarge`].
+pub const MAX_WHAT_IF_OFFSET: f64 = (1u64 << 26) as f64;
+
 /// Configuration of a [`WhatIfService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -74,6 +82,12 @@ pub enum ServeError {
         /// The refused flow's size in bytes.
         size: u64,
     },
+    /// A what-if flow starting more than [`MAX_WHAT_IF_OFFSET`] seconds
+    /// after the service clock.
+    OffsetTooLarge {
+        /// The refused start offset in seconds.
+        offset: f64,
+    },
     /// The service thread behind a [`crate::ServeHandle`] has shut down.
     ServiceStopped,
 }
@@ -89,6 +103,10 @@ impl std::fmt::Display for ServeError {
             ServeError::FlowTooLarge { size } => write!(
                 f,
                 "what-if flow of {size} bytes exceeds the {MAX_WHAT_IF_BYTES}-byte limit"
+            ),
+            ServeError::OffsetTooLarge { offset } => write!(
+                f,
+                "what-if start offset of {offset} s exceeds the {MAX_WHAT_IF_OFFSET} s limit"
             ),
             ServeError::ServiceStopped => write!(f, "service thread has shut down"),
         }
@@ -115,7 +133,9 @@ impl From<AddError> for ServeError {
 #[derive(Clone, Debug, Default)]
 pub struct WhatIfQuery {
     /// `(communication, start offset from now)` pairs; offsets must be
-    /// finite and non-negative or the query is [`ServeError::Rejected`].
+    /// finite and non-negative or the query is [`ServeError::Rejected`],
+    /// and at most [`MAX_WHAT_IF_OFFSET`] or it is
+    /// [`ServeError::OffsetTooLarge`].
     pub flows: Vec<(Communication, f64)>,
 }
 
@@ -534,6 +554,9 @@ impl WhatIfService {
         if let Some(&(comm, _)) = query.flows.iter().find(|(c, _)| c.size > MAX_WHAT_IF_BYTES) {
             return Err(ServeError::FlowTooLarge { size: comm.size });
         }
+        if let Some(&(_, offset)) = query.flows.iter().find(|&&(_, o)| o > MAX_WHAT_IF_OFFSET) {
+            return Err(ServeError::OffsetTooLarge { offset });
+        }
         let mut starts = Vec::with_capacity(query.flows.len());
         for (i, &(comm, offset)) in query.flows.iter().enumerate() {
             let start = now + offset;
@@ -666,6 +689,40 @@ mod tests {
             0.0,
         ));
         assert!(answer.is_ok(), "{answer:?}");
+    }
+
+    #[test]
+    fn offsets_that_swallow_the_flow_are_refused_on_both_paths() {
+        let service = WhatIfService::new(tiny_config());
+        service
+            .admit(Communication::new(0u32, 1u32, 100), 0.0)
+            .unwrap();
+        let comm = Communication::new(2u32, 1u32, 64 << 10);
+        let above = MAX_WHAT_IF_OFFSET * (1.0 + f64::EPSILON);
+        for offset in [1e300, above] {
+            // the refused flow rides with a well-formed one
+            let query = WhatIfQuery {
+                flows: vec![(Communication::new(4u32, 5u32, 100), 0.0), (comm, offset)],
+            };
+            let refused = || vec![Err(ServeError::OffsetTooLarge { offset })];
+            assert_eq!(
+                service.what_if_batch(std::slice::from_ref(&query)),
+                refused()
+            );
+            assert_eq!(
+                service.what_if_batch_via_rebuild(std::slice::from_ref(&query)),
+                refused()
+            );
+        }
+        let below = WhatIfQuery::flow(comm, MAX_WHAT_IF_OFFSET * (1.0 - f64::EPSILON));
+        for answer in [
+            service.what_if_batch(std::slice::from_ref(&below)),
+            service.what_if_batch_via_rebuild(std::slice::from_ref(&below)),
+        ] {
+            let flow = answer[0].as_ref().expect("below the cap is answered").flows[0];
+            assert!(flow.elapsed > 0.0, "{flow:?}");
+        }
+        assert_eq!(service.in_flight(), 1, "refusals leave no trace");
     }
 
     #[test]

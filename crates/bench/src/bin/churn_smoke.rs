@@ -369,7 +369,7 @@ fn check_churn_drains(reps: usize) -> String {
 /// completion prefix through the single-shard ("heap") engine, the
 /// serially-dispatched sharded engine, and the sharded engine on the
 /// work-stealing executor, interleaved.
-/// Returns the JSON line for `BENCH_shard.json`.
+/// Returns its JSON fields for `BENCH_shard.json`.
 fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) -> String {
     // A wider stagger than the other churn groups: it bounds the
     // *concurrent* population to a few flows per component (the rest of
@@ -473,11 +473,11 @@ fn check_shard(comps: usize, flows_per_comp: usize, prefix: usize, reps: usize) 
     );
 
     format!(
-        "{{\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \
+        "\"comps\": {comps}, \"flows_per_comp\": {flows_per_comp}, \
          \"endpoints\": {endpoints}, \"prefix\": {prefix}, \"cores\": {cores}, \
          \"heap_prefix_ms\": {:.3}, \"sharded_serial_ms\": {:.3}, \
          \"sharded_executor_ms\": {:.3}, \"executor_speedup\": {speedup:.3}, \
-         \"dispatched_barriers\": {}, \"rehomed_flows\": {}}}\n",
+         \"dispatched_barriers\": {}, \"rehomed_flows\": {}",
         t_heap.as_secs_f64() * 1e3,
         t_serial.as_secs_f64() * 1e3,
         t_par.as_secs_f64() * 1e3,
@@ -720,10 +720,7 @@ fn main() {
     // the shard record.
     let drains = check_churn_drains(3);
     let shard = check_shard(comps, comp_flows, shard_prefix, 3);
-    let json = format!(
-        "{}, \"churn_drains\": {drains}}}\n",
-        shard.trim_end().trim_end_matches('}')
-    );
+    let json = format!("{{{shard}, \"churn_drains\": {drains}}}\n");
     std::fs::write("BENCH_shard.json", &json).expect("write BENCH_shard.json");
     print!("churn_smoke: BENCH_shard.json = {json}");
 

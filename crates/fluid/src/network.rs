@@ -476,9 +476,8 @@ impl EngineState {
                 for &id in &candidates {
                     if step_shard(record_phases, now, slots, shards.shard_mut(id), bufs, done) {
                         shards.mark_dirty(id);
-                    } else {
-                        shards.refresh_next(id, slots);
                     }
+                    shards.refresh_next(id, slots);
                 }
                 shards.recycle_candidates(candidates);
                 if slots.is_empty() {

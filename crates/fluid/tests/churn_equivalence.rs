@@ -612,18 +612,17 @@ fn feed<N: Drive>(net: &mut N, transfers: &[(u64, Communication, f64)]) -> Vec<(
 
 /// Repartitioning costs the smaller side in both orientations: a 12-flow
 /// star out of node 0 and a 2-flow star out of node 100, every flow
-/// contending and settled, then a short bridge between them. Bridged
-/// from node 0 to node 101, the large star's union-find root wins the
-/// merge (and its part keeps the root at the split); bridged from node
-/// 100 to node 1, the small star's root wins (and the large star is the
-/// splinter). The bridge's arrival moves penalties on both sides under
-/// GigE and Myrinet, and on its sender's side under InfiniBand, which
-/// couples only flows that share a sender. The bridge completes while
-/// both stars still run, the small star drains next, then the large
-/// one flow at a time (so the large side settles after the small side
-/// is gone). Every engine must match the reference bit for bit on all
-/// three models, and the merge and the split each re-home just the
-/// small star's two flows.
+/// contending and settled, then a short bridge between them, from node 0
+/// to node 101 or from node 100 to node 1. Either way the large star's
+/// component label survives the merge and its part keeps the label at
+/// the split, while the small star moves. The bridge's arrival moves
+/// penalties on both sides under GigE and Myrinet, and on its sender's
+/// side under InfiniBand, which couples only flows that share a sender.
+/// The bridge completes while both stars still run, the small star
+/// drains next, then the large one flow at a time (so the large side
+/// settles after the small side is gone). Every engine must match the
+/// reference bit for bit on all three models, and the merge and the
+/// split each re-home just the small star's two flows.
 #[test]
 fn lopsided_bridges_match_the_reference_in_both_orientations() {
     /// The small star is added first, so it gets the lower shard id

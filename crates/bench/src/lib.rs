@@ -59,63 +59,49 @@ pub fn churn_transfers_seeded(
         .collect()
 }
 
-/// One settle-to-settle step of a churn scenario: flows that leave the
-/// population, then flows that join it — in the exact chain order the
-/// engine's `PopulationDelta` machinery prescribes (departures against the
-/// previous population first, then arrivals against the new one).
+/// One settle-to-settle step of a keyed churn scenario: the ids of the
+/// flows that leave the population, then the flows that join it with
+/// their ids — the shape of the [`PopulationDelta`] the fluid engine's
+/// penalty cache hands a model. Departures apply first, so a step may
+/// reuse a departing flow's id for an arrival, as slab slot reuse does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnStep {
-    /// Strictly increasing positions (into the previous population) of
-    /// the departing flows.
-    pub departed: Vec<usize>,
-    /// Arriving flows with their strictly increasing positions in the
-    /// *new* population (arrivals need not append at the tail — slab slot
-    /// reuse inserts them anywhere).
-    pub arrived: Vec<(usize, Communication)>,
+    /// Ids of the departing flows.
+    pub departed: Vec<FlowId>,
+    /// Arriving flows with their ids.
+    pub arrived: Vec<(FlowId, Communication)>,
 }
 
 impl ChurnStep {
-    /// Applies the step to `prev`, returning the new population and the
-    /// positional delta describing the transition — `Arrived`, `Departed`
-    /// or chained `Mixed`, whichever matches the step's shape.
-    pub fn apply(&self, prev: &[Communication]) -> (Vec<Communication>, PopulationDelta) {
-        let survivors: Vec<Communication> = prev
-            .iter()
-            .enumerate()
-            .filter(|(p, _)| !self.departed.contains(p))
-            .map(|(_, &c)| c)
-            .collect();
-        let mut comms = Vec::with_capacity(survivors.len() + self.arrived.len());
-        let mut next_survivor = survivors.into_iter();
-        let mut next_arrival = self.arrived.iter().peekable();
-        while comms.len() < prev.len() - self.departed.len() + self.arrived.len() {
-            if next_arrival.peek().is_some_and(|(i, _)| *i == comms.len()) {
-                comms.push(next_arrival.next().unwrap().1);
-            } else {
-                comms.push(next_survivor.next().expect("arrival positions in range"));
-            }
+    /// Applies the step to the keyed population `prev`: the survivors in
+    /// their order, then the arrivals.
+    pub fn apply(&self, prev: &[(FlowId, Communication)]) -> Vec<(FlowId, Communication)> {
+        prev.iter()
+            .filter(|(id, _)| !self.departed.contains(id))
+            .chain(&self.arrived)
+            .copied()
+            .collect()
+    }
+
+    /// The keyed delta the step hands a warm model scratch.
+    pub fn delta(&self) -> PopulationDelta<'_> {
+        PopulationDelta {
+            departed: &self.departed,
+            arrived: &self.arrived,
+            fresh: false,
         }
-        let delta = match (self.departed.is_empty(), self.arrived.is_empty()) {
-            (true, _) => PopulationDelta::Arrived(self.arrived.iter().map(|&(i, _)| i).collect()),
-            (false, true) => PopulationDelta::Departed(self.departed.clone()),
-            (false, false) => PopulationDelta::Mixed {
-                departed: self.departed.clone(),
-                arrived: self.arrived.iter().map(|&(i, _)| i).collect(),
-            },
-        };
-        (comms, delta)
     }
 }
 
-/// A seeded multi-settle churn scenario: a starting population plus a
-/// schedule of arrival/departure/mixed-batch steps. This is the
+/// A seeded multi-settle keyed churn scenario: a starting population plus
+/// a schedule of arrival/departure/mixed-batch steps. This is the
 /// settle-form twin of [`churn_transfers`], used by the model-level
-/// proptests that pin scratch-backed incremental evaluation against the
-/// full recompute across whole settle sequences.
+/// proptests that pin the keyed entry point against the full recompute
+/// across whole settle sequences.
 #[derive(Debug, Clone)]
 pub struct ChurnScenario {
-    /// The population of the first settle.
-    pub initial: Vec<Communication>,
+    /// The population of the first settle, keyed.
+    pub initial: Vec<(FlowId, Communication)>,
     /// The settle-to-settle transitions, in order.
     pub steps: Vec<ChurnStep>,
 }
@@ -124,7 +110,9 @@ impl ChurnScenario {
     /// Generates a scenario over a `nodes`-node fabric: `initial` starting
     /// flows, then `steps` transitions, each departing up to 3 flows
     /// and/or arriving up to 3 new ones (so pure-arrival, pure-departure
-    /// and mixed batches all occur). Deterministic in `seed`.
+    /// and mixed batches all occur). Ids are handed out like slab slots:
+    /// the most recently freed id first — a departing id is reused within
+    /// its own step — and a fresh one otherwise. Deterministic in `seed`.
     pub fn generate(seed: u64, nodes: u32, initial: usize, steps: usize) -> ChurnScenario {
         let nodes = nodes.max(2);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -136,35 +124,36 @@ impl ChurnScenario {
             }
             Communication::new(s, d, 100 + rng.random_range(0..900u32) as u64)
         };
-        let initial: Vec<Communication> = (0..initial).map(|_| comm(&mut rng)).collect();
-        let mut population = initial.len();
+        let mut free: Vec<FlowId> = Vec::new();
+        let mut fresh = 0..;
+        let initial: Vec<(FlowId, Communication)> = (0..initial)
+            .map(|_| (fresh.next().unwrap(), comm(&mut rng)))
+            .collect();
+        let mut population = initial.clone();
         let mut out_steps = Vec::with_capacity(steps);
         for _ in 0..steps {
-            let mut departed: Vec<usize> = Vec::new();
-            let mut arrived: Vec<(usize, Communication)> = Vec::new();
-            let n_dep = (rng.random_range(0..4u32) as usize).min(population);
+            let mut departed: Vec<FlowId> = Vec::new();
+            let n_dep = (rng.random_range(0..4u32) as usize).min(population.len());
             for _ in 0..n_dep {
-                let p = rng.random_range(0..population as u32) as usize;
-                if !departed.contains(&p) {
-                    departed.push(p);
+                let p = rng.random_range(0..population.len() as u32) as usize;
+                let id = population[p].0;
+                if !departed.contains(&id) {
+                    departed.push(id);
                 }
             }
-            departed.sort_unstable();
-            let survivors = population - departed.len();
+            population.retain(|(id, _)| !departed.contains(id));
+            free.extend(&departed);
             let mut n_arr = rng.random_range(0..4u32) as usize;
             if departed.is_empty() && n_arr == 0 {
                 n_arr = 1; // every step changes the population
             }
-            for _ in 0..n_arr {
-                let new_len = survivors + arrived.len() + 1;
-                let mut i = rng.random_range(0..new_len as u32) as usize;
-                while arrived.iter().any(|&(j, _)| j == i) {
-                    i = (i + 1) % new_len;
-                }
-                arrived.push((i, comm(&mut rng)));
-            }
-            arrived.sort_unstable_by_key(|&(i, _)| i);
-            population = survivors + arrived.len();
+            let arrived: Vec<(FlowId, Communication)> = (0..n_arr)
+                .map(|_| {
+                    let id = free.pop().unwrap_or_else(|| fresh.next().unwrap());
+                    (id, comm(&mut rng))
+                })
+                .collect();
+            population.extend(&arrived);
             out_steps.push(ChurnStep { departed, arrived });
         }
         ChurnScenario {
@@ -468,31 +457,40 @@ mod tests {
 
     #[test]
     fn churn_scenario_steps_produce_verifiable_deltas() {
-        // Every generated step must pass the core alignment verifier —
-        // the same check the models run before trusting a delta — and the
-        // schedule must exercise all three positional delta shapes.
+        // Every generated step must be consistent with the population it
+        // applies to — departures name members, arrivals name ids that
+        // are free once the departures left — and the schedule must
+        // exercise every delta shape, including an id reused within the
+        // step that freed it.
         let scenario = ChurnScenario::generate(42, 10, 8, 60);
         let mut population = scenario.initial.clone();
-        let (mut arrivals, mut departures, mut mixed) = (0, 0, 0);
+        let (mut arrivals, mut departures, mut mixed, mut reused) = (0, 0, 0, 0);
         for step in &scenario.steps {
-            let (next, delta) = step.apply(&population);
-            match &delta {
-                PopulationDelta::Arrived(_) => arrivals += 1,
-                PopulationDelta::Departed(_) => departures += 1,
-                PopulationDelta::Mixed { .. } => mixed += 1,
-                PopulationDelta::Rebuilt => unreachable!("steps are positional"),
+            let live: Vec<FlowId> = population.iter().map(|p| p.0).collect();
+            assert!(step.departed.iter().all(|id| live.contains(id)));
+            let next = step.apply(&population);
+            let mut ids: Vec<FlowId> = next.iter().map(|p| p.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), next.len(), "live ids are distinct");
+            match (step.departed.is_empty(), step.arrived.is_empty()) {
+                (true, false) => arrivals += 1,
+                (false, true) => departures += 1,
+                (false, false) => mixed += 1,
+                (true, true) => panic!("a step that changes nothing"),
             }
-            let al = netbw::core::incremental::align(&next, &delta, &population)
-                .expect("generated deltas must verify");
-            assert_eq!(
-                al.arrived.len() + al.departed.len(),
-                step.arrived.len() + step.departed.len()
-            );
+            reused += step
+                .arrived
+                .iter()
+                .filter(|(id, _)| step.departed.contains(id))
+                .count();
+            assert_eq!(step.delta().departed, step.departed.as_slice());
             population = next;
         }
         assert!(arrivals > 0, "no pure-arrival steps in 60");
         assert!(departures > 0, "no pure-departure steps in 60");
         assert!(mixed > 0, "no mixed steps in 60");
+        assert!(reused > 0, "no id reused within its step in 60");
     }
 
     /// `net`'s completions over `transfers` as sorted `(key, completion

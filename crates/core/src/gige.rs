@@ -29,9 +29,9 @@
 //! from measurements.
 
 use crate::incremental::{
-    endpoint_scratch_query, evaluate_full, EndpointIndex, EndpointScratch, EndpointSlots,
+    apply_endpoints, evaluate_full, EndpointIndex, EndpointScratch, EndpointSlots, Reach,
 };
-use crate::model::{PenaltyModel, PopulationDelta};
+use crate::model::{FlowId, PenaltyModel, PopulationDelta};
 use crate::penalty::Penalty;
 use crate::scratch::{ModelScratch, QueryOutcome};
 use netbw_graph::Communication;
@@ -164,27 +164,21 @@ impl PenaltyModel for GigabitEthernetModel {
         Box::new(EndpointScratch::default())
     }
 
-    /// O(affected) patch over the per-cache [`EndpointScratch`]: the
-    /// endpoint index survives between settles, and only communications
-    /// whose source group or destination group was reached by the change
-    /// (the two-hop endpoint neighbourhood — see
-    /// [`crate::incremental::AffectedEndpoints`]) are re-evaluated; every
-    /// other survivor keeps its previous penalty bit-for-bit.
-    fn penalties_with_scratch(
+    /// O(changed + reach) patch over the per-cache [`EndpointScratch`]:
+    /// the endpoint index survives between settles, and only
+    /// communications whose source group or destination group was reached
+    /// by the change (the two-hop endpoint neighbourhood — see
+    /// [`crate::incremental::AffectedEndpoints`]) are re-evaluated and
+    /// answered; every other member keeps its previous penalty.
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
-        endpoint_scratch_query(
-            comms,
-            delta,
-            previous,
-            scratch,
-            |aff, c| aff.touches(c),
-            |c, index| self.penalty_indexed(c, index),
-        )
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
+        apply_endpoints(delta, scratch, answers, Reach::CLOSED_FORM, |c, index| {
+            self.penalty_indexed(c, index)
+        })
     }
 }
 
@@ -321,36 +315,38 @@ mod tests {
     #[test]
     fn patch_reuses_unaffected_penalties_verbatim() {
         // Two conflict islands; an arrival on island A must not re-evaluate
-        // island B. Poison B's previous penalties: if the patch reused them
-        // (as it must), the poison shows up verbatim in the output.
+        // island B: B's flows go unanswered (their previous penalties
+        // stand), and island A and the arrival are answered exactly.
         let model = GigabitEthernetModel::default();
-        let prev = vec![
-            Communication::new(0u32, 1u32, 10),
-            Communication::new(0u32, 2u32, 10),
-            Communication::new(5u32, 6u32, 10),
-            Communication::new(5u32, 7u32, 10),
+        let prev = [
+            (0, Communication::new(0u32, 1u32, 10)),
+            (1, Communication::new(0u32, 2u32, 10)),
+            (2, Communication::new(5u32, 6u32, 10)),
+            (3, Communication::new(5u32, 7u32, 10)),
         ];
-        let mut prev_pens = model.penalties(&prev);
-        prev_pens[2] = Penalty::new(9.0);
-        prev_pens[3] = Penalty::new(9.5);
-        let mut comms = prev.clone();
-        comms.push(Communication::new(0u32, 3u32, 10));
-        let patched = model.penalties_after_change(
-            &comms,
-            crate::model::PopulationDelta::Arrived(vec![4]),
-            Some((&prev, &prev_pens)),
-        );
-        assert_eq!(
-            patched[2].value(),
-            9.0,
-            "island B must be reused, not recomputed"
-        );
-        assert_eq!(patched[3].value(), 9.5);
-        // island A (and the arrival) are recomputed exactly
+        let mut scratch = model.new_scratch();
+        let mut answers = Vec::new();
+        let fresh = PopulationDelta {
+            arrived: &prev,
+            fresh: true,
+            ..PopulationDelta::default()
+        };
+        model.apply_delta(&fresh, scratch.as_mut(), &mut answers);
+        answers.clear();
+        let arrival = [(4, Communication::new(0u32, 3u32, 10))];
+        let grow = PopulationDelta {
+            arrived: &arrival,
+            ..PopulationDelta::default()
+        };
+        model.apply_delta(&grow, scratch.as_mut(), &mut answers);
+        answers.sort_unstable_by_key(|a| a.0);
+        let comms: Vec<Communication> = prev.iter().chain(&arrival).map(|x| x.1).collect();
         let full = model.penalties(&comms);
-        assert_eq!(patched[0], full[0]);
-        assert_eq!(patched[1], full[1]);
-        assert_eq!(patched[4], full[4]);
+        assert_eq!(
+            answers,
+            vec![(0, full[0]), (1, full[1]), (4, full[4])],
+            "island B must be left unanswered"
+        );
     }
 
     #[test]

@@ -1,149 +1,49 @@
-//! Shared machinery for O(affected) incremental penalty updates.
+//! Shared machinery for O(changed + reach) keyed penalty updates.
 //!
-//! [`PenaltyModel::penalties_with_scratch`](crate::PenaltyModel::penalties_with_scratch)
+//! [`PenaltyModel::apply_delta`](crate::PenaltyModel::apply_delta)
 //! specializations all face the same sub-problems, solved here once:
 //!
-//! 1. **Alignment** — pair every surviving communication of the new
-//!    population with its previous penalty, using the positional
-//!    [`PopulationDelta`] invariants. [`align`] performs the merge scan and
-//!    *verifies* the invariants (length accounting plus per-entry equality
-//!    of paired communications); any inconsistency yields `None` and the
-//!    caller recomputes from scratch — a wrong hint can cost time, never
-//!    correctness. Mixed batches are handled as two chained positional
-//!    deltas in one pass: departures against the previous population
-//!    first, then arrivals against the new one.
-//! 2. **Endpoint indexing** — models reason in per-node degree groups
+//! 1. **Endpoint indexing** — models reason in per-node degree groups
 //!    (all communications leaving / entering a node). [`EndpointIndex`]
 //!    interns each node into a dense slot once per flow insert/remove and
-//!    stores, per slot, the *counterpart multiset* of those groups (the
-//!    destination slots of the communications leaving it, the source
-//!    slots of those entering it), whose lengths are the degrees `Δo`,
-//!    `Δi`. That representation is position-free, so the index survives
-//!    population churn and a scratch keeps it alive *across* settles. Each
-//!    group's `Cmo`/`Cmi` aggregate ([`GroupAggregate`]) is computed once
-//!    per index generation, so a penalty evaluation is O(1), a full query
-//!    O(n), and a patch O(Σ touched groups).
-//! 3. **Affected-set computation** — given the changed communications,
+//!    stores, per slot, the group's members as `(counterpart slot, flow
+//!    id)` pairs: the destination slots of the communications leaving it,
+//!    the source slots of those entering it. The group lengths are the
+//!    degrees `Δo`, `Δi`. That representation is position-free, so the
+//!    index survives population churn and a scratch keeps it alive
+//!    *across* settles. Each group's `Cmo`/`Cmi` aggregate
+//!    ([`GroupAggregate`]) is computed once per index generation, so a
+//!    penalty evaluation is O(1), a full query O(n), and a patch
+//!    O(Σ touched groups).
+//! 2. **Reach** — given the changed communications,
 //!    [`AffectedEndpoints::compute`] marks the source and destination
 //!    slots whose groups can possibly produce a different penalty. For the
 //!    closed-form models this is the two-hop neighbourhood of the changed
 //!    endpoints: a flow arriving at (or leaving) `(s, d)` changes `Δo(s)`
 //!    and `Δi(d)` directly, and thereby the `Cmo`/`Cmi` asymmetry sets of
 //!    every group containing a communication into `d` or out of `s`.
-//! 4. **Scratch lifecycle** — [`EndpointScratch`] packages the previous
-//!    population, its penalties and slots, and the live index into the
-//!    opaque per-cache state of the closed-form models (GigE and its
-//!    InfiniBand extension), and `patch_endpoints` is the shared patch
-//!    driver over it: seed (from the `previous` hint) if cold, align, apply
-//!    the delta to the index, re-evaluate exactly the touched
-//!    communications, commit. Its buffers are reused, so a warm settle
-//!    allocates nothing but the two vectors it hands back.
+//!    [`AffectedEndpoints::reached`] then walks only the marked slots'
+//!    groups, so finding the flows to re-evaluate costs their number, not
+//!    the population's.
+//! 3. **Keyed scratch** — [`EndpointScratch`] packages the keyed
+//!    population (each flow id's endpoint slots) and the live index into
+//!    the opaque per-cache state of the closed-form models (GigE and its
+//!    InfiniBand extension), and [`apply_endpoints`] is the shared settle
+//!    over it: apply the departures and arrivals to the index, mark the
+//!    reach, and answer exactly the reached flows — every other member
+//!    keeps its previous penalty. A fresh settle forgets the population at
+//!    the cost of its live members and answers every flow. Buffers are
+//!    reused, so a warm settle allocates nothing.
 //!
 //! All helpers operate on the *network* (inter-node) subset of a
 //! population; intra-node communications have penalty 1 by contract and
 //! never contribute to degrees.
 
-use crate::intern::SlotInterner;
-use crate::model::PopulationDelta;
+use crate::intern::{KeyedMembers, SlotInterner};
+use crate::model::{downcast_scratch, FlowId, PopulationDelta};
 use crate::penalty::Penalty;
-use crate::scratch::{AffectedSet, ModelScratch, QueryOutcome};
+use crate::scratch::{ModelScratch, QueryOutcome};
 use netbw_graph::{Communication, NodeId};
-
-/// The outcome of pairing a new population against the previously queried
-/// one: which previous entry (if any) each current entry corresponds to,
-/// and which communications changed.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Alignment {
-    /// For every position of the new population: the position the same
-    /// communication held in the previous population, or `None` if it just
-    /// arrived.
-    pub prev_of: Vec<Option<usize>>,
-    /// Arrived communications with their positions in the *new*
-    /// population.
-    pub arrived: Vec<(usize, Communication)>,
-    /// Departed communications with their positions in the *previous*
-    /// population.
-    pub departed: Vec<(usize, Communication)>,
-}
-
-/// Pairs `comms` with `prev` according to `delta`, verifying the
-/// [`PopulationDelta`] invariants along the way.
-///
-/// [`PopulationDelta::Mixed`] is treated as its chain semantics prescribe
-/// — departures applied to `prev` first, arrivals applied to the result —
-/// collapsed into a single merge scan over both slices.
-///
-/// Returns `None` — meaning "do a full recompute" — for
-/// [`PopulationDelta::Rebuilt`], for out-of-range / non-increasing
-/// positions, for length mismatches, and whenever a pair of supposedly
-/// identical communications differs.
-pub fn align(
-    comms: &[Communication],
-    delta: &PopulationDelta,
-    prev: &[Communication],
-) -> Option<Alignment> {
-    let mut al = Alignment::default();
-    align_into(comms, delta, prev, &mut al).then_some(al)
-}
-
-/// [`align`] into a caller-held [`Alignment`], reusing its buffers.
-/// Returns `false` where [`align`] returns `None`; `al` is then left in an
-/// unspecified state.
-fn align_into(
-    comms: &[Communication],
-    delta: &PopulationDelta,
-    prev: &[Communication],
-    al: &mut Alignment,
-) -> bool {
-    const NO_POSITIONS: &[usize] = &[];
-    let (departed_idx, arrived_idx): (&[usize], &[usize]) = match delta {
-        PopulationDelta::Rebuilt => return false,
-        PopulationDelta::Arrived(idx) => (NO_POSITIONS, idx),
-        PopulationDelta::Departed(idx) => (idx, NO_POSITIONS),
-        PopulationDelta::Mixed { departed, arrived } => (departed, arrived),
-    };
-    if !strictly_increasing_within(departed_idx, prev.len())
-        || !strictly_increasing_within(arrived_idx, comms.len())
-        || comms.len() + departed_idx.len() != prev.len() + arrived_idx.len()
-    {
-        return false;
-    }
-    al.prev_of.clear();
-    al.arrived.clear();
-    al.departed.clear();
-    let mut next_arrival = arrived_idx.iter().copied().peekable();
-    let mut next_departure = departed_idx.iter().copied().peekable();
-    let mut p = 0usize;
-    for (i, c) in comms.iter().enumerate() {
-        if next_arrival.peek() == Some(&i) {
-            next_arrival.next();
-            al.arrived.push((i, *c));
-            al.prev_of.push(None);
-            continue;
-        }
-        // Skip over departures interleaved before the matching survivor.
-        while next_departure.peek() == Some(&p) {
-            next_departure.next();
-            al.departed.push((p, prev[p]));
-            p += 1;
-        }
-        if p >= prev.len() || prev[p] != *c {
-            return false;
-        }
-        al.prev_of.push(Some(p));
-        p += 1;
-    }
-    while next_departure.peek() == Some(&p) {
-        next_departure.next();
-        al.departed.push((p, prev[p]));
-        p += 1;
-    }
-    p == prev.len()
-}
-
-fn strictly_increasing_within(idx: &[usize], len: usize) -> bool {
-    idx.windows(2).all(|w| w[0] < w[1]) && idx.iter().all(|&i| i < len)
-}
 
 /// A network communication's endpoints as slots of an [`EndpointIndex`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,12 +94,13 @@ struct Memo {
 }
 
 /// Per-node occupancy groups over one communication population: each node
-/// is interned into a dense slot, and each slot stores the *counterpart
-/// multisets* of its groups — the destination slots of the communications
-/// leaving it and the source slots of those entering it, whose lengths are
+/// is interned into a dense slot, and each slot stores its groups'
+/// members — `(destination slot, flow)` for the communications leaving
+/// it and `(source slot, flow)` for those entering it, whose counts are
 /// the node's `Δo` and `Δi`. This representation carries no population
-/// positions, so it stays valid across population churn and supports
-/// O(group) incremental updates.
+/// positions, so it stays valid across population churn, supports
+/// O(group) incremental updates, and lets a patch walk a group's flows
+/// directly.
 ///
 /// Each group's [`GroupAggregate`] is memoised per *generation* (bumped by
 /// every insert and remove): computed from the counterpart degrees on the
@@ -213,10 +114,12 @@ struct Memo {
 #[derive(Debug, Default)]
 pub struct EndpointIndex {
     slots: SlotInterner,
-    /// Per slot: destination slots of the communications leaving the node.
-    out: Vec<Vec<u32>>,
-    /// Per slot: source slots of the communications entering the node.
-    inc: Vec<Vec<u32>>,
+    /// Per slot: `(destination slot, flow)` of the communications leaving
+    /// the node.
+    out: Vec<Vec<(u32, FlowId)>>,
+    /// Per slot: `(source slot, flow)` of the communications entering the
+    /// node.
+    inc: Vec<Vec<(u32, FlowId)>>,
     out_memo: Vec<Memo>,
     in_memo: Vec<Memo>,
     generation: u64,
@@ -226,36 +129,33 @@ pub struct EndpointIndex {
 
 impl EndpointIndex {
     /// Indexes the network (inter-node) subset of `comms` by source and
-    /// destination node; intra-node entries are skipped.
+    /// destination node, each flow under its position as id; intra-node
+    /// entries are skipped.
     pub fn build(comms: &[Communication]) -> Self {
         let mut index = EndpointIndex::default();
-        for c in comms.iter().filter(|c| !c.is_intra_node()) {
-            index.insert(c);
+        for (c, id) in comms.iter().zip(0..) {
+            if !c.is_intra_node() {
+                index.insert(c, id);
+            }
         }
         index
     }
 
-    /// Clears the index in place and indexes `comms` anew, writing each
-    /// entry's slots to `slots` (`None` for intra-node entries, which are
-    /// skipped).
-    fn reindex(&mut self, comms: &[Communication], slots: &mut Vec<Option<EndpointSlots>>) {
-        self.clear();
-        slots.clear();
-        slots.extend(
-            comms
-                .iter()
-                .map(|c| (!c.is_intra_node()).then(|| self.insert(c))),
-        );
-    }
-
-    /// Forgets every communication while keeping allocations warm.
-    fn clear(&mut self) {
-        self.slots.clear();
-        for group in self.out.iter_mut().chain(self.inc.iter_mut()) {
-            group.clear();
+    /// Forgets every communication while keeping allocations warm, at the
+    /// cost of the live flows: `live` names the endpoints of every indexed
+    /// flow, and only their groups are cleared (every non-empty group holds
+    /// at least one of them). Returns how many groups it visited.
+    fn clear(&mut self, live: impl IntoIterator<Item = EndpointSlots>) -> usize {
+        let mut visited = 0;
+        for e in live {
+            self.out[e.src as usize].clear();
+            self.inc[e.dst as usize].clear();
+            visited += 2;
         }
+        self.slots.clear();
         self.idle.clear();
         self.generation += 1;
+        visited
     }
 
     fn intern(&mut self, node: NodeId) -> u32 {
@@ -271,26 +171,25 @@ impl EndpointIndex {
         slot
     }
 
-    /// Adds one network communication to the groups of its endpoints and
-    /// returns their slots.
-    pub fn insert(&mut self, c: &Communication) -> EndpointSlots {
+    /// Adds network communication `c`, flow `flow`, to the groups of its
+    /// endpoints and returns their slots.
+    pub fn insert(&mut self, c: &Communication, flow: FlowId) -> EndpointSlots {
         debug_assert!(!c.is_intra_node(), "index over network subset only");
         let src = self.intern(c.src);
         let dst = self.intern(c.dst);
-        self.out[src as usize].push(dst);
-        self.inc[dst as usize].push(src);
+        self.out[src as usize].push((dst, flow));
+        self.inc[dst as usize].push((src, flow));
         self.generation += 1;
         EndpointSlots { src, dst }
     }
 
-    /// Removes one occurrence of `c` from the groups of its endpoints.
-    /// Returns `false` — signalling a corrupt index the caller must
-    /// rebuild — if `c` is not present. Endpoints left without any
-    /// communication keep their slot until the next
+    /// Removes flow `flow`, indexed at the endpoints `e`, from their
+    /// groups. Returns `false` if it is not there. Endpoints left without
+    /// any communication keep their slot until the next
     /// [`recycle`](Self::recycle).
-    pub fn remove(&mut self, c: &Communication) -> bool {
-        fn take(group: &mut Vec<u32>, value: u32) -> bool {
-            match group.iter().position(|&n| n == value) {
+    pub fn remove(&mut self, e: EndpointSlots, flow: FlowId) -> bool {
+        fn take(group: &mut Vec<(u32, FlowId)>, flow: FlowId) -> bool {
+            match group.iter().position(|&(_, f)| f == flow) {
                 Some(pos) => {
                     group.swap_remove(pos);
                     true
@@ -298,14 +197,16 @@ impl EndpointIndex {
                 None => false,
             }
         }
-        let (Some(src), Some(dst)) = (self.slots.get(c.src), self.slots.get(c.dst)) else {
-            return false;
-        };
-        if !take(&mut self.out[src as usize], dst) || !take(&mut self.inc[dst as usize], src) {
+        let in_range = |slot: u32| (slot as usize) < self.out.len();
+        if !in_range(e.src)
+            || !in_range(e.dst)
+            || !take(&mut self.out[e.src as usize], flow)
+            || !take(&mut self.inc[e.dst as usize], flow)
+        {
             return false;
         }
         self.generation += 1;
-        for slot in [src, dst] {
+        for slot in [e.src, e.dst] {
             if self.is_empty_slot(slot) {
                 self.idle.push(slot);
             }
@@ -358,15 +259,15 @@ impl EndpointIndex {
         self.slots.capacity()
     }
 
-    /// Destination slots of the communications leaving `slot` (the `Cmo`
-    /// candidate group).
-    pub fn outgoing(&self, slot: u32) -> &[u32] {
+    /// `(destination slot, flow)` of the communications leaving `slot`
+    /// (the `Cmo` candidate group).
+    pub fn outgoing(&self, slot: u32) -> &[(u32, FlowId)] {
         &self.out[slot as usize]
     }
 
-    /// Source slots of the communications entering `slot` (the `Cmi`
-    /// candidate group).
-    pub fn incoming(&self, slot: u32) -> &[u32] {
+    /// `(source slot, flow)` of the communications entering `slot` (the
+    /// `Cmi` candidate group).
+    pub fn incoming(&self, slot: u32) -> &[(u32, FlowId)] {
         &self.inc[slot as usize]
     }
 
@@ -392,7 +293,7 @@ impl EndpointIndex {
                 aggregate: GroupAggregate::over(
                     self.out[slot as usize]
                         .iter()
-                        .map(|&d| inc[d as usize].len()),
+                        .map(|&(d, _)| inc[d as usize].len()),
                 ),
             };
         }
@@ -411,7 +312,7 @@ impl EndpointIndex {
                 aggregate: GroupAggregate::over(
                     self.inc[slot as usize]
                         .iter()
-                        .map(|&s| out[s as usize].len()),
+                        .map(|&(s, _)| out[s as usize].len()),
                 ),
             };
         }
@@ -449,11 +350,14 @@ impl Clone for EndpointIndex {
 
 /// The endpoint slots whose penalty groups a set of changed
 /// communications can reach, under the closed-form (degree-driven)
-/// models. Kept as generation-stamped per-slot role marks, so computing a
-/// new set clears nothing.
+/// models. Kept as generation-stamped per-slot role marks plus the list of
+/// slots marked this generation, so computing a new set clears nothing and
+/// walking it costs the marked slots only.
 #[derive(Debug, Default, Clone)]
 pub struct AffectedEndpoints {
     marks: Vec<Mark>,
+    /// The slots marked this generation, in marking order.
+    marked: Vec<u32>,
     generation: u32,
 }
 
@@ -474,6 +378,34 @@ const CHANGED_SOURCE: u8 = 4;
 /// The slot is the destination of a changed communication.
 const CHANGED_DEST: u8 = 8;
 
+/// Which degree groups of the marked slots a model's penalty reads: a
+/// flow is *reached* — its penalty may have changed — when its source
+/// slot holds one of the `out` roles or its destination slot one of the
+/// `inc` roles.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reach {
+    out: u8,
+    inc: u8,
+}
+
+impl Reach {
+    /// The closed-form `max(po, pi)` reach (GigE): the flow's source group
+    /// `po` or its destination group `pi` may have moved.
+    pub const CLOSED_FORM: Reach = Reach {
+        out: SOURCE,
+        inc: DEST,
+    };
+
+    /// [`Self::CLOSED_FORM`] plus the duplex-coupling terms (InfiniBand):
+    /// `tx_dx` reads the in-degree of the flow's *source* and `rx_dx` the
+    /// out-degree of its *destination*, so a changed flow also reaches
+    /// every flow whose source it enters or whose destination it leaves.
+    pub const DUPLEX: Reach = Reach {
+        out: SOURCE | CHANGED_DEST,
+        inc: DEST | CHANGED_SOURCE,
+    };
+}
+
 impl AffectedEndpoints {
     /// Replaces the set with the affected endpoints of `changed` (slots of
     /// network communications) within the population described by
@@ -493,17 +425,18 @@ impl AffectedEndpoints {
         if self.marks.len() < index.slot_capacity() {
             self.marks.resize(index.slot_capacity(), Mark::default());
         }
+        self.marked.clear();
         for e in changed {
             if self.mark(e.dst, CHANGED_DEST | DEST) {
                 // Δi(d) changed: every group containing a comm into d sees
                 // a different Cmo maximum — the index hands us those
                 // groups' source slots directly.
-                for &s in index.incoming(e.dst) {
+                for &(s, _) in index.incoming(e.dst) {
                     self.mark(s, SOURCE);
                 }
             }
             if self.mark(e.src, CHANGED_SOURCE | SOURCE) {
-                for &d in index.outgoing(e.src) {
+                for &(d, _) in index.outgoing(e.src) {
                     self.mark(d, DEST);
                 }
             }
@@ -518,84 +451,95 @@ impl AffectedEndpoints {
                 generation: self.generation,
                 roles: 0,
             };
+            self.marked.push(slot);
         }
         let added = roles & !m.roles != 0;
         m.roles |= roles;
         added
     }
 
-    fn has(&self, slot: u32, role: u8) -> bool {
+    fn roles(&self, slot: u32) -> u8 {
         self.marks
             .get(slot as usize)
-            .is_some_and(|m| m.generation == self.generation && m.roles & role != 0)
+            .filter(|m| m.generation == self.generation)
+            .map_or(0, |m| m.roles)
     }
 
-    /// True when a communication with endpoints `e` may have a different
-    /// penalty under a model whose penalty is `max(po(src group), pi(dst
-    /// group))`.
-    pub fn touches(&self, e: EndpointSlots) -> bool {
-        self.has(e.src, SOURCE) || self.has(e.dst, DEST)
+    /// True when a communication with endpoints `e` is reached under
+    /// `reach`: its penalty may differ from its previous value.
+    pub fn reaches(&self, reach: Reach, e: EndpointSlots) -> bool {
+        self.roles(e.src) & reach.out != 0 || self.roles(e.dst) & reach.inc != 0
     }
 
-    /// True when `slot` is the source of a changed communication (useful
-    /// for duplex-coupling terms keyed on the opposite role).
+    /// True when `slot` is the source of a changed communication.
     pub fn is_changed_source(&self, slot: u32) -> bool {
-        self.has(slot, CHANGED_SOURCE)
+        self.roles(slot) & CHANGED_SOURCE != 0
     }
 
     /// True when `slot` is the destination of a changed communication.
     pub fn is_changed_dest(&self, slot: u32) -> bool {
-        self.has(slot, CHANGED_DEST)
+        self.roles(slot) & CHANGED_DEST != 0
+    }
+
+    /// Appends every flow of `index` that [`Self::reaches`] under `reach`
+    /// to `out`, each once, with its endpoints — by walking only the
+    /// marked slots' groups: the outgoing groups of slots holding an `out`
+    /// role, then the incoming groups of slots holding an `inc` role,
+    /// minus the flows the first walk already took.
+    pub fn reached(
+        &self,
+        index: &EndpointIndex,
+        reach: Reach,
+        out: &mut Vec<(FlowId, EndpointSlots)>,
+    ) {
+        for &src in &self.marked {
+            if self.roles(src) & reach.out != 0 {
+                out.extend(
+                    index
+                        .outgoing(src)
+                        .iter()
+                        .map(|&(dst, flow)| (flow, EndpointSlots { src, dst })),
+                );
+            }
+        }
+        for &dst in &self.marked {
+            if self.roles(dst) & reach.inc != 0 {
+                out.extend(
+                    index
+                        .incoming(dst)
+                        .iter()
+                        .filter(|&&(src, _)| self.roles(src) & reach.out == 0)
+                        .map(|&(src, flow)| (flow, EndpointSlots { src, dst })),
+                );
+            }
+        }
     }
 }
 
 /// The per-cache scratch of the closed-form (endpoint-driven) models: the
-/// previously settled population with its penalties and endpoint slots,
-/// plus the live [`EndpointIndex`] over its network subset.
-/// `patch_endpoints` keeps them in sync across settles, so a settle
-/// never rebuilds the index from zero unless the hints were unusable. The
-/// remaining fields are per-settle buffers, kept only for their
-/// allocations.
+/// keyed population — each member's endpoint slots, `None` for intra-node
+/// flows — plus the live [`EndpointIndex`] over its network subset.
+/// [`apply_endpoints`] keeps the two in sync across settles, so a settle
+/// never rebuilds the index from zero unless it is fresh. The remaining
+/// fields are per-settle buffers, kept only for their allocations.
 #[derive(Debug, Default)]
 pub struct EndpointScratch {
-    settled: bool,
-    prev: Vec<Communication>,
-    prev_pens: Vec<Penalty>,
-    prev_slots: Vec<Option<EndpointSlots>>,
+    members: KeyedMembers<Option<EndpointSlots>>,
     index: EndpointIndex,
-    alignment: Alignment,
     changed: Vec<EndpointSlots>,
     affected: AffectedEndpoints,
-    next_slots: Vec<Option<EndpointSlots>>,
+    reached: Vec<(FlowId, EndpointSlots)>,
 }
 
 impl EndpointScratch {
-    /// Re-seeds the scratch from a full population/penalty pair (the
-    /// caller-provided `previous` hint): one O(n) index build, in place.
-    pub fn rebuild(&mut self, comms: &[Communication], pens: &[Penalty]) {
-        debug_assert_eq!(comms.len(), pens.len());
-        self.settled = true;
-        self.prev.clear();
-        self.prev.extend_from_slice(comms);
-        self.prev_pens.clear();
-        self.prev_pens.extend_from_slice(pens);
-        self.index.reindex(comms, &mut self.prev_slots);
-    }
-
-    /// Answers `comms` with a full O(n) evaluation over the scratch's own
-    /// index, re-seeding the scratch with the result.
-    fn refill(
-        &mut self,
-        comms: &[Communication],
-        penalty: impl Fn(EndpointSlots, &mut EndpointIndex) -> Penalty,
-    ) -> Vec<Penalty> {
-        self.settled = true;
-        self.prev.clear();
-        self.prev.extend_from_slice(comms);
-        self.index.reindex(comms, &mut self.prev_slots);
-        let pens = evaluate(&self.prev_slots, &mut self.index, penalty);
-        self.prev_pens.clone_from(&pens);
-        pens
+    /// Forgets the population at the cost of its live members, keeping
+    /// every allocation; returns how many index groups it visited.
+    fn reset(&mut self) -> usize {
+        let visited = self
+            .index
+            .clear(self.members.items().iter().flatten().copied());
+        self.members.clear();
+        visited
     }
 }
 
@@ -606,41 +550,20 @@ impl Clone for EndpointScratch {
         scratch
     }
 
-    /// Copies the settled state into `self`'s allocations; the per-settle
-    /// buffers are left as they are (every settle overwrites them before
-    /// reading), so a fork answers exactly like its source.
+    /// Copies the population and index into `self`'s allocations; the
+    /// per-settle buffers are left as they are (every settle overwrites
+    /// them before reading), so a fork answers exactly like its source.
     fn clone_from(&mut self, source: &Self) {
         let EndpointScratch {
-            settled,
-            prev,
-            prev_pens,
-            prev_slots,
+            members,
             index,
-            alignment: _,
             changed: _,
             affected: _,
-            next_slots: _,
+            reached: _,
         } = source;
-        self.settled = *settled;
-        self.prev.clone_from(prev);
-        self.prev_pens.clone_from(prev_pens);
-        self.prev_slots.clone_from(prev_slots);
+        self.members.clone_from(members);
         self.index.clone_from(index);
     }
-}
-
-/// Evaluates every entry of an indexed population (`slots` as written by
-/// [`EndpointIndex::reindex`]): `penalty` for network entries, 1 for
-/// intra-node ones.
-fn evaluate(
-    slots: &[Option<EndpointSlots>],
-    index: &mut EndpointIndex,
-    penalty: impl Fn(EndpointSlots, &mut EndpointIndex) -> Penalty,
-) -> Vec<Penalty> {
-    slots
-        .iter()
-        .map(|e| e.map_or(Penalty::ONE, |e| penalty(e, index)))
-        .collect()
 }
 
 /// The full query of the closed-form models: indexes `comms` once and
@@ -652,132 +575,77 @@ pub fn evaluate_full(
     penalty: impl Fn(EndpointSlots, &mut EndpointIndex) -> Penalty,
 ) -> Vec<Penalty> {
     let mut index = EndpointIndex::default();
-    let mut slots = Vec::with_capacity(comms.len());
-    index.reindex(comms, &mut slots);
-    evaluate(&slots, &mut index, penalty)
+    let slots: Vec<Option<EndpointSlots>> = comms
+        .iter()
+        .zip(0..)
+        .map(|(c, id)| (!c.is_intra_node()).then(|| index.insert(c, id)))
+        .collect();
+    slots
+        .iter()
+        .map(|e| e.map_or(Penalty::ONE, |e| penalty(e, &mut index)))
+        .collect()
 }
 
-/// The shared patch driver of the closed-form models (GigE and its
-/// InfiniBand extension): seed the scratch from `previous` if it is cold,
-/// align the delta against the scratch's population, apply the change to
-/// the endpoint index, then re-evaluate exactly the communications
-/// `touches` selects — every other survivor keeps its previous penalty
-/// verbatim. On success the scratch is committed to the new population.
-///
-/// Returns `(penalties, seeded, affected)` — `seeded` is true when the
-/// scratch had to be (re)built from the `previous` hint, i.e. the query
-/// still paid one O(n) index build; `affected` lists (strictly
-/// increasing) exactly the positions re-evaluated this query — arrivals
-/// and touched survivors — every other position's penalty being a
-/// bitwise copy of its previous value. `None` means the hints and the
-/// scratch were both unusable: the caller must recompute in full and
-/// re-seed the scratch (the index may be left half-updated on this path).
+/// The whole [`apply_delta`](crate::PenaltyModel::apply_delta) of the
+/// closed-form models, shared by GigE and its InfiniBand extension: apply
+/// `delta` to the [`EndpointScratch`]'s population and index, then answer
+/// exactly the flows `reach` selects — every arrival among them — while
+/// every other member keeps its previous penalty. A fresh delta first
+/// forgets the population and then answers every member. Intra-node
+/// arrivals are answered penalty 1 and reach nothing.
 ///
 /// `penalty` evaluates one network communication over the index; it must
-/// be the same arithmetic the model's batch path uses, so patched and full
-/// answers stay bit-for-bit identical.
-fn patch_endpoints(
-    comms: &[Communication],
-    delta: &PopulationDelta,
-    previous: Option<(&[Communication], &[Penalty])>,
-    scratch: &mut EndpointScratch,
-    touches: impl Fn(&AffectedEndpoints, EndpointSlots) -> bool,
+/// be the same arithmetic the model's [`evaluate_full`] uses, so keyed and
+/// full answers stay bit-for-bit identical.
+///
+/// # Panics
+/// On an inconsistent delta or a scratch of another type (see
+/// [`crate::PenaltyModel::apply_delta`]).
+pub fn apply_endpoints(
+    delta: &PopulationDelta<'_>,
+    scratch: &mut dyn ModelScratch,
+    answers: &mut Vec<(FlowId, Penalty)>,
+    reach: Reach,
     penalty: impl Fn(EndpointSlots, &mut EndpointIndex) -> Penalty,
-) -> Option<(Vec<Penalty>, bool, Vec<usize>)> {
-    let mut seeded = false;
-    if !scratch.settled {
-        let (prev_comms, prev_pens) = previous?;
-        if prev_pens.len() != prev_comms.len() {
-            return None;
-        }
-        scratch.rebuild(prev_comms, prev_pens);
-        seeded = true;
-    }
-    let s = scratch;
-    if !align_into(comms, delta, &s.prev, &mut s.alignment) {
-        return None;
+) -> QueryOutcome {
+    let s = downcast_scratch::<EndpointScratch>(scratch);
+    if delta.fresh {
+        s.reset();
     }
     s.changed.clear();
-    for &(p, c) in &s.alignment.departed {
-        if let Some(e) = s.prev_slots[p] {
-            if !s.index.remove(&c) {
-                return None; // corrupt scratch: caller rebuilds
-            }
+    for &id in delta.departed {
+        if let Some(e) = s.members.remove(id) {
+            let indexed = s.index.remove(e, id);
+            debug_assert!(indexed, "a network member is indexed");
             s.changed.push(e);
         }
     }
-    s.next_slots.clear();
-    for (c, prev) in comms.iter().zip(&s.alignment.prev_of) {
-        let e = match *prev {
-            Some(p) => s.prev_slots[p],
-            None if c.is_intra_node() => None,
-            None => {
-                let e = s.index.insert(c);
-                s.changed.push(e);
-                Some(e)
-            }
-        };
-        s.next_slots.push(e);
+    for &(id, c) in delta.arrived {
+        s.members.insert(id, None);
+        if c.is_intra_node() {
+            answers.push((id, Penalty::ONE));
+        } else {
+            let e = s.index.insert(&c, id);
+            *s.members.get_mut(id).expect("just inserted") = Some(e);
+            s.changed.push(e);
+        }
     }
     s.index.recycle();
+    if delta.fresh {
+        for (&id, e) in s.members.ids().iter().zip(s.members.items()) {
+            if let Some(e) = *e {
+                answers.push((id, penalty(e, &mut s.index)));
+            }
+        }
+        return QueryOutcome::rebuild();
+    }
     s.affected.compute(&s.index, &s.changed);
-    let mut out = Vec::with_capacity(comms.len());
-    let mut affected = Vec::new();
-    for (i, (&e, &prev)) in s.next_slots.iter().zip(&s.alignment.prev_of).enumerate() {
-        out.push(match (e, prev) {
-            // Arrived intra-node comms count as affected (the caller has
-            // no previous value for them); surviving ones stay ONE.
-            (None, prev) => {
-                if prev.is_none() {
-                    affected.push(i);
-                }
-                Penalty::ONE
-            }
-            (Some(e), Some(p)) if !touches(&s.affected, e) => s.prev_pens[p],
-            (Some(e), _) => {
-                affected.push(i);
-                penalty(e, &mut s.index)
-            }
-        });
+    s.reached.clear();
+    s.affected.reached(&s.index, reach, &mut s.reached);
+    for &(id, e) in &s.reached {
+        answers.push((id, penalty(e, &mut s.index)));
     }
-    s.prev.clear();
-    s.prev.extend_from_slice(comms);
-    s.prev_pens.clone_from(&out);
-    std::mem::swap(&mut s.prev_slots, &mut s.next_slots);
-    Some((out, seeded, affected))
-}
-
-/// The whole `penalties_with_scratch` implementation of the closed-form
-/// models, shared verbatim by GigE and its InfiniBand extension: downcast
-/// the opaque scratch (an unexpected type is treated as cold local state —
-/// correctness never depends on the scratch), run `patch_endpoints`, and
-/// answer with a full evaluation over the scratch's own index — re-seeding
-/// the scratch with it — when the patch is impossible.
-pub fn endpoint_scratch_query(
-    comms: &[Communication],
-    delta: &PopulationDelta,
-    previous: Option<(&[Communication], &[Penalty])>,
-    scratch: &mut dyn ModelScratch,
-    touches: impl Fn(&AffectedEndpoints, EndpointSlots) -> bool,
-    penalty: impl Fn(EndpointSlots, &mut EndpointIndex) -> Penalty,
-) -> (Vec<Penalty>, QueryOutcome) {
-    let mut local = EndpointScratch::default();
-    let scratch = scratch
-        .as_any_mut()
-        .downcast_mut::<EndpointScratch>()
-        .unwrap_or(&mut local);
-    match patch_endpoints(comms, delta, previous, scratch, touches, &penalty) {
-        Some((pens, seeded, affected)) => (
-            pens,
-            QueryOutcome {
-                patched: true,
-                scratch_rebuilt: seeded,
-                budget_fallback: false,
-                affected: AffectedSet::Positions(affected),
-            },
-        ),
-        None => (scratch.refill(comms, penalty), QueryOutcome::rebuild()),
-    }
+    QueryOutcome::patch()
 }
 
 #[cfg(test)]
@@ -792,141 +660,62 @@ mod tests {
         idx.slot(NodeId(n)).expect("node is indexed")
     }
 
-    /// Counterpart nodes of a slot list, sorted.
-    fn nodes(idx: &EndpointIndex, slots: &[u32]) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = slots.iter().map(|&s| idx.node(s)).collect();
+    /// Counterpart nodes of a group, sorted.
+    fn nodes(idx: &EndpointIndex, group: &[(u32, FlowId)]) -> Vec<NodeId> {
+        let mut v: Vec<NodeId> = group.iter().map(|&(s, _)| idx.node(s)).collect();
         v.sort_unstable();
         v
     }
 
-    #[test]
-    fn arrival_alignment_pairs_survivors_in_order() {
-        let prev = [c(0, 1), c(2, 3)];
-        let comms = [c(0, 1), c(4, 5), c(2, 3)];
-        let al = align(&comms, &PopulationDelta::Arrived(vec![1]), &prev).unwrap();
-        assert_eq!(al.prev_of, vec![Some(0), None, Some(1)]);
-        assert_eq!(al.arrived, vec![(1, c(4, 5))]);
-        assert!(al.departed.is_empty());
+    /// Removes flow `flow` over `c`'s endpoints, if both are indexed.
+    fn remove(idx: &mut EndpointIndex, x: Communication, flow: FlowId) -> bool {
+        idx.slots_of(&x).is_some_and(|e| idx.remove(e, flow))
     }
 
-    #[test]
-    fn departure_alignment_recovers_departed_comms() {
-        let prev = [c(0, 1), c(2, 3), c(4, 5)];
-        let comms = [c(2, 3)];
-        let al = align(&comms, &PopulationDelta::Departed(vec![0, 2]), &prev).unwrap();
-        assert_eq!(al.prev_of, vec![Some(1)]);
-        assert_eq!(al.departed, vec![(0, c(0, 1)), (2, c(4, 5))]);
-        assert!(al.arrived.is_empty());
-    }
-
-    #[test]
-    fn mixed_alignment_chains_departures_then_arrivals() {
-        // prev: a b c; departed {a, c}; arrived {x at 0, y at 2}.
-        let prev = [c(0, 1), c(2, 3), c(4, 5)];
-        let comms = [c(6, 7), c(2, 3), c(8, 9)];
-        let al = align(
-            &comms,
-            &PopulationDelta::Mixed {
-                departed: vec![0, 2],
-                arrived: vec![0, 2],
-            },
-            &prev,
-        )
-        .unwrap();
-        assert_eq!(al.prev_of, vec![None, Some(1), None]);
-        assert_eq!(al.arrived, vec![(0, c(6, 7)), (2, c(8, 9))]);
-        assert_eq!(al.departed, vec![(0, c(0, 1)), (2, c(4, 5))]);
-        assert_eq!(al.arrived.len() + al.departed.len(), 4);
-    }
-
-    #[test]
-    fn mixed_alignment_handles_full_turnover() {
-        // Every previous flow leaves, every new one arrives.
-        let prev = [c(0, 1), c(2, 3)];
-        let comms = [c(4, 5)];
-        let al = align(
-            &comms,
-            &PopulationDelta::Mixed {
-                departed: vec![0, 1],
-                arrived: vec![0],
-            },
-            &prev,
-        )
-        .unwrap();
-        assert_eq!(al.prev_of, vec![None]);
-        assert_eq!(al.departed.len(), 2);
-    }
-
-    #[test]
-    fn empty_delta_is_identity_alignment() {
-        let prev = [c(0, 1), c(2, 3)];
-        let al = align(&prev, &PopulationDelta::Arrived(vec![]), &prev).unwrap();
-        assert_eq!(al.prev_of, vec![Some(0), Some(1)]);
-        assert!(al.arrived.is_empty() && al.departed.is_empty());
-        let al = align(&prev, &PopulationDelta::Departed(vec![]), &prev).unwrap();
-        assert!(al.arrived.is_empty() && al.departed.is_empty());
-    }
-
-    #[test]
-    fn align_into_reuses_a_dirty_alignment() {
-        let prev = [c(0, 1), c(2, 3)];
-        let comms = [c(0, 1), c(4, 5), c(2, 3)];
-        let mut al = align(&prev, &PopulationDelta::Departed(vec![]), &prev).unwrap();
-        al.departed.push((9, c(9, 9)));
-        assert!(align_into(
-            &comms,
-            &PopulationDelta::Arrived(vec![1]),
-            &prev,
-            &mut al
-        ));
-        assert_eq!(
-            Some(al),
-            align(&comms, &PopulationDelta::Arrived(vec![1]), &prev)
-        );
+    /// One keyed settle over an [`EndpointScratch`] under the closed-form
+    /// reach, with every re-evaluated network flow answered 9: returns
+    /// the answers, sorted by id.
+    fn settle(
+        scratch: &mut EndpointScratch,
+        departed: &[FlowId],
+        arrived: &[(FlowId, Communication)],
+        fresh: bool,
+    ) -> (Vec<(FlowId, Penalty)>, QueryOutcome) {
+        let delta = PopulationDelta {
+            departed,
+            arrived,
+            fresh,
+        };
+        let mut answers = Vec::new();
+        let outcome = apply_endpoints(&delta, scratch, &mut answers, Reach::CLOSED_FORM, |_, _| {
+            Penalty::new(9.0)
+        });
+        answers.sort_unstable_by_key(|a| a.0);
+        (answers, outcome)
     }
 
     #[test]
     fn inconsistent_hints_are_rejected() {
-        let prev = [c(0, 1), c(2, 3)];
-        let comms = [c(0, 1), c(4, 5), c(2, 3)];
-        // Rebuilt never aligns.
-        assert!(align(&comms, &PopulationDelta::Rebuilt, &prev).is_none());
-        // wrong arrival count for the length difference
-        assert!(align(&comms, &PopulationDelta::Arrived(vec![0, 1]), &prev).is_none());
-        // out-of-range and non-increasing positions
-        assert!(align(&comms, &PopulationDelta::Arrived(vec![7]), &prev).is_none());
-        assert!(align(
-            &prev,
-            &PopulationDelta::Departed(vec![1, 1, 1]),
-            &[c(0, 1); 5]
-        )
-        .is_none());
-        // survivor mismatch: claims position 0 arrived, pairing c(4,5)
-        // against prev's c(0,1)
-        assert!(align(&comms, &PopulationDelta::Arrived(vec![0]), &prev).is_none());
-        // departure survivor mismatch
-        assert!(align(&[c(9, 8)], &PopulationDelta::Departed(vec![0]), &prev).is_none());
-        // mixed with inconsistent length accounting
-        assert!(align(
-            &comms,
-            &PopulationDelta::Mixed {
-                departed: vec![0],
-                arrived: vec![1]
-            },
-            &prev
-        )
-        .is_none());
-        // mixed pairing mismatch: claims prev[0] departed but comms[0]
-        // still equals it while comms[2] pairs against nothing
-        assert!(align(
-            &comms,
-            &PopulationDelta::Mixed {
-                departed: vec![0],
-                arrived: vec![1, 2]
-            },
-            &prev
-        )
-        .is_none());
+        // A departure of an id that is not a member, or an arrival of one
+        // that is, is an engine bug: the scratch panics instead of
+        // answering over a population it no longer knows.
+        let unknown_departure = std::panic::catch_unwind(|| {
+            let mut scratch = EndpointScratch::default();
+            settle(&mut scratch, &[], &[(0, c(0, 1))], true);
+            settle(&mut scratch, &[3], &[], false);
+        });
+        assert!(unknown_departure.is_err());
+        let duplicate_arrival = std::panic::catch_unwind(|| {
+            let mut scratch = EndpointScratch::default();
+            settle(&mut scratch, &[], &[(0, c(0, 1))], true);
+            settle(&mut scratch, &[], &[(0, c(2, 3))], false);
+        });
+        assert!(duplicate_arrival.is_err());
+        // ...while an id reused right after its departure is fine.
+        let mut scratch = EndpointScratch::default();
+        settle(&mut scratch, &[], &[(0, c(0, 1))], true);
+        let (answers, _) = settle(&mut scratch, &[0], &[(0, c(2, 3))], false);
+        assert_eq!(answers, vec![(0, Penalty::new(9.0))]);
     }
 
     #[test]
@@ -939,6 +728,8 @@ mod tests {
         assert_eq!(idx.out_degree(n3), 1);
         assert_eq!(idx.in_degree(n3), 0);
         assert_eq!(idx.slot(NodeId(5)), None);
+        let flows: Vec<FlowId> = idx.incoming(n1).iter().map(|g| g.1).collect();
+        assert_eq!(flows, vec![0, 2], "groups carry their flows' ids");
     }
 
     #[test]
@@ -952,16 +743,16 @@ mod tests {
     #[test]
     fn endpoint_index_incremental_updates_match_rebuild() {
         let mut idx = EndpointIndex::build(&[c(0, 1), c(0, 2)]);
-        idx.insert(&c(3, 1));
-        assert!(idx.remove(&c(0, 2)));
+        idx.insert(&c(3, 1), 2);
+        assert!(remove(&mut idx, c(0, 2), 1));
         idx.recycle();
         // multiset now {0→1, 3→1}
         assert_eq!(idx.out_degree(slot(&idx, 0)), 1);
         assert_eq!(idx.in_degree(slot(&idx, 1)), 2);
         assert_eq!(idx.slot(NodeId(2)), None, "drained nodes are forgotten");
-        // removing an absent comm reports corruption
-        assert!(!idx.remove(&c(7, 8)));
-        assert!(!idx.remove(&c(0, 2)));
+        // removing an absent flow reports it
+        assert!(!remove(&mut idx, c(7, 8), 5));
+        assert!(!remove(&mut idx, c(0, 1), 1));
     }
 
     #[test]
@@ -969,26 +760,26 @@ mod tests {
         let mut idx = EndpointIndex::build(&[c(0, 1), c(0, 1)]);
         let n0 = slot(&idx, 0);
         assert_eq!(idx.out_degree(n0), 2);
-        assert!(idx.remove(&c(0, 1)));
+        assert!(remove(&mut idx, c(0, 1), 1));
         assert_eq!(idx.out_degree(n0), 1);
-        assert!(idx.remove(&c(0, 1)));
+        assert!(remove(&mut idx, c(0, 1), 0));
         assert_eq!(idx.out_degree(n0), 0);
-        assert!(!idx.remove(&c(0, 1)));
+        assert!(!remove(&mut idx, c(0, 1), 0));
     }
 
     #[test]
     fn drained_slots_stay_put_until_recycled_then_are_reused() {
         let mut idx = EndpointIndex::build(&[c(0, 1), c(2, 3)]);
         let n0 = slot(&idx, 0);
-        assert!(idx.remove(&c(0, 1)));
+        assert!(remove(&mut idx, c(0, 1), 0));
         // Within the batch the drained node keeps its slot, so a
         // re-arrival lands on the same one.
-        assert_eq!(idx.insert(&c(0, 3)).src, n0);
+        assert_eq!(idx.insert(&c(0, 3), 2).src, n0);
         idx.recycle();
         assert_eq!(idx.slot(NodeId(0)), Some(n0));
         assert_eq!(idx.slot(NodeId(1)), None);
         let capacity = idx.slot_capacity();
-        idx.insert(&c(9, 3));
+        idx.insert(&c(9, 3), 3);
         assert_eq!(idx.slot_capacity(), capacity, "node 1's slot is reused");
     }
 
@@ -1000,9 +791,9 @@ mod tests {
         assert_eq!(idx.out_aggregate(n0), GroupAggregate { max: 2, count: 1 });
         assert_eq!(idx.in_aggregate(n1), GroupAggregate { max: 2, count: 1 });
         // a second sender into 2 ties the maximum: |Cmo(0)| = 2
-        idx.insert(&c(4, 2));
+        idx.insert(&c(4, 2), 3);
         assert_eq!(idx.out_aggregate(n0), GroupAggregate { max: 2, count: 2 });
-        assert!(idx.remove(&c(3, 1)));
+        assert!(remove(&mut idx, c(3, 1), 2));
         assert_eq!(idx.out_aggregate(n0), GroupAggregate { max: 2, count: 1 });
         assert_eq!(idx.in_aggregate(n1), GroupAggregate { max: 2, count: 1 });
     }
@@ -1022,7 +813,8 @@ mod tests {
         };
         let ids = [0u32, 1, 2, 3, 4, u32::MAX - 2, u32::MAX - 1, u32::MAX];
         let mut idx = EndpointIndex::default();
-        let mut live: Vec<Communication> = Vec::new();
+        let mut live: Vec<(FlowId, Communication)> = Vec::new();
+        let mut next_flow = 0;
         for step in 0..800 {
             for _ in 0..=rng(3) {
                 if live.is_empty() || rng(100) < 52 {
@@ -1031,16 +823,18 @@ mod tests {
                     if d == s {
                         d = ids[(ids.iter().position(|&x| x == s).unwrap() + 1) % ids.len()];
                     }
-                    let e = idx.insert(&c(s, d));
+                    let e = idx.insert(&c(s, d), next_flow);
                     assert_eq!(idx.node(e.src), NodeId(s));
-                    live.push(c(s, d));
+                    live.push((next_flow, c(s, d)));
+                    next_flow += 1;
                 } else {
-                    let gone = live.swap_remove(rng(live.len() as u64) as usize);
-                    assert!(idx.remove(&gone), "step {step}");
+                    let (flow, gone) = live.swap_remove(rng(live.len() as u64) as usize);
+                    assert!(remove(&mut idx, gone, flow), "step {step}");
                 }
             }
             idx.recycle();
             assert!(idx.slot_capacity() <= ids.len(), "step {step}");
+            let live: Vec<Communication> = live.iter().map(|x| x.1).collect();
             for &n in &ids {
                 let out: Vec<NodeId> = {
                     let mut v: Vec<NodeId> = live
@@ -1090,6 +884,19 @@ mod tests {
         aff
     }
 
+    /// The flows [`AffectedEndpoints::reached`] lists, sorted — each must
+    /// be listed once.
+    fn reached_ids(aff: &AffectedEndpoints, idx: &EndpointIndex, reach: Reach) -> Vec<FlowId> {
+        let mut out = Vec::new();
+        aff.reached(idx, reach, &mut out);
+        let mut ids: Vec<FlowId> = out.iter().map(|r| r.0).collect();
+        ids.sort_unstable();
+        let len = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), len, "a reached flow is listed once");
+        ids
+    }
+
     #[test]
     fn affected_endpoints_cover_the_two_hop_neighbourhood() {
         // population: a(0→1), b(2→1), c(2→3), d(4→5) plus the change
@@ -1101,95 +908,81 @@ mod tests {
         let idx = EndpointIndex::build(&comms);
         let aff = affected_of(&idx, &[c(6, 1)]);
         let at = |x: &Communication| idx.slots_of(x).unwrap();
-        assert!(!aff.touches(at(&c(4, 5))));
-        assert!(aff.touches(at(&c(2, 3)))); // src 2's group changed via b(2→1)
-        assert!(aff.touches(at(&c(0, 1))));
+        let closed = Reach::CLOSED_FORM;
+        assert!(!aff.reaches(closed, at(&c(4, 5))));
+        assert!(aff.reaches(closed, at(&c(2, 3)))); // src 2's group changed via b(2→1)
+        assert!(aff.reaches(closed, at(&c(0, 1))));
         assert!(aff.is_changed_source(slot(&idx, 6)));
         assert!(aff.is_changed_dest(slot(&idx, 1)));
         assert!(!aff.is_changed_source(slot(&idx, 2)));
+        // the walk lists exactly the reached flows, without a scan
+        assert_eq!(reached_ids(&aff, &idx, closed), vec![0, 1, 2, 4]);
         // a new computation forgets the old marks
         let mut aff = aff;
         aff.compute(&idx, &[at(&c(4, 5))]);
-        assert!(!aff.touches(at(&c(0, 1))));
-        assert!(aff.touches(at(&c(4, 5))));
+        assert!(!aff.reaches(closed, at(&c(0, 1))));
+        assert!(aff.reaches(closed, at(&c(4, 5))));
+        assert_eq!(reached_ids(&aff, &idx, closed), vec![3]);
+    }
+
+    #[test]
+    fn duplex_reach_adds_the_opposing_groups() {
+        // a(0→1) and b(2→0); the change d(1→3) leaves node 1, a's
+        // destination, so a's rx term moves under the duplex reach only;
+        // b(2→0) enters a's source but nothing changed there.
+        let comms = [c(0, 1), c(2, 0), c(1, 3)];
+        let idx = EndpointIndex::build(&comms);
+        let aff = affected_of(&idx, &[c(1, 3)]);
+        assert_eq!(reached_ids(&aff, &idx, Reach::CLOSED_FORM), vec![2]);
+        assert_eq!(reached_ids(&aff, &idx, Reach::DUPLEX), vec![0, 2]);
     }
 
     #[test]
     fn intra_node_changes_affect_nothing() {
-        // An intra-node arrival is reported (the caller has no previous
+        // An intra-node arrival is answered 1 (the caller has no previous
         // value for it) but reaches no network flow; its departure
         // reaches nothing at all.
-        let prev = vec![c(0, 1), c(2, 3)];
-        let pens = vec![Penalty::new(2.0), Penalty::new(3.0)];
         let mut scratch = EndpointScratch::default();
-        scratch.rebuild(&prev, &pens);
-        let mut run = |comms: &[Communication], delta: PopulationDelta| {
-            patch_endpoints(
-                comms,
-                &delta,
-                None,
-                &mut scratch,
-                |aff, e| aff.touches(e),
-                |_, _| Penalty::new(9.0),
-            )
-            .expect("consistent delta")
-        };
-        let grown = [c(0, 1), c(1, 1), c(2, 3)];
-        let (got, _, affected) = run(&grown, PopulationDelta::Arrived(vec![1]));
-        assert_eq!(affected, vec![1]);
-        assert_eq!(got, vec![pens[0], Penalty::ONE, pens[1]]);
-        let (got, _, affected) = run(&prev, PopulationDelta::Departed(vec![1]));
-        assert!(affected.is_empty());
-        assert_eq!(got, pens);
+        settle(&mut scratch, &[], &[(0, c(0, 1)), (1, c(2, 3))], true);
+        let (answers, _) = settle(&mut scratch, &[], &[(5, c(1, 1))], false);
+        assert_eq!(answers, vec![(5, Penalty::ONE)]);
+        let (answers, outcome) = settle(&mut scratch, &[5], &[], false);
+        assert!(answers.is_empty());
+        assert!(outcome.patched);
     }
 
     #[test]
     fn scratch_seeds_then_patches_without_hints() {
-        let prev = vec![c(0, 1), c(2, 3)];
-        let prev_pens = vec![Penalty::new(2.0), Penalty::new(3.0)];
         let mut scratch = EndpointScratch::default();
-        assert!(!scratch.settled);
-        // cold + no hint: unusable
-        assert!(patch_endpoints(
-            &prev,
-            &PopulationDelta::Arrived(vec![]),
-            None,
-            &mut scratch,
-            |aff, e| aff.touches(e),
-            |_, _| Penalty::ONE,
-        )
-        .is_none());
-        // cold + hint: seeds, then reuses the untouched survivor verbatim
-        let comms = vec![c(0, 1), c(2, 3), c(6, 7)];
-        let (pens, seeded, affected) = patch_endpoints(
-            &comms,
-            &PopulationDelta::Arrived(vec![2]),
-            Some((&prev, &prev_pens)),
-            &mut scratch,
-            |aff, e| aff.touches(e),
-            |_, _| Penalty::new(9.0),
-        )
-        .unwrap();
-        assert!(seeded);
-        assert_eq!(pens[0], Penalty::new(2.0));
-        assert_eq!(pens[1], Penalty::new(3.0));
-        assert_eq!(pens[2], Penalty::new(9.0));
-        // only the arrival was re-evaluated: the island comms are reported
-        // untouched, so downstream finish-time caches can skip them
-        assert_eq!(affected, vec![2]);
-        // warm: the next settle patches with no hint at all
-        let (pens, seeded, affected) = patch_endpoints(
-            &comms[1..],
-            &PopulationDelta::Departed(vec![0]),
-            None,
-            &mut scratch,
-            |aff, e| aff.touches(e),
-            |_, _| Penalty::new(4.0),
-        )
-        .unwrap();
-        assert!(!seeded);
-        assert_eq!(pens[0], Penalty::new(3.0)); // untouched island reused
-        assert_eq!(pens[1], Penalty::new(9.0));
-        assert_eq!(affected, Vec::<usize>::new());
+        // a fresh settle seeds the scratch and answers every member
+        let (answers, outcome) = settle(&mut scratch, &[], &[(0, c(0, 1)), (1, c(2, 3))], true);
+        assert_eq!(answers.len(), 2);
+        assert_eq!(outcome, QueryOutcome::rebuild());
+        // warm: only the arrival is re-evaluated; the island comms are
+        // left unanswered, so downstream finish-time caches skip them
+        let (answers, outcome) = settle(&mut scratch, &[], &[(2, c(6, 7))], false);
+        assert_eq!(answers, vec![(2, Penalty::new(9.0))]);
+        assert_eq!(outcome, QueryOutcome::patch());
+        // a departure on its own island answers nobody
+        let (answers, _) = settle(&mut scratch, &[0], &[], false);
+        assert!(answers.is_empty());
+    }
+
+    #[test]
+    fn a_fresh_reset_clears_only_live_groups() {
+        // A scratch that once held 200 flows over 400 nodes and drained to
+        // one flow clears two groups when a fresh settle reuses it, not
+        // the 800 groups it ever interned.
+        let mut scratch = EndpointScratch::default();
+        let wide: Vec<(FlowId, Communication)> =
+            (0..200).map(|i| (i, c(2 * i, 2 * i + 1))).collect();
+        settle(&mut scratch, &[], &wide, true);
+        let departed: Vec<FlowId> = (1..200).collect();
+        settle(&mut scratch, &departed, &[], false);
+        assert!(scratch.index.slot_capacity() >= 400);
+        assert_eq!(scratch.reset(), 2, "one live flow: its two groups");
+        let (answers, _) = settle(&mut scratch, &[], &[(0, c(5, 6))], true);
+        assert_eq!(answers, vec![(0, Penalty::new(9.0))]);
+        assert_eq!(scratch.index.out_degree(slot(&scratch.index, 5)), 1);
     }
 }

@@ -37,10 +37,9 @@
 
 use crate::gige::GigabitEthernetModel;
 use crate::incremental::{
-    endpoint_scratch_query, evaluate_full, AffectedEndpoints, EndpointIndex, EndpointScratch,
-    EndpointSlots,
+    apply_endpoints, evaluate_full, EndpointIndex, EndpointScratch, EndpointSlots, Reach,
 };
-use crate::model::{PenaltyModel, PopulationDelta};
+use crate::model::{FlowId, PenaltyModel, PopulationDelta};
 use crate::penalty::Penalty;
 use crate::scratch::{ModelScratch, QueryOutcome};
 use netbw_graph::Communication;
@@ -101,15 +100,6 @@ impl InfinibandModel {
         let rx_dx = 1.0 + self.delta_rx * (opposing_at_dst.saturating_sub(2)) as f64;
         Penalty::new((po * tx_dx).max(pi * rx_dx))
     }
-
-    /// True when `comm`'s penalty can have changed: the GigE closed-form
-    /// reach (`aff.touches`), plus the duplex terms — `tx_dx` reads the
-    /// in-degree of the *source* node and `rx_dx` the out-degree of the
-    /// *destination* node, so a changed flow also reaches every flow whose
-    /// source it enters or whose destination it leaves.
-    fn touches(aff: &AffectedEndpoints, comm: EndpointSlots) -> bool {
-        aff.touches(comm) || aff.is_changed_dest(comm.src) || aff.is_changed_source(comm.dst)
-    }
 }
 
 impl PenaltyModel for InfinibandModel {
@@ -127,26 +117,21 @@ impl PenaltyModel for InfinibandModel {
         Box::new(EndpointScratch::default())
     }
 
-    /// O(affected) patch over the per-cache [`EndpointScratch`], like the
-    /// GigE one but with the duplex-coupling reach added to the affected
-    /// test: a changed flow also reaches every flow whose source it enters
-    /// (`tx_dx`) or whose destination it leaves (`rx_dx`).
-    fn penalties_with_scratch(
+    /// O(changed + reach) patch over the per-cache [`EndpointScratch`],
+    /// like the GigE one but over the duplex-coupling reach
+    /// ([`Reach::DUPLEX`]): a changed flow also reaches every flow whose
+    /// source it enters (`tx_dx`) or whose destination it leaves
+    /// (`rx_dx`).
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
         let fair = GigabitEthernetModel::new(self.beta, 0.0, 0.0);
-        endpoint_scratch_query(
-            comms,
-            delta,
-            previous,
-            scratch,
-            Self::touches,
-            |c, index| self.penalty_indexed(c, index, &fair),
-        )
+        apply_endpoints(delta, scratch, answers, Reach::DUPLEX, |c, index| {
+            self.penalty_indexed(c, index, &fair)
+        })
     }
 }
 
@@ -214,28 +199,57 @@ mod tests {
         assert_eq!(penalties(1), vec![1.0]);
     }
 
+    /// Settles `first` fresh, then `arrived` warm, through one scratch;
+    /// returns the warm answers sorted by id and the full penalties of the
+    /// joint population (ids are positions in `first` then `arrived`).
+    fn warm_answers(
+        first: &[Communication],
+        arrived: &[Communication],
+    ) -> (Vec<(FlowId, Penalty)>, Vec<Penalty>) {
+        let model = InfinibandModel::default();
+        let keyed = |comms: &[Communication], base: u32| -> Vec<(FlowId, Communication)> {
+            comms
+                .iter()
+                .copied()
+                .zip(base..)
+                .map(|(c, i)| (i, c))
+                .collect()
+        };
+        let (first_keyed, arrived_keyed) = (keyed(first, 0), keyed(arrived, first.len() as u32));
+        let mut scratch = model.new_scratch();
+        let mut answers = Vec::new();
+        let fresh = PopulationDelta {
+            arrived: &first_keyed,
+            fresh: true,
+            ..PopulationDelta::default()
+        };
+        model.apply_delta(&fresh, scratch.as_mut(), &mut answers);
+        answers.clear();
+        let grow = PopulationDelta {
+            arrived: &arrived_keyed,
+            ..PopulationDelta::default()
+        };
+        model.apply_delta(&grow, scratch.as_mut(), &mut answers);
+        answers.sort_unstable_by_key(|a| a.0);
+        let all: Vec<Communication> = first.iter().chain(arrived).copied().collect();
+        (answers, model.penalties(&all))
+    }
+
     #[test]
     fn patch_reuses_unaffected_penalties_verbatim() {
         // An arrival at nodes {0,3} cannot reach the {5,6,7} island, even
-        // through the duplex-coupling terms. Poisoned previous penalties on
-        // the island must survive the patch verbatim.
-        let model = InfinibandModel::default();
-        let prev = vec![
+        // through the duplex-coupling terms: the island goes unanswered.
+        let prev = [
             Communication::new(0u32, 1u32, 10),
             Communication::new(5u32, 6u32, 10),
             Communication::new(5u32, 7u32, 10),
         ];
-        let mut prev_pens = model.penalties(&prev);
-        prev_pens[1] = Penalty::new(9.0);
-        let mut comms = prev.clone();
-        comms.push(Communication::new(0u32, 3u32, 10));
-        let patched = model.penalties_after_change(
-            &comms,
-            crate::model::PopulationDelta::Arrived(vec![3]),
-            Some((&prev, &prev_pens)),
+        let (answers, full) = warm_answers(&prev, &[Communication::new(0u32, 3u32, 10)]);
+        assert_eq!(
+            answers,
+            vec![(0, full[0]), (3, full[3])],
+            "the island must be reused"
         );
-        assert_eq!(patched[1].value(), 9.0, "the island must be reused");
-        assert_eq!(patched[0], model.penalties(&comms)[0]);
     }
 
     #[test]
@@ -243,25 +257,21 @@ mod tests {
         // d(1→0) opposes a(0→1): its arrival changes a's tx_dx term even
         // though a's src/dst groups are otherwise untouched — the patch
         // must re-evaluate a, not reuse it.
-        let model = InfinibandModel::default();
-        let prev = vec![
+        let prev = [
             Communication::new(0u32, 1u32, 10),
             Communication::new(0u32, 2u32, 10),
             Communication::new(0u32, 3u32, 10),
         ];
-        let prev_pens = model.penalties(&prev);
-        let mut comms = prev.clone();
-        comms.push(Communication::new(1u32, 0u32, 10));
-        comms.push(Communication::new(2u32, 0u32, 10));
-        let patched = model.penalties_after_change(
-            &comms,
-            crate::model::PopulationDelta::Arrived(vec![3, 4]),
-            Some((&prev, &prev_pens)),
-        );
-        let full = model.penalties(&comms);
-        assert_eq!(patched, full);
+        let arrived = [
+            Communication::new(1u32, 0u32, 10),
+            Communication::new(2u32, 0u32, 10),
+        ];
+        let (answers, full) = warm_answers(&prev, &arrived);
+        let answered: Vec<(FlowId, Penalty)> = (0..5).map(|i| (i, full[i as usize])).collect();
+        assert_eq!(answers, answered);
         // sanity: the duplex pressure really did change a's penalty
-        assert!(full[0].value() > prev_pens[0].value());
+        let before = InfinibandModel::default().penalties(&prev);
+        assert!(full[0].value() > before[0].value());
     }
 
     #[test]

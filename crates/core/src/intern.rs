@@ -1,4 +1,4 @@
-//! Dense interning of node ids.
+//! Dense interning of node ids and flow ids.
 //!
 //! The per-node structures of this crate ([`ComponentTracker`]'s
 //! component labels and adjacency, and the closed-form models'
@@ -7,18 +7,22 @@
 //! slot, and everything else reads the `Vec`s. [`SlotInterner`] owns that
 //! mapping and recycles the slots of nodes that drained out, so a
 //! churning population keeps the footprint proportional to the *live*
-//! node set.
+//! node set. [`KeyedMembers`] is the same idiom for the models' keyed
+//! populations: each [`FlowId`] maps to a dense member position, so a
+//! model scratch costs O(members), not O(ids ever issued).
 //!
-//! The map behind it is keyed by [`NodeHasher`], a multiply-rotate hasher
-//! in the style of FxHash: node ids are not attacker-controlled, and the
-//! maps are only ever looked up, never iterated, so neither SipHash's
+//! The maps behind both are keyed by [`NodeHasher`], a multiply-rotate
+//! hasher in the style of FxHash: ids are not attacker-controlled, and
+//! the maps are only ever looked up, never iterated, so neither SipHash's
 //! flooding resistance nor its iteration-order randomisation buys
 //! anything — and no result can depend on the hasher.
 //!
 //! [`ComponentTracker`]: crate::ComponentTracker
 //! [`EndpointIndex`]: crate::incremental::EndpointIndex
 
+use crate::model::FlowId;
 use netbw_graph::NodeId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -56,7 +60,7 @@ impl Hasher for NodeHasher {
 }
 
 /// A lookup-only map keyed by node id, hashed with [`NodeHasher`].
-type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeHasher>>;
+pub(crate) type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeHasher>>;
 
 /// Interns node ids into dense `u32` slots. A released slot goes on a
 /// free list and is handed to the next fresh node (last released, first
@@ -142,6 +146,115 @@ impl Clone for SlotInterner {
     }
 }
 
+/// A keyed population: members stored densely, with a [`FlowId`] →
+/// position map in front. Removal swaps the last member into the hole, so
+/// positions stay dense and every walk over the members — a fresh settle's
+/// full answer, a reset — costs the live members only.
+///
+/// The ids a caller hands in must be consistent: an arrival whose id is
+/// already a member, or a departure of an id that is not, is a bug in the
+/// caller's bookkeeping and panics rather than being silently repaired.
+#[derive(Debug)]
+pub(crate) struct KeyedMembers<T> {
+    index: HashMap<FlowId, u32, BuildHasherDefault<NodeHasher>>,
+    ids: Vec<FlowId>,
+    items: Vec<T>,
+}
+
+impl<T> Default for KeyedMembers<T> {
+    fn default() -> Self {
+        KeyedMembers {
+            index: HashMap::default(),
+            ids: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> KeyedMembers<T> {
+    /// Adds member `id`.
+    ///
+    /// # Panics
+    /// If `id` is already a member.
+    pub(crate) fn insert(&mut self, id: FlowId, item: T) {
+        match self.index.entry(id) {
+            Entry::Occupied(_) => panic!("flow {id} arrived twice without departing"),
+            Entry::Vacant(e) => {
+                e.insert(u32::try_from(self.ids.len()).expect("member count exceeds u32"));
+            }
+        }
+        self.ids.push(id);
+        self.items.push(item);
+    }
+
+    /// Removes member `id` and returns its item.
+    ///
+    /// # Panics
+    /// If `id` is not a member.
+    pub(crate) fn remove(&mut self, id: FlowId) -> T {
+        let Some(pos) = self.index.remove(&id) else {
+            panic!("flow {id} departed without being a member");
+        };
+        let pos = pos as usize;
+        self.ids.swap_remove(pos);
+        let item = self.items.swap_remove(pos);
+        if let Some(&moved) = self.ids.get(pos) {
+            self.index.insert(moved, pos as u32);
+        }
+        item
+    }
+
+    /// Member `id`'s item, if it is a member.
+    pub(crate) fn get(&self, id: FlowId) -> Option<&T> {
+        let pos = *self.index.get(&id)?;
+        Some(&self.items[pos as usize])
+    }
+
+    /// Mutable access to member `id`'s item, if it is a member.
+    pub(crate) fn get_mut(&mut self, id: FlowId) -> Option<&mut T> {
+        let pos = *self.index.get(&id)?;
+        Some(&mut self.items[pos as usize])
+    }
+
+    /// The members' ids, in position order.
+    pub(crate) fn ids(&self) -> &[FlowId] {
+        &self.ids
+    }
+
+    /// The members' items, aligned with [`Self::ids`].
+    pub(crate) fn items(&self) -> &[T] {
+        &self.items
+    }
+
+    /// Forgets every member at the cost of the live ones, keeping the
+    /// allocations.
+    pub(crate) fn clear(&mut self) {
+        for id in self.ids.drain(..) {
+            self.index.remove(&id);
+        }
+        self.items.clear();
+    }
+}
+
+impl<T: Clone> Clone for KeyedMembers<T> {
+    fn clone(&self) -> Self {
+        let mut members = KeyedMembers::default();
+        members.clone_from(self);
+        members
+    }
+
+    /// Re-inserts the source's ids into `self`'s table instead of copying
+    /// the source's table, so a warm target that grew past the source's
+    /// bucket count keeps its allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.index.clear();
+        self.index.reserve(source.ids.len());
+        self.index.extend(source.ids.iter().copied().zip(0u32..));
+        self.ids.clone_from(&source.ids);
+        self.items.clone_from(&source.items);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,5 +291,30 @@ mod tests {
         buckets.sort_unstable();
         buckets.dedup();
         assert!(buckets.len() > 48, "{} distinct buckets", buckets.len());
+    }
+
+    #[test]
+    fn keyed_members_stay_dense_and_refuse_inconsistent_ids() {
+        let mut m = KeyedMembers::default();
+        for id in [7, 3, 9] {
+            m.insert(id, id * 10);
+        }
+        assert_eq!(m.remove(7), 70);
+        assert_eq!(m.ids(), &[9, 3], "the last member fills the hole");
+        assert_eq!(m.get(9), Some(&90));
+        *m.get_mut(3).unwrap() += 1;
+        assert_eq!(m.items(), &[90, 31]);
+        m.insert(7, 71);
+        let copy = m.clone();
+        assert_eq!((copy.ids(), copy.get(7)), (m.ids(), Some(&71)));
+        m.clear();
+        assert_eq!(m.get(9), None);
+        assert!(std::panic::catch_unwind(move || {
+            let mut m = KeyedMembers::default();
+            m.insert(1, ());
+            m.insert(1, ());
+        })
+        .is_err());
+        assert!(std::panic::catch_unwind(|| KeyedMembers::<()>::default().remove(4)).is_err());
     }
 }

@@ -26,14 +26,16 @@
 //! times for whole schemes come from the progressive solver in
 //! `netbw-fluid`, which re-evaluates the model as communications finish.
 //! When the population evolves by arrivals and departures, the solver uses
-//! the stateful batch-delta entry point
-//! [`PenaltyModel::penalties_with_scratch`]: each model keeps an opaque
-//! per-cache [`scratch`] alive between settles (endpoint indices for the
-//! closed-form models, union–find conflict components for Myrinet) and
-//! patches only the endpoints ([`incremental`]) or conflict components the
-//! change reaches — simultaneous arrival+departure batches included, as
-//! chained [`PopulationDelta::Mixed`] deltas — instead of recomputing the
-//! whole fabric.
+//! the keyed entry point [`PenaltyModel::apply_delta`]: each model keeps
+//! the population in an opaque per-cache [`scratch`] between settles,
+//! keyed by [`FlowId`], together with what it patches from (endpoint
+//! indices for the closed-form models, conflict components for Myrinet).
+//! A [`PopulationDelta`] hands it only the ids that left and the flows
+//! that joined, and the model answers `(id, penalty)` for exactly the
+//! flows the change reaches — through the endpoints ([`incremental`]) or
+//! conflict components it touches — instead of recomputing the whole
+//! fabric. The stateless [`PenaltyModel::penalties`] stays the reference
+//! the keyed answers equal bit for bit.
 //!
 //! # Example
 //!
@@ -67,10 +69,10 @@ pub mod states;
 pub use components::{ComponentChange, ComponentRemoval, ComponentRoot, ComponentTracker};
 pub use gige::GigabitEthernetModel;
 pub use infiniband::InfinibandModel;
-pub use model::{ModelKind, PenaltyModel, PopulationDelta};
+pub use model::{FlowId, ModelKind, PenaltyModel, PopulationDelta};
 pub use myrinet::{MyrinetAnalysis, MyrinetModel};
 pub use penalty::Penalty;
-pub use scratch::{AffectedSet, ModelScratch, NoScratch, QueryOutcome};
+pub use scratch::{ModelScratch, QueryOutcome};
 pub use states::StateSetEnumeration;
 
 /// Convenient glob-import of the most used items.
@@ -79,8 +81,8 @@ pub mod prelude {
     pub use crate::components::{ComponentChange, ComponentTracker};
     pub use crate::gige::GigabitEthernetModel;
     pub use crate::infiniband::InfinibandModel;
-    pub use crate::model::{ModelKind, PenaltyModel, PopulationDelta};
+    pub use crate::model::{FlowId, ModelKind, PenaltyModel, PopulationDelta};
     pub use crate::myrinet::MyrinetModel;
     pub use crate::penalty::Penalty;
-    pub use crate::scratch::{AffectedSet, ModelScratch, QueryOutcome};
+    pub use crate::scratch::{ModelScratch, QueryOutcome};
 }

@@ -1,8 +1,14 @@
 //! The [`PenaltyModel`] abstraction shared by all predictive models.
 
+use crate::intern::KeyedMembers;
 use crate::penalty::Penalty;
-use crate::scratch::{ModelScratch, NoScratch, QueryOutcome};
+use crate::scratch::{ModelScratch, QueryOutcome};
 use netbw_graph::Communication;
+
+/// A flow's identity in a keyed population: the fluid engine's slab slot
+/// index. An id names one flow from its arrival until its departure has
+/// been handed to the model; only then may a later flow reuse it.
+pub type FlowId = u32;
 
 /// An instantaneous bandwidth-sharing model.
 ///
@@ -12,76 +18,70 @@ use netbw_graph::Communication;
 /// these instantaneous penalties over time, re-querying the model whenever
 /// a communication completes or a new one starts.
 ///
+/// Two entry points share one contract, a slow and a fast algorithm for
+/// the same answers: the stateless [`Self::penalties`] evaluates a whole
+/// population, and the keyed [`Self::apply_delta`] keeps the population in
+/// a caller-owned scratch and answers only the flows a change reaches.
+///
 /// # Contract
 ///
-/// * The returned vector is aligned with (and as long as) the input slice.
+/// * [`Self::penalties`] returns a vector aligned with (and as long as)
+///   the input slice.
 /// * Intra-node communications (`src == dst`) never cross the NIC; models
 ///   must give them penalty 1 and exclude them from degree counts. The
 ///   helper [`split_intra_node`] implements this policy.
 /// * Penalties are `>= 1` and finite ([`Penalty`] enforces this).
 /// * A single inter-node communication with no conflict has penalty 1
 ///   (`Tref` is *defined* as its time).
+/// * After every [`Self::apply_delta`], the penalties it answered, plus
+///   each unanswered member's previously answered penalty, equal
+///   `penalties` over the scratch's population bit for bit.
 pub trait PenaltyModel: Send + Sync {
     /// A short stable name for reports and tables.
     fn name(&self) -> &'static str;
 
-    /// Penalties for the given set of concurrent communications.
+    /// Penalties for the given set of concurrent communications — the
+    /// stateless reference entry point.
     fn penalties(&self, comms: &[Communication]) -> Vec<Penalty>;
 
-    /// Creates the opaque per-cache scratch state for
-    /// [`Self::penalties_with_scratch`]. The query issuer (one penalty
-    /// cache) owns it and hands it back on every query; models with
-    /// nothing to keep return the default [`NoScratch`].
+    /// Creates the opaque per-cache scratch for [`Self::apply_delta`]. The
+    /// query issuer (one penalty cache) owns it and hands it back on every
+    /// query. The default is a plain keyed population, answered by
+    /// [`Self::penalties`].
     fn new_scratch(&self) -> Box<dyn ModelScratch> {
-        Box::new(NoScratch)
+        Box::new(PopulationScratch::default())
     }
 
-    /// The stateful batch-delta entry point of the incremental fluid
-    /// engine: penalties for a population that evolved from the previously
-    /// queried one as described by `delta`, with `scratch` carrying the
-    /// model's own state between settles (endpoint indices for the
-    /// closed-form models, union–find conflict components for Myrinet —
-    /// see [`crate::incremental`] and the per-model docs).
+    /// The keyed entry point of the incremental fluid engine: applies
+    /// `delta` to the population `scratch` holds (departures first, then
+    /// arrivals; a fresh delta first forgets the whole population) and
+    /// appends `(id, penalty)` to `answers` for exactly the members it
+    /// re-evaluated — every arrival, plus the survivors the change can
+    /// reach. Every unanswered member keeps its previous penalty bit for
+    /// bit, and a fresh delta answers every member. The returned
+    /// [`QueryOutcome`] says how the query was answered.
     ///
-    /// `previous` carries the last-queried population and its penalties
-    /// (`None` on the first query); a cold scratch is *seeded* from it, so
-    /// stateless callers (and the [`Self::penalties_after_change`]
-    /// convenience wrapper) still get incremental patches. The default
-    /// implementation recomputes from scratch and reports a non-patched
-    /// [`QueryOutcome`].
+    /// The default implementation keeps the population in the default
+    /// scratch and answers every member from [`Self::penalties`]; the
+    /// paper's models patch from state they keep between settles
+    /// (endpoint indices for the closed forms, conflict components for
+    /// Myrinet — see [`crate::incremental`] and the per-model docs).
     ///
-    /// The contract is identical to [`Self::penalties`]: the result must
-    /// equal `self.penalties(comms)` bit-for-bit. Implementations must
-    /// treat `delta`, `previous` *and the scratch* as hints: on any
-    /// inconsistency (see the invariants on [`PopulationDelta`]) the model
-    /// falls back to a full recompute — and rebuilds the scratch — rather
-    /// than producing wrong penalties.
-    fn penalties_with_scratch(
+    /// # Panics
+    /// On an inconsistent delta — the departure of an id that is not a
+    /// member, the arrival of one that is — or a scratch this model did
+    /// not create: each is a bug in the caller's bookkeeping.
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
-        let _ = (delta, previous, scratch);
-        (self.penalties(comms), QueryOutcome::default())
-    }
-
-    /// Stateless convenience wrapper around
-    /// [`Self::penalties_with_scratch`]: runs the query over a fresh
-    /// scratch (seeded from `previous`), discarding the scratch and the
-    /// outcome. Kept as the ergonomic entry point for tests and one-shot
-    /// callers; long-lived callers hold a scratch and use the stateful
-    /// entry point directly.
-    fn penalties_after_change(
-        &self,
-        comms: &[Communication],
-        delta: PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
-    ) -> Vec<Penalty> {
-        let mut scratch = self.new_scratch();
-        self.penalties_with_scratch(comms, &delta, previous, scratch.as_mut())
-            .0
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
+        let population = downcast_scratch::<PopulationScratch>(scratch);
+        population.apply(delta);
+        let penalties = self.penalties(population.members.items());
+        answers.extend(population.members.ids().iter().copied().zip(penalties));
+        QueryOutcome::default()
     }
 
     /// Penalty of one communication inside a population. Convenience used
@@ -91,70 +91,62 @@ pub trait PenaltyModel: Send + Sync {
     }
 }
 
-/// How an in-flight population evolved since a model was last queried.
+/// How a keyed population changed since a model last answered over the
+/// same scratch: the ids that left and the `(id, communication)` pairs
+/// that joined. Produced by the incremental fluid engine's penalty cache,
+/// consumed by [`PenaltyModel::apply_delta`].
 ///
-/// Produced by the incremental fluid engine (`netbw-fluid`, which derives
-/// it from stable slab keys) and consumed by
-/// [`PenaltyModel::penalties_after_change`] specializations. The positional
-/// variants let a model pair every surviving communication with its
-/// previous penalty in one linear merge scan, then recompute only the
-/// communications a change can actually affect.
-///
-/// # Invariants
-///
-/// * [`PopulationDelta::Arrived`] holds **strictly increasing** positions
-///   into the *new* population slice; every entry not at one of those
-///   positions appeared in the previous population, in the same relative
-///   order.
-/// * [`PopulationDelta::Departed`] holds **strictly increasing** positions
-///   into the *previous* population slice; the survivors make up the new
-///   slice exactly, in the same relative order.
-/// * [`PopulationDelta::Mixed`] chains the two: it is exactly
-///   `Departed(departed)` applied to the previous population, followed by
-///   `Arrived(arrived)` applied to the intermediate result — both position
-///   vectors strictly increasing, `departed` into the *previous* slice,
-///   `arrived` into the *new* one. Simultaneous arrival+departure batches
-///   (a completion coinciding with a gate opening) stay positional instead
-///   of degrading to [`PopulationDelta::Rebuilt`].
-///
-/// Consumers must not trust these invariants blindly:
-/// [`crate::incremental::align`] verifies them (including per-entry
-/// equality of the paired communications) and returns `None` on any
-/// inconsistency, which models answer with a full recompute.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PopulationDelta {
-    /// Positions (in the new population) of freshly arrived communications
-    /// — new transfers or opened latency gates. May be empty: an empty
-    /// arrival delta asserts the population is unchanged.
-    Arrived(Vec<usize>),
-    /// Positions (in the previous population) of departed communications
-    /// (completions).
-    Departed(Vec<usize>),
-    /// A simultaneous arrival+departure batch, expressed as two chained
-    /// positional deltas: departures first (positions in the *previous*
-    /// population), then arrivals (positions in the *new* one).
-    Mixed {
-        /// Positions (in the previous population) of departed
-        /// communications; applied first.
-        departed: Vec<usize>,
-        /// Positions (in the new population) of arrived communications;
-        /// applied second.
-        arrived: Vec<usize>,
-    },
-    /// First query, or a transition the cache could not explain
-    /// positionally.
-    Rebuilt,
+/// Departures apply before arrivals, so an id may depart and arrive (as a
+/// new flow reusing its slot) in one delta.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct PopulationDelta<'a> {
+    /// Ids of the members that left.
+    pub departed: &'a [FlowId],
+    /// The flows that joined, with their ids.
+    pub arrived: &'a [(FlowId, Communication)],
+    /// The scratch starts over: the model forgets its population before
+    /// applying the change, and answers every member. Set on a cache's
+    /// first settle (a new, reset or recycled shard).
+    pub fresh: bool,
 }
 
-impl PopulationDelta {
-    /// True when the delta asserts the population did not change at all.
+impl PopulationDelta<'_> {
+    /// True when the delta changes nothing: no departure and no arrival.
     pub fn is_empty(&self) -> bool {
-        match self {
-            PopulationDelta::Arrived(idx) | PopulationDelta::Departed(idx) => idx.is_empty(),
-            PopulationDelta::Mixed { departed, arrived } => {
-                departed.is_empty() && arrived.is_empty()
-            }
-            PopulationDelta::Rebuilt => false,
+        self.departed.is_empty() && self.arrived.is_empty()
+    }
+}
+
+/// Downcasts a model scratch to the concrete type its model created.
+///
+/// # Panics
+/// If the scratch holds another type — a scratch handed to a model that
+/// did not create it.
+pub(crate) fn downcast_scratch<T: 'static>(scratch: &mut dyn ModelScratch) -> &mut T {
+    scratch
+        .as_any_mut()
+        .downcast_mut::<T>()
+        .expect("a model scratch goes back to the model that created it")
+}
+
+/// The default scratch: the keyed population and nothing else, for models
+/// that answer every settle from [`PenaltyModel::penalties`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PopulationScratch {
+    members: KeyedMembers<Communication>,
+}
+
+impl PopulationScratch {
+    /// Applies `delta` to the population.
+    fn apply(&mut self, delta: &PopulationDelta<'_>) {
+        if delta.fresh {
+            self.members.clear();
+        }
+        for &id in delta.departed {
+            self.members.remove(id);
+        }
+        for &(id, c) in delta.arrived {
+            self.members.insert(id, c);
         }
     }
 }
@@ -169,22 +161,13 @@ impl<M: PenaltyModel + ?Sized> PenaltyModel for &M {
     fn new_scratch(&self) -> Box<dyn ModelScratch> {
         (**self).new_scratch()
     }
-    fn penalties_with_scratch(
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
-        (**self).penalties_with_scratch(comms, delta, previous, scratch)
-    }
-    fn penalties_after_change(
-        &self,
-        comms: &[Communication],
-        delta: PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
-    ) -> Vec<Penalty> {
-        (**self).penalties_after_change(comms, delta, previous)
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
+        (**self).apply_delta(delta, scratch, answers)
     }
 }
 
@@ -198,22 +181,13 @@ impl<M: PenaltyModel + ?Sized> PenaltyModel for Box<M> {
     fn new_scratch(&self) -> Box<dyn ModelScratch> {
         (**self).new_scratch()
     }
-    fn penalties_with_scratch(
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
-        (**self).penalties_with_scratch(comms, delta, previous, scratch)
-    }
-    fn penalties_after_change(
-        &self,
-        comms: &[Communication],
-        delta: PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
-    ) -> Vec<Penalty> {
-        (**self).penalties_after_change(comms, delta, previous)
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
+        (**self).apply_delta(delta, scratch, answers)
     }
 }
 
@@ -227,22 +201,13 @@ impl<M: PenaltyModel + ?Sized> PenaltyModel for std::sync::Arc<M> {
     fn new_scratch(&self) -> Box<dyn ModelScratch> {
         (**self).new_scratch()
     }
-    fn penalties_with_scratch(
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
-        (**self).penalties_with_scratch(comms, delta, previous, scratch)
-    }
-    fn penalties_after_change(
-        &self,
-        comms: &[Communication],
-        delta: PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
-    ) -> Vec<Penalty> {
-        (**self).penalties_after_change(comms, delta, previous)
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
+        (**self).apply_delta(delta, scratch, answers)
     }
 }
 
@@ -381,122 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_is_empty_only_for_empty_positional_variants() {
-        use PopulationDelta::*;
-        assert!(Arrived(vec![]).is_empty());
-        assert!(Departed(vec![]).is_empty());
-        assert!(Mixed {
-            departed: vec![],
-            arrived: vec![]
-        }
-        .is_empty());
-        assert!(!Arrived(vec![0]).is_empty());
-        assert!(!Mixed {
-            departed: vec![0],
-            arrived: vec![]
-        }
-        .is_empty());
-        assert!(!Rebuilt.is_empty());
-    }
-
-    #[test]
-    fn penalties_after_change_matches_penalties_even_on_garbage_hints() {
-        // The delta/previous pair below is deliberately inconsistent with
-        // `comms` (wrong lengths, wrong pairings): every model must detect
-        // that and fall back to a full recompute.
-        let comms = vec![
-            Communication::new(0u32, 1u32, 10),
-            Communication::new(0u32, 2u32, 10),
-            Communication::new(3u32, 2u32, 10),
-        ];
-        let prior = [Communication::new(0u32, 1u32, 10)];
-        for kind in ModelKind::ALL {
-            let model = kind.build();
-            let full = model.penalties(&comms);
-            let prior_penalties = model.penalties(&prior);
-            for previous in [None, Some((prior.as_slice(), prior_penalties.as_slice()))] {
-                for delta in [
-                    PopulationDelta::Arrived(vec![1]),
-                    PopulationDelta::Departed(vec![0, 2]),
-                    PopulationDelta::Mixed {
-                        departed: vec![0],
-                        arrived: vec![1],
-                    },
-                    PopulationDelta::Rebuilt,
-                ] {
-                    assert_eq!(
-                        model.penalties_after_change(&comms, delta, previous),
-                        full,
-                        "{kind}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn penalties_after_change_honours_consistent_arrival_hints() {
-        // comms[1] arrived; comms[0] and comms[2] survive from `prior` in
-        // order. Patched answers must equal the full evaluation.
-        let comms = vec![
-            Communication::new(0u32, 1u32, 10),
-            Communication::new(0u32, 2u32, 10),
-            Communication::new(3u32, 2u32, 10),
-        ];
-        let prior = [comms[0], comms[2]];
-        for kind in ModelKind::ALL {
-            let model = kind.build();
-            let full = model.penalties(&comms);
-            let prior_penalties = model.penalties(&prior);
-            let got = model.penalties_after_change(
-                &comms,
-                PopulationDelta::Arrived(vec![1]),
-                Some((prior.as_slice(), prior_penalties.as_slice())),
-            );
-            assert_eq!(got, full, "{kind}");
-        }
-    }
-
-    #[test]
-    fn penalties_after_change_honours_consistent_mixed_hints() {
-        // prior[1] departed while comms[1] arrived: one chained mixed
-        // delta. Patched answers must equal the full evaluation.
-        let comms = vec![
-            Communication::new(0u32, 1u32, 10),
-            Communication::new(0u32, 2u32, 10),
-            Communication::new(3u32, 2u32, 10),
-        ];
-        let prior = [comms[0], Communication::new(4u32, 5u32, 10), comms[2]];
-        for kind in ModelKind::ALL {
-            let model = kind.build();
-            let full = model.penalties(&comms);
-            let prior_penalties = model.penalties(&prior);
-            let got = model.penalties_after_change(
-                &comms,
-                PopulationDelta::Mixed {
-                    departed: vec![1],
-                    arrived: vec![1],
-                },
-                Some((prior.as_slice(), prior_penalties.as_slice())),
-            );
-            assert_eq!(got, full, "{kind}");
-        }
-    }
-
-    #[test]
     fn scratch_state_carries_between_settles() {
-        // Drive two settles through one scratch: the second query patches
-        // from state the scratch kept (no `previous` hint supplied at all)
-        // and still matches the full evaluation bit-for-bit.
-        let first = vec![
-            Communication::new(0u32, 1u32, 10),
-            Communication::new(2u32, 3u32, 10),
+        // Drive two settles through one scratch: the second patches from
+        // the population the scratch kept and answers the arrival plus
+        // only the survivors it reaches.
+        let first = [
+            (0, Communication::new(0u32, 1u32, 10)),
+            (1, Communication::new(2u32, 3u32, 10)),
         ];
-        let mut second = first.clone();
-        second.push(Communication::new(0u32, 4u32, 10));
-        // The three specialized models must actually *use* the scratch:
-        // with no `previous` hint, only state carried inside the scratch
-        // can make the second query a patch.
+        let joined = [(5, Communication::new(0u32, 4u32, 10))];
+        let second = [first[0].1, first[1].1, joined[0].1];
         let specialized = [
             ModelKind::GigabitEthernet,
             ModelKind::Myrinet,
@@ -505,27 +364,33 @@ mod tests {
         for kind in ModelKind::ALL {
             let model = kind.build();
             let mut scratch = model.new_scratch();
-            let (p1, o1) = model.penalties_with_scratch(
-                &first,
-                &PopulationDelta::Rebuilt,
-                None,
-                scratch.as_mut(),
-            );
-            assert_eq!(p1, model.penalties(&first), "{kind}");
-            assert!(!o1.patched, "{kind}: first settle cannot patch");
-            let (p2, o2) = model.penalties_with_scratch(
-                &second,
-                &PopulationDelta::Arrived(vec![2]),
-                None,
-                scratch.as_mut(),
-            );
-            assert_eq!(p2, model.penalties(&second), "{kind}");
+            let mut answers = Vec::new();
+            let fresh = PopulationDelta {
+                arrived: &first,
+                fresh: true,
+                ..PopulationDelta::default()
+            };
+            let o1 = model.apply_delta(&fresh, scratch.as_mut(), &mut answers);
+            assert!(!o1.patched, "{kind}: a fresh settle cannot patch");
+            let full = model.penalties(&[first[0].1, first[1].1]);
+            assert_eq!(answers, vec![(0, full[0]), (1, full[1])], "{kind}");
+            answers.clear();
+            let grow = PopulationDelta {
+                arrived: &joined,
+                ..PopulationDelta::default()
+            };
+            let o2 = model.apply_delta(&grow, scratch.as_mut(), &mut answers);
+            let full = model.penalties(&second);
+            for &(id, p) in &answers {
+                let i = [0, 1, 5].iter().position(|&x| x == id).unwrap();
+                assert_eq!(p, full[i], "{kind}: flow {id}");
+            }
             if specialized.contains(&kind) {
                 assert!(o2.patched, "{kind}: second settle must patch from scratch");
-                assert!(
-                    !o2.scratch_rebuilt,
-                    "{kind}: warm scratch must not be rebuilt"
-                );
+                assert!(!o2.scratch_rebuilt, "{kind}: warm scratch must not rebuild");
+                let mut ids: Vec<_> = answers.iter().map(|a| a.0).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, vec![0, 5], "{kind}: the 2→3 island is unreached");
             }
         }
     }

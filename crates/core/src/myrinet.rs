@@ -29,8 +29,10 @@
 //! own component — which is what lets the scratch-backed patch reuse an
 //! untouched component's previous penalties verbatim.
 
-use crate::incremental::align;
-use crate::model::{scatter_penalties, split_intra_node, PenaltyModel, PopulationDelta};
+use crate::intern::{KeyedMembers, NodeMap};
+use crate::model::{
+    downcast_scratch, scatter_penalties, split_intra_node, FlowId, PenaltyModel, PopulationDelta,
+};
 use crate::penalty::Penalty;
 use crate::scratch::{ModelScratch, QueryOutcome};
 use crate::states::{
@@ -39,8 +41,7 @@ use crate::states::{
 };
 use netbw_graph::conflict::{ConflictGraph, ConflictRule};
 use netbw_graph::{Communication, NodeId};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The paper's Myrinet 2000 model.
 #[derive(Clone, Debug)]
@@ -205,123 +206,120 @@ fn max_conflict_rows(
     }
 }
 
-/// The Myrinet model's per-cache scratch: the previously settled
-/// population, its penalties, and the union–find conflict-component
-/// structure kept alive across settles.
+/// The component of an intra-node member, which conflicts with nothing.
+const NO_COMPONENT: u32 = u32::MAX;
+/// The component of a network arrival this settle has not enumerated yet.
+const PENDING: u32 = u32::MAX - 1;
+
+/// The flows one node holds in one role (as source, or as destination):
+/// their conflict component — a node's flows in one role always conflict
+/// with each other, so they share one — and how many there are.
+#[derive(Clone, Copy, Debug)]
+struct NodeTally {
+    component: u32,
+    flows: u32,
+}
+
+/// The Myrinet model's per-cache scratch: the keyed population with each
+/// member's conflict component, the member list of every component, and
+/// per node the component of its outgoing and of its incoming flows — the
+/// state a keyed settle needs to find the components a change reaches
+/// without scanning the population.
 ///
-/// Component ids are never reused (`next_comp` is monotonic), so a stale
-/// `src_comp`/`dst_comp` entry — left behind when a node's last flow
-/// departs — can only name a dead component, which marks nothing.
+/// A component id is recycled once its component dies (it is re-enumerated
+/// or drains). Node tallies leave with their node's last flow, so no entry
+/// ever names a dead component.
 #[derive(Debug, Default, Clone)]
 struct MyrinetScratch {
-    settled: bool,
-    /// The previously settled population (full, intra-node included).
-    prev: Vec<Communication>,
-    prev_pens: Vec<Penalty>,
-    /// Network position per full position (`usize::MAX` for intra-node).
-    net_pos: Vec<usize>,
-    /// Conflict-component id per previous network position.
-    comp_of: Vec<usize>,
-    /// Component containing the flows leaving / entering each node.
-    src_comp: HashMap<NodeId, usize>,
-    dst_comp: HashMap<NodeId, usize>,
-    next_comp: usize,
+    /// Every member's communication and component ([`NO_COMPONENT`] for
+    /// intra-node members).
+    members: KeyedMembers<(Communication, u32)>,
+    /// Member ids per component id; a free id's list is empty.
+    components: Vec<Vec<FlowId>>,
+    free: Vec<u32>,
+    /// Every component id handed out since the last reset is below this.
+    next: u32,
+    sources: NodeMap<NodeTally>,
+    destinations: NodeMap<NodeTally>,
+    /// Per-settle buffers: the components departures reached, and the
+    /// sub-population to re-enumerate with its ids.
+    reached: Vec<u32>,
+    sub: Vec<Communication>,
+    sub_ids: Vec<FlowId>,
+}
+
+/// Counts one more flow at `node` in the role `tallies` tracks; a node new
+/// to the role starts [`PENDING`].
+fn tally(tallies: &mut NodeMap<NodeTally>, node: NodeId) {
+    tallies
+        .entry(node)
+        .and_modify(|t| t.flows += 1)
+        .or_insert(NodeTally {
+            component: PENDING,
+            flows: 1,
+        });
+}
+
+/// Counts one flow fewer at `node`, dropping the entry with its last one.
+fn untally(tallies: &mut NodeMap<NodeTally>, node: NodeId) {
+    let t = tallies.get_mut(&node).expect("a member's node is tallied");
+    t.flows -= 1;
+    if t.flows == 0 {
+        tallies.remove(&node);
+    }
 }
 
 impl MyrinetScratch {
-    /// Rebuilds every piece of scratch state from a full
-    /// population/penalty pair: one O(n·α) union–find pass.
-    fn rebuild(&mut self, comms: &[Communication], pens: &[Penalty], rule: ConflictRule) {
-        debug_assert_eq!(comms.len(), pens.len());
-        self.settled = true;
-        self.prev = comms.to_vec();
-        self.prev_pens = pens.to_vec();
-        self.net_pos = vec![usize::MAX; comms.len()];
-        let mut network = Vec::with_capacity(comms.len());
-        for (i, c) in comms.iter().enumerate() {
-            if !c.is_intra_node() {
-                self.net_pos[i] = network.len();
-                network.push(*c);
+    /// Forgets the population at the cost of its live members, keeping the
+    /// allocations.
+    fn reset(&mut self) {
+        for &(c, component) in self.members.items() {
+            if component != NO_COMPONENT {
+                self.components[component as usize].clear();
+                self.sources.remove(&c.src);
+                self.destinations.remove(&c.dst);
             }
         }
-        let (comp_of, comp_count) = conflict_component_ids(&network, rule);
-        self.src_comp.clear();
-        self.dst_comp.clear();
-        for (k, c) in network.iter().enumerate() {
-            self.src_comp.insert(c.src, comp_of[k]);
-            self.dst_comp.insert(c.dst, comp_of[k]);
-        }
-        self.comp_of = comp_of;
-        self.next_comp = comp_count;
+        self.members.clear();
+        self.free.clear();
+        self.next = 0;
     }
-}
 
-/// Connected components of the conflict relation over `network`, computed
-/// with a union–find over per-node groups in O(n·α) — no O(n²) pairwise
-/// scan, no materialised [`ConflictGraph`]. Returns a component id per
-/// communication and the component count.
-fn conflict_component_ids(network: &[Communication], rule: ConflictRule) -> (Vec<usize>, usize) {
-    let n = network.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+    /// Dissolves `component` into the sub-population: its surviving
+    /// members (those still in it) join the re-enumeration, and its id is
+    /// freed. A component already dissolved this settle — or a sentinel —
+    /// is left alone.
+    fn dissolve(&mut self, component: u32) {
+        if component >= PENDING {
+            return;
         }
-        x
-    }
-    fn union(parent: &mut [usize], a: usize, b: usize) {
-        let ra = find(parent, a);
-        let rb = find(parent, b);
-        if ra != rb {
-            parent[ra] = rb;
+        let list = &mut self.components[component as usize];
+        if list.is_empty() {
+            return;
         }
-    }
-    // Communications sharing a node (in the roles the rule cares about)
-    // pairwise conflict, so uniting each with the first member of its
-    // group reproduces the component structure.
-    match rule {
-        ConflictRule::Strict => {
-            let mut first_src: HashMap<NodeId, usize> = HashMap::new();
-            let mut first_dst: HashMap<NodeId, usize> = HashMap::new();
-            for (k, c) in network.iter().enumerate() {
-                match first_src.entry(c.src) {
-                    Entry::Occupied(e) => union(&mut parent, k, *e.get()),
-                    Entry::Vacant(e) => {
-                        e.insert(k);
-                    }
-                }
-                match first_dst.entry(c.dst) {
-                    Entry::Occupied(e) => union(&mut parent, k, *e.get()),
-                    Entry::Vacant(e) => {
-                        e.insert(k);
-                    }
+        for &id in list.iter() {
+            if let Some(&(c, current)) = self.members.get(id) {
+                if current == component {
+                    self.sub.push(c);
+                    self.sub_ids.push(id);
                 }
             }
         }
-        ConflictRule::SharedNode => {
-            let mut first_node: HashMap<NodeId, usize> = HashMap::new();
-            for (k, c) in network.iter().enumerate() {
-                for node in [c.src, c.dst] {
-                    match first_node.entry(node) {
-                        Entry::Occupied(e) => union(&mut parent, k, *e.get()),
-                        Entry::Vacant(e) => {
-                            e.insert(k);
-                        }
-                    }
-                }
-            }
-        }
+        list.clear();
+        self.free.push(component);
     }
-    let mut ids: HashMap<usize, usize> = HashMap::new();
-    let comp_of = (0..n)
-        .map(|k| {
-            let root = find(&mut parent, k);
-            let next = ids.len();
-            *ids.entry(root).or_insert(next)
+
+    /// A fresh component id.
+    fn open(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let id = self.next;
+            self.next += 1;
+            if self.components.len() <= id as usize {
+                self.components.push(Vec::new());
+            }
+            id
         })
-        .collect();
-    (comp_of, ids.len())
+    }
 }
 
 impl PenaltyModel for MyrinetModel {
@@ -341,40 +339,85 @@ impl PenaltyModel for MyrinetModel {
     }
 
     /// Component-level patch over the per-cache `MyrinetScratch`: the
-    /// union–find component structure survives between settles, only the
-    /// conflict components reached by the changed flows are re-enumerated,
-    /// and every other component keeps its previous penalties bit-for-bit.
+    /// conflict components survive between settles, only the components
+    /// the change reaches are re-enumerated (each together with the
+    /// arrivals that join it), and only their flows are answered — every
+    /// other component keeps its previous penalties. A departure reaches
+    /// its own component (any component split off by it still holds one
+    /// of the departed flow's former conflict partners); an arrival
+    /// reaches every component holding a flow it conflicts with, found
+    /// through the per-node tallies instead of a scan.
     ///
     /// Reuse is exact in every regime because the budget fallback is
     /// decided per component: an untouched component's previous penalties
     /// — exact or max-conflict alike — are what a full query would return
-    /// for it. When the hints are unusable (no scratch and no `previous`,
-    /// or a delta that does not align), the model falls back to the full
-    /// evaluation and rebuilds the scratch from it.
-    fn penalties_with_scratch(
+    /// for it. A fresh delta enumerates every component: the scratch is
+    /// rebuilt.
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
-        let mut local = MyrinetScratch::default();
-        let scratch = scratch
-            .as_any_mut()
-            .downcast_mut::<MyrinetScratch>()
-            .unwrap_or(&mut local);
-        if let Some(answer) = self.patch_scratch(comms, delta, previous, scratch) {
-            return answer;
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
+        let s = downcast_scratch::<MyrinetScratch>(scratch);
+        if delta.fresh {
+            s.reset();
         }
-        let (pens, blown) = self.penalties_flagged(comms);
-        scratch.rebuild(comms, &pens, self.rule);
-        (
-            pens,
-            QueryOutcome {
-                budget_fallback: blown,
-                ..QueryOutcome::rebuild()
-            },
-        )
+        s.sub.clear();
+        s.sub_ids.clear();
+        s.reached.clear();
+        // Every departure first, so no departing flow joins the sub as a
+        // survivor of a component dissolved before it left.
+        for &id in delta.departed {
+            let (c, component) = s.members.remove(id);
+            if component != NO_COMPONENT {
+                s.reached.push(component);
+                untally(&mut s.sources, c.src);
+                untally(&mut s.destinations, c.dst);
+            }
+        }
+        let mut reached = std::mem::take(&mut s.reached);
+        for &component in &reached {
+            s.dissolve(component);
+        }
+        for &(id, c) in delta.arrived {
+            if c.is_intra_node() {
+                s.members.insert(id, (c, NO_COMPONENT));
+                answers.push((id, Penalty::ONE));
+                continue;
+            }
+            s.members.insert(id, (c, PENDING));
+            let touching = |tallies: &NodeMap<NodeTally>, node: NodeId| {
+                tallies.get(&node).map_or(PENDING, |t| t.component)
+            };
+            reached.clear();
+            // Strict: an arrival (s, d) conflicts with the flows sharing
+            // its source (as source) or its destination (as destination);
+            // SharedNode: with any flow touching either endpoint.
+            reached.push(touching(&s.sources, c.src));
+            reached.push(touching(&s.destinations, c.dst));
+            if self.rule == ConflictRule::SharedNode {
+                reached.push(touching(&s.destinations, c.src));
+                reached.push(touching(&s.sources, c.dst));
+            }
+            for &component in &reached {
+                s.dissolve(component);
+            }
+            tally(&mut s.sources, c.src);
+            tally(&mut s.destinations, c.dst);
+            s.sub.push(c);
+            s.sub_ids.push(id);
+        }
+        s.reached = reached;
+        let blown = self.enumerate_sub(s, answers);
+        QueryOutcome {
+            budget_fallback: blown,
+            ..if delta.fresh {
+                QueryOutcome::rebuild()
+            } else {
+                QueryOutcome::patch()
+            }
+        }
     }
 }
 
@@ -396,164 +439,56 @@ impl MyrinetModel {
         (pens, blown)
     }
 
-    /// The component patch proper: `Some((penalties, outcome))` on
-    /// success (`outcome.scratch_rebuilt` when the scratch had to be
-    /// seeded from the `previous` hint first, `outcome.affected` the
-    /// strictly increasing input positions re-enumerated this settle);
-    /// `None` when the hints are unusable and the caller must recompute in
-    /// full and rebuild the scratch.
-    fn patch_scratch(
-        &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
-        s: &mut MyrinetScratch,
-    ) -> Option<(Vec<Penalty>, QueryOutcome)> {
-        let mut seeded = false;
-        if !s.settled {
-            let (prev_comms, prev_pens) = previous?;
-            if prev_pens.len() != prev_comms.len() {
-                return None;
-            }
-            s.rebuild(prev_comms, prev_pens, self.rule);
-            seeded = true;
+    /// Enumerates the scratch's sub-population — the survivors of the
+    /// dissolved components plus the arrivals — into fresh components,
+    /// files every sub member under its new component, and answers each
+    /// one. Its conflict graph is exact: a sub member's conflict partners
+    /// are all in the sub as well, and each sub component decides the
+    /// budget on its own, exactly as in a full query. Returns whether some
+    /// component blew the budget.
+    fn enumerate_sub(&self, s: &mut MyrinetScratch, answers: &mut Vec<(FlowId, Penalty)>) -> bool {
+        if s.sub.is_empty() {
+            return false;
         }
-        let al = align(comms, delta, &s.prev)?;
-
-        // Mark the components the change reaches. Departures mark their
-        // own component (any component split off by a departure still
-        // contains one of the departed flow's former conflict partners);
-        // arrivals mark every component holding a flow they conflict with,
-        // found through the per-node component maps instead of a scan.
-        let mut marked: HashSet<usize> = HashSet::new();
-        for (p, _) in al.departed.iter().filter(|(_, c)| !c.is_intra_node()) {
-            marked.insert(s.comp_of[s.net_pos[*p]]);
-        }
-        for (_, c) in al.arrived.iter().filter(|(_, c)| !c.is_intra_node()) {
-            let roles: &[(&HashMap<NodeId, usize>, NodeId)] = match self.rule {
-                // Strict: an arrival (s, d) conflicts with flows sharing
-                // its source (as source) or its destination (as
-                // destination).
-                ConflictRule::Strict => &[(&s.src_comp, c.src), (&s.dst_comp, c.dst)],
-                // SharedNode: any flow touching either endpoint, in any
-                // role.
-                ConflictRule::SharedNode => &[
-                    (&s.src_comp, c.src),
-                    (&s.dst_comp, c.src),
-                    (&s.src_comp, c.dst),
-                    (&s.dst_comp, c.dst),
-                ],
-            };
-            for (map, node) in roles {
-                if let Some(&id) = map.get(node) {
-                    marked.insert(id);
-                }
-            }
-        }
-
-        // The re-enumeration sub-population: survivors of marked
-        // components plus every arrival. Its conflict graph is exact — a
-        // sub member's conflict partners are all in the sub as well.
-        let mut sub: Vec<Communication> = Vec::new();
-        let mut sub_full_pos: Vec<usize> = Vec::new();
-        let mut in_sub = vec![false; comms.len()];
-        for (i, c) in comms.iter().enumerate() {
-            if c.is_intra_node() {
-                continue;
-            }
-            let member = match al.prev_of[i] {
-                None => true,
-                Some(p) => marked.contains(&s.comp_of[s.net_pos[p]]),
-            };
-            if member {
-                in_sub[i] = true;
-                sub_full_pos.push(i);
-                sub.push(*c);
-            }
-        }
-
-        // Each sub component decides the budget on its own, exactly as in
-        // a full query.
-        let mut sub_state = vec![1u64; sub.len()];
-        let mut sub_emission = vec![1u64; sub.len()];
-        let mut sub_comp_of = vec![0usize; sub.len()];
-        let mut sub_comps = 0usize;
+        let graph = ConflictGraph::build(&s.sub, self.rule);
+        let mut state_count = vec![1u64; s.sub.len()];
+        let mut emission = vec![1u64; s.sub.len()];
         let mut blown = false;
-        if !sub.is_empty() {
-            let graph = ConflictGraph::build(&sub, self.rule);
-            for comp in count_components(&graph, self.budget) {
-                blown |= fill_component(&sub, &comp, &mut sub_state, &mut sub_emission);
-                for &v in &comp.vertices {
-                    sub_comp_of[v] = sub_comps;
-                }
-                sub_comps += 1;
+        for comp in count_components(&graph, self.budget) {
+            blown |= fill_component(&s.sub, &comp, &mut state_count, &mut emission);
+            let component = s.open();
+            for &v in &comp.vertices {
+                let (id, c) = (s.sub_ids[v], s.sub[v]);
+                s.members.get_mut(id).expect("sub members are members").1 = component;
+                s.components[component as usize].push(id);
+                let tallied = "sub nodes are tallied";
+                s.sources.get_mut(&c.src).expect(tallied).component = component;
+                s.destinations.get_mut(&c.dst).expect(tallied).component = component;
             }
         }
-
         // κ over the sub-population is exact: a source group always lives
-        // inside a single conflict component, and marked components are
+        // inside a single conflict component, and dissolved components are
         // wholly contained in the sub.
         let mut min_by_source: HashMap<NodeId, u64> = HashMap::new();
-        for (v, c) in sub.iter().enumerate() {
+        for (v, c) in s.sub.iter().enumerate() {
             min_by_source
                 .entry(c.src)
-                .and_modify(|m| *m = (*m).min(sub_emission[v]))
-                .or_insert(sub_emission[v]);
+                .and_modify(|m| *m = (*m).min(emission[v]))
+                .or_insert(emission[v]);
         }
-
-        let mut out = vec![Penalty::ONE; comms.len()];
-        for (i, c) in comms.iter().enumerate() {
-            if c.is_intra_node() || in_sub[i] {
-                continue;
-            }
-            let p = al.prev_of[i].expect("non-sub network entries are survivors");
-            out[i] = s.prev_pens[p];
-        }
-        for (v, &i) in sub_full_pos.iter().enumerate() {
-            out[i] = Penalty::new(sub_state[v] as f64 / min_by_source[&sub[v].src] as f64);
-        }
-
-        // Commit the new population to the scratch: marked components die,
-        // the sub enumeration's components join under fresh (never reused)
-        // ids, untouched components carry their ids over.
-        let base = s.next_comp;
-        s.next_comp += sub_comps;
-        let mut net_pos = vec![usize::MAX; comms.len()];
-        let mut comp_of = Vec::with_capacity(comms.len());
-        let mut sub_v = 0usize;
-        for (i, c) in comms.iter().enumerate() {
-            if c.is_intra_node() {
-                continue;
-            }
-            net_pos[i] = comp_of.len();
-            if in_sub[i] {
-                comp_of.push(base + sub_comp_of[sub_v]);
-                sub_v += 1;
-            } else {
-                let p = al.prev_of[i].expect("non-sub network entries are survivors");
-                comp_of.push(s.comp_of[s.net_pos[p]]);
-            }
-        }
-        for (v, c) in sub.iter().enumerate() {
-            s.src_comp.insert(c.src, base + sub_comp_of[v]);
-            s.dst_comp.insert(c.dst, base + sub_comp_of[v]);
-        }
-        s.prev = comms.to_vec();
-        s.prev_pens = out.clone();
-        s.net_pos = net_pos;
-        s.comp_of = comp_of;
-        // Positions re-evaluated this settle: the sub-population plus any
-        // intra-node arrival (whose ONE is new to the caller). Everything
-        // else was copied verbatim from `prev_pens`.
-        let affected: Vec<usize> = (0..comms.len())
-            .filter(|&i| in_sub[i] || al.prev_of[i].is_none())
-            .collect();
-        let outcome = QueryOutcome {
-            scratch_rebuilt: seeded,
-            budget_fallback: blown,
-            ..QueryOutcome::patch(affected)
-        };
-        Some((out, outcome))
+        answers.extend(
+            s.sub
+                .iter()
+                .zip(&s.sub_ids)
+                .enumerate()
+                .map(|(v, (c, &id))| {
+                    (
+                        id,
+                        Penalty::new(state_count[v] as f64 / min_by_source[&c.src] as f64),
+                    )
+                }),
+        );
+        blown
     }
 }
 
@@ -585,12 +520,41 @@ mod tests {
     use super::*;
     use netbw_graph::schemes;
 
-    /// Whether a full query over `comms` reports a budget fallback.
+    /// `comms` keyed by position, offset by `base`.
+    fn keyed(comms: &[Communication], base: FlowId) -> Vec<(FlowId, Communication)> {
+        comms
+            .iter()
+            .copied()
+            .zip(base..)
+            .map(|(c, i)| (i, c))
+            .collect()
+    }
+
+    /// One keyed settle; returns the answers sorted by id and the outcome.
+    fn settle(
+        model: &MyrinetModel,
+        scratch: &mut dyn ModelScratch,
+        departed: &[FlowId],
+        arrived: &[(FlowId, Communication)],
+        fresh: bool,
+    ) -> (Vec<(FlowId, Penalty)>, QueryOutcome) {
+        let delta = PopulationDelta {
+            departed,
+            arrived,
+            fresh,
+        };
+        let mut answers = Vec::new();
+        let outcome = model.apply_delta(&delta, scratch, &mut answers);
+        answers.sort_unstable_by_key(|a| a.0);
+        (answers, outcome)
+    }
+
+    /// Whether a fresh settle over `comms` reports a budget fallback.
     fn falls_back(model: &MyrinetModel, comms: &[Communication]) -> bool {
         let mut scratch = model.new_scratch();
-        let (_, outcome) =
-            model.penalties_with_scratch(comms, &PopulationDelta::Rebuilt, None, scratch.as_mut());
-        outcome.budget_fallback
+        settle(model, scratch.as_mut(), &[], &keyed(comms, 0), true)
+            .1
+            .budget_fallback
     }
 
     #[test]
@@ -731,52 +695,55 @@ mod tests {
     #[test]
     fn patch_reenumerates_only_touched_components() {
         // Components: A = {(0→1), (0→2)}, B = {(5→6), (5→7)}. A departure
-        // from A must reuse B's previous penalties verbatim — poison them
-        // to prove the reuse happens.
+        // from A must leave B unanswered — its previous penalties stand.
         let model = MyrinetModel::default();
-        let prev = vec![
+        let prev = [
             Communication::new(0u32, 1u32, 10),
             Communication::new(0u32, 2u32, 10),
             Communication::new(5u32, 6u32, 10),
             Communication::new(5u32, 7u32, 10),
         ];
-        let mut prev_pens = model.penalties(&prev);
-        prev_pens[2] = Penalty::new(9.0);
-        prev_pens[3] = Penalty::new(9.5);
-        let comms = vec![prev[1], prev[2], prev[3]];
-        let patched = model.penalties_after_change(
-            &comms,
-            crate::model::PopulationDelta::Departed(vec![0]),
-            Some((&prev, &prev_pens)),
-        );
-        assert_eq!(patched[1].value(), 9.0, "component B must be reused");
-        assert_eq!(patched[2].value(), 9.5);
+        let mut scratch = model.new_scratch();
+        settle(&model, scratch.as_mut(), &[], &keyed(&prev, 0), true);
+        let (answers, outcome) = settle(&model, scratch.as_mut(), &[0], &[], false);
         // component A is re-enumerated exactly: (0→2) alone has penalty 1
-        assert_eq!(patched[0].value(), 1.0);
+        assert_eq!(
+            answers,
+            vec![(1, Penalty::ONE)],
+            "component B must be reused"
+        );
+        assert!(outcome.patched && !outcome.scratch_rebuilt);
     }
 
     #[test]
     fn patch_reuses_an_untouched_blown_component() {
         // Fig. 5 (one component, 5 state sets) blows a budget of 2 and gets
-        // the max-conflict rows; an arrival on disjoint nodes must leave it
-        // untouched. Unpoisoned, the patch equals the full evaluation...
+        // the max-conflict rows; an arrival on disjoint nodes leaves it
+        // unanswered, and its rows stand for the joint population.
         let model = MyrinetModel::with_budget(2);
         let prev: Vec<Communication> = schemes::fig5().comms().to_vec();
-        let prev_pens = model.penalties(&prev);
-        assert_eq!(prev_pens[0].value(), 3.0, "max(Δo, Δi) row");
-        let mut comms = prev.clone();
-        comms.push(Communication::new(20u32, 21u32, 10));
-        let delta = crate::model::PopulationDelta::Arrived(vec![prev.len()]);
-        let patched =
-            model.penalties_after_change(&comms, delta.clone(), Some((&prev, &prev_pens)));
-        assert_eq!(patched, model.penalties(&comms));
-        // ...and poisoning proves the blown component's previous rows are
-        // reused verbatim rather than recomputed.
-        let mut poisoned = prev_pens.clone();
-        poisoned[0] = Penalty::new(99.0);
-        let patched = model.penalties_after_change(&comms, delta, Some((&prev, &poisoned)));
-        assert_eq!(patched[0].value(), 99.0, "the blown component is reused");
-        assert_eq!(&patched[1..], &model.penalties(&comms)[1..]);
+        let mut scratch = model.new_scratch();
+        let (first, outcome) = settle(&model, scratch.as_mut(), &[], &keyed(&prev, 0), true);
+        assert_eq!(first[0].1.value(), 3.0, "max(Δo, Δi) row");
+        assert!(outcome.budget_fallback);
+        let extra = Communication::new(20u32, 21u32, 10);
+        let (answers, outcome) = settle(
+            &model,
+            scratch.as_mut(),
+            &[],
+            &keyed(&[extra], prev.len() as FlowId),
+            false,
+        );
+        assert_eq!(answers, vec![(prev.len() as FlowId, Penalty::ONE)]);
+        assert!(
+            !outcome.budget_fallback,
+            "the blown component was not re-enumerated"
+        );
+        let mut joint = prev.clone();
+        joint.push(extra);
+        let full = model.penalties(&joint);
+        let firsts: Vec<Penalty> = first.iter().map(|a| a.1).collect();
+        assert_eq!(&full[..prev.len()], firsts.as_slice());
     }
 
     #[test]

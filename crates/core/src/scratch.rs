@@ -2,22 +2,23 @@
 //!
 //! The penalty models themselves are shared across threads (`PenaltyModel:
 //! Send + Sync`), so they cannot accumulate per-population state — but the
-//! incremental patch machinery wants exactly that: GigE and InfiniBand keep
-//! an endpoint index alive across settles, Myrinet its union–find conflict
-//! components. The solution
-//! is to move the state *out* of the model and into whoever issues the
-//! queries: a [`ModelScratch`] is created once per penalty cache by
+//! keyed entry point wants exactly that: each model keeps the population
+//! it answers for, keyed by flow id, plus what it patches from (an
+//! endpoint index for GigE and InfiniBand, conflict components for
+//! Myrinet). The solution is to move the state *out* of the model and into
+//! whoever issues the queries: a [`ModelScratch`] is created once per
+//! penalty cache by
 //! [`PenaltyModel::new_scratch`](crate::PenaltyModel::new_scratch), handed
 //! back on every
-//! [`penalties_with_scratch`](crate::PenaltyModel::penalties_with_scratch)
-//! call, and downcast by the owning model to its concrete scratch type.
-//! A model must treat an unexpected scratch type as empty — correctness
-//! can never depend on what the scratch holds, only speed can.
+//! [`apply_delta`](crate::PenaltyModel::apply_delta) call, and downcast by
+//! the owning model to its concrete scratch type. The scratch *is* the
+//! population, so handing a model a scratch it did not create is a caller
+//! bug, and panics.
 //!
 //! Every query also reports a [`QueryOutcome`], which is how patch
 //! behaviour becomes observable: the fluid engine's `CacheStats`
-//! distinguishes deltas *offered* from patches *performed*, and counts
-//! scratch rebuilds and Myrinet budget fallbacks from these flags.
+//! distinguishes warm deltas *offered* from patches *performed*, and
+//! counts scratch rebuilds and Myrinet budget fallbacks from these flags.
 
 use std::any::Any;
 
@@ -81,86 +82,36 @@ impl Clone for Box<dyn ModelScratch> {
     }
 }
 
-/// The scratch of models that keep no state between queries (the
-/// baselines, and the default trait implementations).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoScratch;
-
-/// Which positions of the *answered* population may hold a penalty that
-/// differs from the flow's previously settled value.
-///
-/// Patching models report exactly the positions they re-evaluated (every
-/// arrival plus the survivors the change's reach touched); all other
-/// survivors kept their previous penalty **verbatim** — bitwise, not just
-/// numerically — so a caller tracking per-flow derived state (the fluid
-/// engine's cached finish times) can skip them entirely. `All` is the
-/// conservative answer of full recomputes: any position may have moved.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum AffectedSet {
-    /// Any penalty may differ from its previous value (full recompute,
-    /// rebuild, or a model without patch support).
-    #[default]
-    All,
-    /// Only these positions (strictly increasing, indexing the new
-    /// population) were re-evaluated; every other survivor's penalty is
-    /// bitwise identical to its previous settle.
-    Positions(Vec<usize>),
-}
-
-impl AffectedSet {
-    /// The number of re-evaluated positions, or `None` for [`Self::All`].
-    pub fn len(&self) -> Option<usize> {
-        match self {
-            AffectedSet::All => None,
-            AffectedSet::Positions(p) => Some(p.len()),
-        }
-    }
-
-    /// True when the set is `Positions` and names no position at all.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, AffectedSet::Positions(p) if p.is_empty())
-    }
-}
-
-/// How a scratch-backed query was answered — the observability half of the
-/// scratch machinery.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// How a keyed query was answered — the observability half of the scratch
+/// machinery.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryOutcome {
-    /// The penalties were *patched* in O(affected) from the previous
-    /// settle (survivors outside the change's reach kept their values
-    /// verbatim). `false` means a full recompute answered the query.
+    /// The penalties were *patched* in O(changed + reach) from the
+    /// previous settle: only the flows the change reaches were answered.
+    /// `false` means every member was answered.
     pub patched: bool,
-    /// The model rebuilt (or first built, or re-seeded from the `previous`
-    /// hint) its scratch state with a full O(n) pass this query.
+    /// The model (re)built its scratch state with a full O(n) pass this
+    /// query — a fresh settle.
     pub scratch_rebuilt: bool,
     /// Some conflict component's state-set enumeration hit its budget
     /// this query and got the max-conflict approximation (Myrinet only;
     /// always `false` for the closed-form models).
     pub budget_fallback: bool,
-    /// The positions whose penalty may differ from the previous settle;
-    /// everything else was copied bitwise. Drives the fluid engine's
-    /// event-timeline re-anchoring, so a patch touching 3 flows re-pushes
-    /// 3 heap entries instead of rescanning the population.
-    pub affected: AffectedSet,
 }
 
 impl QueryOutcome {
-    /// An O(affected) patch over warm scratch state: exactly `affected`
-    /// positions (strictly increasing, into the new population) were
-    /// re-evaluated.
-    pub fn patch(affected: Vec<usize>) -> Self {
+    /// An O(changed + reach) patch over warm scratch state.
+    pub fn patch() -> Self {
         QueryOutcome {
             patched: true,
-            affected: AffectedSet::Positions(affected),
             ..QueryOutcome::default()
         }
     }
 
-    /// A full recompute that also rebuilt the scratch.
+    /// A full evaluation that (re)built the scratch.
     pub fn rebuild() -> Self {
         QueryOutcome {
             scratch_rebuilt: true,
-            affected: AffectedSet::All,
             ..QueryOutcome::default()
         }
     }
@@ -179,7 +130,7 @@ mod tests {
         assert_eq!(*(*boxed).as_any().downcast_ref::<usize>().unwrap(), 42);
         *(*boxed).as_any_mut().downcast_mut::<usize>().unwrap() += 1;
         assert_eq!(*(*boxed).as_any().downcast_ref::<usize>().unwrap(), 43);
-        assert!((*boxed).as_any().downcast_ref::<NoScratch>().is_none());
+        assert!((*boxed).as_any().downcast_ref::<()>().is_none());
     }
 
     #[test]
@@ -214,7 +165,7 @@ mod tests {
             (*tgt).as_any().downcast_ref::<Vec<u64>>().unwrap(),
             &vec![7u64, 8, 9]
         );
-        let mut wrong: Box<dyn ModelScratch> = Box::new(NoScratch);
+        let mut wrong: Box<dyn ModelScratch> = Box::new(());
         assert!(
             !(*src).clone_into(&mut *wrong),
             "a type mismatch must report failure, not panic"
@@ -229,22 +180,11 @@ mod tests {
 
     #[test]
     fn outcome_constructors() {
-        let patch = QueryOutcome::patch(vec![0, 2]);
+        let patch = QueryOutcome::patch();
         assert!(patch.patched);
         assert!(!patch.scratch_rebuilt);
-        assert_eq!(patch.affected, AffectedSet::Positions(vec![0, 2]));
         assert!(QueryOutcome::rebuild().scratch_rebuilt);
         assert!(!QueryOutcome::rebuild().patched);
-        assert_eq!(QueryOutcome::rebuild().affected, AffectedSet::All);
         assert!(!QueryOutcome::default().budget_fallback);
-        assert_eq!(QueryOutcome::default().affected, AffectedSet::All);
-    }
-
-    #[test]
-    fn affected_set_reports_size_and_emptiness() {
-        assert_eq!(AffectedSet::All.len(), None);
-        assert!(!AffectedSet::All.is_empty());
-        assert_eq!(AffectedSet::Positions(vec![1, 4]).len(), Some(2));
-        assert!(AffectedSet::Positions(Vec::new()).is_empty());
     }
 }

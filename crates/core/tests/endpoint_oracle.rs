@@ -9,9 +9,12 @@
 //! evaluation equals the oracle and that every patched settle equals the
 //! full recompute.
 
-use netbw_core::{GigabitEthernetModel, InfinibandModel, Penalty, PenaltyModel, PopulationDelta};
+use netbw_core::{
+    FlowId, GigabitEthernetModel, InfinibandModel, Penalty, PenaltyModel, PopulationDelta,
+};
 use netbw_graph::{Communication, NodeId};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// The network (inter-node) entries of `comms`: the only ones that occupy
 /// a NIC.
@@ -110,46 +113,56 @@ fn bits(pens: &[Penalty]) -> Vec<u64> {
 /// The node pool: a handful of small ids plus the top of the id space.
 const IDS: [u32; 8] = [0, 1, 2, 3, 4, u32::MAX - 2, u32::MAX - 1, u32::MAX];
 
-/// One churn op: `(kind, a, b, pick)`. Kinds below 4 remove the entry at
-/// `pick` (modulo the population); the rest insert `IDS[a] → IDS[b]` at
-/// `pick` (intra-node when `a == b`).
+/// One churn op: `(kind, a, b, pick)`. Kinds below 4 remove the member at
+/// `pick` (modulo the population); the rest insert `IDS[a] → IDS[b]`
+/// (intra-node when `a == b`).
 type Op = (u8, usize, usize, usize);
 
-/// Applies one settle's ops to `prev`: every removal picks from the
-/// previous population, every insertion lands in the new one. Returns the
-/// new population and its positional delta.
-fn settle(prev: &[Communication], ops: &[Op]) -> (Vec<Communication>, PopulationDelta) {
-    let mut departed: Vec<usize> = ops
-        .iter()
-        .filter(|op| op.0 < 4 && !prev.is_empty())
-        .map(|op| op.3 % prev.len())
-        .collect();
-    departed.sort_unstable();
-    departed.dedup();
-    let mut next: Vec<(Communication, bool)> = prev
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| departed.binary_search(i).is_err())
-        .map(|(_, c)| (*c, false))
-        .collect();
-    for &(kind, a, b, pick) in ops {
-        if kind >= 4 {
-            let c = Communication::new(IDS[a], IDS[b], 1 + pick as u64);
-            next.insert(pick % (next.len() + 1), (c, true));
+/// One keyed settle: the departing ids and the arriving flows.
+type Settle = (Vec<FlowId>, Vec<(FlowId, Communication)>);
+
+/// Applies one settle's ops to the keyed population `prev`: every removal
+/// picks from the previous population, and arrivals take ids like slab
+/// slots — the most recently freed one first, so an id departing in this
+/// settle is reused by its arrivals. Returns the new population and the
+/// settle's change.
+fn settle(
+    prev: &[(FlowId, Communication)],
+    ops: &[Op],
+    next_id: &mut FlowId,
+) -> (Vec<(FlowId, Communication)>, Settle) {
+    let mut departed: Vec<FlowId> = Vec::new();
+    for op in ops.iter().filter(|op| op.0 < 4 && !prev.is_empty()) {
+        let id = prev[op.3 % prev.len()].0;
+        if !departed.contains(&id) {
+            departed.push(id);
         }
     }
-    let arrived: Vec<usize> = (0..next.len()).filter(|&i| next[i].1).collect();
-    let delta = match (departed.is_empty(), arrived.is_empty()) {
-        (true, _) => PopulationDelta::Arrived(arrived),
-        (false, true) => PopulationDelta::Departed(departed),
-        (false, false) => PopulationDelta::Mixed { departed, arrived },
-    };
-    (next.into_iter().map(|(c, _)| c).collect(), delta)
+    let mut free = departed.clone();
+    let arrived: Vec<(FlowId, Communication)> = ops
+        .iter()
+        .filter(|op| op.0 >= 4)
+        .map(|&(_, a, b, pick)| {
+            let id = free.pop().unwrap_or_else(|| {
+                *next_id += 1;
+                *next_id - 1
+            });
+            (id, Communication::new(IDS[a], IDS[b], 1 + pick as u64))
+        })
+        .collect();
+    let next = prev
+        .iter()
+        .filter(|(id, _)| !departed.contains(id))
+        .chain(&arrived)
+        .copied()
+        .collect();
+    (next, (departed, arrived))
 }
 
 /// Drives `settles` through one scratch (and, each settle, a fork of it
 /// into a second, stale scratch), checking the batch path against
-/// `oracle` and every patch against the batch path, all bitwise.
+/// `oracle` and the keyed answers plus the carried-over penalties against
+/// the batch path, all bitwise.
 fn check_churn<M: PenaltyModel>(
     model: &M,
     oracle: impl Fn(&[Communication]) -> Vec<Penalty>,
@@ -157,47 +170,52 @@ fn check_churn<M: PenaltyModel>(
 ) -> Result<(), String> {
     let mut scratch = model.new_scratch();
     let mut spare = model.new_scratch();
-    let mut population: Vec<Communication> = Vec::new();
-    let (pens, _) = model.penalties_with_scratch(
-        &population,
-        &PopulationDelta::Rebuilt,
-        None,
-        scratch.as_mut(),
-    );
-    if !pens.is_empty() {
-        return Err("empty population answered non-empty".into());
-    }
+    let mut population: Vec<(FlowId, Communication)> = Vec::new();
+    let mut carried: HashMap<FlowId, Penalty> = HashMap::new();
+    let mut next_id = 0;
     for (n, ops) in settles.iter().enumerate() {
-        let (next, delta) = settle(&population, ops);
-        let full = model.penalties(&next);
-        let want = oracle(&next);
+        let (next, (departed, arrived)) = settle(&population, ops, &mut next_id);
+        let comms: Vec<Communication> = next.iter().map(|p| p.1).collect();
+        let full = model.penalties(&comms);
+        let want = oracle(&comms);
         if bits(&full) != bits(&want) {
             return Err(format!(
-                "{}: settle {n}: batch path differs from the oracle over {next:?}\n got {full:?}\nwant {want:?}",
+                "{}: settle {n}: batch path differs from the oracle over {comms:?}\n got {full:?}\nwant {want:?}",
                 model.name()
             ));
         }
         if !(*scratch).clone_into(spare.as_mut()) {
             return Err("clone_into refused a scratch of its own type".into());
         }
-        let (patched, outcome) =
-            model.penalties_with_scratch(&next, &delta, None, scratch.as_mut());
-        if bits(&patched) != bits(&full) {
+        let delta = PopulationDelta {
+            departed: &departed,
+            arrived: &arrived,
+            fresh: n == 0,
+        };
+        let mut answers = Vec::new();
+        let outcome = model.apply_delta(&delta, scratch.as_mut(), &mut answers);
+        if n > 0 && (!outcome.patched || outcome.scratch_rebuilt) {
             return Err(format!(
-                "{}: settle {n}: patch under {delta:?} differs from the full recompute over {next:?}\n got {patched:?}\nwant {full:?}",
+                "{}: settle {n}: a warm scratch must patch: {outcome:?}",
                 model.name()
             ));
         }
-        if !outcome.patched || outcome.scratch_rebuilt {
-            return Err(format!(
-                "{}: settle {n}: a warm scratch with a consistent delta must patch: {outcome:?}",
-                model.name()
-            ));
-        }
-        let forked = model.penalties_with_scratch(&next, &delta, None, spare.as_mut());
-        if bits(&forked.0) != bits(&patched) || forked.1 != outcome {
+        let mut forked = Vec::new();
+        let forked_outcome = model.apply_delta(&delta, spare.as_mut(), &mut forked);
+        if forked != answers || forked_outcome != outcome {
             return Err(format!(
                 "{}: settle {n}: the forked scratch answered differently",
+                model.name()
+            ));
+        }
+        for id in &departed {
+            carried.remove(id);
+        }
+        carried.extend(answers);
+        let got: Vec<Penalty> = next.iter().map(|p| carried[&p.0]).collect();
+        if bits(&got) != bits(&full) {
+            return Err(format!(
+                "{}: settle {n}: keyed answers differ from the full recompute over {comms:?}\n got {got:?}\nwant {full:?}",
                 model.name()
             ));
         }
@@ -232,7 +250,8 @@ proptest! {
     #[test]
     fn po_pi_agree_with_penalties(ops in proptest::collection::vec(op(), 1..24)) {
         let inserts: Vec<Op> = ops.into_iter().map(|(_, a, b, p)| (9, a, b, p)).collect();
-        let (comms, _) = settle(&[], &inserts);
+        let (keyed, _) = settle(&[], &inserts, &mut 0);
+        let comms: Vec<Communication> = keyed.iter().map(|p| p.1).collect();
         let m = GigabitEthernetModel::default();
         let pens = m.penalties(&comms);
         prop_assert_eq!(bits(&pens), bits(&gige_oracle(&m, &comms)));
@@ -249,23 +268,19 @@ proptest! {
 
 #[test]
 fn settle_generator_exercises_every_delta_shape() {
-    let prev: Vec<Communication> = (0u32..4).map(|i| Communication::new(i, i + 1, 9)).collect();
-    let (next, delta) = settle(&prev, &[(0, 0, 0, 1), (9, 2, 2, 0)]);
-    assert_eq!(
-        delta,
-        PopulationDelta::Mixed {
-            departed: vec![1],
-            arrived: vec![0]
-        }
-    );
+    let prev: Vec<(FlowId, Communication)> = (0u32..4)
+        .map(|i| (i, Communication::new(i, i + 1, 9)))
+        .collect();
+    let mut next_id = 4;
+    // a mixed settle reuses the departing id for its intra-node arrival
+    let (next, (departed, arrived)) = settle(&prev, &[(0, 0, 0, 1), (9, 2, 2, 0)], &mut next_id);
+    assert_eq!(departed, vec![1]);
+    assert_eq!(arrived.len(), 1);
+    assert_eq!(arrived[0].0, 1, "the departed id is reused at once");
+    assert!(arrived[0].1.is_intra_node());
     assert_eq!(next.len(), 4);
-    assert!(next[0].is_intra_node());
-    assert!(matches!(
-        settle(&prev, &[(1, 0, 0, 0)]).1,
-        PopulationDelta::Departed(_)
-    ));
-    assert!(matches!(
-        settle(&prev, &[(5, 0, 1, 0)]).1,
-        PopulationDelta::Arrived(_)
-    ));
+    let (_, (departed, arrived)) = settle(&prev, &[(1, 0, 0, 0)], &mut next_id);
+    assert!(!departed.is_empty() && arrived.is_empty());
+    let (_, (departed, arrived)) = settle(&prev, &[(5, 0, 1, 0)], &mut next_id);
+    assert!(departed.is_empty() && arrived == vec![(4, Communication::new(0u32, 1u32, 1))]);
 }

@@ -2,7 +2,8 @@
 
 use netbw_core::states::{count_components, enumerate_components, DEFAULT_STATE_SET_BUDGET};
 use netbw_core::{
-    GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyModel, PopulationDelta,
+    FlowId, GigabitEthernetModel, InfinibandModel, MyrinetModel, Penalty, PenaltyModel,
+    PopulationDelta,
 };
 use netbw_graph::conflict::{ConflictGraph, ConflictRule};
 use netbw_graph::Communication;
@@ -124,10 +125,10 @@ proptest! {
         prop_assert!((ph / pl - 0.9 / 0.6).abs() < 1e-9);
     }
 
-    /// Round-trip equivalence of the incremental entry point: over a
-    /// random churn sequence (arrivals at random positions, departures of
-    /// random subsets), `penalties_after_change` fed with the previous
-    /// *patched* result must match the full `penalties` evaluation
+    /// Round-trip equivalence of the keyed entry point: over a random
+    /// churn sequence (arrivals, departures of random members, ids reused
+    /// like slab slots), the keyed answers plus every unanswered member's
+    /// previous penalty must match the full `penalties` evaluation
     /// **bit-for-bit** at every step, for every specialized model.
     #[test]
     fn incremental_matches_full_on_random_churn(
@@ -139,35 +140,42 @@ proptest! {
             Box::new(InfinibandModel::default()),
         ];
         for model in &models {
-            let mut population: Vec<Communication> = Vec::new();
-            let mut penalties = model.penalties(&population);
-            for &(kind, (src, dst, size), pick) in &steps {
-                let previous = (population.clone(), penalties.clone());
-                let delta = if population.is_empty() || kind < 2 {
-                    // arrival at a pseudo-random position (intra-node
-                    // allowed: src may equal dst)
-                    let pos = (pick as usize) % (population.len() + 1);
-                    population.insert(pos, Communication::new(src, dst, size));
-                    PopulationDelta::Arrived(vec![pos])
+            let mut scratch = model.new_scratch();
+            let mut population: Vec<(FlowId, Communication)> = Vec::new();
+            let mut carried: std::collections::HashMap<FlowId, Penalty> = Default::default();
+            let mut free: Vec<FlowId> = Vec::new();
+            let mut fresh_id = 0..;
+            for (n, &(kind, (src, dst, size), pick)) in steps.iter().enumerate() {
+                let mut departed = Vec::new();
+                let mut arrived = Vec::new();
+                if population.is_empty() || kind < 2 {
+                    // an arrival (intra-node allowed: src may equal dst)
+                    let id = free.pop().unwrap_or_else(|| fresh_id.next().unwrap());
+                    arrived.push((id, Communication::new(src, dst, size)));
                 } else {
-                    // departure of 1..=2 pseudo-random positions
+                    // departure of 1..=2 pseudo-random members
                     let count = 1 + (kind as usize - 2).min(population.len() - 1);
-                    let mut idx: Vec<usize> = (0..count)
-                        .map(|i| (pick as usize).wrapping_mul(31).wrapping_add(i * 7) % population.len())
-                        .collect();
-                    idx.sort_unstable();
-                    idx.dedup();
-                    for &i in idx.iter().rev() {
-                        population.remove(i);
+                    for i in 0..count {
+                        let p = (pick as usize).wrapping_mul(31).wrapping_add(i * 7) % population.len();
+                        let id = population[p].0;
+                        if !departed.contains(&id) {
+                            departed.push(id);
+                        }
                     }
-                    PopulationDelta::Departed(idx)
-                };
-                let patched = model.penalties_after_change(
-                    &population,
-                    delta,
-                    Some((&previous.0, &previous.1)),
-                );
-                let full = model.penalties(&population);
+                }
+                population.retain(|(id, _)| !departed.contains(id));
+                population.extend(&arrived);
+                free.extend(&departed);
+                let delta = PopulationDelta { departed: &departed, arrived: &arrived, fresh: n == 0 };
+                let mut answers = Vec::new();
+                model.apply_delta(&delta, scratch.as_mut(), &mut answers);
+                for id in &departed {
+                    carried.remove(id);
+                }
+                carried.extend(answers);
+                let comms: Vec<Communication> = population.iter().map(|p| p.1).collect();
+                let patched: Vec<Penalty> = population.iter().map(|p| carried[&p.0]).collect();
+                let full = model.penalties(&comms);
                 prop_assert_eq!(
                     &patched,
                     &full,
@@ -175,28 +183,32 @@ proptest! {
                     model.name(),
                     &population
                 );
-                penalties = patched;
             }
         }
     }
 
     /// The Myrinet patch must stay exact in the budget-fallback regime
     /// too: with a tiny enumeration budget blown components keep their
-    /// max-conflict rows and the patched answer still equals the full one.
+    /// max-conflict rows and the keyed answers still equal the full ones.
     #[test]
     fn myrinet_incremental_exact_under_tiny_budget(
         comms in arb_comms(),
         arrival in (0u32..8, 0u32..8, 1u64..100)
     ) {
         let model = MyrinetModel::with_budget(2);
-        let prev_pens = model.penalties(&comms);
+        let keyed: Vec<(FlowId, Communication)> = comms.iter().copied().zip(0..).map(|(c, i)| (i, c)).collect();
+        let mut scratch = model.new_scratch();
+        let mut answers = Vec::new();
+        let fresh = PopulationDelta { arrived: &keyed, fresh: true, ..PopulationDelta::default() };
+        model.apply_delta(&fresh, scratch.as_mut(), &mut answers);
+        let mut carried: std::collections::HashMap<FlowId, Penalty> = answers.drain(..).collect();
+        let joined = [(keyed.len() as FlowId, Communication::new(arrival.0, arrival.1, arrival.2))];
+        let grow = PopulationDelta { arrived: &joined, ..PopulationDelta::default() };
+        model.apply_delta(&grow, scratch.as_mut(), &mut answers);
+        carried.extend(answers);
         let mut grown = comms.clone();
-        grown.push(Communication::new(arrival.0, arrival.1, arrival.2));
-        let patched = model.penalties_after_change(
-            &grown,
-            PopulationDelta::Arrived(vec![grown.len() - 1]),
-            Some((&comms, &prev_pens)),
-        );
+        grown.push(joined[0].1);
+        let patched: Vec<Penalty> = (0..grown.len() as FlowId).map(|i| carried[&i]).collect();
         prop_assert_eq!(&patched, &model.penalties(&grown));
     }
 }

@@ -8,47 +8,93 @@
 
 use netbw_bench::{ChurnScenario, ChurnStep};
 use netbw_core::{
-    ComponentChange, ComponentRoot, ComponentTracker, GigabitEthernetModel, InfinibandModel,
-    ModelKind, ModelScratch, MyrinetModel, Penalty, PenaltyModel, PopulationDelta,
+    ComponentChange, ComponentRoot, ComponentTracker, FlowId, GigabitEthernetModel,
+    InfinibandModel, ModelKind, ModelScratch, MyrinetModel, Penalty, PenaltyModel, PopulationDelta,
 };
 use netbw_graph::Communication;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
-/// Drives a whole scenario through one scratch, checking every settle
-/// against the stateless full evaluation. Returns how many settles the
-/// model answered with a patch and how many had some component hit the
-/// state-set budget.
+/// Checks the carried penalties `pens` (every member's last answer)
+/// against the full evaluation of `population`, bit for bit.
+fn check(
+    model: &dyn PenaltyModel,
+    population: &[(FlowId, Communication)],
+    pens: &HashMap<FlowId, Penalty>,
+    what: &str,
+) -> Result<(), String> {
+    let comms: Vec<Communication> = population.iter().map(|p| p.1).collect();
+    let full = model.penalties(&comms);
+    if pens.len() != population.len() {
+        return Err(format!(
+            "{}: {what}: {} penalties carried for {} members",
+            model.name(),
+            pens.len(),
+            population.len()
+        ));
+    }
+    for (&(id, c), want) in population.iter().zip(full) {
+        if pens.get(&id) != Some(&want) {
+            return Err(format!(
+                "{}: {what}: flow {id} {c:?} carries {:?}, full query says {want:?}",
+                model.name(),
+                pens.get(&id)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Applies `delta` through `scratch`, folding the answers into `pens`.
+fn settle(
+    model: &dyn PenaltyModel,
+    scratch: &mut dyn ModelScratch,
+    delta: &PopulationDelta<'_>,
+    pens: &mut HashMap<FlowId, Penalty>,
+) -> netbw_core::QueryOutcome {
+    let mut answers = Vec::new();
+    let outcome = model.apply_delta(delta, scratch, &mut answers);
+    if delta.fresh {
+        pens.clear();
+    }
+    for id in delta.departed {
+        pens.remove(id);
+    }
+    pens.extend(answers);
+    outcome
+}
+
+/// Drives a whole scenario through one scratch, checking every settle's
+/// answers plus the carried-over penalties against the stateless full
+/// evaluation. Returns how many settles the model answered with a patch
+/// and how many had some component hit the state-set budget.
 fn check_scenario<M: PenaltyModel>(
     model: &M,
     scenario: &ChurnScenario,
 ) -> Result<(u64, u64), String> {
     let mut scratch = model.new_scratch();
-    let mut population = scenario.initial.clone();
+    let mut pens = HashMap::new();
     let (mut patched, mut budget) = (0u64, 0u64);
-    let (pens, outcome) = model.penalties_with_scratch(
-        &population,
-        &PopulationDelta::Rebuilt,
-        None,
-        scratch.as_mut(),
-    );
-    if pens != model.penalties(&population) {
-        return Err(format!("{}: first settle diverged", model.name()));
-    }
+    let fresh = PopulationDelta {
+        arrived: &scenario.initial,
+        fresh: true,
+        ..PopulationDelta::default()
+    };
+    let outcome = settle(model, scratch.as_mut(), &fresh, &mut pens);
+    check(model, &scenario.initial, &pens, "first settle")?;
     if outcome.patched {
         return Err(format!("{}: first settle cannot patch", model.name()));
     }
+    let mut population = scenario.initial.clone();
     for (step_no, step) in scenario.steps.iter().enumerate() {
-        let (next, delta) = step.apply(&population);
-        // No `previous` hint: only the scratch can make this incremental.
-        let (pens, outcome) = model.penalties_with_scratch(&next, &delta, None, scratch.as_mut());
-        let full = model.penalties(&next);
-        if pens != full {
-            return Err(format!(
-                "{}: settle {step_no} diverged under {delta:?}\n got {pens:?}\nwant {full:?}",
-                model.name()
-            ));
-        }
+        let next = step.apply(&population);
+        let outcome = settle(model, scratch.as_mut(), &step.delta(), &mut pens);
+        check(
+            model,
+            &next,
+            &pens,
+            &format!("settle {step_no} under {step:?}"),
+        )?;
         if outcome.patched {
             patched += 1;
         }
@@ -127,42 +173,25 @@ proptest! {
 }
 
 /// One conflict component's slice of the sharded mirror: its own scratch
-/// (never shared with another component), the per-shard population of the
-/// last settle, where those flows sat in the global population, and the
-/// answers of the last settle (reused verbatim when a step leaves the
-/// shard untouched).
+/// (never shared with another component), and whether its next settle
+/// must be fresh (a new shard, or the surviving shard of a bridge merge).
 struct MirrorShard {
     scratch: Box<dyn ModelScratch>,
-    comms: Vec<Communication>,
-    global: Vec<usize>,
-    pens: Vec<Penalty>,
-    needs_rebuild: bool,
-}
-
-impl MirrorShard {
-    fn new<M: PenaltyModel>(model: &M) -> Self {
-        MirrorShard {
-            scratch: model.new_scratch(),
-            comms: Vec::new(),
-            global: Vec::new(),
-            pens: Vec::new(),
-            needs_rebuild: true,
-        }
-    }
+    needs_fresh: bool,
 }
 
 /// What the sharded mirror did across a scenario, per shard-settle.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct ShardedTally {
-    /// Positional shard settles the model answered with a patch.
+    /// Warm shard settles the model answered with a patch.
     patched: u64,
-    /// Positional shard settles in which some component hit the state-set
+    /// Warm shard settles in which some component hit the state-set
     /// budget.
     budget: u64,
-    /// Positional shard settles offered to the model.
+    /// Warm shard settles offered to the model.
     warm: u64,
-    /// Shard settles served as `Rebuilt` (first settle of a fresh shard,
-    /// or the surviving shard of a bridge merge).
+    /// Fresh shard settles (first settle of a new shard, or the surviving
+    /// shard of a bridge merge).
     rebuilt: u64,
     /// Shard settles skipped entirely because the step left the shard's
     /// membership untouched — component locality in its purest form.
@@ -173,37 +202,40 @@ struct ShardedTally {
 
 /// Drives a scenario through a *sharded* mirror of the fluid engine's
 /// partition: one scratch per conflict component ([`ComponentTracker`]
-/// root), per-shard positional deltas mapped down from the global step,
-/// a `Rebuilt` for the surviving shard of every bridge merge, and answers
-/// scattered back to global positions. Every settle's scatter must equal
-/// the stateless full evaluation over the *whole* population bit-for-bit —
-/// the component-locality invariant the sharded engine rests on, here
-/// pinned with the scratch state carried across settles per shard.
+/// root), the global step's ids routed to their component's scratch, and a
+/// fresh settle for the surviving shard of every bridge merge. After every
+/// step the carried penalties must equal the stateless full evaluation over
+/// the *whole* population bit-for-bit — the component-locality invariant
+/// the sharded engine rests on, pinned with the scratch state carried
+/// across settles per shard.
 fn check_scenario_sharded<M: PenaltyModel>(
     model: &M,
     scenario: &ChurnScenario,
 ) -> Result<ShardedTally, String> {
     let mut tracker = ComponentTracker::new();
     let mut shards: HashMap<ComponentRoot, MirrorShard> = HashMap::new();
-    let mut population: Vec<Communication> = Vec::new();
+    let mut population: Vec<(FlowId, Communication)> = Vec::new();
+    let mut pens: HashMap<FlowId, Penalty> = HashMap::new();
     let mut tally = ShardedTally::default();
-    // The initial population is just the first settle's arrival batch.
     let initial_step = ChurnStep {
         departed: Vec::new(),
-        arrived: scenario.initial.iter().copied().enumerate().collect(),
+        arrived: scenario.initial.clone(),
     };
     for (step_no, step) in std::iter::once(&initial_step)
         .chain(scenario.steps.iter())
         .enumerate()
     {
-        let (next, _) = step.apply(&population);
-        // Arrivals update the component structure; a bridge retires the
-        // absorbed shard (its scratch is dropped, exactly like the engine)
-        // and forces the surviving shard to rebuild.
+        let next = step.apply(&population);
         for &(_, comm) in &step.arrived {
             match tracker.insert(comm.src, comm.dst) {
                 ComponentChange::Created { root } => {
-                    shards.insert(root, MirrorShard::new(model));
+                    shards.insert(
+                        root,
+                        MirrorShard {
+                            scratch: model.new_scratch(),
+                            needs_fresh: true,
+                        },
+                    );
                 }
                 ComponentChange::Joined { .. } => {}
                 ComponentChange::Bridged { root, absorbed } => {
@@ -211,120 +243,71 @@ fn check_scenario_sharded<M: PenaltyModel>(
                     shards
                         .get_mut(&root)
                         .expect("bridge winner has a shard")
-                        .needs_rebuild = true;
+                        .needs_fresh = true;
                 }
             }
         }
         tally.peak_components = tally.peak_components.max(tracker.component_count());
-        // Group the new population by component root (global order kept
-        // inside each group, mirroring the engine's slot-index order).
-        let mut groups: BTreeMap<ComponentRoot, (Vec<Communication>, Vec<usize>)> = BTreeMap::new();
-        for (g, &c) in next.iter().enumerate() {
-            let root = tracker.find(c.src).expect("arrived flows are interned");
-            let e = groups.entry(root).or_default();
-            e.0.push(c);
-            e.1.push(g);
+        let root_of = |c: &Communication| tracker.find(c.src).expect("flows are interned");
+        let mut members: BTreeMap<ComponentRoot, Vec<(FlowId, Communication)>> = BTreeMap::new();
+        for p in &next {
+            members.entry(root_of(&p.1)).or_default().push(*p);
         }
-        // Map the global step down to per-shard positional deltas.
-        let mut departed: BTreeMap<ComponentRoot, Vec<usize>> = BTreeMap::new();
-        for &p in &step.departed {
-            let root = tracker
-                .find(population[p].src)
-                .expect("departing flows are interned");
-            if shards[&root].needs_rebuild {
-                continue; // the rebuild supersedes the positional delta
-            }
-            let pos = shards[&root]
-                .global
+        let mut departed: BTreeMap<ComponentRoot, Vec<FlowId>> = BTreeMap::new();
+        for id in &step.departed {
+            let c = population
                 .iter()
-                .position(|&q| q == p)
-                .ok_or_else(|| format!("settle {step_no}: departure {p} missing from its shard"))?;
-            departed.entry(root).or_default().push(pos);
+                .find(|p| p.0 == *id)
+                .expect("departing flow is live")
+                .1;
+            departed.entry(root_of(&c)).or_default().push(*id);
         }
-        let mut arrived: BTreeMap<ComponentRoot, Vec<usize>> = BTreeMap::new();
-        for &(i, comm) in &step.arrived {
-            let root = tracker.find(comm.src).expect("just inserted");
-            if shards[&root].needs_rebuild {
-                continue;
-            }
-            let pos = groups[&root]
-                .1
-                .iter()
-                .position(|&g| g == i)
-                .expect("arrival is in its own group");
-            arrived.entry(root).or_default().push(pos);
+        let mut arrived: BTreeMap<ComponentRoot, Vec<(FlowId, Communication)>> = BTreeMap::new();
+        for p in &step.arrived {
+            arrived.entry(root_of(&p.1)).or_default().push(*p);
         }
-        // Settle every shard the step touched; scatter the per-shard
-        // answers back into global positions.
-        let mut scattered: Vec<Option<Penalty>> = vec![None; next.len()];
-        let roots: std::collections::BTreeSet<ComponentRoot> = groups
-            .keys()
-            .copied()
-            .chain(departed.keys().copied()) // shards emptied by this step
-            .collect();
+        for id in &step.departed {
+            pens.remove(id);
+        }
+        let roots: std::collections::BTreeSet<ComponentRoot> =
+            members.keys().chain(departed.keys()).copied().collect();
         for root in roots {
-            let (comms, global) = groups.remove(&root).unwrap_or_default();
             let sh = shards.get_mut(&root).expect("grouped flows have a shard");
+            let all = members.remove(&root).unwrap_or_default();
             let dep = departed.remove(&root).unwrap_or_default();
             let arr = arrived.remove(&root).unwrap_or_default();
-            let delta = if sh.needs_rebuild {
-                PopulationDelta::Rebuilt
+            let delta = if sh.needs_fresh {
+                PopulationDelta {
+                    arrived: &all,
+                    fresh: true,
+                    ..PopulationDelta::default()
+                }
+            } else if dep.is_empty() && arr.is_empty() {
+                tally.reused += 1;
+                continue;
             } else {
-                match (dep.is_empty(), arr.is_empty()) {
-                    (true, true) => {
-                        // Untouched shard: last settle's answers stand.
-                        tally.reused += 1;
-                        debug_assert_eq!(sh.comms, comms);
-                        for (k, &g) in global.iter().enumerate() {
-                            scattered[g] = Some(sh.pens[k]);
-                        }
-                        sh.global = global;
-                        continue;
-                    }
-                    (true, false) => PopulationDelta::Arrived(arr),
-                    (false, true) => PopulationDelta::Departed(dep),
-                    (false, false) => PopulationDelta::Mixed {
-                        departed: dep,
-                        arrived: arr,
-                    },
+                PopulationDelta {
+                    departed: &dep,
+                    arrived: &arr,
+                    fresh: false,
                 }
             };
-            let warm = !matches!(delta, PopulationDelta::Rebuilt);
-            let (pens, outcome) =
-                model.penalties_with_scratch(&comms, &delta, None, sh.scratch.as_mut());
-            if warm {
-                tally.warm += 1;
-                if outcome.patched {
-                    tally.patched += 1;
-                }
-                if outcome.budget_fallback {
-                    tally.budget += 1;
-                }
-            } else {
+            let mut answers = Vec::new();
+            let outcome = model.apply_delta(&delta, sh.scratch.as_mut(), &mut answers);
+            if delta.fresh {
                 tally.rebuilt += 1;
                 if outcome.patched {
-                    return Err(format!("settle {step_no}: a rebuild cannot patch"));
+                    return Err(format!("settle {step_no}: a fresh settle cannot patch"));
                 }
+            } else {
+                tally.warm += 1;
+                tally.patched += u64::from(outcome.patched);
+                tally.budget += u64::from(outcome.budget_fallback);
             }
-            for (k, &g) in global.iter().enumerate() {
-                scattered[g] = Some(pens[k]);
-            }
-            sh.comms = comms;
-            sh.global = global;
-            sh.pens = pens;
-            sh.needs_rebuild = false;
+            pens.extend(answers);
+            sh.needs_fresh = false;
         }
-        let scattered: Vec<Penalty> = scattered
-            .into_iter()
-            .map(|p| p.expect("groups partition the population"))
-            .collect();
-        let full = model.penalties(&next);
-        if scattered != full {
-            return Err(format!(
-                "{}: settle {step_no} sharded scatter diverged\n got {scattered:?}\nwant {full:?}",
-                model.name()
-            ));
-        }
+        check(model, &next, &pens, &format!("sharded settle {step_no}"))?;
         population = next;
     }
     Ok(tally)
@@ -379,34 +362,34 @@ proptest! {
 fn sharded_mirror_bridges_rebuilds_and_resurrects_deterministically() {
     // A handcrafted scenario walking the mirror through every shard
     // lifecycle edge: two initial components, a third created mid-run, a
-    // bridge merge (winner rebuilds, loser's scratch is dropped), a shard
-    // draining to empty, and flows arriving back into the emptied shard
-    // (patched from an empty previous population, not rebuilt).
+    // bridge merge (winner settles fresh, loser's scratch is dropped), a
+    // shard draining to empty, and a flow arriving back into the emptied
+    // shard (patched from an empty population, not rebuilt).
     let c = |s: u32, d: u32| Communication::new(s, d, 500);
     let scenario = ChurnScenario {
-        initial: vec![c(0, 1), c(2, 3)],
+        initial: vec![(0, c(0, 1)), (1, c(2, 3))],
         steps: vec![
             // a third component appears
             ChurnStep {
                 departed: vec![],
                 arrived: vec![(2, c(4, 5))],
             },
-            // a bridge flow merges {0,1} and {2,3}: the winner rebuilds
+            // a bridge flow merges {0,1} and {2,3}: the winner is fresh
             ChurnStep {
                 departed: vec![],
-                arrived: vec![(1, c(1, 2))],
+                arrived: vec![(3, c(1, 2))],
             },
-            // the merged shard shrinks (population [c01,c12,c23,c45])
+            // the merged shard shrinks
             ChurnStep {
                 departed: vec![0],
                 arrived: vec![],
             },
-            // the {4,5} shard drains to empty (population [c12,c23,c45])
+            // the {4,5} shard drains to empty
             ChurnStep {
                 departed: vec![2],
                 arrived: vec![],
             },
-            // and is resurrected by a new flow on its endpoints
+            // and is resurrected by a new flow reusing the drained id
             ChurnStep {
                 departed: vec![],
                 arrived: vec![(2, c(4, 6))],

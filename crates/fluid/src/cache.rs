@@ -4,38 +4,36 @@
 //! transfer arrives, a latency gate opens, or a transfer completes. Pure
 //! time advances (including every [`crate::FluidNetwork::next_event_time`]
 //! probe between events) leave them untouched. The cache makes that
-//! query-on-change policy explicit and, since the slab refactor, also
-//! tracks *which* flows changed: population members are identified by
-//! stable [`FlowKey`]s, pending arrivals and departures are accumulated as
-//! key sets, and [`PenaltyCache::refresh`] turns them into a positional
-//! [`PopulationDelta`] — simultaneous arrival+departure batches become
-//! chained [`PopulationDelta::Mixed`] deltas (departures first, then
-//! arrivals) instead of degrading to a rebuild — that lets
-//! [`PenaltyModel::penalties_with_scratch`] patch only the affected part
-//! of the fabric instead of recomputing all of it.
+//! query-on-change policy explicit, and hands the model only what changed:
+//! population members are identified by their slab slot index (the keyed
+//! [`FlowId`]), pending departures are accumulated as ids and pending
+//! arrivals as `(id, Communication)` pairs, and [`PenaltyCache::refresh`]
+//! passes them to [`PenaltyModel::apply_delta`] as one keyed
+//! [`PopulationDelta`]. The model answers `(id, penalty)` for exactly the
+//! flows it re-evaluated ([`PenaltyCache::answers`]); every other member
+//! keeps its previous penalty, which the engine already holds in the
+//! flow's kinetics. A settle therefore costs O(changed + reach), with no
+//! copy of the population on the cache's side.
 //!
 //! The cache also owns the model's opaque **scratch**
 //! ([`netbw_core::ModelScratch`], created lazily via
-//! [`PenaltyModel::new_scratch`]): the state the models keep *between*
-//! settles — endpoint indices for GigE/InfiniBand, union–find conflict
-//! components for Myrinet — lives here, not in the (thread-shared) model.
-//! Every query reports a [`netbw_core::QueryOutcome`], so the stats
-//! distinguish deltas *offered* from patches *performed* and count scratch
-//! rebuilds and budget fallbacks.
+//! [`PenaltyModel::new_scratch`]): the population itself and the state the
+//! models patch from — endpoint indices for GigE/InfiniBand, conflict
+//! components for Myrinet — live there, not in the (thread-shared) model.
+//! A cache's first settle — new, reset or recycled — is *fresh*: the model
+//! forgets whatever the scratch held and answers every member. Every query
+//! reports a [`QueryOutcome`], so the stats distinguish warm deltas
+//! *offered* from patches *performed* and count scratch rebuilds and
+//! budget fallbacks.
 //!
-//! Two bookkeeping niceties fall out of stable keys:
-//!
-//! * a flow that arrives *and* departs between two settles (a zero-size
-//!   transfer) cancels out — the population did not change, so the next
-//!   settle revalidates without querying the model at all;
-//! * completions no longer poison the cache: the surviving keys (and their
-//!   relative order) are untouched, so a completion batch yields a clean
-//!   `Departed` delta instead of a rebuild.
+//! A flow that arrives *and* departs between two settles (a zero-size
+//! transfer, or a flow re-homed twice by a merge and a split) cancels out:
+//! if nothing else changed, the next settle revalidates without querying
+//! the model at all.
 
 use crate::slab::FlowKey;
-use netbw_core::{AffectedSet, ModelScratch, Penalty, PenaltyModel, PopulationDelta};
+use netbw_core::{FlowId, ModelScratch, Penalty, PenaltyModel, PopulationDelta, QueryOutcome};
 use netbw_graph::Communication;
-use std::collections::HashSet;
 
 /// Counters describing how well query-on-change is working.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,23 +42,23 @@ pub struct CacheStats {
     pub model_queries: u64,
     /// Times a settled population was served from the cache.
     pub reuses: u64,
-    /// Population changes observed (arrivals, gate openings, departures).
+    /// Population changes noted (arrivals, gate openings, departures, and
+    /// the flows a merge or a split re-homes onto another cache).
     pub invalidations: u64,
-    /// Model queries that carried a positional delta (`Arrived`,
-    /// `Departed` or chained `Mixed`), giving the model the chance to
-    /// patch in O(affected). This counts deltas *offered*;
+    /// Model queries that carried a warm keyed delta — every query but a
+    /// cache's fresh first one — giving the model the chance to patch in
+    /// O(changed + reach). This counts deltas *offered*;
     /// [`CacheStats::patched_queries`] counts the patches the model
     /// actually *performed*.
     pub delta_queries: u64,
-    /// Model queries the model answered with an O(affected) patch (the
-    /// [`netbw_core::QueryOutcome::patched`] flag). Always ≤
-    /// [`CacheStats::delta_queries`]: a delta-carrying query may still
-    /// recompute in full when the model cannot honour the hint (a failed
-    /// alignment).
+    /// Model queries the model answered with an O(changed + reach) patch
+    /// (the [`QueryOutcome::patched`] flag). Always ≤
+    /// [`CacheStats::delta_queries`]: a model without a patch (the
+    /// baselines) answers every member of every query.
     pub patched_queries: u64,
     /// Queries in which the model (re)built its per-cache scratch state
-    /// with a full O(n) pass — a cache's first settle (a fresh shard's
-    /// included) and any bookkeeping surprise.
+    /// with a full O(n) pass — a cache's fresh first settle (a new, reset
+    /// or recycled shard's).
     pub scratch_rebuilds: u64,
     /// Queries in which some Myrinet conflict component's state-set
     /// enumeration hit its budget and took the max-conflict approximation
@@ -70,13 +68,24 @@ pub struct CacheStats {
     /// cancelled out (arrive + depart between settles), or nothing
     /// contended before or after: revalidated without touching the model.
     pub cancelled_refreshes: u64,
+    /// Flow ids handed to the model: each query's departures plus
+    /// arrivals.
+    pub ids_handed: u64,
+    /// `(id, penalty)` answers the model returned.
+    pub penalties_answered: u64,
 }
 
 impl CacheStats {
-    /// Model queries that had to rebuild from scratch (a cache's first
-    /// query, or a transition no positional delta could explain).
+    /// Model queries that had to rebuild from scratch (a cache's fresh
+    /// first query).
     pub fn rebuild_queries(&self) -> u64 {
         self.model_queries - self.delta_queries
+    }
+
+    /// Ids handed over plus penalties answered: the model-side work the
+    /// keyed contract scales with.
+    pub fn keyed_traffic(&self) -> u64 {
+        self.ids_handed + self.penalties_answered
     }
 
     /// Adds `other`'s counters into `self`. The sharded engine keeps one
@@ -93,52 +102,50 @@ impl CacheStats {
         self.scratch_rebuilds += other.scratch_rebuilds;
         self.budget_fallbacks += other.budget_fallbacks;
         self.cancelled_refreshes += other.cancelled_refreshes;
+        self.ids_handed += other.ids_handed;
+        self.penalties_answered += other.penalties_answered;
     }
 }
 
-/// Cached penalties for the currently contending population.
+/// Pending changes to one shard's contending population, the model scratch
+/// that holds the settled population, and the last settle's answers.
 ///
-/// Owned by [`crate::FluidNetwork`]; `active` holds the stable slab keys
-/// of the contending flows, `penalties` is aligned with it. The cache also
-/// owns the model's opaque scratch state (created lazily on the first
-/// refresh), which is what makes warm settles O(affected) on the model
-/// side.
+/// Owned by a shard of [`crate::FluidNetwork`]. The scratch is created
+/// lazily on the first refresh and kept across resets, which is what makes
+/// warm settles O(changed + reach) on the model side.
 #[derive(Default)]
 pub struct PenaltyCache {
-    active: Vec<FlowKey>,
-    comms: Vec<Communication>,
-    penalties: Vec<Penalty>,
+    /// Whether the last settle still describes the population.
     valid: bool,
-    settled_once: bool,
-    pending_arrivals: HashSet<FlowKey>,
-    pending_departures: HashSet<FlowKey>,
+    /// Whether the scratch holds a settled population; the next query of
+    /// an unsettled cache is fresh.
+    settled: bool,
+    /// Flows that joined since the last settle, in noting order.
+    arrivals: Vec<(FlowId, Communication)>,
+    /// Settled members that left since the last settle.
+    departures: Vec<FlowId>,
     scratch: Option<Box<dyn ModelScratch>>,
-    /// The model's answer to "whose penalty may have changed?" from the
-    /// most recent refresh, consumed by the engine's kinetics resync via
-    /// [`Self::take_affected`].
-    affected: AffectedSet,
-    /// Reusable buffer for [`Self::staged_active`]'s sorted arrivals.
-    staged_arrivals: Vec<FlowKey>,
+    /// The last refresh's `(id, penalty)` answers.
+    answers: Vec<(FlowId, Penalty)>,
     stats: CacheStats,
 }
 
 impl std::fmt::Debug for PenaltyCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PenaltyCache")
-            .field("active", &self.active)
-            .field("penalties", &self.penalties)
             .field("valid", &self.valid)
-            .field("settled_once", &self.settled_once)
+            .field("settled", &self.settled)
+            .field("arrivals", &self.arrivals)
+            .field("departures", &self.departures)
             .field("has_scratch", &self.scratch.is_some())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
-/// A copy is faithful: settled population, pending change sets, model
-/// scratch and stats all carry over, so it answers every later refresh
-/// bit for bit like the original — without the two sharing mutable
-/// state.
+/// A copy is faithful: pending changes, model scratch and stats all carry
+/// over, so it answers every later refresh bit for bit like the original
+/// — without the two sharing mutable state.
 impl Clone for PenaltyCache {
     fn clone(&self) -> Self {
         let mut cache = PenaltyCache::default();
@@ -148,32 +155,25 @@ impl Clone for PenaltyCache {
 
     /// Field-wise into `self`'s allocations; the model scratch clones in
     /// place when the concrete scratch types line up, so a copy into a
-    /// warm cache allocates nothing. `staged_arrivals` is a step buffer,
-    /// cleared before every use, so it is cleared rather than copied.
+    /// warm cache allocates nothing. The answers are a step buffer, read
+    /// only right after the refresh that wrote them, so they are cleared
+    /// rather than copied.
     fn clone_from(&mut self, source: &Self) {
         let PenaltyCache {
-            active,
-            comms,
-            penalties,
             valid,
-            settled_once,
-            pending_arrivals,
-            pending_departures,
+            settled,
+            arrivals,
+            departures,
             scratch,
-            affected,
-            staged_arrivals: _,
+            answers: _,
             stats,
         } = source;
-        self.active.clone_from(active);
-        self.comms.clone_from(comms);
-        self.penalties.clone_from(penalties);
         self.valid = *valid;
-        self.settled_once = *settled_once;
-        self.pending_arrivals.clone_from(pending_arrivals);
-        self.pending_departures.clone_from(pending_departures);
+        self.settled = *settled;
+        self.arrivals.clone_from(arrivals);
+        self.departures.clone_from(departures);
         self.scratch.clone_from(scratch);
-        self.affected.clone_from(affected);
-        self.staged_arrivals.clear();
+        self.answers.clear();
         self.stats = *stats;
     }
 }
@@ -184,21 +184,9 @@ impl PenaltyCache {
         PenaltyCache::default()
     }
 
-    /// Whether the cached penalties still describe the population.
+    /// Whether the settled penalties still describe the population.
     pub fn is_valid(&self) -> bool {
         self.valid
-    }
-
-    /// Stable keys of the contending population (valid caches only).
-    pub fn active(&self) -> &[FlowKey] {
-        debug_assert!(self.valid, "reading an invalidated penalty cache");
-        &self.active
-    }
-
-    /// Penalties aligned with [`Self::active`] (valid caches only).
-    pub fn penalties(&self) -> &[Penalty] {
-        debug_assert!(self.valid, "reading an invalidated penalty cache");
-        &self.penalties
     }
 
     /// Usage counters since construction.
@@ -208,20 +196,17 @@ impl PenaltyCache {
 
     /// Returns the cache to its pre-first-settle state while keeping the
     /// model scratch allocation and the cumulative stats. The next refresh
-    /// issues a full rebuild query (no positional delta can bridge a
-    /// reset), and the models re-seed their scratch from that query — so a
-    /// reset cache answers bit-for-bit like a fresh one while reusing the
-    /// scratch's allocations. This is what makes
-    /// [`crate::FluidSolver`]'s network reuse sound.
+    /// is fresh: the model forgets the scratch's population (at the cost
+    /// of its live members) and answers every member anew — so a reset
+    /// cache answers bit-for-bit like a fresh one while reusing the
+    /// scratch's allocations. This is what makes [`crate::FluidSolver`]'s
+    /// network reuse sound.
     pub fn reset(&mut self) {
-        self.active.clear();
-        self.comms.clear();
-        self.penalties.clear();
         self.valid = false;
-        self.settled_once = false;
-        self.pending_arrivals.clear();
-        self.pending_departures.clear();
-        self.affected = AffectedSet::All;
+        self.settled = false;
+        self.arrivals.clear();
+        self.departures.clear();
+        self.answers.clear();
     }
 
     /// [`Self::reset`] with the counters zeroed too: the cache then
@@ -234,67 +219,26 @@ impl PenaltyCache {
         self.stats = CacheStats::default();
     }
 
-    /// The affected set reported by the most recent refresh, leaving the
-    /// conservative [`AffectedSet::All`] behind. The engine uses it to
-    /// re-anchor only the flows whose penalty may actually have changed;
-    /// a cancelled refresh leaves an empty set (nobody moved).
-    pub fn take_affected(&mut self) -> AffectedSet {
-        std::mem::take(&mut self.affected)
-    }
-
-    /// Stages the post-change contending population into `out` without
-    /// touching the slab: the previously settled population minus pending
-    /// departures, merged (by slot index, i.e. slab iteration order) with
-    /// pending arrivals. Returns `false` — caller must gather by scanning
-    /// the slab instead — when no settled population exists yet.
-    ///
-    /// This is what keeps a settle O(changed + log n) end to end: with
-    /// 100k queued transfers and a few hundred contending, re-deriving the
-    /// population from the slab would cost O(total) per event even though
-    /// the penalty query itself is O(affected).
-    pub fn staged_active(&mut self, out: &mut Vec<FlowKey>) -> bool {
-        if !self.settled_once {
-            return false;
-        }
-        out.clear();
-        self.staged_arrivals.clear();
-        self.staged_arrivals.extend(self.pending_arrivals.iter());
-        self.staged_arrivals
-            .sort_unstable_by_key(|k| k.slot_index());
-        let mut next_arrival = 0;
-        for &k in &self.active {
-            if self.pending_departures.contains(&k) {
-                continue;
-            }
-            while let Some(&a) = self.staged_arrivals.get(next_arrival) {
-                if a.slot_index() < k.slot_index() {
-                    out.push(a);
-                    next_arrival += 1;
-                } else {
-                    break;
-                }
-            }
-            out.push(k);
-        }
-        out.extend_from_slice(&self.staged_arrivals[next_arrival..]);
-        true
-    }
-
-    /// Records that the flow `key` joined the contending population (a new
-    /// transfer, or a latency gate opening).
-    pub fn note_arrival(&mut self, key: FlowKey) {
+    /// Records that the flow `key`, over `comm`, joined the contending
+    /// population (a new transfer, a latency gate opening, or a flow
+    /// re-homed onto this cache).
+    pub fn note_arrival(&mut self, key: FlowKey, comm: Communication) {
         self.stats.invalidations += 1;
         self.valid = false;
-        self.pending_arrivals.insert(key);
+        self.arrivals.push((key.id(), comm));
     }
 
     /// Records that the flow `key` left the contending population. An
-    /// arrival that never reached a settle cancels out instead.
+    /// arrival that never reached a settle cancels out instead, and an
+    /// unsettled cache has no settled member to lose.
     pub fn note_departure(&mut self, key: FlowKey) {
         self.stats.invalidations += 1;
         self.valid = false;
-        if !self.pending_arrivals.remove(&key) {
-            self.pending_departures.insert(key);
+        let id = key.id();
+        if let Some(pos) = self.arrivals.iter().rposition(|a| a.0 == id) {
+            self.arrivals.remove(pos);
+        } else if self.settled {
+            self.departures.push(id);
         }
     }
 
@@ -304,132 +248,47 @@ impl PenaltyCache {
         self.stats.reuses += 1;
     }
 
-    /// Derives the [`PopulationDelta`] for a refresh against `new_active`,
-    /// consuming the pending change sets. A simultaneous arrival+departure
-    /// batch becomes a chained [`PopulationDelta::Mixed`] (departures
-    /// applied against the previous population first, then arrivals
-    /// against the new one); the cache only falls back to
-    /// [`PopulationDelta::Rebuilt`] on the first settle, or when a pending
-    /// key fails to line up with either population. The sets are read in
-    /// place and cleared, keeping their tables warm for the next settle's
-    /// changes.
-    fn take_delta(&mut self, new_active: &[FlowKey]) -> PopulationDelta {
-        let delta = self.delta_from_pending(new_active);
-        self.pending_arrivals.clear();
-        self.pending_departures.clear();
-        delta
-    }
-
-    /// The body of [`Self::take_delta`], over the pending sets as they
-    /// stand.
-    fn delta_from_pending(&self, new_active: &[FlowKey]) -> PopulationDelta {
-        if !self.settled_once {
-            return PopulationDelta::Rebuilt;
+    /// Hands the pending changes to `model` as one keyed
+    /// [`PopulationDelta`] over the scratch this cache owns, and
+    /// revalidates. Returns how the model answered, or `None` when nothing
+    /// was pending — the changes cancelled out, or the population is empty
+    /// before and after — and the model was not queried at all.
+    /// [`Self::answers`] then holds the model's answers (none after a
+    /// skipped refresh).
+    pub fn refresh<M: PenaltyModel>(&mut self, model: &M) -> Option<QueryOutcome> {
+        self.answers.clear();
+        self.valid = true;
+        if self.arrivals.is_empty() && self.departures.is_empty() {
+            self.stats.cancelled_refreshes += 1;
+            return None;
         }
-        let (arrivals, departures) = (&self.pending_arrivals, &self.pending_departures);
-        let arrived: Vec<usize> = new_active
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| arrivals.contains(k))
-            .map(|(i, _)| i)
-            .collect();
-        let departed: Vec<usize> = self
-            .active
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| departures.contains(k))
-            .map(|(i, _)| i)
-            .collect();
-        let consistent = arrived.len() == arrivals.len()
-            && departed.len() == departures.len()
-            && new_active.len() + departed.len() == self.active.len() + arrived.len();
-        if !consistent {
-            return PopulationDelta::Rebuilt;
-        }
-        match (departed.is_empty(), arrived.is_empty()) {
-            (true, _) => PopulationDelta::Arrived(arrived),
-            (false, true) => PopulationDelta::Departed(departed),
-            (false, false) => PopulationDelta::Mixed { departed, arrived },
-        }
-    }
-
-    /// Re-queries `model` for the new population and revalidates. The
-    /// pending change sets are distilled into a positional
-    /// [`PopulationDelta`] (chained mixed deltas included), and the query
-    /// goes to the model's stateful batch-delta entry point
-    /// [`PenaltyModel::penalties_with_scratch`] over the scratch this
-    /// cache owns — the previously settled population is still forwarded
-    /// as a seeding hint; `comms` must be aligned with `active`. When the
-    /// pending changes cancel out exactly, or the population is empty
-    /// before and after, the model is not queried at all.
-    ///
-    /// Returns the *previous* population's vectors (or the passed-in ones,
-    /// when the refresh cancelled) so a hot caller can recycle their
-    /// allocations for the next settle instead of growing fresh ones.
-    pub fn refresh<M: PenaltyModel>(
-        &mut self,
-        model: &M,
-        active: Vec<FlowKey>,
-        comms: Vec<Communication>,
-    ) -> (Vec<FlowKey>, Vec<Communication>) {
-        debug_assert_eq!(active.len(), comms.len());
-        if active.is_empty() && self.active.is_empty() {
-            // Nothing contends before or after: a fresh or reset cache
-            // already describes the empty population, and stays unsettled,
-            // so the first real settle is the rebuild.
-            debug_assert!(
-                self.pending_arrivals.is_empty() && self.pending_departures.is_empty(),
-                "an empty population has no pending changes"
-            );
-            return self.revalidate(active, comms);
-        }
-        let delta = self.take_delta(&active);
-        if delta.is_empty() && active == self.active {
-            // Nothing actually changed (e.g. a zero-size transfer arrived
-            // and completed between settles): revalidate for free.
-            return self.revalidate(active, comms);
-        }
-        let incremental = !matches!(delta, PopulationDelta::Rebuilt);
-        let previous = self
-            .settled_once
-            .then_some((self.comms.as_slice(), self.penalties.as_slice()));
+        let fresh = !self.settled;
+        let delta = PopulationDelta {
+            departed: &self.departures,
+            arrived: &self.arrivals,
+            fresh,
+        };
         let scratch = self.scratch.get_or_insert_with(|| model.new_scratch());
-        let (penalties, outcome) =
-            model.penalties_with_scratch(&comms, &delta, previous, scratch.as_mut());
-        self.penalties = penalties;
-        self.affected = outcome.affected;
-        debug_assert_eq!(self.penalties.len(), comms.len());
-        let recycled_active = std::mem::replace(&mut self.active, active);
-        let recycled_comms = std::mem::replace(&mut self.comms, comms);
-        self.valid = true;
-        self.settled_once = true;
-        self.stats.model_queries += 1;
-        if incremental {
-            self.stats.delta_queries += 1;
-        }
-        if outcome.patched {
-            self.stats.patched_queries += 1;
-        }
-        if outcome.scratch_rebuilt {
-            self.stats.scratch_rebuilds += 1;
-        }
-        if outcome.budget_fallback {
-            self.stats.budget_fallbacks += 1;
-        }
-        (recycled_active, recycled_comms)
+        let outcome = model.apply_delta(&delta, scratch.as_mut(), &mut self.answers);
+        let stats = &mut self.stats;
+        stats.model_queries += 1;
+        stats.delta_queries += u64::from(!fresh);
+        stats.patched_queries += u64::from(outcome.patched);
+        stats.scratch_rebuilds += u64::from(outcome.scratch_rebuilt);
+        stats.budget_fallbacks += u64::from(outcome.budget_fallback);
+        stats.ids_handed += (self.departures.len() + self.arrivals.len()) as u64;
+        stats.penalties_answered += self.answers.len() as u64;
+        self.arrivals.clear();
+        self.departures.clear();
+        self.settled = true;
+        Some(outcome)
     }
 
-    /// Revalidates an unchanged population without querying the model;
-    /// nobody's penalty moved.
-    fn revalidate(
-        &mut self,
-        active: Vec<FlowKey>,
-        comms: Vec<Communication>,
-    ) -> (Vec<FlowKey>, Vec<Communication>) {
-        self.stats.cancelled_refreshes += 1;
-        self.affected = AffectedSet::Positions(Vec::new());
-        self.valid = true;
-        (active, comms)
+    /// The `(id, penalty)` answers of the last refresh: exactly the
+    /// members the model re-evaluated. Every member not listed keeps the
+    /// penalty it was last answered.
+    pub fn answers(&self) -> &[(FlowId, Penalty)] {
+        &self.answers
     }
 }
 
@@ -453,21 +312,55 @@ mod tests {
         ]
     }
 
+    /// Notes every flow of `comms` (keyed by `keys`) as an arrival.
+    fn arrive(cache: &mut PenaltyCache, keys: &[FlowKey], comms: &[Communication]) {
+        for (&k, &c) in keys.iter().zip(comms) {
+            cache.note_arrival(k, c);
+        }
+    }
+
+    /// `(id, penalty)` answers, sorted by id.
+    type Answers = Vec<(FlowId, Penalty)>;
+
+    /// The last refresh's answers, sorted by id, against the full
+    /// penalties of `population` (`(key, comm)` pairs) at the same ids.
+    fn answered_vs_full(
+        cache: &PenaltyCache,
+        model: &impl PenaltyModel,
+        population: &[(FlowKey, Communication)],
+    ) -> (Answers, Answers) {
+        let mut got = cache.answers().to_vec();
+        got.sort_unstable_by_key(|a| a.0);
+        let comms: Vec<Communication> = population.iter().map(|p| p.1).collect();
+        let full = model.penalties(&comms);
+        let want = got
+            .iter()
+            .map(|&(id, _)| {
+                let i = population.iter().position(|p| p.0.id() == id).unwrap();
+                (id, full[i])
+            })
+            .collect();
+        (got, want)
+    }
+
     #[test]
     fn starts_invalid_and_validates_on_refresh() {
         let (_, keys) = keyed(&comms());
         let mut cache = PenaltyCache::new();
         assert!(!cache.is_valid());
-        cache.refresh(&MyrinetModel::default(), keys.clone(), comms());
+        arrive(&mut cache, &keys, &comms());
+        let outcome = cache.refresh(&MyrinetModel::default());
         assert!(cache.is_valid());
-        assert_eq!(cache.active(), keys.as_slice());
-        assert_eq!(cache.penalties().len(), 2);
+        assert_eq!(cache.answers().len(), 2, "a fresh settle answers everyone");
+        assert_eq!(outcome, Some(QueryOutcome::rebuild()));
         assert_eq!(cache.stats().model_queries, 1);
         // the first settle has no previous population to patch from: the
-        // model recomputes and builds its scratch
+        // model evaluates in full and builds its scratch
         assert_eq!(cache.stats().delta_queries, 0);
         assert_eq!(cache.stats().patched_queries, 0);
         assert_eq!(cache.stats().scratch_rebuilds, 1);
+        assert_eq!(cache.stats().ids_handed, 2);
+        assert_eq!(cache.stats().penalties_answered, 2);
     }
 
     #[test]
@@ -477,17 +370,22 @@ mod tests {
         all.push(Communication::new(3u32, 4u32, 50));
         let (_, keys) = keyed(&all);
         let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys[..2].to_vec(), all[..2].to_vec());
-        cache.note_arrival(keys[2]);
+        arrive(&mut cache, &keys[..2], &all[..2]);
+        cache.refresh(&model);
+        cache.note_arrival(keys[2], all[2]);
         assert!(!cache.is_valid());
-        cache.refresh(&model, keys.clone(), all.clone());
+        cache.refresh(&model);
         assert_eq!(cache.stats().model_queries, 2);
         assert_eq!(cache.stats().delta_queries, 1);
         // the delta was not just offered, the patch actually happened —
-        // over the scratch built at the first settle
+        // over the scratch built at the first settle — and answered only
+        // the disjoint arrival
         assert_eq!(cache.stats().patched_queries, 1);
         assert_eq!(cache.stats().scratch_rebuilds, 1);
-        assert_eq!(cache.penalties(), model.penalties(&all).as_slice());
+        let population: Vec<_> = keys.iter().copied().zip(all).collect();
+        let (got, want) = answered_vs_full(&cache, &model, &population);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 1);
     }
 
     #[test]
@@ -496,36 +394,39 @@ mod tests {
         let all = comms();
         let (_, keys) = keyed(&all);
         let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys.clone(), all.clone());
+        arrive(&mut cache, &keys, &all);
+        cache.refresh(&model);
         cache.note_departure(keys[0]);
-        cache.refresh(&model, keys[1..].to_vec(), all[1..].to_vec());
+        cache.refresh(&model);
         assert_eq!(cache.stats().model_queries, 2);
         assert_eq!(cache.stats().delta_queries, 1);
         assert_eq!(cache.stats().patched_queries, 1);
-        assert_eq!(cache.penalties(), model.penalties(&all[1..]).as_slice());
+        let population = [(keys[1], all[1])];
+        let (got, want) = answered_vs_full(&cache, &model, &population);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 1, "the survivor sharing the source moved");
     }
 
     #[test]
     fn mixed_batches_patch_incrementally() {
         // A departure and an arrival in the same settle reach the model as
-        // one chained Mixed delta — and the model patches it instead of
+        // one keyed delta — and the model patches it instead of
         // rebuilding, matching a full model query bit-for-bit.
         let model = MyrinetModel::default();
         let mut all = comms();
         all.push(Communication::new(3u32, 4u32, 50));
         let (_, keys) = keyed(&all);
         let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys[..2].to_vec(), all[..2].to_vec());
+        arrive(&mut cache, &keys[..2], &all[..2]);
+        cache.refresh(&model);
         cache.note_departure(keys[1]);
-        cache.note_arrival(keys[2]);
-        let new_active = vec![keys[0], keys[2]];
-        let new_comms = vec![all[0], all[2]];
-        cache.refresh(&model, new_active, new_comms.clone());
+        cache.note_arrival(keys[2], all[2]);
+        cache.refresh(&model);
         assert_eq!(cache.stats().model_queries, 2);
         assert_eq!(
             cache.stats().delta_queries,
             1,
-            "mixed settles now carry a chained positional delta"
+            "mixed settles carry one delta"
         );
         assert_eq!(
             cache.stats().patched_queries,
@@ -533,7 +434,37 @@ mod tests {
             "and the model patches them instead of rebuilding"
         );
         assert_eq!(cache.stats().scratch_rebuilds, 1, "only the first settle");
-        assert_eq!(cache.penalties(), model.penalties(&new_comms).as_slice());
+        let population = [(keys[0], all[0]), (keys[2], all[2])];
+        let (got, want) = answered_vs_full(&cache, &model, &population);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn a_reused_slot_departs_and_arrives_in_one_delta() {
+        // Flow 1 departs and its slab slot is re-used by a new arrival
+        // before the next settle: the delta hands over the departure and
+        // the arrival under the same id, departures first.
+        let model = netbw_core::GigabitEthernetModel::default();
+        let all: Vec<Communication> = (0..3)
+            .map(|i| Communication::new(i as u32, 4u32, 100))
+            .collect();
+        let (mut slab, keys) = keyed(&all);
+        let mut cache = PenaltyCache::new();
+        arrive(&mut cache, &keys, &all);
+        cache.refresh(&model);
+        cache.note_departure(keys[1]);
+        slab.remove(keys[1]);
+        let joined = Communication::new(7u32, 4u32, 50);
+        let reused = slab.insert(joined);
+        assert_eq!(reused.id(), keys[1].id());
+        cache.note_arrival(reused, joined);
+        cache.refresh(&model);
+        let population = [(keys[0], all[0]), (reused, joined), (keys[2], all[2])];
+        let (got, want) = answered_vs_full(&cache, &model, &population);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 3, "every flow into node 4 moved");
+        assert_eq!(cache.stats().ids_handed, 3 + 2);
     }
 
     #[test]
@@ -542,24 +473,28 @@ mod tests {
         let all = comms();
         let (mut slab, keys) = keyed(&all);
         let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys.clone(), all.clone());
+        arrive(&mut cache, &keys, &all);
+        cache.refresh(&model);
         // a zero-size flow flashes in and out between settles
-        let ghost = slab.insert(Communication::new(7u32, 8u32, 0));
-        cache.note_arrival(ghost);
+        let ghost_comm = Communication::new(7u32, 8u32, 0);
+        let ghost = slab.insert(ghost_comm);
+        cache.note_arrival(ghost, ghost_comm);
         cache.note_departure(ghost);
         assert!(!cache.is_valid());
-        cache.refresh(&model, keys.clone(), all);
+        assert_eq!(cache.refresh(&model), None);
         assert!(cache.is_valid());
+        assert!(cache.answers().is_empty(), "nobody moved");
         assert_eq!(cache.stats().model_queries, 1, "no new model query");
         assert_eq!(cache.stats().cancelled_refreshes, 1);
-        assert_eq!(cache.stats().invalidations, 2);
+        assert_eq!(cache.stats().invalidations, 4);
     }
 
     #[test]
     fn reuse_counter_tracks_cache_hits() {
         let (_, keys) = keyed(&comms());
         let mut cache = PenaltyCache::new();
-        cache.refresh(&MyrinetModel::default(), keys, comms());
+        arrive(&mut cache, &keys, &comms());
+        cache.refresh(&MyrinetModel::default());
         cache.note_reuse();
         cache.note_reuse();
         assert_eq!(cache.stats().reuses, 2);
@@ -571,8 +506,16 @@ mod tests {
         let model = MyrinetModel::default();
         let (_, keys) = keyed(&comms());
         let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys, comms());
-        assert_eq!(cache.penalties(), model.penalties(&comms()).as_slice());
+        arrive(&mut cache, &keys, &comms());
+        cache.refresh(&model);
+        let population: Vec<_> = keys.iter().copied().zip(comms()).collect();
+        let (got, want) = answered_vs_full(&cache, &model, &population);
+        assert_eq!(got, want);
+        // a reset cache's next settle is fresh again, over its warm scratch
+        cache.reset();
+        arrive(&mut cache, &keys, &comms());
+        assert_eq!(cache.refresh(&model), Some(QueryOutcome::rebuild()));
+        assert_eq!(answered_vs_full(&cache, &model, &population).0, got);
     }
 
     #[test]
@@ -588,90 +531,41 @@ mod tests {
             .map(|i| Communication::new(0u32, 1 + i as u32, 100))
             .collect();
         let (_, keys) = keyed(&all);
+        let population: Vec<_> = keys.iter().copied().zip(all.iter().copied()).collect();
         let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys[..4].to_vec(), all[..4].to_vec());
+        arrive(&mut cache, &keys[..4], &all[..4]);
+        cache.refresh(&model);
         let first = cache.stats();
         assert_eq!(
             first.budget_fallbacks, 1,
             "the first settle's enumeration blows the budget: {first:?}"
         );
-        assert_eq!(cache.penalties(), model.penalties(&all[..4]).as_slice());
+        let (got, want) = answered_vs_full(&cache, &model, &population[..4]);
+        assert_eq!(got, want);
         // An arrival joins the blown component: the patch re-enumerates
         // it, blows the budget again, and still answers as a patch.
-        cache.note_arrival(keys[4]);
-        cache.refresh(&model, keys.clone(), all.clone());
+        cache.note_arrival(keys[4], all[4]);
+        cache.refresh(&model);
         let stats = cache.stats();
         assert_eq!(stats.delta_queries, 1, "delta offered: {stats:?}");
         assert_eq!(stats.patched_queries, 1, "and patched: {stats:?}");
         assert_eq!(stats.budget_fallbacks, 2, "blow-up counted: {stats:?}");
         assert_eq!(stats.scratch_rebuilds, 1, "only the first settle rebuilds");
-        assert_eq!(cache.penalties(), model.penalties(&all).as_slice());
+        let (got, want) = answered_vs_full(&cache, &model, &population);
+        assert_eq!((got.len(), &got), (5, &want));
         // Within budget, nothing of the sort fires: a fresh cache over the
         // default budget patches the same workload.
         let exact = MyrinetModel::default();
         let mut cache = PenaltyCache::new();
-        cache.refresh(&exact, keys[..4].to_vec(), all[..4].to_vec());
-        cache.note_arrival(keys[4]);
-        cache.refresh(&exact, keys.clone(), all.clone());
+        arrive(&mut cache, &keys[..4], &all[..4]);
+        cache.refresh(&exact);
+        cache.note_arrival(keys[4], all[4]);
+        cache.refresh(&exact);
         let stats = cache.stats();
         assert_eq!(stats.budget_fallbacks, 0, "{stats:?}");
         assert_eq!(stats.patched_queries, 1, "{stats:?}");
-        assert_eq!(cache.penalties(), exact.penalties(&all).as_slice());
-    }
-
-    #[test]
-    fn staged_active_merges_pending_changes_in_slot_order() {
-        let model = MyrinetModel::default();
-        let all: Vec<Communication> = (0..4)
-            .map(|i| Communication::new(i as u32, 4u32, 100))
-            .collect();
-        let (mut slab, keys) = keyed(&all);
-        let mut cache = PenaltyCache::new();
-        let mut staged = Vec::new();
-        assert!(
-            !cache.staged_active(&mut staged),
-            "no settled population yet"
-        );
-        cache.refresh(&model, keys.clone(), all.clone());
-        // flow 1 departs and its slot is re-used by a new arrival: the
-        // arrival must appear at the re-used slot's position, not at the
-        // end
-        cache.note_departure(keys[1]);
-        slab.remove(keys[1]);
-        let reused = slab.insert(Communication::new(7u32, 8u32, 50));
-        assert_eq!(reused.slot_index(), keys[1].slot_index());
-        cache.note_arrival(reused);
-        assert!(cache.staged_active(&mut staged));
-        assert_eq!(staged, vec![keys[0], reused, keys[2], keys[3]]);
-        // a reset disables staging until the next settle
-        cache.reset();
-        assert!(!cache.staged_active(&mut staged));
-    }
-
-    #[test]
-    fn take_affected_reports_patch_scope_and_resets_to_all() {
-        let model = MyrinetModel::default();
-        let mut all = comms();
-        all.push(Communication::new(3u32, 4u32, 50));
-        let (_, keys) = keyed(&all);
-        let mut cache = PenaltyCache::new();
-        cache.refresh(&model, keys[..2].to_vec(), all[..2].to_vec());
-        assert_eq!(cache.take_affected(), AffectedSet::All, "first settle");
-        // the disjoint arrival only re-evaluates itself
-        cache.note_arrival(keys[2]);
-        cache.refresh(&model, keys.clone(), all.clone());
-        assert_eq!(cache.take_affected(), AffectedSet::Positions(vec![2]));
-        assert_eq!(cache.take_affected(), AffectedSet::All, "consumed");
-        // a cancelled refresh means nobody moved
-        let ghost_arrive_and_depart = keys[2];
-        cache.note_arrival(ghost_arrive_and_depart);
-        cache.note_departure(ghost_arrive_and_depart);
-        cache.refresh(&model, keys.clone(), all.clone());
-        assert_eq!(
-            cache.take_affected(),
-            AffectedSet::Positions(Vec::new()),
-            "cancelled refresh affects nobody"
-        );
+        let (got, want) = answered_vs_full(&cache, &exact, &population);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -679,8 +573,11 @@ mod tests {
         let stats = CacheStats {
             model_queries: 7,
             delta_queries: 5,
+            ids_handed: 4,
+            penalties_answered: 6,
             ..CacheStats::default()
         };
         assert_eq!(stats.rebuild_queries(), 2);
+        assert_eq!(stats.keyed_traffic(), 10);
     }
 }

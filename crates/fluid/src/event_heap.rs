@@ -56,9 +56,9 @@ pub struct TimelineStats {
     /// gate entries stale (migrating a gated flow re-pushes its gate under
     /// a fresh epoch), so this stays 0 in the single-shard engine.
     pub gate_lazy_pops: u64,
-    /// Settles that fell back to re-syncing the whole active population
-    /// (an [`netbw_core::AffectedSet::All`] answer — first settles,
-    /// scratch rebuilds, budget fallbacks).
+    /// Settles whose model answered every member, so the whole active
+    /// population was re-synced (an unpatched answer: a cache's fresh
+    /// first settle, or a model without a patch).
     pub rescans: u64,
 }
 

@@ -31,22 +31,23 @@
 //!   survives churn;
 //! * [`cache`] — the [`PenaltyCache`] settles once per population change
 //!   (every `next_event_time` probe in between is served from cache),
-//!   distills the pending arrivals/departures into a positional
-//!   [`netbw_core::PopulationDelta`] (simultaneous batches become chained
-//!   `Mixed` deltas), and owns the model's opaque per-cache scratch;
+//!   hands the model only the pending departures (ids) and arrivals
+//!   (`(id, Communication)` pairs) as one keyed
+//!   [`netbw_core::PopulationDelta`], and owns the model's opaque
+//!   per-cache scratch;
 //! * `netbw-core`'s
-//!   [`penalties_with_scratch`](netbw_core::PenaltyModel::penalties_with_scratch)
-//!   — the models consume that delta over state they keep alive between
-//!   settles (endpoint indices for GigE/InfiniBand, union–find conflict
-//!   components for Myrinet) and patch only the affected endpoints or conflict components, in O(affected)
-//!   model work per event instead of a full-fabric recompute — and report
-//!   back *which* positions they re-evaluated
-//!   ([`netbw_core::AffectedSet`]);
+//!   [`apply_delta`](netbw_core::PenaltyModel::apply_delta) — the models
+//!   keep the population in that scratch between settles (with endpoint
+//!   indices for GigE/InfiniBand, conflict components for Myrinet), patch
+//!   only the endpoints or conflict components the change reaches, and
+//!   answer `(id, penalty)` for exactly the flows they re-evaluated, in
+//!   O(changed + reach) model work per event;
 //! * [`event_heap`] — the engine turns each settle's affected set into
 //!   per-flow cached finish times and keeps them in a lazy min-heap
 //!   ([`TimelineStats`] counts the traffic), so finding the next
 //!   completion or latency-gate opening is a heap peek instead of a scan
-//!   over the population: an event costs O(affected + log n) end to end.
+//!   over the population: an event costs O(changed + reach + log n) end to
+//!   end.
 //!
 //! The default engine keeps its cache and heaps in one shard;
 //! [`FluidNetwork::with_sharded`] partitions the population into

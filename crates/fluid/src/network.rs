@@ -6,22 +6,22 @@
 //! only re-queried when the contending population actually changes
 //! (arrival, latency-gate opening, completion), never on pure time
 //! advances or [`FluidNetwork::next_event_time`] probes. Transfers live in
-//! a stable-key [`crate::slab::Slab`], so a completion batch leaves the
-//! surviving flows' identities (and relative order) untouched — the cache
-//! reports each change as a positional [`netbw_core::PopulationDelta`] and
-//! the models patch only the affected endpoints or conflict components
-//! instead of recomputing the fabric.
+//! a stable-key [`crate::slab::Slab`] whose slot indices are the flows'
+//! keyed ids, so the cache hands the model each change as a keyed
+//! [`netbw_core::PopulationDelta`] — the ids that left, the flows that
+//! joined — and the models patch only the endpoints or conflict components
+//! the change reaches instead of recomputing the fabric.
 //!
 //! Finding the *next event* is event-driven too. Each contending flow
 //! carries anchored kinetics — bytes remaining at
 //! its last rate change and a cached absolute finish time — and the engine
-//! re-anchors only the flows the model reports as affected
-//! ([`netbw_core::AffectedSet`]), pushing the new finish times into a lazy
-//! min-heap ([`crate::event_heap`]; epoch stamps in the slab invalidate
-//! superseded entries on pop). Latency gates sit in a second heap,
-//! populated at [`FluidNetwork::add`]. A settle therefore costs
-//! O(affected + log n) and an event probe is a heap peek — no per-event
-//! scan over the population.
+//! re-anchors only the flows the model answers (the `(id, penalty)` pairs
+//! of [`crate::PenaltyCache::answers`]), pushing the new finish times into
+//! a lazy min-heap ([`crate::event_heap`]; epoch stamps in the slab
+//! invalidate superseded entries on pop). Latency gates sit in a second
+//! heap, populated at [`FluidNetwork::add`]. A settle therefore costs
+//! O(changed + reach + log n) and an event probe is a heap peek — no
+//! per-event scan over the population.
 //!
 //! Cache and heaps belong to a shard. The default engine keeps every
 //! flow in one shard; [`FluidNetwork::with_sharded`] partitions the
@@ -45,7 +45,7 @@ use crate::params::NetworkParams;
 use crate::shard::{Shard, ShardSet, ShardStats, SlotView};
 use crate::slab::{FlowKey, JobSlots, Slab, SlotAccess};
 use crate::solver::Phase;
-use netbw_core::{AffectedSet, PenaltyModel};
+use netbw_core::PenaltyModel;
 use netbw_graph::Communication;
 use std::sync::Arc;
 
@@ -152,10 +152,10 @@ pub struct CompletedTransfer {
 /// Where the flows' caches and heaps live.
 enum Partition {
     /// The default engine: one shard holding every flow.
-    Single(Shard),
+    Single(Box<Shard>),
     /// One shard per conflict component, with the component tracker and
     /// the cross-shard event heap ([`FluidNetwork::with_sharded`]).
-    Sharded(ShardSet),
+    Sharded(Box<ShardSet>),
 }
 
 impl Clone for Partition {
@@ -218,12 +218,11 @@ pub struct FluidNetwork<M> {
 
 /// Settles one shard — the body both drivers share:
 ///
-/// 1. **stages** the shard's post-change contending population — from the
-///    cache's pending change sets when possible, falling back to a
-///    slot-ordered gather over the shard's compacted member list;
-/// 2. **refreshes** its penalty cache with that population;
-/// 3. **re-anchors** the kinetics of the flows the model reports as
-///    affected, pushing their new finish times into the shard's heaps.
+/// 1. **refreshes** its penalty cache, which hands the model the shard's
+///    pending departures and arrivals;
+/// 2. **re-anchors** the kinetics of the flows the model answered, pushing
+///    their new finish times into the shard's heaps. Every other flow
+///    keeps its penalty, so its cached finish time stands.
 ///
 /// The single-shard engine and an inline barrier pass the [`Slab`]; a
 /// dispatched barrier job passes a [`JobSlots`] view restricted to its own
@@ -236,51 +235,17 @@ fn settle_shard<M: PenaltyModel, S: SlotAccess<Slot>>(
     slots: &mut S,
     sh: &mut Shard,
 ) {
-    if !sh.cache.staged_active(&mut sh.staged) {
-        // Rebuild gather: compact the member list, then stage the shard's
-        // contending flows in slot order.
-        sh.members.retain(|&k| slots.is_live(k));
-        sh.staged.clear();
-        sh.staged.extend(
-            sh.members
-                .iter()
-                .copied()
-                .filter(|&k| slots.get_mut(k).expect("member lives in slab").contending),
-        );
-        sh.staged.sort_unstable_by_key(|k| k.slot_index());
-    }
-    sh.comms_buf.clear();
-    sh.comms_buf.extend(
-        sh.staged
-            .iter()
-            .map(|&k| slots.get_mut(k).expect("staged flow lives in slab").comm),
-    );
-    let active = std::mem::take(&mut sh.staged);
-    let comms = std::mem::take(&mut sh.comms_buf);
-    let (mut recycled_active, mut recycled_comms) = sh.cache.refresh(model, active, comms);
-    recycled_active.clear();
-    recycled_comms.clear();
-    sh.staged = recycled_active;
-    sh.comms_buf = recycled_comms;
-    let affected = sh.cache.take_affected();
-    if matches!(affected, AffectedSet::All) {
-        sh.events.stats.rescans += 1;
-    }
     let Shard { cache, events, .. } = sh;
-    let mut resync = |i: usize| {
-        let key = cache.active()[i];
-        let slot = slots.get_mut(key).expect("settled flow lives in slab");
-        if let Some(finish) = slot
-            .kin
-            .resync(params, record_phases, now, cache.penalties()[i])
-        {
-            let epoch = slots.bump_epoch(key).expect("settled flow lives in slab");
+    if cache.refresh(model).is_some_and(|outcome| !outcome.patched) {
+        events.stats.rescans += 1;
+    }
+    for &(id, penalty) in cache.answers() {
+        let key = slots.key(id);
+        let slot = slots.get_mut(key).expect("answered flow lives in slab");
+        if let Some(finish) = slot.kin.resync(params, record_phases, now, penalty) {
+            let epoch = slots.bump_epoch(key).expect("answered flow lives in slab");
             events.push_completion(finish, key, epoch);
         }
-    };
-    match affected {
-        AffectedSet::Positions(positions) => positions.into_iter().for_each(&mut resync),
-        AffectedSet::All => (0..cache.active().len()).for_each(resync),
     }
     sh.dirty = false;
 }
@@ -293,13 +258,12 @@ fn settle_shard<M: PenaltyModel, S: SlotAccess<Slot>>(
 /// The dispatched jobs reach the slab through one raw view: the dirty
 /// shards' live members are pairwise-disjoint slot sets (asserted in debug
 /// builds before the dispatch) and the slab is structurally frozen for the
-/// whole barrier, so no two jobs ever touch the same live entry. A stale member
-/// key whose slot another shard's flow now occupies is only ever probed,
-/// by generation, while compacting. The next-event republish stays
-/// serial: it feeds the shared cross-shard heap.
+/// whole barrier, so no two jobs ever touch the same live entry: each job
+/// reaches only the flows its own model answered. The next-event republish
+/// stays serial: it feeds the shared cross-shard heap.
 ///
 /// Clean shards are never touched, so a settle costs the dirty shards'
-/// O(affected) work — not O(components) — plus, for a dispatched
+/// O(changed + reach) work — not O(components) — plus, for a dispatched
 /// barrier, the dispatch overhead. No
 /// model answer depends on a flow outside its own component, so the shards
 /// never need to consult each other mid-barrier.
@@ -392,7 +356,7 @@ fn step_shard(
     due.clear();
     // Latency gates crossing `now` open first: their flows join the
     // population in the same settle that sees any simultaneous
-    // completions (one chained Mixed delta).
+    // completions (one keyed delta).
     sh.events.pop_gates_through(now + TIME_EPS, slots, opened);
     // Completions due at `now`: every live heap entry (= every contending
     // flow) whose cached finish time has arrived. Keys are stable, so
@@ -400,11 +364,9 @@ fn step_shard(
     // untouched.
     sh.events.pop_due_completions(now, slots, due);
     for &flow in opened.iter() {
-        slots
-            .get_mut(flow)
-            .expect("gated flow lives in slab")
-            .contending = true;
-        sh.cache.note_arrival(flow);
+        let slot = slots.get_mut(flow).expect("gated flow lives in slab");
+        slot.contending = true;
+        sh.cache.note_arrival(flow, slot.comm);
     }
     for &flow in due.iter() {
         let mut slot = slots.remove(flow).expect("due flow lives in slab");
@@ -513,7 +475,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
             state: EngineState {
                 time: 0.0,
                 slots: Slab::new(),
-                partition: Partition::Single(Shard::new()),
+                partition: Partition::Single(Box::new(Shard::new())),
                 bufs: StepBuffers::default(),
             },
         }
@@ -534,7 +496,7 @@ impl<M: PenaltyModel> FluidNetwork<M> {
     /// are independent — hand them to a parallel executor with
     /// [`Self::with_sharded_dispatch`].
     pub fn with_sharded(mut self) -> Self {
-        self.state.partition = Partition::Sharded(ShardSet::default());
+        self.state.partition = Partition::Sharded(Box::default());
         self
     }
 
@@ -671,14 +633,14 @@ impl<M: PenaltyModel> FluidNetwork<M> {
         });
         let epoch = st.slots.epoch(flow).expect("just-inserted flow is live");
         match &mut st.partition {
-            Partition::Single(sh) => sh.admit(flow, contending, gate, epoch),
+            Partition::Single(sh) => sh.admit(flow, comm, contending, gate, epoch),
             Partition::Sharded(shards) => {
                 // Route the endpoints through the component tracker up
                 // front (gated flows included, so every flow has a shard
                 // home); a flow bridging two components merges their
                 // shards here.
                 let id = shards.assign(&comm, &st.slots);
-                shards.admit(id, flow, contending, gate, epoch, &st.slots);
+                shards.admit(id, flow, comm, contending, gate, epoch, &st.slots);
             }
         }
         Ok(())

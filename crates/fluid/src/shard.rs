@@ -23,7 +23,7 @@
 //! absorbed label's shard retires, the larger side's cache survives
 //! (swapped into the surviving label's shard when the absorbed side held
 //! more members), the smaller side's contending flows are noted on it as
-//! arrivals (so its next settle is a delta patch, not a rebuild), member
+//! arrivals (so its next settle is a keyed patch, not a rebuild), member
 //! lists and event heaps are spliced together, and the dropped cache's
 //! counters fold into the set-wide accumulator. Departures refine it back
 //! apart: the tracker classifies each one as [`ComponentRemoval::Shrunk`]
@@ -33,16 +33,17 @@
 //! the split-off component out of its shard: member keys are partitioned
 //! by O(1) label lookups, the part with more members keeps the pre-split
 //! cache and event heaps with the smaller part's contending flows noted on
-//! it as departures, and the smaller part starts a fresh cache (its first
-//! settle is a rebuild over its own members) and fresh heaps, rebuilt from
-//! its members under freshly bumped slot epochs so its entries in the old
+//! it as departures, and the smaller part starts a fresh cache — with its
+//! own contending flows noted on it as arrivals, so its first settle is a
+//! fresh one over exactly its members — and fresh heaps, rebuilt from its
+//! members under freshly bumped slot epochs so its entries in the old
 //! heaps go stale lazily. Penalties are component-local and a model's
-//! patch equals its full query bit for bit, so both sides' next refreshes
-//! reproduce the values the joint query would have and the engine's
-//! resync skips every slot — merges and splits are bitwise invisible. A
-//! union of true components is still a safe partition cell, so splitting
-//! is purely a performance refinement — without it any long-lived
-//! population degrades toward one mega-shard.
+//! keyed answers equal its full query bit for bit, so both sides' next
+//! refreshes reproduce the values the joint query would have, and every
+//! flow they answer re-anchors to its unchanged rate — merges and splits
+//! are bitwise invisible. A union of true components is still a safe
+//! partition cell, so splitting is purely a performance refinement —
+//! without it any long-lived population degrades toward one mega-shard.
 //!
 //! Retired shards are **recycled**, not dropped: a drained shard, a
 //! merge's absorbed shard and every live shard at a reset has its counters
@@ -119,20 +120,14 @@ pub(crate) struct Shard {
     /// The shard's completion/gate heaps.
     pub(crate) events: EventHeaps,
     /// Every flow assigned to this shard and not yet known-dead. Stale
-    /// keys (completed flows) are compacted before a rebuild gather, in a
-    /// split, and by [`Self::note_departures`] once they could make up
-    /// half the list. Only gathers, splits and merges read its keys (and
-    /// a settle barrier its length) — warm settles stage the population
-    /// from the cache's pending change sets.
+    /// keys (completed flows) are compacted in a split and by
+    /// [`Self::note_departures`] once they could make up half the list.
+    /// Only splits and merges read its keys (and a settle barrier its
+    /// length) — settles hand the model the cache's pending changes.
     pub(crate) members: Vec<FlowKey>,
     /// Members that departed since the list was last compacted — an upper
     /// bound on its stale keys.
     departures: usize,
-    /// Staging buffer for the next refresh's population (recycled through
-    /// [`PenaltyCache::refresh`]).
-    pub(crate) staged: Vec<FlowKey>,
-    /// Communications aligned with `staged` (same recycling).
-    pub(crate) comms_buf: Vec<Communication>,
     /// Whether the shard sits in the dirty list awaiting a settle.
     pub(crate) dirty: bool,
 }
@@ -144,8 +139,6 @@ impl Shard {
             events: EventHeaps::default(),
             members: Vec::new(),
             departures: 0,
-            staged: Vec::new(),
-            comms_buf: Vec::new(),
             dirty: false,
         }
     }
@@ -169,12 +162,19 @@ impl Shard {
         self.events.stats = TimelineStats::default();
     }
 
-    /// Takes in a just-added flow: a member from now on, contending at
-    /// once or waiting on its latency gate in the gate heap.
-    pub(crate) fn admit(&mut self, flow: FlowKey, contending: bool, gate: f64, epoch: u64) {
+    /// Takes in a just-added flow over `comm`: a member from now on,
+    /// contending at once or waiting on its latency gate in the gate heap.
+    pub(crate) fn admit(
+        &mut self,
+        flow: FlowKey,
+        comm: Communication,
+        contending: bool,
+        gate: f64,
+        epoch: u64,
+    ) {
         self.members.push(flow);
         if contending {
-            self.cache.note_arrival(flow);
+            self.cache.note_arrival(flow, comm);
         } else {
             self.events.push_gate(gate, flow, epoch);
         }
@@ -211,24 +211,18 @@ impl Clone for Shard {
     }
 
     /// Field-wise into `self`'s allocations (cache and heaps included).
-    /// The staging buffers are overwritten before every read, so they are
-    /// cleared rather than copied.
     fn clone_from(&mut self, source: &Self) {
         let Shard {
             cache,
             events,
             members,
             departures,
-            staged: _,
-            comms_buf: _,
             dirty,
         } = source;
         self.cache.clone_from(cache);
         self.events.clone_from(events);
         self.members.clone_from(members);
         self.departures = *departures;
-        self.staged.clear();
-        self.comms_buf.clear();
         self.dirty = *dirty;
     }
 }
@@ -466,16 +460,19 @@ impl ShardSet {
     /// Takes a just-added flow into shard `id` (see [`Shard::admit`]). A
     /// contending flow dirties the shard, whose settle then publishes its
     /// next event; a gated one publishes it now.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn admit<T>(
         &mut self,
         id: usize,
         flow: FlowKey,
+        comm: Communication,
         contending: bool,
         gate: f64,
         epoch: u64,
         slots: &Slab<T>,
     ) {
-        self.shard_mut(id).admit(flow, contending, gate, epoch);
+        self.shard_mut(id)
+            .admit(flow, comm, contending, gate, epoch);
         if contending {
             self.mark_dirty(id);
         } else {
@@ -510,15 +507,16 @@ impl ShardSet {
     /// the smaller part's contending members noted on the cache as
     /// departures; the smaller part takes the new shard's fresh cache and
     /// heaps (swapped into shard `id` when the split-off part is the
-    /// larger — each part keeps its own label's shard either way). Its
+    /// larger — each part keeps its own label's shard either way), with
+    /// its contending members noted on the fresh cache as arrivals. Its
     /// members get their slot epochs bumped and their due events re-pushed
     /// into the fresh heaps, lazily invalidating their old entries. The
     /// larger part's next refresh patches the departures and the smaller
-    /// part's first one rebuilds over its own members; penalties are
+    /// part's first one is fresh over its own members; penalties are
     /// component-local, so both reproduce exactly the penalties the joint
-    /// query would have and the engine's resync skips every slot — the
-    /// split never perturbs the trajectory. Both shards are left dirty, so
-    /// their settles publish their next events.
+    /// query would have and every re-anchor they trigger keeps its flow's
+    /// rate — the split never perturbs the trajectory. Both shards are
+    /// left dirty, so their settles publish their next events.
     fn split<S: SlotView>(&mut self, id: usize, split_root: ComponentRoot, slots: &mut Slab<S>) {
         self.splits += 1;
         let sid = self.open(split_root);
@@ -557,6 +555,7 @@ impl ShardSet {
             let (finish, gate) = (slot.finish(), slot.gate());
             if contending {
                 large.cache.note_departure(k);
+                small.cache.note_arrival(k, *slot.comm());
             }
             let epoch = slots.bump_epoch(k).expect("member is live");
             if contending {
@@ -633,7 +632,7 @@ impl ShardSet {
             if let Some(slot) = slots.get(k) {
                 self.rehomed += 1;
                 if slot.contending() {
-                    w.cache.note_arrival(k);
+                    w.cache.note_arrival(k, *slot.comm());
                 }
             }
         }
@@ -861,7 +860,7 @@ mod tests {
         for &(s, d) in flows {
             let k = slab.insert(TSlot::running(s, d, 10.0));
             id = set.assign(&comm(s, d), &slab);
-            set.admit(id, k, true, 0.0, 0, &slab);
+            set.admit(id, k, comm(s, d), true, 0.0, 0, &slab);
             keys.push(k);
         }
         assert_eq!(set.live_count(), 1, "one component");
@@ -869,24 +868,12 @@ mod tests {
         (set, slab, keys, id)
     }
 
-    /// Stages and refreshes shard `id` under GigE the way the engine's
-    /// settle does, then publishes its next event; returns the shard's
-    /// cache counters.
+    /// Refreshes shard `id` under GigE the way the engine's settle does,
+    /// then publishes its next event; returns the shard's cache counters.
     fn settle(set: &mut ShardSet, id: usize, slab: &Slab<TSlot>) -> CacheStats {
         let sh = set.shard_mut(id);
-        let mut staged = Vec::new();
-        if !sh.cache.staged_active(&mut staged) {
-            staged.extend(
-                sh.members
-                    .iter()
-                    .copied()
-                    .filter(|&k| slab.get(k).is_some_and(|s| s.contending)),
-            );
-            staged.sort_unstable_by_key(|k| k.slot_index());
-        }
-        let comms = staged.iter().map(|&k| slab.get(k).unwrap().comm).collect();
-        let model = netbw_core::GigabitEthernetModel::default();
-        sh.cache.refresh(&model, staged, comms);
+        sh.cache
+            .refresh(&netbw_core::GigabitEthernetModel::default());
         sh.dirty = false;
         let stats = sh.cache.stats();
         set.dirty.retain(|&d| d != id);
@@ -954,14 +941,14 @@ mod tests {
         let mut a = usize::MAX;
         for &k in &ka {
             a = set.assign(&comm(0, 1), &slab);
-            set.admit(a, k, true, 0.0, 0, &slab);
+            set.admit(a, k, comm(0, 1), true, 0.0, 0, &slab);
         }
         settle(&mut set, a, &slab);
         let b = set.assign(&comm(2, 3), &slab);
-        set.admit(b, k1, true, 0.0, 0, &slab);
+        set.admit(b, k1, comm(2, 3), true, 0.0, 0, &slab);
         settle(&mut set, b, &slab);
         assert_eq!(set.assign(&comm(2, 4), &slab), b);
-        set.admit(b, k2, false, 5.0, 0, &slab);
+        set.admit(b, k2, comm(2, 4), false, 5.0, 0, &slab);
         assert_eq!(set.peek_next(), Some(5.0));
         let survivor = set.assign(&comm(1, 2), &slab);
         assert_eq!(survivor, b);
@@ -1137,11 +1124,11 @@ mod tests {
         let mut slab: Slab<TSlot> = Slab::new();
         let anchor = slab.insert(TSlot::running(8, 9, 50.0));
         let keep = set.assign(&comm(8, 9), &slab);
-        set.admit(keep, anchor, true, 0.0, 0, &slab);
+        set.admit(keep, anchor, comm(8, 9), true, 0.0, 0, &slab);
         settle(&mut set, keep, &slab);
         let k = slab.insert(TSlot::running(0, 1, 10.0));
         let a = set.assign(&comm(0, 1), &slab);
-        set.admit(a, k, true, 0.0, 0, &slab);
+        set.admit(a, k, comm(0, 1), true, 0.0, 0, &slab);
         settle(&mut set, a, &slab);
         let epoch = slab.bump_epoch(k).unwrap();
         set.shard_mut(a).events.push_completion(10.0, k, epoch);
@@ -1164,7 +1151,7 @@ mod tests {
         let c = set.assign(&comm(4, 5), &slab);
         assert_eq!(c, a, "the drained label and its shard are reused");
         assert_eq!(set.shard_mut(c).cache.stats(), CacheStats::default());
-        set.admit(c, k2, true, 0.0, 0, &slab);
+        set.admit(c, k2, comm(4, 5), true, 0.0, 0, &slab);
         let fresh = settle(&mut set, c, &slab);
         assert_eq!(
             (
@@ -1196,14 +1183,13 @@ mod tests {
             .iter()
             .map(|&(s, d)| slab.insert(TSlot::running(s, d, 10.0)))
             .collect();
-        let comms = flows.iter().map(|&(s, d)| comm(s, d)).collect();
         let sh = set.shard_mut(a);
         sh.members.extend(&keys);
-        sh.cache.refresh(
-            &netbw_core::GigabitEthernetModel::default(),
-            keys.clone(),
-            comms,
-        );
+        for (&k, &(s, d)) in keys.iter().zip(&flows) {
+            sh.cache.note_arrival(k, comm(s, d));
+        }
+        sh.cache
+            .refresh(&netbw_core::GigabitEthernetModel::default());
         // The middle flow completes and is noted as a departure.
         slab.remove(keys[1]);
         set.shard_mut(a).cache.note_departure(keys[1]);
@@ -1212,13 +1198,13 @@ mod tests {
         set.depart(&comm(1, 2), &mut slab);
         assert_eq!(set.shard_stats().splits, 1);
         // The split notes the smaller side's one flow as a departure on
-        // the surviving cache, and the fresh cache starts at zero; no
+        // the surviving cache and as an arrival on the fresh one; no
         // other counter moves.
         let after = set.cache_stats();
         assert_eq!(
             after,
             CacheStats {
-                invalidations: before.invalidations + 1,
+                invalidations: before.invalidations + 2,
                 ..before
             }
         );
@@ -1235,9 +1221,13 @@ mod tests {
         assert_eq!(set.shard_mut(splinter).members, vec![keys[4]]);
         assert_eq!(set.shard_stats().rehomed_flows, 1, "only the splinter");
         // The pre-split cache (the one that answered a query) stayed with
-        // the kept part; the splinter's is fresh.
+        // the kept part; the splinter's is fresh, with its one flow noted.
         assert_eq!(set.shard_mut(kept).cache.stats().model_queries, 1);
-        assert_eq!(set.shard_mut(splinter).cache.stats(), CacheStats::default());
+        let noted = CacheStats {
+            invalidations: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(set.shard_mut(splinter).cache.stats(), noted);
         // The larger part's next refresh patches a departure delta; the
         // smaller part's first one rebuilds over its own member.
         let large = settle(&mut set, kept, &slab);
@@ -1277,10 +1267,15 @@ mod tests {
         assert_eq!(set.shard_mut(kept).members, keys[..3].to_vec());
         assert_eq!(set.shard_mut(splinter).members, keys[4..].to_vec());
         assert_eq!(set.shard_stats().rehomed_flows, 3, "the kept part moved");
-        // The kept label's shard took the fresh structures; the
-        // split-off shard carries on with the pre-split cache.
+        // The kept label's shard took the fresh structures, with its three
+        // flows noted; the split-off shard carries on with the pre-split
+        // cache.
         assert_eq!(set.shard_mut(splinter).cache.stats().model_queries, 1);
-        assert_eq!(set.shard_mut(kept).cache.stats(), CacheStats::default());
+        let noted = CacheStats {
+            invalidations: 3,
+            ..CacheStats::default()
+        };
+        assert_eq!(set.shard_mut(kept).cache.stats(), noted);
         let fresh = TimelineStats {
             heap_pushes: 3,
             ..TimelineStats::default()

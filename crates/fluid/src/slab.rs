@@ -5,9 +5,9 @@
 //! surviving slot — so a completion batch invalidated the *identity* of
 //! the whole cached population and the `PenaltyCache` had to rebuild from
 //! scratch. This slab hands out [`FlowKey`]s that survive arbitrary
-//! insert/remove churn: survivors keep their keys and their relative
-//! iteration order, which is exactly the invariant the positional
-//! [`netbw_core::PopulationDelta`] needs to patch instead of rebuild.
+//! insert/remove churn: survivors keep their keys, and a key's slot index
+//! is the [`netbw_core::FlowId`] the models' keyed scratches know the
+//! flow by, so a completion batch hands the model only the departed ids.
 //!
 //! Keys are *generational*: a slot freed by a completion can be re-used by
 //! a later arrival, but the new occupant gets a fresh generation, so a
@@ -15,9 +15,8 @@
 //! return `None`.
 //!
 //! Iteration order is slot order, not insertion order: an arrival re-using
-//! a freed low slot appears *before* older survivors. That is harmless for
-//! delta derivation (arrival positions are reported explicitly) and keeps
-//! every operation O(1).
+//! a freed low slot appears *before* older survivors. Nothing depends on
+//! the order, and it keeps every operation O(1).
 
 /// Stable handle to an entry in a [`Slab`].
 ///
@@ -38,6 +37,14 @@ impl FlowKey {
     #[inline]
     pub(crate) fn slot_index(self) -> usize {
         (self.0 & 0xffff_ffff) as usize
+    }
+
+    /// The flow's id in the models' keyed scratches: its slot index. An
+    /// id is unique among live flows; a later flow reuses it only after
+    /// this one's departure.
+    #[inline]
+    pub fn id(self) -> netbw_core::FlowId {
+        self.0 as u32
     }
 
     #[inline]
@@ -261,8 +268,8 @@ impl<T> Slab<T> {
 /// barrier jobs go through a [`JobSlots`] view instead — so the one settle
 /// body serves both without the safe path ever touching a raw pointer.
 pub(crate) trait SlotAccess<T> {
-    /// True when `key` names a live entry.
-    fn is_live(&self, key: FlowKey) -> bool;
+    /// The key of the live entry in slot `id`.
+    fn key(&self, id: netbw_core::FlowId) -> FlowKey;
     /// Mutable access to the live entry named by `key`.
     fn get_mut(&mut self, key: FlowKey) -> Option<&mut T>;
     /// Bumps and returns the live entry's epoch stamp.
@@ -270,8 +277,8 @@ pub(crate) trait SlotAccess<T> {
 }
 
 impl<T> SlotAccess<T> for Slab<T> {
-    fn is_live(&self, key: FlowKey) -> bool {
-        self.contains(key)
+    fn key(&self, id: netbw_core::FlowId) -> FlowKey {
+        FlowKey::new(id, self.entries[id as usize].generation)
     }
     fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
         Slab::get_mut(self, key)
@@ -299,10 +306,10 @@ impl<T> JobSlots<T> {
 }
 
 impl<T> SlotAccess<T> for JobSlots<T> {
-    fn is_live(&self, key: FlowKey) -> bool {
-        // SAFETY: the constructor's contract; probing a stale key reads
-        // only the generation stamp, which no job writes.
-        unsafe { self.0.contains(key) }
+    fn key(&self, id: netbw_core::FlowId) -> FlowKey {
+        // SAFETY: the constructor's contract; generation stamps are frozen
+        // for the whole barrier.
+        unsafe { self.0.key(id) }
     }
     fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
         // SAFETY: the constructor's contract; the borrow is scoped to
@@ -327,10 +334,10 @@ impl<T> SlotAccess<T> for JobSlots<T> {
 ///   live — generations and the entry array are frozen for the duration.
 /// * Two concurrent users must never pass the same live key — entry
 ///   *contents* (value and epoch) are accessed without synchronization.
-/// * Keys whose slot was reused by another shard's flow are safe to
-///   *probe* (`contains`): liveness is derived from the generation stamp
-///   alone, never from the value discriminant, whose bytes may alias
-///   in-flight writes to the new occupant by its owning job.
+/// * Generation stamps are frozen, so reading one is always safe:
+///   liveness is derived from the stamp alone, never from the value
+///   discriminant, whose bytes may alias in-flight writes to a slot's
+///   occupant by its owning job.
 pub(crate) struct RawSlots<T> {
     entries: *mut Entry<T>,
     len: usize,
@@ -372,16 +379,16 @@ impl<T> RawSlots<T> {
         Some(e)
     }
 
-    /// True when `key` names a live occupancy. Safe to call with a stale
-    /// key whose slot another job's flow now occupies: liveness is read
-    /// from the generation stamp alone.
+    /// The key of slot `id`'s current occupancy, read from its generation
+    /// stamp alone.
     ///
     /// # Safety
     ///
     /// The slab must be structurally frozen (no concurrent generation
-    /// writes); concurrent *value* writes by the key's owner are fine.
-    pub(crate) unsafe fn contains(&self, key: FlowKey) -> bool {
-        unsafe { self.entry(key) }.is_some()
+    /// writes), and `id` in range.
+    pub(crate) unsafe fn key(&self, id: netbw_core::FlowId) -> FlowKey {
+        debug_assert!((id as usize) < self.len);
+        FlowKey::new(id, unsafe { (*self.entries.add(id as usize)).generation })
     }
 
     /// Mutable access to the entry named by `key`, if live. The returned
@@ -512,9 +519,8 @@ mod tests {
         let c = slab.insert(3); // reuses a's slot under a new generation
         let raw = slab.raw();
         unsafe {
-            assert!(!raw.contains(a), "stale key must miss by generation");
-            assert!(raw.contains(b));
-            assert!(raw.contains(c));
+            assert_eq!(raw.key(a.id()), c, "a reused slot names its new occupant");
+            assert_eq!(raw.key(b.id()), b);
             *raw.get_mut(b).unwrap() = 20;
             assert_eq!(raw.bump_epoch(c), Some(1));
             assert!(raw.get_mut(a).is_none());

@@ -5,7 +5,7 @@
 //! keyed by its input index ([`TransferKey`]) and inserted before time
 //! advances, so the batch path inherits the slab-backed engine's
 //! incremental penalty patching for free — each completion batch reaches
-//! the model as a positional `Departed` delta.
+//! the model as a keyed delta of departed ids.
 
 use crate::network::{FluidNetwork, TransferKey};
 use crate::params::NetworkParams;

@@ -16,8 +16,8 @@
 
 use netbw_bench::churn_transfers_seeded;
 use netbw_core::{
-    GigabitEthernetModel, InfinibandModel, ModelScratch, MyrinetModel, Penalty, PenaltyModel,
-    PopulationDelta, QueryOutcome,
+    FlowId, GigabitEthernetModel, InfinibandModel, ModelScratch, MyrinetModel, Penalty,
+    PenaltyModel, PopulationDelta, QueryOutcome,
 };
 use netbw_fluid::NetworkParams;
 use netbw_graph::Communication;
@@ -195,16 +195,14 @@ impl PenaltyModel for GatedModel {
         self.inner.new_scratch()
     }
 
-    fn penalties_with_scratch(
+    fn apply_delta(
         &self,
-        comms: &[Communication],
-        delta: &PopulationDelta,
-        previous: Option<(&[Communication], &[Penalty])>,
+        delta: &PopulationDelta<'_>,
         scratch: &mut dyn ModelScratch,
-    ) -> (Vec<Penalty>, QueryOutcome) {
+        answers: &mut Vec<(FlowId, Penalty)>,
+    ) -> QueryOutcome {
         self.gate();
-        self.inner
-            .penalties_with_scratch(comms, delta, previous, scratch)
+        self.inner.apply_delta(delta, scratch, answers)
     }
 }
 

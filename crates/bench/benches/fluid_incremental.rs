@@ -7,17 +7,18 @@
 //! engine (a full model query per solver iteration *and* per
 //! `next_event_time` probe, and a population scan per event). The
 //! incremental engine settles once per population change, serves every
-//! probe from the `PenaltyCache`, and hands the models a positional
-//! `PopulationDelta` so each settle recomputes only the affected
-//! endpoints (GigE/InfiniBand) or conflict components (Myrinet).
+//! probe from the `PenaltyCache`, and hands the models a keyed
+//! `PopulationDelta` (the ids that left, the flows that joined) so each
+//! settle re-evaluates only the flows whose endpoints (GigE/InfiniBand)
+//! or conflict components (Myrinet) the change reaches.
 //!
 //! Two sizes: the 512-flow workload benched since PR 1, and a 2048-flow
 //! scale-up where the O(affected) patching dominates: per-event model
 //! work no longer grows with the fabric, so the gap over the reference
-//! widens. The models also keep their endpoint indices / union–find
-//! components alive in per-cache scratch state, and mixed
-//! arrival+departure batches stay positional — the printed counters
-//! split deltas *offered* from patches *performed* to prove it.
+//! widens. The models also keep the population, their endpoint indices
+//! and conflict components alive in per-cache scratch state, and mixed
+//! arrival+departure batches reach them as one delta — the printed
+//! counters split deltas *offered* from patches *performed* to prove it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netbw::prelude::*;
@@ -34,7 +35,7 @@ fn bench_churn_size(c: &mut Criterion, flows: usize, sample_size: usize) {
     assert_eq!(done, flows);
     println!(
         "churn{flows}/incremental: {flows} flows, {} model queries \
-         ({} carrying positional deltas, {} patched, {} scratch rebuilds, \
+         ({} carrying warm keyed deltas, {} patched, {} scratch rebuilds, \
          {} budget fallbacks), {} cache reuses, {} heap pushes \
          ({} lazy pops, {} rescans)",
         stats.model_queries,

@@ -14,7 +14,7 @@
 //!   the default engine must ask the model less than the reference and
 //!   never fall behind it (also stated within a 20 % / 2 ms noise slack);
 //! * the 2048-flow Myrinet group pinning the mixed-delta/patch shares
-//!   (>90% of settles must carry positional deltas and actually patch);
+//!   (>90% of settles must carry warm keyed deltas and actually patch);
 //! * the kernel-scaling group: one full GigE model query on a 512-sender
 //!   and on a 4096-sender incast. The §V.A kernel is linear in the
 //!   population, so 8x the senders must cost under 16x the time (a
@@ -22,6 +22,16 @@
 //!   takes ~64x). A ratio of two single-threaded timings holds on every
 //!   core count; the group runs before the sharded groups so it reports
 //!   even where those fail.
+//! * the population-scaling group: the same `churn_transfers` schedule of
+//!   8,000 GigE flows drained through the default engine at
+//!   `churn_stagger` and at a quarter of it, which quadruples the
+//!   contending population (about 410 and 1,540 flows) while every node
+//!   keeps its bounded degree. A keyed settle costs what moved, so the
+//!   model-side work per query (`CacheStats::keyed_traffic`: ids handed
+//!   over plus penalties answered) must stay within 1.5x between the two
+//!   — handing the model the whole population at every settle scales it
+//!   with the population. A count guard; the per-completion wall-clock
+//!   at both sizes goes to `BENCH_timeline.json` ungated.
 //! * the 100k-flow GigE group, where every flow is added up front so the
 //!   slab holds 100k slots while only a few hundred contend — the regime
 //!   the finish-time heap exists for. The default engine and the
@@ -109,7 +119,7 @@ fn median(times: &[Duration]) -> Duration {
 /// Drains one workload through the default engine and the reference,
 /// best of two interleaved runs each, printing the counter sets, and
 /// enforces the generic invariants: fewer model queries than the
-/// reference, a healthy positional-delta share, patches ≤ deltas, and no
+/// reference, a healthy warm-delta share, patches ≤ deltas, and no
 /// wall-clock regression against the reference. Returns the default
 /// engine's cache stats for group-specific guards.
 fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
@@ -153,12 +163,12 @@ fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
          ({} vs {q_ref})",
         s_inc.model_queries,
     );
-    // Most settles should reach the model as positional deltas — since
-    // mixed-delta chaining, rebuilds are essentially just the first
-    // settle — and a patch can only happen where a delta was offered.
+    // Most settles should reach the model as warm keyed deltas — only a
+    // cache's first settle is fresh — and a patch can only happen where a
+    // delta was offered.
     assert!(
         s_inc.delta_queries > s_inc.model_queries / 4,
-        "{name}: too few queries carried positional deltas: {s_inc:?}"
+        "{name}: too few queries carried warm keyed deltas: {s_inc:?}"
     );
     assert!(
         s_inc.patched_queries <= s_inc.delta_queries,
@@ -166,7 +176,7 @@ fn check(name: &str, kind: ModelKind, flows: usize) -> CacheStats {
     );
     // A full-population rescan is only legitimate where the model could
     // not scope the change: the first settle plus every scratch rebuild
-    // (which reports "all").
+    // (which answers every member).
     assert!(
         tl_inc.rescans <= s_inc.scratch_rebuilds + 1,
         "{name}: heap engine rescanned beyond its rebuild budget: {tl_inc:?} vs {s_inc:?}"
@@ -231,6 +241,78 @@ fn check_kernel_scaling(reps: usize) -> String {
          \"incast_query_scaling\": {scaling:.3}",
         t_small.as_secs_f64() * 1e6,
         t_large.as_secs_f64() * 1e6,
+    )
+}
+
+/// The population-scaling group: one `churn_transfers` schedule drained
+/// through the default engine at `churn_stagger` and at a quarter of it
+/// (median of `reps` interleaved runs), gated on the keyed traffic per
+/// model query. Returns the JSON fields for `BENCH_timeline.json`.
+fn check_population_scaling(flows: usize, reps: usize) -> String {
+    let kind = ModelKind::GigabitEthernet;
+    let stagger = churn_stagger(kind);
+    let sizes = [
+        churn_transfers(flows, stagger),
+        churn_transfers(flows, stagger / 4.0),
+    ];
+    // Drains one schedule, returning the cache stats and the mean
+    // contending population (Little's law: summed lifetimes over the
+    // span). Keys are schedule indices.
+    let drain = |transfers: &[(u64, Communication, f64)]| {
+        let mut net = Engine::Single.build(kind.build(), NetworkParams::unit());
+        for &(key, comm, start) in transfers {
+            net.add(key, comm, start);
+        }
+        let (mut lifetimes, mut end, mut done) = (0.0, 0.0f64, 0);
+        while let Some(t) = net.next_event_time() {
+            for c in net.advance_to(t) {
+                lifetimes += c.completion - transfers[c.key as usize].2;
+                end = end.max(c.completion);
+                done += 1;
+            }
+        }
+        assert_eq!(done, transfers.len(), "population scaling: lost flows");
+        (net.cache_stats(), lifetimes / (end - transfers[0].2))
+    };
+    let mut runs = [(CacheStats::default(), 0.0); 2];
+    let [runs_small, runs_large] = &mut runs;
+    let times = interleaved(
+        reps,
+        [&mut || *runs_small = drain(&sizes[0]), &mut || {
+            *runs_large = drain(&sizes[1])
+        }],
+    )
+    .map(|t| median(&t));
+    let per_query = |s: &CacheStats| s.keyed_traffic() as f64 / s.model_queries.max(1) as f64;
+    let [(small, pop_small), (large, pop_large)] = runs;
+    let (traffic_small, traffic_large) = (per_query(&small), per_query(&large));
+    let growth = traffic_large / traffic_small;
+    let per_completion = times.map(|t| t.as_secs_f64() * 1e6 / flows as f64);
+    println!(
+        "population scaling: gige-{flows} at {pop_small:.0} and {pop_large:.0} contending \
+         flows | keyed traffic {traffic_small:.2} and {traffic_large:.2} per model query \
+         ({growth:.2}x) | {:.2} and {:.2} us per completion",
+        per_completion[0], per_completion[1],
+    );
+    assert!(
+        pop_large >= 3.0 * pop_small,
+        "population scaling: the quarter stagger grew the contending population only \
+         {:.2}x ({pop_small:.0} -> {pop_large:.0})",
+        pop_large / pop_small,
+    );
+    assert!(
+        growth <= 1.5,
+        "population scaling: keyed traffic per model query grew {growth:.2}x for \
+         {:.1}x the contending flows ({traffic_small:.2} -> {traffic_large:.2}, bound \
+         1.5x): settles are paying for the population, not for what moved",
+        pop_large / pop_small,
+    );
+    format!(
+        "\"scaling_flows\": {flows}, \"scaling_population\": [{pop_small:.1}, {pop_large:.1}], \
+         \"scaling_traffic_per_query\": [{traffic_small:.3}, {traffic_large:.3}], \
+         \"scaling_traffic_growth\": {growth:.3}, \
+         \"scaling_us_per_completion\": [{:.3}, {:.3}]",
+        per_completion[0], per_completion[1],
     )
 }
 
@@ -708,10 +790,12 @@ fn main() {
         "myrinet-2048: patch share regressed to {patch_share:.3}: {s:?}"
     );
 
-    // The model kernel's scaling, then the deep-slab group the event
-    // timeline exists for; both land in the timeline record.
+    // The model kernel's scaling, the keyed settle's population scaling,
+    // then the deep-slab group the event timeline exists for; all land in
+    // the timeline record.
     let kernel = check_kernel_scaling(21);
-    let json = format!("{{{}, {kernel}}}\n", check_big(big, prefix, 3));
+    let scaling = check_population_scaling(8_000, 3);
+    let json = format!("{{{}, {kernel}, {scaling}}}\n", check_big(big, prefix, 3));
     std::fs::write("BENCH_timeline.json", &json).expect("write BENCH_timeline.json");
     print!("churn_smoke: BENCH_timeline.json = {json}");
 

@@ -110,13 +110,6 @@ pub struct PopulationDelta<'a> {
     pub fresh: bool,
 }
 
-impl PopulationDelta<'_> {
-    /// True when the delta changes nothing: no departure and no arrival.
-    pub fn is_empty(&self) -> bool {
-        self.departed.is_empty() && self.arrived.is_empty()
-    }
-}
-
 /// Downcasts a model scratch to the concrete type its model created.
 ///
 /// # Panics

@@ -127,6 +127,11 @@ pub struct PenaltyCache {
     scratch: Option<Box<dyn ModelScratch>>,
     /// The last refresh's `(id, penalty)` answers.
     answers: Vec<(FlowId, Penalty)>,
+    /// The owner stamp the engine writes into the slab entries of the
+    /// flows this cache answers for: a settle re-anchors an answered id
+    /// only if its entry carries this stamp. Unique among one engine's
+    /// live caches; 0 for the single-shard engine's.
+    owner: u32,
     stats: CacheStats,
 }
 
@@ -138,6 +143,7 @@ impl std::fmt::Debug for PenaltyCache {
             .field("arrivals", &self.arrivals)
             .field("departures", &self.departures)
             .field("has_scratch", &self.scratch.is_some())
+            .field("owner", &self.owner)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -166,6 +172,7 @@ impl Clone for PenaltyCache {
             departures,
             scratch,
             answers: _,
+            owner,
             stats,
         } = source;
         self.valid = *valid;
@@ -174,6 +181,7 @@ impl Clone for PenaltyCache {
         self.departures.clone_from(departures);
         self.scratch.clone_from(scratch);
         self.answers.clear();
+        self.owner = *owner;
         self.stats = *stats;
     }
 }
@@ -182,6 +190,20 @@ impl PenaltyCache {
     /// An empty, invalid cache (first use always queries the model).
     pub fn new() -> Self {
         PenaltyCache::default()
+    }
+
+    /// An empty cache whose flows carry the owner stamp `owner` (see
+    /// [`crate::slab::Slab::set_owner`]).
+    pub(crate) fn with_owner(owner: u32) -> Self {
+        PenaltyCache {
+            owner,
+            ..PenaltyCache::default()
+        }
+    }
+
+    /// The owner stamp this cache's flows carry in the slab.
+    pub(crate) fn owner(&self) -> u32 {
+        self.owner
     }
 
     /// Whether the settled penalties still describe the population.

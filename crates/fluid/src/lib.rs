@@ -42,7 +42,7 @@
 //!   only the endpoints or conflict components the change reaches, and
 //!   answer `(id, penalty)` for exactly the flows they re-evaluated, in
 //!   O(changed + reach) model work per event;
-//! * [`event_heap`] — the engine turns each settle's affected set into
+//! * [`event_heap`] — the engine turns each settle's answers into
 //!   per-flow cached finish times and keeps them in a lazy min-heap
 //!   ([`TimelineStats`] counts the traffic), so finding the next
 //!   completion or latency-gate opening is a heap peek instead of a scan

@@ -240,7 +240,7 @@ fn settle_shard<M: PenaltyModel, S: SlotAccess<Slot>>(
         events.stats.rescans += 1;
     }
     for &(id, penalty) in cache.answers() {
-        let key = slots.key(id);
+        let key = slots.member(id, cache.owner());
         let slot = slots.get_mut(key).expect("answered flow lives in slab");
         if let Some(finish) = slot.kin.resync(params, record_phases, now, penalty) {
             let epoch = slots.bump_epoch(key).expect("answered flow lives in slab");
@@ -639,8 +639,8 @@ impl<M: PenaltyModel> FluidNetwork<M> {
                 // front (gated flows included, so every flow has a shard
                 // home); a flow bridging two components merges their
                 // shards here.
-                let id = shards.assign(&comm, &st.slots);
-                shards.admit(id, flow, comm, contending, gate, epoch, &st.slots);
+                let id = shards.assign(&comm, &mut st.slots);
+                shards.admit(id, flow, comm, contending, gate, epoch, &mut st.slots);
             }
         }
         Ok(())
@@ -1406,6 +1406,72 @@ mod tests {
                 );
             }
             assert!(key > 1_000, "churn admitted only {key} flows");
+        }
+    }
+
+    /// GigE, plus one extra `(extra, 1)` answer on every settle: a model
+    /// that answers outside its own population.
+    #[derive(Clone)]
+    struct StrayAnswers {
+        extra: netbw_core::FlowId,
+    }
+
+    impl PenaltyModel for StrayAnswers {
+        fn name(&self) -> &'static str {
+            "stray-answers"
+        }
+        fn penalties(&self, comms: &[Communication]) -> Vec<netbw_core::Penalty> {
+            GigabitEthernetModel::default().penalties(comms)
+        }
+        fn new_scratch(&self) -> Box<dyn netbw_core::ModelScratch> {
+            GigabitEthernetModel::default().new_scratch()
+        }
+        fn apply_delta(
+            &self,
+            delta: &netbw_core::PopulationDelta<'_>,
+            scratch: &mut dyn netbw_core::ModelScratch,
+            answers: &mut Vec<(netbw_core::FlowId, netbw_core::Penalty)>,
+        ) -> netbw_core::QueryOutcome {
+            let outcome = GigabitEthernetModel::default().apply_delta(delta, scratch, answers);
+            answers.push((self.extra, netbw_core::Penalty::ONE));
+            outcome
+        }
+    }
+
+    #[test]
+    fn answers_outside_the_settling_shard_panic_before_any_slot_is_touched() {
+        // 4,200 one-flow components whose gates open at one instant: the
+        // first barrier dirties every shard, past the inline cutoff, so
+        // both sharded engines dispatch it. A model answering flow 0 —
+        // another shard's member for all but one job — or an id past the
+        // slab panics on the owner-stamp or range check, on every path.
+        // The single shard owns flow 0, so its stray answer passes until
+        // the drained population's last settle answers it departed.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let params = NetworkParams::new(4.0, 0.25);
+        for extra in [0, u32::MAX] {
+            for (name, mut net) in engines(StrayAnswers { extra }, params) {
+                for c in 0..4_200u32 {
+                    net.add(u64::from(c), comm(2 * c, 2 * c + 1, 100), 0.0);
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| net.run_to_completion()));
+                let payload = outcome.expect_err(name);
+                let want = match (name, extra) {
+                    // scoped threads re-raise a message of their own
+                    ("sharded threads", _) => "",
+                    ("single shard", 0) => "answered flow lives in slab",
+                    _ => "is not a member of the settling shard",
+                };
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("");
+                assert!(msg.contains(want), "{name}, flow {extra}: {msg}");
+                if name != "single shard" {
+                    assert_eq!(net.shard_stats().dispatched_barriers, 1, "{name}");
+                }
+            }
         }
     }
 }

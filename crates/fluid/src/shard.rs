@@ -134,8 +134,13 @@ pub(crate) struct Shard {
 
 impl Shard {
     pub(crate) fn new() -> Self {
+        Shard::with_owner(0)
+    }
+
+    /// A shard whose cache carries the owner stamp `owner`.
+    fn with_owner(owner: u32) -> Self {
         Shard {
-            cache: PenaltyCache::new(),
+            cache: PenaltyCache::with_owner(owner),
             events: EventHeaps::default(),
             members: Vec::new(),
             departures: 0,
@@ -377,6 +382,11 @@ pub(crate) struct ShardSet {
     drains: u64,
     rehomed: u64,
     dispatched: u64,
+    /// Owner stamps handed out: every shard this table built has its own
+    /// (its cache's [`PenaltyCache::owner`], which moves with the cache),
+    /// so live caches never share one. Stamp 0 is the single-shard
+    /// engine's.
+    owners: u32,
 }
 
 /// A copy is faithful — tracker, live shards, dirty list, next-event
@@ -400,6 +410,7 @@ impl Clone for ShardSet {
             drains,
             rehomed,
             dispatched,
+            owners,
         } = self;
         ShardSet {
             tracker: tracker.clone(),
@@ -417,6 +428,7 @@ impl Clone for ShardSet {
             drains: *drains,
             rehomed: *rehomed,
             dispatched: *dispatched,
+            owners: *owners,
         }
     }
 }
@@ -446,7 +458,11 @@ impl ShardSet {
     /// the flow belongs to. A merge reads which of the absorbed members
     /// contend from `slots`; the new flow itself must not be a member of
     /// any shard yet.
-    pub(crate) fn assign<S: SlotView>(&mut self, comm: &Communication, slots: &Slab<S>) -> usize {
+    pub(crate) fn assign<S: SlotView>(
+        &mut self,
+        comm: &Communication,
+        slots: &mut Slab<S>,
+    ) -> usize {
         match self.tracker.insert(comm.src, comm.dst) {
             ComponentChange::Created { root } => self.open(root),
             ComponentChange::Joined { root } => root as usize,
@@ -457,7 +473,8 @@ impl ShardSet {
         }
     }
 
-    /// Takes a just-added flow into shard `id` (see [`Shard::admit`]). A
+    /// Takes a just-added flow into shard `id` (see [`Shard::admit`]),
+    /// stamping its slab entry with the shard cache's owner stamp. A
     /// contending flow dirties the shard, whose settle then publishes its
     /// next event; a gated one publishes it now.
     #[allow(clippy::too_many_arguments)]
@@ -469,10 +486,11 @@ impl ShardSet {
         contending: bool,
         gate: f64,
         epoch: u64,
-        slots: &Slab<T>,
+        slots: &mut Slab<T>,
     ) {
-        self.shard_mut(id)
-            .admit(flow, comm, contending, gate, epoch);
+        let sh = self.shard_mut(id);
+        slots.set_owner(flow, sh.cache.owner());
+        sh.admit(flow, comm, contending, gate, epoch);
         if contending {
             self.mark_dirty(id);
         } else {
@@ -550,6 +568,7 @@ impl ShardSet {
         };
         self.rehomed += small.members.len() as u64;
         for &k in &small.members {
+            slots.set_owner(k, small.cache.owner());
             let slot = slots.get(k).expect("member is live");
             let contending = slot.contending();
             let (finish, gate) = (slot.finish(), slot.gate());
@@ -569,14 +588,19 @@ impl ShardSet {
     }
 
     /// Opens the shard for a fresh tracker label, drawing a recycled
-    /// shard from the pool when one waits there.
+    /// shard from the pool when one waits there, and otherwise building
+    /// one with a new owner stamp.
     fn open(&mut self, label: ComponentRoot) -> usize {
         let id = label as usize;
         if self.shards.len() <= id {
             self.shards.resize_with(id + 1, || None);
         }
         debug_assert!(self.shards[id].is_none(), "a fresh label has no shard");
-        self.shards[id] = Some(self.pool.pop().unwrap_or_else(Shard::new));
+        let sh = self.pool.pop().unwrap_or_else(|| {
+            self.owners = self.owners.checked_add(1).expect("owner stamps exhausted");
+            Shard::with_owner(self.owners)
+        });
+        self.shards[id] = Some(sh);
         self.live += 1;
         id
     }
@@ -611,14 +635,15 @@ impl ShardSet {
     /// Splices shard `loser` into shard `winner` at the cost of the
     /// smaller side. The side with more members keeps its cache and member
     /// list (swapped into the winner's slot when the loser is larger); the
-    /// smaller side's contending members, read from `slots`, are noted on
-    /// that cache as arrivals, so its next refresh is a delta patch — which
+    /// smaller side's members take that cache's owner stamp, and its
+    /// contending members, read from `slots`, are noted on that cache as
+    /// arrivals, so its next refresh is a delta patch — which
     /// the models answer bit for bit like the full query over the joint
     /// population. The smaller side's members and event heaps are spliced
     /// in verbatim (slab keys and epochs are global, so every entry stays
     /// valid), and the loser retires into the pool with its dropped
     /// cache's counters folded into the retired accumulator.
-    fn merge<S: SlotView>(&mut self, winner: usize, loser: usize, slots: &Slab<S>) {
+    fn merge<S: SlotView>(&mut self, winner: usize, loser: usize, slots: &mut Slab<S>) {
         debug_assert_ne!(winner, loser);
         self.merges += 1;
         let mut small = self.take(loser);
@@ -629,6 +654,7 @@ impl ShardSet {
             std::mem::swap(&mut w.members, &mut small.members);
         }
         for &k in &small.members {
+            slots.set_owner(k, w.cache.owner());
             if let Some(slot) = slots.get(k) {
                 self.rehomed += 1;
                 if slot.contending() {
@@ -859,8 +885,8 @@ mod tests {
         let mut id = usize::MAX;
         for &(s, d) in flows {
             let k = slab.insert(TSlot::running(s, d, 10.0));
-            id = set.assign(&comm(s, d), &slab);
-            set.admit(id, k, comm(s, d), true, 0.0, 0, &slab);
+            id = set.assign(&comm(s, d), &mut slab);
+            set.admit(id, k, comm(s, d), true, 0.0, 0, &mut slab);
             keys.push(k);
         }
         assert_eq!(set.live_count(), 1, "one component");
@@ -902,21 +928,25 @@ mod tests {
     #[test]
     fn assign_creates_joins_and_merges() {
         let mut set = ShardSet::default();
-        let slab: Slab<TSlot> = Slab::new();
-        let a = set.assign(&comm(0, 1), &slab);
-        let b = set.assign(&comm(2, 3), &slab);
+        let mut slab: Slab<TSlot> = Slab::new();
+        let a = set.assign(&comm(0, 1), &mut slab);
+        let b = set.assign(&comm(2, 3), &mut slab);
         assert_ne!(a, b);
         assert_eq!(set.live_count(), 2);
-        assert_eq!(set.assign(&comm(0, 4), &slab), a, "shared endpoint joins");
-        let bridged = set.assign(&comm(1, 2), &slab);
+        assert_eq!(
+            set.assign(&comm(0, 4), &mut slab),
+            a,
+            "shared endpoint joins"
+        );
+        let bridged = set.assign(&comm(1, 2), &mut slab);
         assert_eq!(bridged, a, "the side with more endpoints keeps its label");
         assert_eq!(set.live_count(), 1, "bridge retires the loser");
         assert_eq!(set.shard_stats().merges, 1);
         assert_eq!(set.pooled(), 1, "the loser waits in the pool");
         // the whole union now routes to the surviving shard
-        assert_eq!(set.assign(&comm(3, 4), &slab), bridged);
+        assert_eq!(set.assign(&comm(3, 4), &mut slab), bridged);
         // and the next component takes the absorbed label's recycled shard
-        assert_eq!(set.assign(&comm(7, 8), &slab), b);
+        assert_eq!(set.assign(&comm(7, 8), &mut slab), b);
         assert_eq!(set.pooled(), 0);
     }
 
@@ -940,17 +970,17 @@ mod tests {
         });
         let mut a = usize::MAX;
         for &k in &ka {
-            a = set.assign(&comm(0, 1), &slab);
-            set.admit(a, k, comm(0, 1), true, 0.0, 0, &slab);
+            a = set.assign(&comm(0, 1), &mut slab);
+            set.admit(a, k, comm(0, 1), true, 0.0, 0, &mut slab);
         }
         settle(&mut set, a, &slab);
-        let b = set.assign(&comm(2, 3), &slab);
-        set.admit(b, k1, comm(2, 3), true, 0.0, 0, &slab);
+        let b = set.assign(&comm(2, 3), &mut slab);
+        set.admit(b, k1, comm(2, 3), true, 0.0, 0, &mut slab);
         settle(&mut set, b, &slab);
-        assert_eq!(set.assign(&comm(2, 4), &slab), b);
-        set.admit(b, k2, comm(2, 4), false, 5.0, 0, &slab);
+        assert_eq!(set.assign(&comm(2, 4), &mut slab), b);
+        set.admit(b, k2, comm(2, 4), false, 5.0, 0, &mut slab);
         assert_eq!(set.peek_next(), Some(5.0));
-        let survivor = set.assign(&comm(1, 2), &slab);
+        let survivor = set.assign(&comm(1, 2), &mut slab);
         assert_eq!(survivor, b);
         assert_eq!(set.shard_mut(survivor).members.len(), 5);
         assert!(set.shard_mut(survivor).dirty, "merge queues a settle");
@@ -987,8 +1017,8 @@ mod tests {
             slab.insert(TSlot::running(0, 1, 0.0)),
             slab.insert(TSlot::running(5, 6, 0.0)),
         );
-        let a = set.assign(&comm(0, 1), &slab);
-        let b = set.assign(&comm(5, 6), &slab);
+        let a = set.assign(&comm(0, 1), &mut slab);
+        let b = set.assign(&comm(5, 6), &mut slab);
         set.shard_mut(a).events.push_gate(3.0, k0, 0);
         set.refresh_next(a, &slab);
         set.shard_mut(b).events.push_gate(1.0, k2, 0);
@@ -1059,7 +1089,7 @@ mod tests {
     #[test]
     fn dirty_marking_is_idempotent() {
         let mut set = ShardSet::default();
-        let a = set.assign(&comm(0, 1), &Slab::<TSlot>::new());
+        let a = set.assign(&comm(0, 1), &mut Slab::<TSlot>::new());
         set.mark_dirty(a);
         set.mark_dirty(a);
         assert_eq!(set.dirty, vec![a]);
@@ -1068,11 +1098,11 @@ mod tests {
     #[test]
     fn disjoint_mut_hands_out_every_requested_shard() {
         let mut set = ShardSet::default();
-        let slab: Slab<TSlot> = Slab::new();
+        let mut slab: Slab<TSlot> = Slab::new();
         let ids = [
-            set.assign(&comm(0, 1), &slab),
-            set.assign(&comm(2, 3), &slab),
-            set.assign(&comm(4, 5), &slab),
+            set.assign(&comm(0, 1), &mut slab),
+            set.assign(&comm(2, 3), &mut slab),
+            set.assign(&comm(4, 5), &mut slab),
         ];
         let picked = [ids[0], ids[2]];
         let shards = set.disjoint_mut(&picked);
@@ -1088,7 +1118,7 @@ mod tests {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
         let k0 = slab.insert(TSlot::running(0, 1, 0.0));
-        let a = set.assign(&comm(0, 1), &slab);
+        let a = set.assign(&comm(0, 1), &mut slab);
         set.shard_mut(a).events.push_gate(1.0, k0, 0);
         set.refresh_next(a, &slab);
         set.note_reused_settle();
@@ -1102,7 +1132,7 @@ mod tests {
         assert_eq!(set.cache_stats().reuses, 1);
         // and the next assignment starts a fresh shard table, drawing the
         // recycled shard with its counters zeroed and its heaps empty
-        let b = set.assign(&comm(0, 1), &slab);
+        let b = set.assign(&comm(0, 1), &mut slab);
         assert_eq!(set.live_count(), 1);
         assert_eq!(set.shard_mut(b).events.stats, TimelineStats::default());
         assert_eq!(set.shard_mut(b).next_event(&slab), None);
@@ -1123,12 +1153,12 @@ mod tests {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
         let anchor = slab.insert(TSlot::running(8, 9, 50.0));
-        let keep = set.assign(&comm(8, 9), &slab);
-        set.admit(keep, anchor, comm(8, 9), true, 0.0, 0, &slab);
+        let keep = set.assign(&comm(8, 9), &mut slab);
+        set.admit(keep, anchor, comm(8, 9), true, 0.0, 0, &mut slab);
         settle(&mut set, keep, &slab);
         let k = slab.insert(TSlot::running(0, 1, 10.0));
-        let a = set.assign(&comm(0, 1), &slab);
-        set.admit(a, k, comm(0, 1), true, 0.0, 0, &slab);
+        let a = set.assign(&comm(0, 1), &mut slab);
+        set.admit(a, k, comm(0, 1), true, 0.0, 0, &mut slab);
         settle(&mut set, a, &slab);
         let epoch = slab.bump_epoch(k).unwrap();
         set.shard_mut(a).events.push_completion(10.0, k, epoch);
@@ -1148,10 +1178,10 @@ mod tests {
         );
         assert_eq!(set.timeline_stats().heap_pushes, pushes);
         let k2 = slab.insert(TSlot::running(4, 5, 20.0));
-        let c = set.assign(&comm(4, 5), &slab);
+        let c = set.assign(&comm(4, 5), &mut slab);
         assert_eq!(c, a, "the drained label and its shard are reused");
         assert_eq!(set.shard_mut(c).cache.stats(), CacheStats::default());
-        set.admit(c, k2, comm(4, 5), true, 0.0, 0, &slab);
+        set.admit(c, k2, comm(4, 5), true, 0.0, 0, &mut slab);
         let fresh = settle(&mut set, c, &slab);
         assert_eq!(
             (
@@ -1175,9 +1205,9 @@ mod tests {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
         // One chain component 0-1-2-3 whose cache has answered a query.
-        let a = set.assign(&comm(0, 1), &slab);
-        set.assign(&comm(1, 2), &slab);
-        set.assign(&comm(2, 3), &slab);
+        let a = set.assign(&comm(0, 1), &mut slab);
+        set.assign(&comm(1, 2), &mut slab);
+        set.assign(&comm(2, 3), &mut slab);
         let flows = [(0, 1), (1, 2), (2, 3)];
         let keys: Vec<FlowKey> = flows
             .iter()
@@ -1305,9 +1335,9 @@ mod tests {
         let mut set = ShardSet::default();
         let mut slab: Slab<TSlot> = Slab::new();
         // One chain component 0-1-2-3 out of three flows.
-        let a = set.assign(&comm(0, 1), &slab);
-        assert_eq!(set.assign(&comm(1, 2), &slab), a);
-        assert_eq!(set.assign(&comm(2, 3), &slab), a);
+        let a = set.assign(&comm(0, 1), &mut slab);
+        assert_eq!(set.assign(&comm(1, 2), &mut slab), a);
+        assert_eq!(set.assign(&comm(2, 3), &mut slab), a);
         let k01 = slab.insert(TSlot::running(0, 1, 10.0));
         let k12 = slab.insert(TSlot::running(1, 2, 20.0));
         let k23 = slab.insert(TSlot::running(2, 3, 30.0));
@@ -1347,7 +1377,11 @@ mod tests {
         assert_eq!(set.pooled(), 1);
         // ...and the next brand-new component reuses its id and its shard,
         // which carries no entry of its previous occupant.
-        assert_eq!(set.assign(&comm(8, 9), &slab), sid, "retired id is reused");
+        assert_eq!(
+            set.assign(&comm(8, 9), &mut slab),
+            sid,
+            "retired id is reused"
+        );
         assert_eq!(set.pooled(), 0);
         assert_eq!(
             set.peek_next(),

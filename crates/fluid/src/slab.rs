@@ -73,6 +73,10 @@ struct Entry<T> {
     /// re-anchored flow's older entries become recognizably stale without
     /// the heap ever being searched.
     epoch: u64,
+    /// The owner stamp of the penalty cache that answers for the occupant
+    /// ([`Slab::set_owner`]); 0 on insert. Written only outside settle
+    /// barriers, so a barrier job reads it race-free, like `generation`.
+    owner: u32,
     value: Option<T>,
 }
 
@@ -149,12 +153,14 @@ impl<T> Slab<T> {
             debug_assert!(entry.value.is_none());
             entry.value = Some(value);
             entry.epoch = 0;
+            entry.owner = 0;
             FlowKey::new(index, entry.generation)
         } else {
             let index = u32::try_from(self.entries.len()).expect("slab capacity exceeds u32");
             self.entries.push(Entry {
                 generation: 0,
                 epoch: 0,
+                owner: 0,
                 value: Some(value),
             });
             FlowKey::new(index, 0)
@@ -222,6 +228,18 @@ impl<T> Slab<T> {
         Some(entry.epoch)
     }
 
+    /// Stamps the live entry named by `key` with the owner stamp of the
+    /// penalty cache that answers for it: a settle re-anchors an answered
+    /// flow only if its entry carries the settling cache's stamp
+    /// ([`SlotAccess::member`]). A stale key is ignored.
+    pub(crate) fn set_owner(&mut self, key: FlowKey, owner: u32) {
+        if let Some(entry) = self.entries.get_mut(key.index()) {
+            if entry.generation == key.generation() {
+                entry.owner = owner;
+            }
+        }
+    }
+
     /// Iterates occupied slots in slot order. Survivors keep their
     /// relative order across any sequence of removals.
     pub fn iter(&self) -> impl Iterator<Item = (FlowKey, &T)> {
@@ -268,8 +286,13 @@ impl<T> Slab<T> {
 /// barrier jobs go through a [`JobSlots`] view instead — so the one settle
 /// body serves both without the safe path ever touching a raw pointer.
 pub(crate) trait SlotAccess<T> {
-    /// The key of the live entry in slot `id`.
-    fn key(&self, id: netbw_core::FlowId) -> FlowKey;
+    /// The key of the current occupancy of slot `id`, a flow a model
+    /// answered for the settling cache whose owner stamp is `owner`.
+    ///
+    /// # Panics
+    /// Unless slot `id` exists and carries the stamp `owner`: the model
+    /// answered a flow outside the settling shard.
+    fn member(&self, id: netbw_core::FlowId, owner: u32) -> FlowKey;
     /// Mutable access to the live entry named by `key`.
     fn get_mut(&mut self, key: FlowKey) -> Option<&mut T>;
     /// Bumps and returns the live entry's epoch stamp.
@@ -277,8 +300,11 @@ pub(crate) trait SlotAccess<T> {
 }
 
 impl<T> SlotAccess<T> for Slab<T> {
-    fn key(&self, id: netbw_core::FlowId) -> FlowKey {
-        FlowKey::new(id, self.entries[id as usize].generation)
+    fn member(&self, id: netbw_core::FlowId, owner: u32) -> FlowKey {
+        match self.entries.get(id as usize) {
+            Some(entry) if entry.owner == owner => FlowKey::new(id, entry.generation),
+            _ => not_a_member(id),
+        }
     }
     fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
         Slab::get_mut(self, key)
@@ -288,28 +314,38 @@ impl<T> SlotAccess<T> for Slab<T> {
     }
 }
 
+/// Panics for an answered flow outside the settling shard.
+#[cold]
+fn not_a_member(id: netbw_core::FlowId) -> ! {
+    panic!("answered flow {id} is not a member of the settling shard")
+}
+
 /// One parallel settle job's [`SlotAccess`]: a [`RawSlots`] view whose
-/// user touches only its own shard's member keys.
+/// user touches only its own shard's member keys. Those keys come from
+/// [`SlotAccess::member`], which checks each answered id's range and
+/// owner stamp before any unchecked access, so no model answer can reach
+/// another job's slots.
 pub(crate) struct JobSlots<T>(RawSlots<T>);
 
 impl<T> JobSlots<T> {
     /// Scopes `raw` to one settle job.
     ///
     /// # Safety
-    /// For the job's whole lifetime the slab stays structurally frozen,
-    /// and the job passes only the keys of its own shard's members, which
-    /// no other concurrent user of the same slab holds (see
-    /// [`RawSlots`]).
+    /// For the job's whole lifetime the slab stays structurally frozen
+    /// and its owner stamps unchanged; the job passes its own shard's
+    /// cache stamp to [`SlotAccess::member`], a stamp no other concurrent
+    /// job's shard carries, and only the keys `member` returned to the
+    /// other methods (see [`RawSlots`]).
     pub(crate) unsafe fn new(raw: RawSlots<T>) -> Self {
         JobSlots(raw)
     }
 }
 
 impl<T> SlotAccess<T> for JobSlots<T> {
-    fn key(&self, id: netbw_core::FlowId) -> FlowKey {
-        // SAFETY: the constructor's contract; generation stamps are frozen
-        // for the whole barrier.
-        unsafe { self.0.key(id) }
+    fn member(&self, id: netbw_core::FlowId, owner: u32) -> FlowKey {
+        // SAFETY: the constructor's contract; generation and owner stamps
+        // are frozen for the whole barrier.
+        unsafe { self.0.member(id, owner) }
     }
     fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
         // SAFETY: the constructor's contract; the borrow is scoped to
@@ -334,10 +370,11 @@ impl<T> SlotAccess<T> for JobSlots<T> {
 ///   live — generations and the entry array are frozen for the duration.
 /// * Two concurrent users must never pass the same live key — entry
 ///   *contents* (value and epoch) are accessed without synchronization.
-/// * Generation stamps are frozen, so reading one is always safe:
-///   liveness is derived from the stamp alone, never from the value
-///   discriminant, whose bytes may alias in-flight writes to a slot's
-///   occupant by its owning job.
+/// * Generation and owner stamps are frozen, so reading one is always
+///   safe: liveness is derived from the generation alone, never from the
+///   value discriminant, whose bytes may alias in-flight writes to a
+///   slot's occupant by its owning job, and membership from the owner
+///   stamp, which each job checks before touching a slot.
 pub(crate) struct RawSlots<T> {
     entries: *mut Entry<T>,
     len: usize,
@@ -380,15 +417,30 @@ impl<T> RawSlots<T> {
     }
 
     /// The key of slot `id`'s current occupancy, read from its generation
-    /// stamp alone.
+    /// stamp, after checking that `id` is in range and that the slot
+    /// carries the owner stamp `owner`.
+    ///
+    /// # Panics
+    /// Like [`SlotAccess::member`], before touching anything out of range
+    /// or owned by another stamp.
     ///
     /// # Safety
     ///
-    /// The slab must be structurally frozen (no concurrent generation
-    /// writes), and `id` in range.
-    pub(crate) unsafe fn key(&self, id: netbw_core::FlowId) -> FlowKey {
-        debug_assert!((id as usize) < self.len);
-        FlowKey::new(id, unsafe { (*self.entries.add(id as usize)).generation })
+    /// The slab must be structurally frozen, with no concurrent generation
+    /// or owner-stamp writes.
+    pub(crate) unsafe fn member(&self, id: netbw_core::FlowId, owner: u32) -> FlowKey {
+        let i = id as usize;
+        if i >= self.len {
+            not_a_member(id);
+        }
+        let e = unsafe { self.entries.add(i) };
+        // Both stamps are frozen for the barrier, so reading them is
+        // race-free even in a slot another job owns.
+        let (generation, stamp) = unsafe { ((*e).generation, (*e).owner) };
+        if stamp != owner {
+            not_a_member(id);
+        }
+        FlowKey::new(id, generation)
     }
 
     /// Mutable access to the entry named by `key`, if live. The returned
@@ -519,8 +571,12 @@ mod tests {
         let c = slab.insert(3); // reuses a's slot under a new generation
         let raw = slab.raw();
         unsafe {
-            assert_eq!(raw.key(a.id()), c, "a reused slot names its new occupant");
-            assert_eq!(raw.key(b.id()), b);
+            assert_eq!(
+                raw.member(a.id(), 0),
+                c,
+                "a reused slot names its new occupant"
+            );
+            assert_eq!(raw.member(b.id(), 0), b);
             *raw.get_mut(b).unwrap() = 20;
             assert_eq!(raw.bump_epoch(c), Some(1));
             assert!(raw.get_mut(a).is_none());
@@ -529,6 +585,31 @@ mod tests {
         assert_eq!(slab.get(b), Some(&20));
         assert_eq!(slab.epoch(c), Some(1));
         assert_eq!(slab.epoch(b), Some(0));
+    }
+
+    #[test]
+    fn member_checks_range_and_owner_stamp() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut slab = Slab::new();
+        let a = slab.insert(1);
+        let b = slab.insert(2);
+        slab.set_owner(b, 7);
+        assert_eq!(SlotAccess::member(&slab, a.id(), 0), a);
+        assert_eq!(SlotAccess::member(&slab, b.id(), 7), b);
+        // a reused slot starts unstamped; a stale key stamps nothing
+        slab.remove(b);
+        slab.set_owner(b, 9);
+        let c = slab.insert(3);
+        assert_eq!(SlotAccess::member(&slab, c.id(), 0), c);
+        let raw = slab.raw();
+        // an id out of range or stamped for another owner panics on both
+        // paths, before any unchecked access
+        for (id, owner) in [(a.id(), 7), (c.id(), 9), (2, 0), (u32::MAX, 0)] {
+            let checked = catch_unwind(AssertUnwindSafe(|| SlotAccess::member(&slab, id, owner)));
+            assert!(checked.is_err(), "slab: flow {id} for owner {owner}");
+            let unchecked = catch_unwind(AssertUnwindSafe(|| unsafe { raw.member(id, owner) }));
+            assert!(unchecked.is_err(), "raw view: flow {id} for owner {owner}");
+        }
     }
 
     #[test]

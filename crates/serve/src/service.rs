@@ -6,8 +6,9 @@ use netbw_eval::{EvalSession, SweepStats, SweepWorker};
 use netbw_fluid::{AddError, CompletedTransfer, FluidNetwork, NetworkParams, TransferKey};
 use netbw_graph::Communication;
 use netbw_packet::FabricConfig;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Key bit marking a speculative (what-if) flow inside a fork. Admitted
 /// transfers take keys counting up from zero, so the two namespaces can
@@ -90,6 +91,12 @@ pub enum ServeError {
     },
     /// The service thread behind a [`crate::ServeHandle`] has shut down.
     ServiceStopped,
+    /// The engine or the model panicked. A what-if query that panics
+    /// answers this and its fork is dropped, and the service goes on
+    /// serving; a panic while admitting into or advancing the engine of
+    /// record leaves it untrustworthy, so every later admission, advance
+    /// and query answers this too (the counters stay readable).
+    Internal,
 }
 
 impl std::fmt::Display for ServeError {
@@ -109,6 +116,7 @@ impl std::fmt::Display for ServeError {
                 "what-if start offset of {offset} s exceeds the {MAX_WHAT_IF_OFFSET} s limit"
             ),
             ServeError::ServiceStopped => write!(f, "service thread has shut down"),
+            ServeError::Internal => write!(f, "internal error: the engine panicked"),
         }
     }
 }
@@ -270,6 +278,25 @@ struct Authoritative {
     snapshot: Option<Arc<Snapshot>>,
     next_key: TransferKey,
     completed: u64,
+    /// Set when the engine of record panicked: it may be half-settled,
+    /// so the service refuses further work on it.
+    broken: bool,
+}
+
+impl Authoritative {
+    /// Runs `f` on the engine of record, isolating a panic: the engine may
+    /// then be half-settled, so it is marked broken, the snapshot is
+    /// dropped, and the call answers [`ServeError::Internal`].
+    fn guarded<R>(
+        &mut self,
+        f: impl FnOnce(&mut FluidNetwork<ModelHandle>) -> R,
+    ) -> Result<R, ServeError> {
+        catch_unwind(AssertUnwindSafe(|| f(&mut self.net))).map_err(|_| {
+            self.broken = true;
+            self.snapshot = None;
+            ServeError::Internal
+        })
+    }
 }
 
 /// A long-running what-if service: admit real transfers, advance the
@@ -310,6 +337,7 @@ impl WhatIfService {
                 snapshot: None,
                 next_key: 0,
                 completed: 0,
+                broken: false,
             }),
             queries: AtomicU64::new(0),
             snapshot_builds: AtomicU64::new(0),
@@ -345,9 +373,9 @@ impl WhatIfService {
     /// key. Rejections are typed values ([`AddError`] routed through
     /// [`ServeError::Rejected`]) — never panics.
     pub fn admit(&self, comm: Communication, start: f64) -> Result<TransferKey, ServeError> {
-        let mut st = self.state();
+        let mut st = self.live_state()?;
         let key = st.next_key;
-        st.net.try_add(key, comm, start)?;
+        st.guarded(|net| net.try_add(key, comm, start))??;
         st.next_key += 1;
         st.log.push((key, comm, start));
         // Re-base instead of invalidating: the same admission that just
@@ -360,23 +388,24 @@ impl WhatIfService {
     /// Advances the authoritative clock to `t`, returning the transfers
     /// that completed on the way.
     pub fn advance_to(&self, t: f64) -> Result<Vec<CompletedTransfer>, ServeError> {
-        let mut st = self.state();
+        let mut st = self.live_state()?;
         let now = st.net.time();
         if t.is_nan() || t < now {
             return Err(ServeError::NonMonotonicClock { t, now });
         }
-        let done = st.net.advance_to(t);
+        let done = st.guarded(|net| net.advance_to(t))?;
         st.completed += done.len() as u64;
         // Any real clock movement must reach the snapshot too: its cached
         // `now` (the origin of query offsets) must match the service
         // clock, and latency gates may have opened even when nothing
         // completed. The same `advance_to` replays onto the snapshot at
-        // O(affected); a no-op advance (`t == now`) touches nothing.
+        // O(affected); a no-op advance (`t == now`) touches nothing. A
+        // replay that panics drops the snapshot.
         if t > now {
             self.rebase(&mut st, |snap| {
-                snap.net.advance_to(t);
+                let replayed = catch_unwind(AssertUnwindSafe(|| snap.net.advance_to(t))).is_ok();
                 snap.now = t;
-                true
+                replayed
             });
         }
         Ok(done)
@@ -395,12 +424,17 @@ impl WhatIfService {
     /// authoritative state nor each other. The fork lands in the worker's
     /// persistent fork arena: after each worker's first query ever, the
     /// deep copy recycles the previous fork's allocations
-    /// ([`Clone::clone_from`]) instead of building a fresh engine.
+    /// ([`Clone::clone_from`]) instead of building a fresh engine. A query
+    /// whose settles panic answers [`ServeError::Internal`], and its fork
+    /// is dropped instead of parked in the arena.
     pub fn what_if_batch(&self, queries: &[WhatIfQuery]) -> Vec<Result<WhatIfAnswer, ServeError>> {
         if queries.is_empty() {
             return Vec::new();
         }
-        let snap = self.snapshot_for(queries.len() as u64);
+        let snap = match self.snapshot_for(queries.len() as u64) {
+            Ok(snap) => snap,
+            Err(err) => return vec![Err(err); queries.len()],
+        };
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         self.session.sweep(queries, |worker, query| {
@@ -418,9 +452,18 @@ impl WhatIfService {
                 }
                 None => Box::new(snap.net.clone()),
             };
-            let answer = self.answer_on(&mut engine, snap.now, worker, query);
-            worker.put_fork_arena(FORK_ARENA_KEY, engine);
-            answer
+            let answer = catch_unwind(AssertUnwindSafe(|| {
+                self.answer_on(&mut engine, snap.now, worker, query)
+            }));
+            match answer {
+                Ok(answer) => {
+                    worker.put_fork_arena(FORK_ARENA_KEY, engine);
+                    answer
+                }
+                // the fork may be half-settled: drop it, and the worker's
+                // next query forks afresh
+                Err(_) => Err(ServeError::Internal),
+            }
         })
     }
 
@@ -435,17 +478,20 @@ impl WhatIfService {
         &self,
         queries: &[WhatIfQuery],
     ) -> Vec<Result<WhatIfAnswer, ServeError>> {
-        let (log, now) = {
-            let st = self.state();
-            (st.log.clone(), st.net.time())
+        let (log, now) = match self.live_state() {
+            Ok(st) => (st.log.clone(), st.net.time()),
+            Err(err) => return vec![Err(err); queries.len()],
         };
         self.session.sweep(queries, |worker, query| {
-            let mut net = FluidNetwork::new(Arc::clone(&self.model), self.config.params);
-            for &(key, comm, start) in &log {
-                net.add(key, comm, start);
-            }
-            net.advance_to(now);
-            self.answer_on(&mut net, now, worker, query)
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut net = FluidNetwork::new(Arc::clone(&self.model), self.config.params);
+                for &(key, comm, start) in &log {
+                    net.add(key, comm, start);
+                }
+                net.advance_to(now);
+                self.answer_on(&mut net, now, worker, query)
+            }))
+            .unwrap_or(Err(ServeError::Internal))
         })
     }
 
@@ -470,8 +516,19 @@ impl WhatIfService {
         }
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, Authoritative> {
+    fn state(&self) -> MutexGuard<'_, Authoritative> {
         self.state.lock().expect("authoritative state lock")
+    }
+
+    /// The authoritative state, or [`ServeError::Internal`] once a panic
+    /// in it has left it untrustworthy.
+    fn live_state(&self) -> Result<MutexGuard<'_, Authoritative>, ServeError> {
+        let st = self.state();
+        if st.broken {
+            Err(ServeError::Internal)
+        } else {
+            Ok(st)
+        }
     }
 
     /// Replays one authoritative delta onto the cached snapshot (the
@@ -518,12 +575,12 @@ impl WhatIfService {
     /// The shared snapshot for a batch of `queries` queries, forking the
     /// authoritative engine only if the cache was invalidated since the
     /// last batch.
-    fn snapshot_for(&self, queries: u64) -> Arc<Snapshot> {
-        let mut st = self.state();
+    fn snapshot_for(&self, queries: u64) -> Result<Arc<Snapshot>, ServeError> {
+        let mut st = self.live_state()?;
         if let Some(snap) = &st.snapshot {
             self.snapshot_batch_reuses.fetch_add(1, Ordering::Relaxed);
             self.snapshot_reuses.fetch_add(queries, Ordering::Relaxed);
-            return Arc::clone(snap);
+            return Ok(Arc::clone(snap));
         }
         let snap = Arc::new(Snapshot {
             net: st.net.clone(),
@@ -533,7 +590,7 @@ impl WhatIfService {
         self.snapshot_builds.fetch_add(1, Ordering::Relaxed);
         self.snapshot_reuses
             .fetch_add(queries.saturating_sub(1), Ordering::Relaxed);
-        snap
+        Ok(snap)
     }
 
     /// Superimposes the query's flows on `net` (already positioned at
@@ -925,5 +982,69 @@ mod tests {
         let sweep = service.stats().sweep;
         assert_eq!(sweep.tref_misses, 1);
         assert_eq!(sweep.tref_hits, 15);
+    }
+
+    /// GigE, except that a population holding a flow of [`POISON`] bytes
+    /// panics.
+    struct PanicsOnSize;
+
+    const POISON: u64 = 4_321;
+
+    impl PenaltyModel for PanicsOnSize {
+        fn name(&self) -> &'static str {
+            "panics-on-size"
+        }
+        fn penalties(&self, comms: &[Communication]) -> Vec<netbw_core::Penalty> {
+            assert!(comms.iter().all(|c| c.size != POISON), "poisoned flow");
+            GigabitEthernetModel::default().penalties(comms)
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_answers_internal_and_the_service_keeps_serving() {
+        let config = ServeConfig {
+            threads: 1,
+            ..tiny_config()
+        };
+        let svc = WhatIfService::with_model(Arc::new(PanicsOnSize), config);
+        svc.admit(Communication::new(0u32, 1u32, 3_000), 0.0)
+            .unwrap();
+        svc.admit(Communication::new(2u32, 1u32, 2_000), 0.0)
+            .unwrap();
+        svc.advance_to(100.0).unwrap();
+        let fine = WhatIfQuery::flow(Communication::new(3u32, 1u32, 1_000), 0.0);
+        let poisoned = WhatIfQuery::flow(Communication::new(3u32, 1u32, POISON), 0.0);
+        let before = svc.what_if(&fine).expect("a healthy query is answered");
+        // the poisoned query panics in its fork's settle, on both paths
+        assert_eq!(svc.what_if(&poisoned), Err(ServeError::Internal));
+        assert_eq!(
+            svc.what_if_batch_via_rebuild(std::slice::from_ref(&poisoned)),
+            vec![Err(ServeError::Internal)]
+        );
+        // the next queries and the counters are still answered, bit for bit
+        assert_eq!(svc.what_if(&fine), Ok(before.clone()));
+        assert_eq!(
+            svc.what_if_batch(&[poisoned.clone(), fine.clone()]),
+            vec![Err(ServeError::Internal), Ok(before.clone())]
+        );
+        let stats = svc.stats();
+        assert_eq!(stats.queries, 5, "{stats}");
+        // one worker: the first query built its arena, the poisoned ones
+        // dropped the arena they reused, and the query after each rebuilt
+        // it, so only the poisoned queries reused one
+        assert_eq!(stats.fork_reuses, 2, "{stats}");
+        // a panic while advancing the engine of record poisons the
+        // service, not its lock: every later call is refused, and the
+        // counters stay readable
+        svc.admit(Communication::new(4u32, 5u32, POISON), 100.0)
+            .unwrap();
+        assert_eq!(svc.advance_to(200.0).err(), Some(ServeError::Internal));
+        assert_eq!(
+            svc.admit(Communication::new(4u32, 5u32, 10), 200.0),
+            Err(ServeError::Internal)
+        );
+        assert_eq!(svc.advance_to(300.0).err(), Some(ServeError::Internal));
+        assert_eq!(svc.what_if(&fine), Err(ServeError::Internal));
+        assert_eq!(svc.stats().admitted, 3);
     }
 }

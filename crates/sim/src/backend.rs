@@ -17,11 +17,12 @@ use netbw_graph::Communication;
 /// scheduling step, so implementations should make repeated probes cheap
 /// — the fluid backend serves them from its [`CacheStats`]-instrumented
 /// penalty cache. Each population change is forwarded to the model as a
-/// positional delta (simultaneous arrival+departure batches included, as
-/// chained mixed deltas), and the cache owns the model's per-cache
-/// scratch state: [`CacheStats::delta_queries`] counts the settles that
-/// *offered* the model a delta, [`CacheStats::patched_queries`] the
-/// settles the model actually answered with an O(affected) patch, and
+/// keyed delta — the ids that left and the flows that joined, in one
+/// delta even when arrivals and departures coincide — and the cache owns
+/// the model's per-cache scratch state: [`CacheStats::delta_queries`]
+/// counts the settles that *offered* the model a warm delta,
+/// [`CacheStats::patched_queries`] the settles the model actually answered
+/// with an O(changed + reach) patch, and
 /// [`CacheStats::scratch_rebuilds`] / [`CacheStats::budget_fallbacks`]
 /// expose scratch rebuilds and Myrinet state-set budget blow-ups.
 pub trait NetworkBackend {

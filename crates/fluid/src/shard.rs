@@ -45,6 +45,11 @@
 //! partition cell, so splitting is purely a performance refinement —
 //! without it any long-lived population degrades toward one mega-shard.
 //!
+//! Every member's slab entry carries its shard cache's owner stamp,
+//! written at admission and rewritten for the smaller side's flows by
+//! each merge and split, so a settle can check that every flow its model
+//! answered is its own before touching the slot.
+//!
 //! Retired shards are **recycled**, not dropped: a drained shard, a
 //! merge's absorbed shard and every live shard at a reset has its counters
 //! folded into the set-wide accumulators, is reset in place (cache, heaps
